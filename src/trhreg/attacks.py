@@ -7,6 +7,13 @@ a standard heuristic.  Projection is exact: after every step the iterate
 satisfies the ball constraint to rounding, and a zero input gradient
 leaves the iterate in place rather than erroring.
 
+Cost: a step of ``pgd`` is one ``forward`` and one input-backward
+(``input_gradient`` on that step's trace).  The per-step pre-activations,
+hidden activations, ReLU masks and backward deltas live in buffers that one
+``pgd`` call allocates and every step overwrites; they are not kept across
+calls.  The returned points are fresh arrays that share no memory with the
+buffers.
+
 ``eval_robust_accuracy`` counts a point as correct only if every restart
 leaves it correctly classified, which makes accuracy monotone
 non-increasing in the number of restarts by construction.
@@ -14,12 +21,12 @@ non-increasing in the number of restarts by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .losses import softmax
-from .network import MlpNetwork, forward, input_gradient
+from .network import MlpNetwork, forward, input_gradient, pass_buffers
 from .numerics import Rng
 
 _NORMS = ("linf", "l2")
@@ -54,12 +61,9 @@ class AttackConfig:
 
     def scaled(self, factor: float) -> "AttackConfig":
         """Radius (and step) rescaled, e.g. into normalized input units."""
-        return AttackConfig(delta=self.delta * factor, steps=self.steps,
-                            norm=self.norm,
-                            step_size=None if self.step_size is None
-                            else self.step_size * factor,
-                            restarts=self.restarts, inner_loss=self.inner_loss,
-                            clamp=self.clamp, random_start=self.random_start)
+        return replace(self, delta=self.delta * factor,
+                       step_size=None if self.step_size is None
+                       else self.step_size * factor)
 
 
 def project(x_adv: np.ndarray, x0: np.ndarray, norm: str, delta: float) -> np.ndarray:
@@ -85,15 +89,13 @@ def project(x_adv: np.ndarray, x0: np.ndarray, norm: str, delta: float) -> np.nd
     raise ValueError(f"unknown norm {norm!r}")
 
 
-def _inner_gradient(net: MlpNetwork, x_adv, y, cfg: AttackConfig, s_clean):
-    tr = forward(net, x_adv)
-    s = softmax(tr.logits)
+def _dlogits(logits, y, cfg: AttackConfig, s_clean):
+    """d(inner loss)/d(logits) at the adversarial logits."""
+    s = softmax(logits)
     if cfg.inner_loss == "ce":
-        dlogits = s.copy()
-        dlogits[np.arange(len(y)), y] -= 1.0
-    else:  # ascend KL(s_clean || s(x_adv))
-        dlogits = s - s_clean
-    return input_gradient(net, x_adv, dlogits)
+        s[np.arange(len(y)), y] -= 1.0
+        return s
+    return s - s_clean  # ascend KL(s_clean || s(x_adv))
 
 
 def pgd(net: MlpNetwork, x, y, cfg: AttackConfig, rng: Rng) -> np.ndarray:
@@ -102,9 +104,10 @@ def pgd(net: MlpNetwork, x, y, cfg: AttackConfig, rng: Rng) -> np.ndarray:
     single = x.ndim == 1
     X = np.atleast_2d(x)
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    buffers = pass_buffers(net, X.shape[0])
     s_clean = None
     if cfg.inner_loss == "kl":
-        s_clean = softmax(forward(net, X).logits)
+        s_clean = softmax(forward(net, X, buffers).logits)
 
     if cfg.random_start and cfg.delta > 0:
         if cfg.norm == "linf":
@@ -123,7 +126,9 @@ def pgd(net: MlpNetwork, x, y, cfg: AttackConfig, rng: Rng) -> np.ndarray:
 
     alpha = cfg.effective_step
     for _ in range(cfg.steps):
-        g = _inner_gradient(net, x_adv, y, cfg, s_clean)
+        tr = forward(net, x_adv, buffers)
+        g = input_gradient(net, x_adv, _dlogits(tr.logits, y, cfg, s_clean),
+                           trace=tr, buffers=buffers)
         if cfg.norm == "linf":
             step = alpha * np.sign(g)  # sign(0) = 0: zero-grad rows stay put
         else:

@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .attacks import AttackConfig, clean_accuracy, eval_robust_accuracy
+from .attacks import clean_accuracy, eval_robust_accuracy
 from .config import ConfigError, ExperimentConfig
 from .network import load_checkpoint, save_checkpoint
 from .numerics import Rng
@@ -33,7 +34,7 @@ EXIT_VERIFY = 3
 def _load_config(path, seed=None, out=None) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(path)
     if seed is not None:
-        cfg.train = cfg.train.__class__(**{**cfg.train.__dict__, "seed": seed})
+        cfg.train = replace(cfg.train, seed=seed)
     if out is not None:
         cfg.out_dir = out
     return cfg
@@ -100,11 +101,7 @@ def cmd_eval(args) -> int:
                           f"match dataset dim {ds.inputs.shape[1]}")
     attack = cfg.effective_attack(ds)
     if args.restarts is not None:
-        attack = AttackConfig(delta=attack.delta, steps=attack.steps,
-                              norm=attack.norm, step_size=attack.step_size,
-                              restarts=args.restarts, inner_loss="ce",
-                              clamp=attack.clamp,
-                              random_start=attack.random_start)
+        attack = replace(attack, restarts=args.restarts, inner_loss="ce")
     rng = Rng(cfg.train.seed).child("eval-cli")
     clean = clean_accuracy(net, ds)
     robust = eval_robust_accuracy(net, ds, attack, rng)
@@ -186,7 +183,7 @@ def cmd_sweep(args) -> int:
     for value in values:
         trial = cfg.with_overrides()
         sub = getattr(trial, attr)
-        setattr(trial, attr, sub.__class__(**{**sub.__dict__, fieldname: value}))
+        setattr(trial, attr, replace(sub, **{fieldname: value}))
         try:
             ds, result = _run_training(trial)
             last = result.metrics.rows[-1]

@@ -120,23 +120,55 @@ def init_mlp(dims, rng: Rng, hidden_bias: bool = True) -> MlpNetwork:
     return MlpNetwork(layers)
 
 
-def forward(net: MlpNetwork, x: np.ndarray) -> ForwardTrace:
-    """Run the network on x (``(d,)`` or ``(m, d)``) and cache the trace."""
+@dataclass
+class PassBuffers:
+    """Arrays that :func:`forward` and :func:`input_gradient` overwrite.
+
+    Sized for one network and batches of ``m`` rows.  Every call handed the
+    buffers overwrites what the previous call returned, so a trace or an
+    input gradient computed into them lives only until the next such call.
+    """
+
+    preacts: list[np.ndarray]  # (m, d_out) per layer
+    hidden: list[np.ndarray]   # (m, d_out) per hidden layer: max(0, preact)
+    masks: list[np.ndarray]    # (m, d_out) bool per hidden layer: preact > 0
+    deltas: list[np.ndarray]   # (m, d_in) per layer: d(loss)/d(layer input)
+
+
+def pass_buffers(net: MlpNetwork, m: int) -> PassBuffers:
+    """Uninitialized buffers for batches of m rows of net."""
+    hidden = [l.d_out for l in net.layers[:-1]]
+    return PassBuffers(
+        preacts=[np.empty((m, l.d_out)) for l in net.layers],
+        hidden=[np.empty((m, w)) for w in hidden],
+        masks=[np.empty((m, w), dtype=bool) for w in hidden],
+        deltas=[np.empty((m, l.d_in)) for l in net.layers])
+
+
+def forward(net: MlpNetwork, x: np.ndarray,
+            buffers: PassBuffers | None = None) -> ForwardTrace:
+    """Run the network on x (``(d,)`` or ``(m, d)``) and cache the trace.
+
+    With ``buffers`` (2-d x only) the trace's arrays are those buffers,
+    overwritten in place; x itself is kept, not copied, as layer input 0.
+    """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     X = x[None, :] if single else x
     if X.shape[1] != net.input_dim:
         raise ValueError(f"input dim {X.shape[1]} != network input dim {net.input_dim}")
+    pre_out = buffers.preacts if buffers is not None else [None] * net.depth
+    hidden_out = buffers.hidden if buffers is not None else [None] * (net.depth - 1)
     layer_inputs = [X]
     preacts = []
     cur = X
     for i, layer in enumerate(net.layers):
-        pre = cur @ layer.weights
+        pre = np.matmul(cur, layer.weights, out=pre_out[i])
         if layer.bias is not None:
-            pre = pre + layer.bias
+            np.add(pre, layer.bias, out=pre)
         preacts.append(pre)
         if i < net.depth - 1:
-            cur = np.maximum(pre, 0.0)
+            cur = np.maximum(pre, 0.0, out=hidden_out[i])
             layer_inputs.append(cur)
     if single:
         layer_inputs = [a[0] for a in layer_inputs]
@@ -271,18 +303,30 @@ def gradient_vector(net: MlpNetwork, objective):
     return value, np.concatenate(parts)
 
 
-def input_gradient(net: MlpNetwork, X: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
+def input_gradient(net: MlpNetwork, X: np.ndarray, dlogits: np.ndarray,
+                   trace: ForwardTrace | None = None,
+                   buffers: PassBuffers | None = None) -> np.ndarray:
     """Gradient of a loss w.r.t. the input, given d(loss)/d(logits).
 
     Closed-form reverse pass used by the attack loops; X and dlogits are
-    ``(m, d)`` and ``(m, K)``.
+    ``(m, d)`` and ``(m, K)``.  Without ``trace`` the pass first runs
+    :func:`forward` at X; handed the trace an attack step already computed,
+    it runs none, so the step costs one forward and one input-backward.
+    With ``buffers`` the masks and deltas are overwritten in place and the
+    returned gradient is ``buffers.deltas[0]``, valid until the buffers'
+    next use.  ``attacks.pgd`` allocates its buffers once per call, reuses
+    them on every step and returns fresh arrays, never a buffer.
     """
-    tr = forward(net, X)
+    if trace is None:
+        trace = forward(net, X, buffers)
+    delta_out = buffers.deltas if buffers is not None else [None] * net.depth
+    mask_out = buffers.masks if buffers is not None else [None] * (net.depth - 1)
     delta = np.asarray(dlogits, dtype=np.float64)
     for i in range(net.depth - 1, 0, -1):
-        delta = delta @ net.layers[i].weights.T
-        delta = delta * (tr.preacts[i - 1] > 0)
-    return delta @ net.layers[0].weights.T
+        delta = np.matmul(delta, net.layers[i].weights.T, out=delta_out[i])
+        np.multiply(delta, np.greater(trace.preacts[i - 1], 0.0, out=mask_out[i - 1]),
+                    out=delta)
+    return np.matmul(delta, net.layers[0].weights.T, out=delta_out[0])
 
 
 # -- checkpoint format -------------------------------------------------

@@ -22,7 +22,7 @@ weights to the unperturbed ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -257,11 +257,7 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
     metrics = MetricsLog(columns=list(METRICS_COLUMNS))
     trace_rows: list = []
     spectrum_rows: list = []
-    eval_attack = AttackConfig(
-        delta=attack_cfg.delta, steps=attack_cfg.steps, norm=attack_cfg.norm,
-        step_size=attack_cfg.step_size, restarts=cfg.eval_restarts,
-        inner_loss="ce", clamp=attack_cfg.clamp,
-        random_start=attack_cfg.random_start)
+    eval_attack = replace(attack_cfg, restarts=cfg.eval_restarts, inner_loss="ce")
 
     velocity = np.zeros(param_count(net))
     swa_avg = flatten_weights(net) if cfg.baseline == "swa" else None
@@ -352,11 +348,7 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
 def measurement_attack(attack_cfg: AttackConfig) -> AttackConfig:
     """Deterministic single-restart attack used to fix adversarial points
     before measuring curvature."""
-    return AttackConfig(delta=attack_cfg.delta, steps=attack_cfg.steps,
-                        norm=attack_cfg.norm, step_size=attack_cfg.step_size,
-                        restarts=1, inner_loss=attack_cfg.inner_loss,
-                        clamp=attack_cfg.clamp,
-                        random_start=attack_cfg.random_start)
+    return replace(attack_cfg, restarts=1)
 
 
 def bare_objective_value_fn(net: MlpNetwork, X, X_adv, y, kind: RobustLossKind):

@@ -5,7 +5,8 @@ from trhreg.attacks import (AttackConfig, clean_accuracy,
                             eval_robust_accuracy, pgd, predictions, project)
 from trhreg.data import two_moons
 from trhreg.losses import cross_entropy_rows, softmax
-from trhreg.network import DenseLayer, MlpNetwork, forward, init_mlp
+from trhreg.network import (DenseLayer, MlpNetwork, forward, init_mlp,
+                            input_gradient)
 from trhreg.numerics import Rng
 
 
@@ -138,3 +139,158 @@ class TestEvalRobustAccuracy:
         net = init_mlp([2, 4, 3], Rng(14).child("i"))
         X = Rng(14).child("x").normal(size=(7, 2))
         assert predictions(net, X).shape == (7,)
+
+
+def reference_pgd(net, x, y, cfg, rng):
+    """pgd stepped the plain way: forward, softmax, a fresh
+    input_gradient(net, x_adv, dlogits) that runs its own forward, then the
+    step rule.  No buffers are shared between steps."""
+    x = np.asarray(x, dtype=np.float64)
+    X = np.atleast_2d(x)
+    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    s_clean = softmax(forward(net, X).logits) if cfg.inner_loss == "kl" else None
+    if cfg.random_start and cfg.delta > 0:
+        if cfg.norm == "linf":
+            start = rng.uniform(-cfg.delta, cfg.delta, size=X.shape)
+        else:
+            direction = rng.normal(size=X.shape)
+            norms = np.linalg.norm(direction, axis=1, keepdims=True)
+            norms[norms == 0] = 1.0
+            radius = cfg.delta * rng.uniform(0.0, 1.0, size=(X.shape[0], 1)) ** (1.0 / X.shape[1])
+            start = direction / norms * radius
+        x_adv = project(X + start, X, cfg.norm, cfg.delta)
+    else:
+        x_adv = X.copy()
+    if cfg.clamp is not None:
+        x_adv = np.clip(x_adv, *cfg.clamp)
+    alpha = cfg.effective_step
+    for _ in range(cfg.steps):
+        s = softmax(forward(net, x_adv).logits)
+        if cfg.inner_loss == "ce":
+            dlogits = s.copy()
+            dlogits[np.arange(len(y)), y] -= 1.0
+        else:
+            dlogits = s - s_clean
+        g = input_gradient(net, x_adv, dlogits)
+        if cfg.norm == "linf":
+            step = alpha * np.sign(g)
+        else:
+            gn = np.linalg.norm(g, axis=1, keepdims=True)
+            step = np.where(gn > 0, alpha * g / np.where(gn > 0, gn, 1.0), 0.0)
+        x_adv = project(x_adv + step, X, cfg.norm, cfg.delta)
+        if cfg.clamp is not None:
+            x_adv = np.clip(x_adv, *cfg.clamp)
+    return x_adv[0] if x.ndim == 1 else x_adv
+
+
+class TestPgdBuffers:
+    """The one-forward step with reused buffers matches the plain step."""
+
+    @staticmethod
+    def problem(dims, m, seed=20):
+        rng = Rng(seed)
+        net = init_mlp(dims, rng.child("i"))
+        X = rng.child("x").normal(size=(m, dims[0]))
+        y = rng.child("y").integers(0, dims[-1], size=m)
+        return net, X, y
+
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    @pytest.mark.parametrize("inner", ["ce", "kl"])
+    def test_bitwise_equal_to_reference(self, norm, inner):
+        net, X, y = self.problem([3, 16, 12, 4], 60)
+        cfg = AttackConfig(delta=0.3, steps=6, norm=norm, inner_loss=inner)
+        got = pgd(net, X, y, cfg, Rng(21).child("a"))
+        want = reference_pgd(net, X, y, cfg, Rng(21).child("a"))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cfg", [
+        AttackConfig(delta=0.4, steps=5, clamp=(-0.5, 0.5)),
+        AttackConfig(delta=0.4, steps=5, norm="l2", random_start=False),
+        AttackConfig(delta=0.4, steps=5, inner_loss="kl", random_start=False,
+                     clamp=(-1.0, 1.0)),
+    ])
+    def test_bitwise_equal_clamp_and_fixed_start(self, cfg):
+        net, X, y = self.problem([2, 10, 3], 40)
+        got = pgd(net, X, y, cfg, Rng(22).child("a"))
+        assert np.array_equal(got, reference_pgd(net, X, y, cfg, Rng(22).child("a")))
+
+    @pytest.mark.parametrize("inner", ["ce", "kl"])
+    def test_bitwise_equal_single_example(self, inner):
+        net, X, y = self.problem([3, 8, 3], 1)
+        cfg = AttackConfig(delta=0.2, steps=4, norm="l2", inner_loss=inner)
+        got = pgd(net, X[0], y[0], cfg, Rng(23).child("a"))
+        assert got.shape == (3,)
+        assert np.array_equal(got, reference_pgd(net, X[0], y[0], cfg, Rng(23).child("a")))
+
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_bitwise_equal_linear_net(self, norm):
+        net, X, y = self.problem([4, 3], 30)
+        assert net.depth == 1
+        cfg = AttackConfig(delta=0.3, steps=3, norm=norm, inner_loss="kl")
+        got = pgd(net, X, y, cfg, Rng(24).child("a"))
+        assert np.array_equal(got, reference_pgd(net, X, y, cfg, Rng(24).child("a")))
+
+    @pytest.mark.parametrize("inner, extra", [("ce", 0), ("kl", 1)])
+    def test_one_forward_per_step(self, monkeypatch, inner, extra):
+        import trhreg.attacks
+        import trhreg.network
+
+        calls = []
+        real = trhreg.network.forward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        # both bindings: a step that let input_gradient rerun the forward
+        # would be counted through the network module's own name
+        monkeypatch.setattr(trhreg.network, "forward", counting)
+        monkeypatch.setattr(trhreg.attacks, "forward", counting)
+        net, X, y = self.problem([2, 10, 10, 2], 50)
+        cfg = AttackConfig(delta=0.1, steps=7, inner_loss=inner)
+        pgd(net, X, y, cfg, Rng(25).child("a"))
+        assert len(calls) == cfg.steps + extra
+
+    def test_result_shares_no_memory_with_buffers(self, monkeypatch):
+        import trhreg.attacks
+
+        made = []
+        real = trhreg.attacks.pass_buffers
+
+        def recording(*args):
+            made.append(real(*args))
+            return made[-1]
+
+        monkeypatch.setattr(trhreg.attacks, "pass_buffers", recording)
+        net, X, y = self.problem([2, 6, 6, 2], 20)
+        for norm in ("linf", "l2"):
+            got = pgd(net, X, y, AttackConfig(delta=0.2, steps=3, norm=norm),
+                      Rng(26).child("a"))
+            b = made[-1]
+            for arr in b.preacts + b.hidden + b.masks + b.deltas:
+                assert not np.shares_memory(got, arr)
+
+    def test_back_to_back_calls_independent(self):
+        net, X, y = self.problem([2, 12, 12, 2], 40)
+        cfg = AttackConfig(delta=0.2, steps=5)
+        want_a = reference_pgd(net, X, y, cfg, Rng(27).child("a"))
+        want_b = reference_pgd(net, X, y, cfg, Rng(27).child("b"))
+        a = pgd(net, X, y, cfg, Rng(27).child("a"))
+        b = pgd(net, X, y, cfg, Rng(27).child("b"))
+        assert not np.array_equal(want_a, want_b)
+        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+        a[:] = 99.0
+        b[:] = -99.0
+        assert np.array_equal(pgd(net, X, y, cfg, Rng(27).child("a")), want_a)
+        assert np.array_equal(pgd(net, X, y, cfg, Rng(27).child("b")), want_b)
+
+    def test_restarts_match_fresh_reference_calls(self):
+        ds = two_moons(120, noise_std=0.15, seed=5)
+        net = init_mlp([2, 10, 10, 2], Rng(28).child("i"))
+        cfg = AttackConfig(delta=0.2, steps=5, restarts=3)
+        rng = Rng(29).child("e")
+        correct = np.ones(len(ds.labels), dtype=bool)
+        for r in range(cfg.restarts):
+            adv = reference_pgd(net, ds.inputs, ds.labels, cfg, rng.child(r))
+            correct &= predictions(net, adv) == ds.labels
+        assert eval_robust_accuracy(net, ds, cfg, rng) == float(np.mean(correct))
