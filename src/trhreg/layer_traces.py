@@ -25,9 +25,25 @@ Jacobian; summing only the diagonal of ``Phi`` would give
 ``sum_{k, d in P} H[k, d]``, which coincides with the exact trace at the
 top layer (where J is the identity and the trace reduces to
 ``||z||^2 * 1^T h``) but drops the softmax cross terms below it.  The
-finite-difference oracle pins the exact version down, which is what
-``trh_ce_layer`` computes; the per-column quadratic form simplifies to
-``sum_k s_k J_kd^2 - (sum_k s_k J_kd)^2``.
+finite-difference oracle pins the exact version down; the per-column
+quadratic form simplifies to ``sum_k s_k J_kd^2 - (sum_k s_k J_kd)^2``.
+
+One routine computes that trace, :func:`layer_trace_nodes`: it carries the
+logit Jacobians of all K classes down the network as one ``(D, m, K)``
+stack (the K backward passes of a loss-Hessian factor, as in BackPACK,
+Dangel et al. 2020, arXiv:1912.10985) and returns per-example rows per
+weight matrix as tape nodes.  Everything else here that reports the trace
+calls it:
+
+* :func:`full_ce_trace_rows_nodes` -- the sum over layers on lifted
+  weights, the trainable whole-network regularizer;
+* :func:`layer_trace_rows` -- the routine on constant weights, numpy
+  values for measurement;
+* :func:`trh_ce_layer` / :func:`full_ce_trace` -- one example, behind the
+  smoothness guard the oracles need.
+
+:func:`layer_h_tensor`, :func:`logits_jacobian` and
+:func:`check_layer_inequality` serve the consecutive-level bound.
 
 At the logits level there is no ReLU above the weights, so its active set
 is every index.  Biases are excluded throughout (traces are over
@@ -44,7 +60,7 @@ import numpy as np
 
 from . import tape
 from .losses import softmax
-from .network import MlpNetwork, forward, forward_nodes
+from .network import MlpNetwork, forward, forward_nodes, lift
 from .numerics import SMOOTH_TOL
 
 
@@ -67,14 +83,9 @@ def _check_smooth(net: MlpNetwork, x: np.ndarray, tol: float) -> None:
                 f"pre-activation within {tol} of a ReLU kink; resample the input")
 
 
-def _level_activations(net: MlpNetwork, x: np.ndarray):
-    tr = forward(net, x)
-    return tr.layer_inputs + [tr.logits], tr
-
-
 def logits_jacobian(net: MlpNetwork, x: np.ndarray, level: int) -> np.ndarray:
     """d logits / d level activations, shape (K, D_level)."""
-    levels, tr = _level_activations(net, x)
+    tr = forward(net, x)
     depth = net.depth
     if not 0 <= level <= depth:
         raise ValueError(f"level must be in [0, {depth}]")
@@ -94,8 +105,8 @@ def layer_h_tensor(net: MlpNetwork, x: np.ndarray, level: int,
     if x.ndim != 1:
         raise ValueError("layer_h_tensor takes a single input vector")
     _check_smooth(net, x, tol)
-    levels, tr = _level_activations(net, x)
-    act = levels[level]
+    tr = forward(net, x)
+    act = (tr.layer_inputs + [tr.logits])[level]
     if level == net.depth:
         positive = np.arange(act.size)  # no ReLU above the top weights
     else:
@@ -106,32 +117,6 @@ def layer_h_tensor(net: MlpNetwork, x: np.ndarray, level: int,
     h = softmax(tr.logits) * (1.0 - softmax(tr.logits))
     return LayerHTensor(level=level, values=jac ** 2 * h[:, None],
                         positive_set=positive)
-
-
-def trh_ce_layer(net: MlpNetwork, x: np.ndarray, layer: int,
-                 tol: float = SMOOTH_TOL) -> float:
-    """Exact CE Hessian trace over the entries of weight matrix `layer`."""
-    if not 0 <= layer < net.depth:
-        raise ValueError(f"layer must be in [0, {net.depth})")
-    x = np.asarray(x, dtype=np.float64)
-    _check_smooth(net, x, tol)
-    levels, tr = _level_activations(net, x)
-    below = levels[layer]
-    level = layer + 1
-    act = levels[level]
-    if level == net.depth:
-        positive = np.arange(act.size)
-    else:
-        positive = np.flatnonzero(act > 0)
-    jac = logits_jacobian(net, x, level)[:, positive]  # (K, |P|)
-    s = softmax(tr.logits)
-    quad = s @ (jac ** 2) - (s @ jac) ** 2  # J_d^T Phi J_d per column
-    return float(np.dot(below, below)) * float(quad.sum())
-
-
-def full_ce_trace(net: MlpNetwork, x: np.ndarray, tol: float = SMOOTH_TOL) -> float:
-    """CE Hessian trace over all weight matrices (biases excluded)."""
-    return sum(trh_ce_layer(net, x, i, tol=tol) for i in range(net.depth))
 
 
 def l1_operator_norm(w: np.ndarray) -> float:
@@ -161,81 +146,85 @@ def check_layer_inequality(net: MlpNetwork, x: np.ndarray, level: int,
     return LayerInequality(lhs=lhs, rhs=rhs, holds=lhs <= rhs + slack)
 
 
-# -- batched / differentiable versions ---------------------------------
+# -- the one trace routine and its callers ------------------------------
 
 
-def layer_trace_rows(net: MlpNetwork, X: np.ndarray) -> np.ndarray:
-    """Per-example CE layer traces, shape (m, depth); plain numpy, no
-    smoothness check (intended for bulk measurement, not oracle duty)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    tr = forward(net, X)
-    depth = net.depth
-    m = X.shape[0]
-    k = net.num_classes
-    s = softmax(tr.logits)
-    levels = tr.layer_inputs + [tr.logits]
-    masks = [(p > 0).astype(np.float64) for p in tr.preacts[:-1]]  # per hidden level
-    out = np.zeros((m, depth))
-    # V[c] = d logits_c / d level, accumulated from the top down
-    v = [np.tile(np.eye(k)[c], (m, 1)) for c in range(k)]
-    gate = np.ones((m, k))
-    for i in range(depth - 1, -1, -1):
-        below = levels[i]
-        r2 = np.sum(below * below, axis=1)
-        # per unit d: s^T (V_:d)^2 - (s^T V_:d)^2, summed over active units
-        a = np.zeros_like(v[0])
-        b = np.zeros_like(v[0])
-        for c in range(k):
-            a += s[:, c:c + 1] * v[c] ** 2
-            b += s[:, c:c + 1] * v[c]
-        out[:, i] = r2 * np.sum((a - b ** 2) * gate, axis=1)
-        if i > 0:
-            v = [(vc * gate) @ net.layers[i].weights.T for vc in v]
-            gate = masks[i - 1]
-    return out
+def layer_trace_nodes(lifted, X: np.ndarray) -> list:
+    """Per-example CE trace of every weight matrix: one ``(m,)`` node per layer.
 
-
-def full_ce_trace_rows_nodes(lifted, X: np.ndarray) -> tape.Node:
-    """Differentiable per-example all-layer CE trace, shape (m,).
-
-    Activation patterns (ReLU gates and active sets) are held constant at
-    their forward values, matching the zero-second-derivative convention;
-    everything else is a live function of the parameters, so this node can
-    serve as a trainable whole-network curvature regularizer.
+    ``jac[d, n, c]`` is d logits_c / d (pre-activation d of the level above
+    the current weights) at example n.  All K classes go down together, one
+    matrix product per layer.  ReLU gates are held at their forward values
+    (the ReLU'' = 0 convention); everything else is a live function of the
+    lifted parameters.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     layer_inputs, preacts = forward_nodes(lifted, X)
-    depth = len(lifted)
-    k = lifted[-1][0].value.shape[1]
-    m = X.shape[0]
-    logits = preacts[-1]
-    logs = tape.log_softmax(logits)
-    s = tape.exp(logs)
-    levels = list(layer_inputs) + [logits]
-    gates = [tape.constant((p.value > 0).astype(np.float64)) for p in preacts[:-1]]
-
-    s_cols = [tape.row_sum(s * tape.constant(np.eye(k)[c]), keepdims=True)
-              for c in range(k)]
-    v = [tape.constant(np.tile(np.eye(k)[c], (m, 1))) for c in range(k)]
-    gate = tape.constant(np.ones((m, k)))
-    total = None
-    for i in range(depth - 1, -1, -1):
-        below = levels[i]
-        r2 = tape.row_sum(below * below)
-        a = b = None  # per unit: sum_c s_c V_c^2 and sum_c s_c V_c
-        for c in range(k):
-            ta = s_cols[c] * (v[c] * v[c])
-            tb = s_cols[c] * v[c]
-            a = ta if a is None else a + ta
-            b = tb if b is None else b + tb
-        rows = r2 * tape.row_sum((a - b * b) * gate)
-        total = rows if total is None else total + rows
+    s = tape.exp(tape.log_softmax(preacts[-1]))
+    k = s.shape[1]
+    jac = tape.constant(np.eye(k)[:, None, :])  # logits level, same for every row
+    rows = [None] * len(lifted)
+    for i in range(len(lifted) - 1, -1, -1):
+        below = layer_inputs[i]
+        rows[i] = tape.row_sum(below * below) * _summed_quadratic_form(s, jac)
         if i > 0:
-            v = [(vc * gate) @ _transpose_node(lifted[i][0]) for vc in v]
-            gate = gates[i - 1]
-    return total
+            w = lifted[i][0]
+            jac = tape.reshape(w @ tape.reshape(jac, (w.shape[1], -1)),
+                               (w.shape[0], -1, k))
+            jac = jac * tape.constant((preacts[i - 1].value > 0).T[:, :, None])
+    return rows
 
 
-def _transpose_node(w: tape.Node) -> tape.Node:
-    value = w.value.T
-    return tape.Node(value, ((w, lambda g: g.T),))
+def _summed_quadratic_form(s: tape.Node, jac: tape.Node) -> tape.Node:
+    """``sum_d J_d^T Phi J_d = sum_d (s^T J_d^2 - (s^T J_d)^2)`` per row.
+
+    A function of its own so that, on constants, its ``(D, m, K)``
+    temporaries are freed on return.
+    """
+    weighted = s * jac
+    s_jac = tape.nsum(weighted, axis=2)
+    return tape.nsum(tape.nsum(weighted * jac, axis=2) - s_jac * s_jac, axis=0)
+
+
+def full_ce_trace_rows_nodes(lifted, X: np.ndarray) -> tape.Node:
+    """Per-example CE trace over all weight matrices, shape (m,): the
+    trainable whole-network curvature regularizer."""
+    rows = layer_trace_nodes(lifted, X)
+    return sum(rows[1:], rows[0])
+
+
+_ROWS_PER_PASS = 128  # bounds the (D, m, K) stacks of a measurement pass
+
+
+def layer_trace_rows(net: MlpNetwork, X: np.ndarray) -> np.ndarray:
+    """Per-example CE layer traces, shape (m, depth), as numpy values.
+
+    :func:`layer_trace_nodes` on constant weights, so no graph is kept, in
+    passes of at most ``_ROWS_PER_PASS`` rows.  No smoothness check: this is
+    for bulk measurement, not oracle duty.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    lifted = lift(net, tape.constant)
+    return np.concatenate([
+        np.stack([r.value for r in layer_trace_nodes(lifted, X[i:i + _ROWS_PER_PASS])],
+                 axis=1)
+        for i in range(0, len(X), _ROWS_PER_PASS)])
+
+
+def _smooth_rows(net: MlpNetwork, x: np.ndarray, tol: float) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    _check_smooth(net, x, tol)
+    return layer_trace_rows(net, x)[0]
+
+
+def trh_ce_layer(net: MlpNetwork, x: np.ndarray, layer: int,
+                 tol: float = SMOOTH_TOL) -> float:
+    """Exact CE Hessian trace over the entries of weight matrix `layer`."""
+    if not 0 <= layer < net.depth:
+        raise ValueError(f"layer must be in [0, {net.depth})")
+    return float(_smooth_rows(net, x, tol)[layer])
+
+
+def full_ce_trace(net: MlpNetwork, x: np.ndarray, tol: float = SMOOTH_TOL) -> float:
+    """CE Hessian trace over all weight matrices (biases excluded)."""
+    return float(_smooth_rows(net, x, tol).sum())

@@ -242,9 +242,10 @@ def flat_index_slices(net: MlpNetwork):
 # -- differentiation ---------------------------------------------------
 
 
-def lift(net: MlpNetwork):
-    """Wrap every parameter in a tape leaf: list of (W node, bias node|None)."""
-    return [(tape.leaf(l.weights), None if l.bias is None else tape.leaf(l.bias))
+def lift(net: MlpNetwork, wrap=tape.leaf):
+    """Wrap every parameter in a tape node, a leaf unless `wrap` is
+    ``tape.constant``: list of (W node, bias node|None)."""
+    return [(wrap(l.weights), None if l.bias is None else wrap(l.bias))
             for l in net.layers]
 
 

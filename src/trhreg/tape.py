@@ -5,11 +5,17 @@ closures so that :func:`backward` can accumulate exact gradients for every
 leaf.  The op set is deliberately small -- just enough to express the
 training objectives in this package (dense layers, ReLU, softmax algebra
 and the closed-form curvature terms) -- and everything is batched: node
-payloads are scalars, ``(m,)`` vectors or ``(m, k)`` matrices.
+payloads are scalars, ``(m,)`` vectors, ``(m, k)`` matrices or stacks of
+them.
 
 Broadcasting between operands follows numpy; adjoints are summed back over
 broadcast axes.  There is no graph reuse across calls: build, evaluate,
 backward, discard.
+
+Only nodes that depend on a :func:`leaf` are *live*.  An operation records
+edges to its live operands alone, so a result computed purely from
+constants holds no graph: evaluating an expression on constants costs its
+numpy work and keeps no intermediate alive.
 """
 
 from __future__ import annotations
@@ -18,12 +24,17 @@ import numpy as np
 
 
 class Node:
-    __slots__ = ("value", "grad", "_edges")
+    __slots__ = ("value", "grad", "_edges", "live")
 
     def __init__(self, value, edges=()):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self._edges = edges  # tuple of (parent Node, vjp callable)
+        for parent, _ in edges:
+            if not parent.live:  # drop edges into constants
+                edges = tuple(e for e in edges if e[0].live)
+                break
+        self._edges = edges  # tuple of (live parent Node, vjp callable)
+        self.live = bool(edges)
 
     @property
     def shape(self):
@@ -62,7 +73,7 @@ class Node:
         a, b = self, other
         return Node(a.value / b.value,
                     ((a, lambda g: _unbroadcast(g / b.value, a.shape)),
-                     (b, lambda g: _unbroadcast(-g * a.value / (b.value ** 2), b.shape))))
+                     (b, lambda g: _unbroadcast(-g * (a.value / b.value) / b.value, b.shape))))
 
     def __rtruediv__(self, other):
         return wrap(other) / self
@@ -81,7 +92,9 @@ def wrap(x) -> Node:
 
 def leaf(value) -> Node:
     """A differentiable input (weight matrix, bias vector)."""
-    return Node(value)
+    node = Node(value)
+    node.live = True
+    return node
 
 
 def constant(value) -> Node:
@@ -121,6 +134,10 @@ def nsum(a: Node, axis=None, keepdims=False) -> Node:
         g2 = g if keepdims else np.expand_dims(g, axis)
         return np.broadcast_to(g2, a.shape).copy()
     return Node(a.value.sum(axis=axis, keepdims=keepdims), ((a, vjp),))
+
+
+def reshape(a: Node, shape) -> Node:
+    return Node(a.value.reshape(shape), ((a, lambda g: g.reshape(a.shape)),))
 
 
 def mean(a: Node) -> Node:

@@ -186,12 +186,13 @@ METRICS_COLUMNS = ["epoch", "train_loss", "clean_acc", "pgd_acc", "lambda_eff", 
 class MeasureConfig:
     """What to measure along the run and how often.
 
-    mode "top": closed-form top-layer trace only.  "full": adds a
-    whole-network Rademacher estimate with a probe set that is fixed once
-    and reused across epochs (common random numbers keep the trajectory
-    smooth).  "layers" adds per-layer closed-form CE traces.  "spectrum"
-    produces per-layer and whole-network (trace, trace_sq) pairs and
-    eigenvalue statistics.  The measurement objective is the bare robust
+    mode "top": the closed-form top-layer trace of the training loss and the
+    per-layer closed-form CE traces; the whole-network estimate columns are
+    nan.  "layers" is a synonym for "top".  "full": adds a whole-network
+    Rademacher estimate with a probe set that is fixed once and reused
+    across epochs (common random numbers keep the trajectory smooth).
+    "spectrum" produces per-layer and whole-network (trace, trace_sq) pairs
+    and eigenvalue statistics.  The measurement objective is the bare robust
     loss of the training kind with adversarial inputs regenerated (and
     then frozen) at measurement time.
     """
@@ -225,16 +226,6 @@ class TrainResult:
         return list(self.trace_rows[0].keys())
 
 
-class _FullArmRegularizer:
-    """Differentiable whole-network CE-trace penalty (adversarial inputs)."""
-
-    def __init__(self, coeff: float):
-        self.coeff = coeff
-
-    def __call__(self, lifted, x_adv):
-        return self.coeff * tape.mean(full_ce_trace_rows_nodes(lifted, x_adv))
-
-
 def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
           trh_cfg: TrHConfig, attack_cfg: AttackConfig, cfg: TrainConfig,
           measure: MeasureConfig | None = None,
@@ -261,7 +252,6 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
 
     velocity = np.zeros(param_count(net))
     swa_avg = flatten_weights(net) if cfg.baseline == "swa" else None
-    full_reg = _FullArmRegularizer(full_reg_coeff) if full_reg_coeff else None
     probe_matrix = None
     diverged = False
     diverged_epoch = None
@@ -288,8 +278,9 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
                 node = objective_nodes(lifted, x_b, x_adv, y_b, kind,
                                        lam_eff, cfg.gamma,
                                        stop_grad_clean=trh_cfg.stop_grad_clean)
-                if full_reg is not None:
-                    node = node + full_reg(lifted, x_adv)
+                if full_reg_coeff:
+                    node = node + full_reg_coeff * tape.mean(
+                        full_ce_trace_rows_nodes(lifted, x_adv))
                 return node
 
             try:
@@ -324,7 +315,7 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
 
         if measure is not None and not diverged and (
                 epoch % measure.every == 0 or epoch == cfg.epochs - 1):
-            if probe_matrix is None and measure.mode in ("full", "layers"):
+            if probe_matrix is None and measure.mode == "full":
                 probe_rng = Rng(measure.probe_seed).child("trace-probes")
                 probe_matrix = np.stack([
                     rademacher_vector(param_count(net), probe_rng)
@@ -379,7 +370,7 @@ def measure_trace_row(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
 
     row = {"epoch": epoch,
            "trh_top_analytic": float(np.mean(analytic_trh_rows(net, x, x_adv, y, kind)))}
-    if measure.mode in ("full", "layers"):
+    if measure.mode == "full":
         value_fn = bare_objective_value_fn(net, x, x_adv, y, kind)
         w0 = flatten_weights(net)
         quad = quad_form_from_values(value_fn, w0)

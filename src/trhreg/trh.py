@@ -19,21 +19,35 @@ whose textbook write-ups are easy to get wrong in the cross terms.
 
 The weighted-KL trace keeps its ``(1 - s_y)`` factor: the weight is a
 constant under the frozen-clean convention, but a constant factor still
-scales the trace.
+scales the trace.  The margin terms use ``1 - s'_kappa`` as the sum of the
+other classes' probabilities, which stays accurate (and its log finite)
+when the runner-up class takes almost all the mass.
 
 Adversarial inputs are always treated as constants when differentiating
 (the inner maximizer is held fixed at the current weights).
+
+Which function computes what: :func:`top_trace_rows` is the one body of
+the closed forms (per-example traces of all four losses, as tape nodes of
+the clean and adversarial features and logits) and ``_loss_rows`` the one
+body of the per-example robust loss; :func:`objective_nodes` combines both
+on lifted weights.  ``trh_at``, ``trh_trades``, ``trh_trades_full``,
+``trh_alp`` and ``trh_mart`` evaluate :func:`top_trace_rows` on constants,
+for one example (1-d traces, float result) or a batch (``(m,)`` result);
+:func:`analytic_trh_rows` calls them once per batch through
+:func:`analytic_trh`, and :func:`robust_loss_rows` evaluates ``_loss_rows``
+on constants.  Evaluating on constants records no tape graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import tape
-from .losses import RobustLossKind, log_softmax, softmax, softmax_derivs
-from .network import ForwardTrace, MlpNetwork, forward, forward_nodes, lift
+from .losses import RobustLossKind
+from .network import ForwardTrace, MlpNetwork, forward, forward_nodes
 
 _SCHEDULES = ("constant", "linear", "multistep")
 
@@ -64,123 +78,183 @@ class TradesFullTerms:
 
     ``psi[k]`` / ``psi_prime[k]`` are the k-th row of the clean log-softmax
     Jacobian dotted with log s / log s'; ``omega[k]`` / ``omega_prime[k]``
-    are column dot products of the softmax Jacobians (both collapse to h
-    analytically, an identity the tests pin down); ``g_term`` is the extra
-    trace contribution from differentiating through the clean logits.
+    are column dot products of the softmax Jacobians, which equal h
+    identically and are reported as h; ``g_term`` is the extra trace
+    contribution from differentiating through the clean logits.  Batched
+    traces give every field a leading batch axis.
     """
 
     psi: np.ndarray
     psi_prime: np.ndarray
     omega: np.ndarray
     omega_prime: np.ndarray
-    g_term: float
+    g_term: float | np.ndarray
 
 
-def _feature_sq(trace: ForwardTrace) -> float:
-    z = trace.features
-    if z.ndim != 1:
-        raise ValueError("trh formulas take single-example traces")
-    return float(np.dot(z, z))
+class _Side(NamedTuple):
+    """One side (clean or adversarial) of a batch on the tape."""
+
+    z: tape.Node     # penultimate features, (m, d)
+    logs: tape.Node  # log-softmax of the logits, (m, K)
+    s: tape.Node     # softmax, (m, K)
 
 
-def trh_at(trace_adv: ForwardTrace) -> float:
+def _side(features: tape.Node, logits: tape.Node) -> _Side:
+    logs = tape.log_softmax(logits)
+    return _Side(features, logs, tape.exp(logs))
+
+
+def _constant_side(trace: ForwardTrace) -> _Side:
+    return _side(tape.constant(np.atleast_2d(trace.features)),
+                 tape.constant(np.atleast_2d(trace.logits)))
+
+
+def _one_hot(idx: np.ndarray, k: int) -> np.ndarray:
+    out = np.zeros((len(idx), k))
+    out[np.arange(len(idx)), idx] = 1.0
+    return out
+
+
+def _runner_up(s_adv: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Most-confusable wrong class per row (lowest index wins ties)."""
+    masked = s_adv.copy()
+    masked[np.arange(len(y)), y] = -np.inf
+    return np.argmax(masked, axis=1)
+
+
+def _sq_norm_and_hsum(side: _Side):
+    """Per-row ``||z||^2`` and ``1^T h``."""
+    return tape.row_sum(side.z * side.z), 1.0 - tape.row_sum(side.s * side.s)
+
+
+def _trades_g_rows(clean: _Side, adv: _Side, r2, hsum) -> tape.Node:
+    """Extra TRADES trace when the clean logits stay live inside the KL:
+
+        G = ||z||^2 ( sum_k s_k (1 - 2 s_k) (psi_k - psi'_k) + 1^T h )
+            - 2 (z . z') 1^T h
+
+    where the ``s (1 - 2 s)`` weight (not h) comes from the corrected
+    Jacobian-of-Jacobian identity in :mod:`trhreg.losses`.
+    """
+    z, logs, s = clean
+    logdiff = logs - adv.logs
+    klr = tape.row_sum(s * logdiff, keepdims=True)
+    psidiff = logdiff - klr
+    lead = tape.row_sum(s * (1.0 - 2.0 * s) * psidiff)
+    dot_zzp = tape.row_sum(z * adv.z)
+    return r2 * (lead + hsum) - dot_zzp * (2.0 * hsum)
+
+
+def top_trace_rows(clean: _Side | None, adv: _Side, y, kind: RobustLossKind,
+                   stop_grad_clean: bool = True, kappa=None) -> tape.Node:
+    """Per-example closed-form top-layer traces, shape (m,).
+
+    * at: ``||z'||^2 1^T h'``.
+    * trades: clean-CE trace plus ``penalty`` times the adversarial one,
+      plus ``penalty * G`` when ``stop_grad_clean`` is False.
+    * alp: adversarial-CE trace plus ``penalty`` times the pairing trace
+      ``2 ||z'||^2 sum_k (||Phi'_col_k||^2 - (1 - 2 s'_k) (s - s')^T Phi'_col_k)``.
+    * mart: clean-CE trace, plus the margin-term trace on the runner-up
+      class ``kappa`` of the adversarial point (computed from ``adv`` when
+      None), plus ``penalty`` times the weighted-KL trace.
+
+    ``clean`` is unused (and may be None) for at; ``y`` is used by mart only.
+    """
+    r2_adv, hsum_adv = _sq_norm_and_hsum(adv)
+    s_adv = adv.s
+    if kind.variant == "at":
+        return r2_adv * hsum_adv
+    s = clean.s
+    if kind.variant == "trades":
+        r2, hsum = _sq_norm_and_hsum(clean)
+        rows = r2 * hsum + kind.penalty * (r2_adv * hsum_adv)
+        if not stop_grad_clean:
+            rows = rows + kind.penalty * _trades_g_rows(clean, adv, r2, hsum)
+        return rows
+    if kind.variant == "alp":
+        sq_adv = s_adv * s_adv
+        s2_adv = tape.row_sum(sq_adv, keepdims=True)
+        col_norms = tape.row_sum(sq_adv * (1.0 - 2.0 * s_adv)) + \
+            tape.row_sum(sq_adv * s2_adv)
+        c = tape.row_sum(s * s_adv, keepdims=True) - s2_adv
+        cross = tape.row_sum((1.0 - 2.0 * s_adv) * s_adv * ((s - s_adv) - c))
+        return r2_adv * hsum_adv + kind.penalty * (2.0 * r2_adv * (col_norms - cross))
+    if kind.variant == "mart":
+        y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+        k = s_adv.shape[1]
+        E = _one_hot(_runner_up(s_adv.value, y) if kappa is None else kappa, k)
+        r2, hsum = _sq_norm_and_hsum(clean)
+        u = tape.row_sum(s_adv * tape.constant(E), keepdims=True)  # s'_kappa
+        other = s_adv * tape.constant(1.0 - E)
+        rest = tape.row_sum(other, keepdims=True)  # 1 - s'_kappa
+        ratio = u * (tape.constant(E) - other / rest)  # Phi'[kappa, :] / rest
+        margin_tr = tape.row_sum(ratio * (1.0 - 2.0 * s_adv) + ratio * ratio)
+        s_y = tape.row_sum(s * tape.constant(_one_hot(y, k)))
+        return r2 * hsum + r2_adv * margin_tr \
+            + kind.penalty * ((1.0 - s_y) * (r2_adv * hsum_adv))
+    raise ValueError(f"unknown loss variant {kind.variant!r}")
+
+
+# -- the closed forms on constants ---------------------------------------
+
+
+def _on_constants(trace_clean, trace_adv, y, kind: RobustLossKind,
+                  stop_grad_clean: bool = True):
+    """:func:`top_trace_rows` on constants: a float for 1-d traces."""
+    clean = None if trace_clean is None else _constant_side(trace_clean)
+    rows = top_trace_rows(clean, _constant_side(trace_adv), y, kind,
+                          stop_grad_clean).value
+    return float(rows[0]) if np.ndim(trace_adv.logits) == 1 else rows
+
+
+def trh_at(trace_adv: ForwardTrace):
     """Top-layer trace of the adversarial cross-entropy loss."""
-    d = softmax_derivs(trace_adv.logits)
-    return _feature_sq(trace_adv) * float(d.h.sum())
+    return _on_constants(None, trace_adv, None, RobustLossKind("at"))
 
 
 def trh_trades(trace_clean: ForwardTrace, trace_adv: ForwardTrace,
-               lambda_t: float) -> float:
+               lambda_t: float):
     """Top-layer TRADES trace with the clean logits frozen inside the KL."""
-    if lambda_t < 0:
-        raise ValueError("lambda_t must be >= 0")
-    d = softmax_derivs(trace_clean.logits)
-    dp = softmax_derivs(trace_adv.logits)
-    return (_feature_sq(trace_clean) * float(d.h.sum())
-            + lambda_t * _feature_sq(trace_adv) * float(dp.h.sum()))
+    return _on_constants(trace_clean, trace_adv, None,
+                         RobustLossKind("trades", lambda_t))
 
 
 def trh_trades_full(trace_clean: ForwardTrace, trace_adv: ForwardTrace,
                     lambda_t: float):
     """Top-layer TRADES trace with gradient kept on the clean logits.
 
-    Returns ``(value, TradesFullTerms)``.  The extra term is
-
-        G = ||z||^2 ( sum_k s_k (1 - 2 s_k) (psi_k - psi'_k) + 1^T omega )
-            - (z . z') ( 1^T omega' + 1^T h )
-
-    where the ``s (1 - 2 s)`` weight (not h) comes from the corrected
-    Jacobian-of-Jacobian identity in :mod:`trhreg.losses`.
+    Returns ``(value, TradesFullTerms)``; see :func:`_trades_g_rows` for G.
     """
-    if lambda_t < 0:
-        raise ValueError("lambda_t must be >= 0")
-    d = softmax_derivs(trace_clean.logits)
-    dp = softmax_derivs(trace_adv.logits)
-    log_s = np.log(d.s)
-    log_sp = np.log(dp.s)
-    psi = d.psi @ log_s
-    psi_prime = d.psi @ log_sp
-    omega = np.einsum("ik,ik->k", d.phi, d.psi)
-    omega_prime = np.einsum("ik,ik->k", d.phi, dp.psi)
-    z = trace_clean.features
-    zp = trace_adv.features
-    g_term = (float(np.dot(z, z)) * (float(np.sum(d.s * (1 - 2 * d.s) * (psi - psi_prime)))
-                                     + float(omega.sum()))
-              - float(np.dot(z, zp)) * (float(omega_prime.sum()) + float(d.h.sum())))
-    value = (_feature_sq(trace_clean) * float(d.h.sum())
-             + lambda_t * (_feature_sq(trace_adv) * float(dp.h.sum()) + g_term))
-    return value, TradesFullTerms(psi=psi, psi_prime=psi_prime, omega=omega,
-                                  omega_prime=omega_prime, g_term=g_term)
+    kind = RobustLossKind("trades", lambda_t)
+    value = _on_constants(trace_clean, trace_adv, None, kind, stop_grad_clean=False)
+    clean, adv = _constant_side(trace_clean), _constant_side(trace_adv)
+    g_term = _trades_g_rows(clean, adv, *_sq_norm_and_hsum(clean)).value
+    s, logs, logs_adv = clean.s.value, clean.logs.value, adv.logs.value
+    psi = logs - np.sum(s * logs, axis=1, keepdims=True)
+    psi_prime = logs_adv - np.sum(s * logs_adv, axis=1, keepdims=True)
+    h = s - s ** 2
+    if np.ndim(trace_adv.logits) == 1:
+        psi, psi_prime, h, g_term = psi[0], psi_prime[0], h[0], float(g_term[0])
+    return value, TradesFullTerms(psi=psi, psi_prime=psi_prime, omega=h,
+                                  omega_prime=h.copy(), g_term=g_term)
 
 
 def trh_alp(trace_clean: ForwardTrace, trace_adv: ForwardTrace,
-            lambda_a: float) -> float:
-    """Top-layer trace of the logit-pairing loss (clean side frozen).
-
-    Adversarial-CE trace plus ``lambda_a`` times the pairing trace
-
-        2 ||z'||^2 sum_k ( ||Phi'_col_k||^2
-                           - (1 - 2 s'_k) (s - s')^T Phi'_col_k ).
-    """
-    if lambda_a < 0:
-        raise ValueError("lambda_a must be >= 0")
-    d = softmax_derivs(trace_clean.logits)
-    dp = softmax_derivs(trace_adv.logits)
-    diff = d.s - dp.s
-    pair = 0.0
-    for k in range(dp.s.size):
-        col = dp.phi[:, k]
-        pair += float(np.dot(col, col)) - (1 - 2 * dp.s[k]) * float(np.dot(diff, col))
-    return (_feature_sq(trace_adv) * float(dp.h.sum())
-            + lambda_a * 2.0 * _feature_sq(trace_adv) * pair)
+            lambda_a: float):
+    """Top-layer trace of the logit-pairing loss (clean side frozen)."""
+    return _on_constants(trace_clean, trace_adv, None,
+                         RobustLossKind("alp", lambda_a))
 
 
-def trh_mart(trace_clean: ForwardTrace, trace_adv: ForwardTrace, y: int,
-             lambda_m: float) -> float:
-    """Top-layer trace of the margin-boosted robust loss.
-
-    Clean-CE trace, plus the margin-term trace on the runner-up class of
-    the adversarial point, plus ``lambda_m`` times the weighted-KL trace
-    (clean side frozen, so the ``(1 - s_y)`` weight is a constant factor).
-    """
-    if lambda_m < 0:
-        raise ValueError("lambda_m must be >= 0")
-    d = softmax_derivs(trace_clean.logits)
-    dp = softmax_derivs(trace_adv.logits)
-    y = int(y)
-    masked = dp.s.copy()
-    masked[y] = -np.inf
-    ks = int(np.argmax(masked))
-    denom = 1.0 - dp.s[ks]
-    row = dp.phi[ks, :]
-    margin = float(np.sum(row * (1 - 2 * dp.s) / denom + row ** 2 / denom ** 2))
-    return (_feature_sq(trace_clean) * float(d.h.sum())
-            + _feature_sq(trace_adv) * margin
-            + lambda_m * (1.0 - d.s[y]) * _feature_sq(trace_adv) * float(dp.h.sum()))
+def trh_mart(trace_clean: ForwardTrace, trace_adv: ForwardTrace, y,
+             lambda_m: float):
+    """Top-layer trace of the margin-boosted robust loss (label y)."""
+    return _on_constants(trace_clean, trace_adv, y,
+                         RobustLossKind("mart", lambda_m))
 
 
-def analytic_trh(trace_clean: ForwardTrace, trace_adv: ForwardTrace, y: int,
-                 kind: RobustLossKind, stop_grad_clean: bool = True) -> float:
+def analytic_trh(trace_clean: ForwardTrace, trace_adv: ForwardTrace, y,
+                 kind: RobustLossKind, stop_grad_clean: bool = True):
     """Dispatch to the matching closed form for a loss kind."""
     if kind.variant == "at":
         return trh_at(trace_adv)
@@ -195,7 +269,28 @@ def analytic_trh(trace_clean: ForwardTrace, trace_adv: ForwardTrace, y: int,
     raise ValueError(f"unknown loss variant {kind.variant!r}")
 
 
-# -- batched objective on the tape -------------------------------------
+def analytic_trh_rows(net: MlpNetwork, X, X_adv, y, kind: RobustLossKind,
+                      stop_grad_clean: bool = True) -> np.ndarray:
+    """Per-example closed-form top-layer traces, plain numpy: one
+    :func:`analytic_trh` call on the whole batch."""
+    return analytic_trh(forward(net, np.atleast_2d(X)),
+                        forward(net, np.atleast_2d(X_adv)), y, kind, stop_grad_clean)
+
+
+# -- the robust loss and the batched objective on the tape ----------------
+
+
+def _frozen(clean: _Side | None, adv: _Side, y: np.ndarray,
+            kind: RobustLossKind) -> dict:
+    """Stop-gradient constants, read off the sides' current values."""
+    if clean is None:
+        return {}
+    s_clean = clean.s.value
+    frozen = {"s_clean": s_clean, "log_s_clean": clean.logs.value}
+    if kind.variant == "mart":
+        frozen["kappa_star"] = _runner_up(adv.s.value, y)
+        frozen["wkl_weight"] = 1.0 - s_clean[np.arange(len(y)), y]
+    return frozen
 
 
 def capture_frozen(net: MlpNetwork, X: np.ndarray, X_adv: np.ndarray,
@@ -206,19 +301,42 @@ def capture_frozen(net: MlpNetwork, X: np.ndarray, X_adv: np.ndarray,
     expression can be (a) trained, with constants refreshed every step, and
     (b) finite-differenced, with constants pinned at the reference weights.
     """
-    frozen: dict = {}
-    tr = forward(net, np.atleast_2d(X))
-    tr_adv = forward(net, np.atleast_2d(X_adv))
-    s_clean = softmax(tr.logits)
-    frozen["s_clean"] = s_clean
-    frozen["log_s_clean"] = log_softmax(tr.logits)
+    return _frozen(_constant_side(forward(net, np.atleast_2d(X))),
+                   _constant_side(forward(net, np.atleast_2d(X_adv))),
+                   np.asarray(y, dtype=np.int64), kind)
+
+
+def _loss_rows(clean: _Side | None, adv: _Side, y: np.ndarray,
+               kind: RobustLossKind, stop_grad_clean: bool,
+               frozen: dict) -> tape.Node:
+    """Per-example robust loss, shape (m,).
+
+    The stop-gradient choices (clean side of KL / pairing / weighted-KL held
+    constant) read their constants from `frozen`.
+    """
+    logs_adv, s_adv = adv.logs, adv.s
+    k = s_adv.shape[1]
+    Y = tape.constant(_one_hot(y, k))
+    if kind.variant == "at":
+        return -tape.row_sum(logs_adv * Y)
+    if kind.variant == "alp":
+        diff = tape.constant(frozen["s_clean"]) - s_adv
+        return -tape.row_sum(logs_adv * Y) + kind.penalty * tape.row_sum(diff * diff)
+    _, logs, s = clean
+    ce_clean = -tape.row_sum(logs * Y)
+    if kind.variant == "trades" and not stop_grad_clean:
+        return ce_clean + kind.penalty * tape.row_sum(s * (logs - logs_adv))
+    kl_rows = tape.row_sum(tape.constant(frozen["s_clean"]) *
+                           (tape.constant(frozen["log_s_clean"]) - logs_adv))
+    if kind.variant == "trades":
+        return ce_clean + kind.penalty * kl_rows
     if kind.variant == "mart":
-        s_adv = softmax(tr_adv.logits)
-        masked = s_adv.copy()
-        masked[np.arange(len(y)), np.asarray(y, dtype=np.int64)] = -np.inf
-        frozen["kappa_star"] = np.argmax(masked, axis=1)
-        frozen["wkl_weight"] = 1.0 - s_clean[np.arange(len(y)), np.asarray(y, dtype=np.int64)]
-    return frozen
+        # -log(1 - s'_kappa), with 1 - s'_kappa summed over the other classes
+        not_kappa = tape.constant(1.0 - _one_hot(frozen["kappa_star"], k))
+        margin = -tape.log(tape.row_sum(s_adv * not_kappa))
+        return ce_clean + margin + kind.penalty * (
+            tape.constant(frozen["wkl_weight"]) * kl_rows)
+    raise ValueError(f"unknown loss variant {kind.variant!r}")
 
 
 def objective_nodes(lifted, X, X_adv, y, kind: RobustLossKind,
@@ -233,112 +351,20 @@ def objective_nodes(lifted, X, X_adv, y, kind: RobustLossKind,
     parameter values, which leaves the value unchanged and realizes the
     stop-gradient semantics exactly.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    X_adv = np.atleast_2d(np.asarray(X_adv, dtype=np.float64))
-    y = np.asarray(y, dtype=np.int64)
-    m, k_cls = X.shape[0], lifted[-1][0].value.shape[1]
-    y_onehot = np.zeros((m, k_cls))
-    y_onehot[np.arange(m), y] = 1.0
-    Y = tape.constant(y_onehot)
-
+    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     layer_inputs_adv, preacts_adv = forward_nodes(lifted, X_adv)
-    zp = layer_inputs_adv[-1]
-    logs_adv = tape.log_softmax(preacts_adv[-1])
-    s_adv = tape.exp(logs_adv)
-
-    need_clean = kind.variant in ("trades", "alp", "mart")
-    z = logs = s = None
-    if need_clean:
+    adv = _side(layer_inputs_adv[-1], preacts_adv[-1])
+    clean = None
+    if kind.variant != "at":
         layer_inputs, preacts = forward_nodes(lifted, X)
-        z = layer_inputs[-1]
-        logs = tape.log_softmax(preacts[-1])
-        s = tape.exp(logs)
-
-    ce_adv = -tape.row_sum(logs_adv * Y)
-
-    E = None  # one-hot of the runner-up class (margin-boosted loss only)
-    loss_rows: tape.Node
-    if kind.variant == "at":
-        loss_rows = ce_adv
-    elif kind.variant == "trades":
-        ce_clean = -tape.row_sum(logs * Y)
-        if stop_grad_clean:
-            if frozen is None:
-                s_c, logs_c = s.value, logs.value
-            else:
-                s_c, logs_c = frozen["s_clean"], frozen["log_s_clean"]
-            kl_rows = tape.row_sum(tape.constant(s_c) *
-                                   (tape.constant(logs_c) - logs_adv))
-        else:
-            kl_rows = tape.row_sum(s * (logs - logs_adv))
-        loss_rows = ce_clean + kind.penalty * kl_rows
-    elif kind.variant == "alp":
-        s_c = s.value if frozen is None else frozen["s_clean"]
-        diff = tape.constant(s_c) - s_adv
-        loss_rows = ce_adv + kind.penalty * tape.row_sum(diff * diff)
-    elif kind.variant == "mart":
-        ce_clean = -tape.row_sum(logs * Y)
-        if frozen is None:
-            s_c, logs_c = s.value, logs.value
-            masked = s_adv.value.copy()
-            masked[np.arange(m), y] = -np.inf
-            kappa = np.argmax(masked, axis=1)
-            weight = 1.0 - s_c[np.arange(m), y]
-        else:
-            s_c, logs_c = frozen["s_clean"], frozen["log_s_clean"]
-            kappa = frozen["kappa_star"]
-            weight = frozen["wkl_weight"]
-        E = np.zeros((m, k_cls))
-        E[np.arange(m), kappa] = 1.0
-        u = tape.row_sum(s_adv * tape.constant(E))  # s'_{kappa*}
-        margin = -tape.log(1.0 - u)
-        kl_rows = tape.row_sum(tape.constant(s_c) *
-                               (tape.constant(logs_c) - logs_adv))
-        loss_rows = ce_clean + margin + kind.penalty * (tape.constant(weight) * kl_rows)
-    else:
-        raise ValueError(f"unknown loss variant {kind.variant!r}")
-
+        clean = _side(layer_inputs[-1], preacts[-1])
+    if frozen is None:
+        frozen = _frozen(clean, adv, y, kind)
+    rows = _loss_rows(clean, adv, y, kind, stop_grad_clean, frozen)
     if lam > 0:
-        r2_adv = tape.row_sum(zp * zp)
-        hsum_adv = 1.0 - tape.row_sum(s_adv * s_adv)
-        if kind.variant == "at":
-            trh_rows = r2_adv * hsum_adv
-        elif kind.variant == "trades":
-            r2 = tape.row_sum(z * z)
-            hsum = 1.0 - tape.row_sum(s * s)
-            trh_rows = r2 * hsum + kind.penalty * (r2_adv * hsum_adv)
-            if not stop_grad_clean:
-                logdiff = logs - logs_adv
-                klr = tape.row_sum(s * logdiff, keepdims=True)
-                psidiff = logdiff - klr
-                lead = tape.row_sum(s * (1.0 - 2.0 * s) * psidiff)
-                dot_zzp = tape.row_sum(z * zp)
-                g_rows = r2 * (lead + hsum) - dot_zzp * (2.0 * hsum)
-                trh_rows = trh_rows + kind.penalty * g_rows
-        elif kind.variant == "alp":
-            sq_adv = s_adv * s_adv
-            s2_adv = tape.row_sum(sq_adv, keepdims=True)
-            col_norms = tape.row_sum(sq_adv * (1.0 - 2.0 * s_adv)) + \
-                tape.row_sum(sq_adv * s2_adv)
-            c = tape.row_sum(s * s_adv, keepdims=True) - s2_adv
-            cross = tape.row_sum((1.0 - 2.0 * s_adv) * s_adv * ((s - s_adv) - c))
-            trh_rows = r2_adv * hsum_adv + kind.penalty * (2.0 * r2_adv * (col_norms - cross))
-        elif kind.variant == "mart":
-            r2 = tape.row_sum(z * z)
-            hsum = 1.0 - tape.row_sum(s * s)
-            u2 = tape.row_sum(s_adv * tape.constant(E), keepdims=True)
-            phi_row = u2 * (tape.constant(E) - s_adv)  # Phi'[kappa*, :]
-            denom = 1.0 - u2
-            margin_tr = tape.row_sum(phi_row * (1.0 - 2.0 * s_adv) / denom
-                                     + phi_row * phi_row / (denom * denom))
-            s_y = tape.row_sum(s * Y)
-            trh_rows = r2 * hsum + r2_adv * margin_tr \
-                + kind.penalty * ((1.0 - s_y) * (r2_adv * hsum_adv))
-        total_rows = loss_rows + lam * trh_rows
-    else:
-        total_rows = loss_rows
-
-    out = tape.mean(total_rows)
+        rows = rows + lam * top_trace_rows(clean, adv, y, kind, stop_grad_clean,
+                                           frozen.get("kappa_star"))
+    out = tape.mean(rows)
     if gamma != 0.0:
         sq = None
         for w, b in lifted:
@@ -384,46 +410,11 @@ def training_objective(net: MlpNetwork, batch, kind: RobustLossKind,
 
 def robust_loss_rows(net: MlpNetwork, X, X_adv, y,
                      kind: RobustLossKind) -> np.ndarray:
-    """Per-example robust loss values (no regularizer), plain numpy."""
-    from .losses import cross_entropy_rows, kl_div, mart_losses
-
-    X = np.atleast_2d(X)
-    X_adv = np.atleast_2d(X_adv)
-    y = np.asarray(y, dtype=np.int64)
-    tr = forward(net, X)
-    tr_adv = forward(net, X_adv)
-    if kind.variant == "at":
-        return cross_entropy_rows(tr_adv.logits, y)
-    if kind.variant == "trades":
-        s = softmax(tr.logits)
-        sp = softmax(tr_adv.logits)
-        kl = np.array([kl_div(s[i], sp[i]) for i in range(len(y))])
-        return cross_entropy_rows(tr.logits, y) + kind.penalty * kl
-    if kind.variant == "alp":
-        s = softmax(tr.logits)
-        sp = softmax(tr_adv.logits)
-        return (cross_entropy_rows(tr_adv.logits, y)
-                + kind.penalty * np.sum((s - sp) ** 2, axis=1))
-    if kind.variant == "mart":
-        out = np.empty(len(y))
-        for i in range(len(y)):
-            tr_i = forward(net, X[i])
-            tr_adv_i = forward(net, X_adv[i])
-            terms = mart_losses(tr_i, tr_adv_i, int(y[i]))
-            out[i] = terms.bce + kind.penalty * terms.wkl
-        return out
-    raise ValueError(f"unknown loss variant {kind.variant!r}")
-
-
-def analytic_trh_rows(net: MlpNetwork, X, X_adv, y, kind: RobustLossKind,
-                      stop_grad_clean: bool = True) -> np.ndarray:
-    """Per-example closed-form top-layer traces, plain numpy."""
-    X = np.atleast_2d(X)
-    X_adv = np.atleast_2d(X_adv)
-    y = np.asarray(y, dtype=np.int64)
-    out = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        tr = forward(net, X[i])
-        tr_adv = forward(net, X_adv[i])
-        out[i] = analytic_trh(tr, tr_adv, int(y[i]), kind, stop_grad_clean)
-    return out
+    """Per-example robust loss values (no regularizer): the objective's loss
+    rows evaluated on constants."""
+    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    adv = _constant_side(forward(net, np.atleast_2d(X_adv)))
+    clean = (None if kind.variant == "at"
+             else _constant_side(forward(net, np.atleast_2d(X))))
+    return _loss_rows(clean, adv, y, kind, True,
+                      _frozen(clean, adv, y, kind)).value

@@ -267,3 +267,21 @@ class TestCliVerify:
         out = capsys.readouterr().out
         assert "FAIL group=trh_formulas" in out
         assert "seed=" in out  # failing checks carry a reproduction seed
+
+
+class TestCliTraceModes:
+    def test_layers_and_top_write_equal_rows(self, tmp_path):
+        cfg = write_config(tmp_path)
+        tables = {}
+        for mode in ("top", "layers"):
+            out = tmp_path / mode
+            assert main(["trace", "--config", cfg, "--out", str(out),
+                         "--measure", mode, "--every", "2"]) == 0
+            tables[mode] = [ln for ln in (out / "trace.csv").read_text()
+                            .splitlines() if not ln.startswith("#")]
+        assert tables["layers"] == tables["top"]
+        cols = tables["top"][0].split(",")
+        for row in tables["top"][1:]:
+            vals = dict(zip(cols, row.split(",")))
+            assert vals["trh_full_estimate"] == "nan"
+            assert vals["trh_full_stderr"] == "nan"

@@ -179,3 +179,63 @@ class TestLogitsJacobian:
             logits_jacobian(net, x[0], net.depth + 1)
         with pytest.raises(ValueError):
             trh_ce_layer(net, x[0], net.depth)
+
+
+def _ten_class_instance(m=3):
+    from trhreg.network import min_preact_magnitude
+    for attempt in range(50):
+        rng = Rng(240).child(attempt)
+        net = init_mlp([3, 5, 4, 10], rng.child("i"))
+        for layer in net.layers[:-1]:
+            layer.bias[:] = rng.child("b", layer.d_out).normal(size=layer.d_out) * 0.3
+        X = rng.child("x").normal(size=(m, 3))
+        if min_preact_magnitude(net, X) > 1e-3:
+            return net, X
+    raise RuntimeError("no smooth ten-class instance")
+
+
+class TestClassBatchedRoutine:
+    def test_rows_match_per_example_jacobian_quadratic_form(self):
+        # ||level_i||^2 sum_{d active} J_d^T (diag(s) - s s^T) J_d, with J
+        # from logits_jacobian, example by example
+        net, X = _ten_class_instance(m=4)
+        rows = layer_trace_rows(net, X)
+        for n, x in enumerate(X):
+            tr = forward(net, x)
+            s = softmax(tr.logits)
+            phi = np.diag(s) - np.outer(s, s)
+            levels = tr.layer_inputs + [tr.logits]
+            for layer in range(net.depth):
+                jac = logits_jacobian(net, x, layer + 1)
+                if layer + 1 < net.depth:
+                    jac = jac[:, levels[layer + 1] > 0]
+                quad = float(np.einsum("kd,kj,jd->", jac, phi, jac))
+                below = levels[layer]
+                expected = float(below @ below) * quad
+                assert rows[n, layer] == pytest.approx(expected, rel=1e-10, abs=1e-14)
+
+    def test_whole_network_gradient_matches_fd_ten_classes(self):
+        net, X = _ten_class_instance()
+
+        def objective(lifted):
+            return tape.mean(full_ce_trace_rows_nodes(lifted, X))
+
+        value, grad = gradient_vector(net, objective)
+        assert value == pytest.approx(
+            float(np.mean(layer_trace_rows(net, X).sum(axis=1))), rel=1e-12)
+
+        def value_fn(w):
+            cand = unflatten_weights(net, w)
+            return float(np.mean(layer_trace_rows(cand, X).sum(axis=1)))
+
+        fd = finite_diff_gradient(value_fn, flatten_weights(net))
+        assert np.linalg.norm(grad - fd) / max(1e-10, np.linalg.norm(fd)) <= 1e-6
+
+    def test_constant_weights_record_no_graph(self):
+        from trhreg.layer_traces import layer_trace_nodes
+        from trhreg.network import lift
+        net, X = _ten_class_instance()
+        for node in layer_trace_nodes(lift(net, tape.constant), X):
+            assert node._edges == () and not node.live
+        live = layer_trace_nodes(lift(net), X)
+        assert all(node.live for node in live)

@@ -113,3 +113,21 @@ class TestBackwardMechanics:
         out = tape.nsum(const * leaf)
         tape.backward(out)
         assert np.array_equal(leaf.grad, np.ones(3))
+
+
+class TestConstantPropagation:
+    def test_ops_on_constants_record_no_edges(self):
+        a = tape.constant(np.ones((2, 3)))
+        out = tape.nsum(tape.exp(a * 2.0 + a) @ tape.constant(np.ones((3, 1))))
+        assert out._edges == () and not out.live
+
+    def test_mixed_op_records_only_the_live_operand(self):
+        const = tape.constant(np.ones(3))
+        leaf = tape.leaf(np.ones(3))
+        node = const * leaf
+        assert node.live and [p for p, _ in node._edges] == [leaf]
+
+    def test_reshape_gradient(self):
+        x0 = R.child("r").normal(size=(2, 6))
+        w = tape.constant(R.child("rw").normal(size=(3, 2, 2)))
+        gradcheck(lambda n: tape.nsum(tape.reshape(n, (3, 2, 2)) * w), x0)

@@ -251,3 +251,128 @@ class TestTrainingObjective:
                                  RobustLossKind("at"), TrHConfig(),
                                  0.0, AttackConfig(delta=0.1, steps=1),
                                  Rng(0).child("a"))
+
+
+def _batch(k, m=7, seed=300):
+    rng = Rng(seed).child(k)
+    net = init_mlp([4, 6, k], rng.child("i"))
+    X = rng.child("x").normal(size=(m, 4))
+    X_adv = X + 0.1 * rng.child("e").normal(size=(m, 4))
+    y = rng.child("y").integers(0, k, size=m)
+    return net, X, X_adv, y
+
+
+class TestBatchedWrappers:
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_batch_equals_per_row_calls(self, k):
+        net, X, X_adv, y = _batch(k)
+        tr, tr_adv = forward(net, X), forward(net, X_adv)
+        rows = [(forward(net, X[i]), forward(net, X_adv[i])) for i in range(len(y))]
+        calls = {
+            "at": (lambda a, b, yy: trh_at(b)),
+            "trades": (lambda a, b, yy: trh_trades(a, b, 6.0)),
+            "trades_full": (lambda a, b, yy: trh_trades_full(a, b, 6.0)[0]),
+            "alp": (lambda a, b, yy: trh_alp(a, b, 0.5)),
+            "mart": (lambda a, b, yy: trh_mart(a, b, yy, 5.0)),
+        }
+        for name, call in calls.items():
+            batched = call(tr, tr_adv, y)
+            assert batched.shape == (len(y),), name
+            for i, (a, b) in enumerate(rows):
+                single = call(a, b, int(y[i]))
+                assert isinstance(single, float), name
+                assert batched[i] == pytest.approx(single, rel=1e-12, abs=1e-15), name
+
+    def test_trades_full_terms_batch_equal_per_row(self):
+        net, X, X_adv, _ = _batch(3)
+        _, terms = trh_trades_full(forward(net, X), forward(net, X_adv), 2.0)
+        assert terms.psi.shape == (len(X), 3)
+        for i in range(len(X)):
+            _, one = trh_trades_full(forward(net, X[i]), forward(net, X_adv[i]), 2.0)
+            assert terms.g_term[i] == pytest.approx(one.g_term, rel=1e-12, abs=1e-15)
+            assert np.allclose(terms.psi[i], one.psi, rtol=1e-12, atol=1e-15)
+            assert np.allclose(terms.psi_prime[i], one.psi_prime, rtol=1e-12, atol=1e-15)
+
+    def test_analytic_rows_equal_wrapper_on_batch(self):
+        net, X, X_adv, y = _batch(3)
+        rows = analytic_trh_rows(net, X, X_adv, y, RobustLossKind("mart", 5.0))
+        direct = trh_mart(forward(net, X), forward(net, X_adv), y, 5.0)
+        assert np.array_equal(rows, direct)
+
+    def test_constant_evaluation_records_no_graph(self):
+        net, X, X_adv, y = _batch(3)
+        from trhreg.trh import _constant_side, top_trace_rows
+        clean = _constant_side(forward(net, X))
+        adv = _constant_side(forward(net, X_adv))
+        for kind in (RobustLossKind("at"), RobustLossKind("trades", 6.0),
+                     RobustLossKind("alp", 0.5), RobustLossKind("mart", 5.0)):
+            for sgc in (True, False):
+                node = top_trace_rows(clean, adv, y, kind, sgc)
+                assert node._edges == () and not node.live
+
+
+class TestRobustLossRowsReference:
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_batched_rows_equal_per_row_reference(self, k):
+        from trhreg.losses import (alp_pair_loss, cross_entropy, kl_div,
+                                   mart_losses)
+        net, X, X_adv, y = _batch(k, seed=310)
+        for kind in (RobustLossKind("at"), RobustLossKind("trades", 6.0),
+                     RobustLossKind("alp", 0.5), RobustLossKind("mart", 5.0)):
+            rows = robust_loss_rows(net, X, X_adv, y, kind)
+            for i in range(len(y)):
+                tr, tr_adv = forward(net, X[i]), forward(net, X_adv[i])
+                s, s_adv = softmax(tr.logits), softmax(tr_adv.logits)
+                yi = int(y[i])
+                if kind.variant == "at":
+                    ref = cross_entropy(tr_adv.logits, yi)
+                elif kind.variant == "trades":
+                    ref = cross_entropy(tr.logits, yi) + 6.0 * kl_div(s, s_adv)
+                elif kind.variant == "alp":
+                    ref = cross_entropy(tr_adv.logits, yi) + 0.5 * alp_pair_loss(s, s_adv)
+                else:
+                    terms = mart_losses(tr, tr_adv, yi)
+                    ref = terms.bce + 5.0 * terms.wkl
+                assert rows[i] == pytest.approx(ref, rel=1e-12), (kind, i)
+
+
+class TestMartSaturatedRunnerUp:
+    """The adversarial point gives the runner-up class a logit 60 above the
+    label: 1 - s'_kappa is about e^-60, which rounds to 0 when computed as a
+    difference.  At K = 2, -log(1 - s'_kappa) is the adversarial cross
+    entropy of the label, so loss and trace have closed forms."""
+
+    NET = MlpNetwork([DenseLayer(np.array([[30.0, -30.0], [0.5, -0.5]]))])
+    X = np.array([[0.01, 0.4]])
+    X_ADV = np.array([[-1.0, 0.0]])  # logits (-30, 30)
+    Y = np.array([0])
+
+    def closed_forms(self, penalty):
+        tr, tr_adv = forward(self.NET, self.X[0]), forward(self.NET, self.X_ADV[0])
+        s = softmax(tr.logits)
+        gap = tr_adv.logits[1] - tr_adv.logits[0]
+        h_adv = 2.0 * np.exp(-gap) / (1.0 + np.exp(-gap)) ** 2  # 1^T h'
+        r2, r2_adv = float(tr.features @ tr.features), float(tr_adv.features @ tr_adv.features)
+        trace = r2 * 2.0 * s[0] * s[1] + r2_adv * h_adv * (1.0 + penalty * (1.0 - s[0]))
+        s_adv_log = tr_adv.logits - np.logaddexp(*tr_adv.logits)
+        kl = float(np.sum(s * (np.log(s) - s_adv_log)))
+        loss = (-np.log(s[0]) + np.logaddexp(0.0, gap)
+                + penalty * (1.0 - s[0]) * kl)
+        return loss, trace
+
+    def test_trace_finite_and_matches_binary_limit(self):
+        _, expected = self.closed_forms(5.0)
+        tr, tr_adv = forward(self.NET, self.X[0]), forward(self.NET, self.X_ADV[0])
+        value = trh_mart(tr, tr_adv, 0, 5.0)
+        assert np.isfinite(value)
+        assert value == pytest.approx(expected, rel=1e-9)
+
+    def test_objective_finite_and_matches_binary_limit(self):
+        loss, trace = self.closed_forms(5.0)
+        kind = RobustLossKind("mart", 5.0)
+        node = objective_nodes(lift(self.NET), self.X, self.X_ADV, self.Y, kind,
+                               0.5, 0.0)
+        assert np.isfinite(float(node.value))
+        assert float(node.value) == pytest.approx(loss + 0.5 * trace, rel=1e-12)
+        rows = robust_loss_rows(self.NET, self.X, self.X_ADV, self.Y, kind)
+        assert rows[0] == pytest.approx(loss, rel=1e-12)
