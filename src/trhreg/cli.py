@@ -16,8 +16,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .attacks import clean_accuracy, eval_robust_accuracy
 from .config import ConfigError, ExperimentConfig
 from .network import load_checkpoint, save_checkpoint
@@ -69,18 +67,40 @@ def _run_training(cfg: ExperimentConfig, measure: MeasureConfig | None = None):
     ds = cfg.build_dataset()
     net = cfg.build_network(ds)
     attack = cfg.effective_attack(ds)
-    result = train(net, ds, cfg.loss, cfg.trh, attack, cfg.train,
-                   measure=measure, full_reg_coeff=cfg.full_coeff)
-    return ds, result
+    return train(net, ds, cfg.loss, cfg.trh, attack, cfg.train,
+                 measure=measure, full_reg_coeff=cfg.full_coeff)
 
 
-def cmd_train(args) -> int:
+def _train_and_write(args, mode: str | None = None):
+    """Shared by train, trace and spectrum: load the config, make the output
+    directory, train (measuring in `mode`, if given), then write
+    ``metrics.csv`` and the checkpoint.  Returns ``(cfg, out, result)``."""
     cfg = _load_config(args.config, args.seed, args.out)
     out = _outdir(cfg)
-    ds, result = _run_training(cfg)
+    measure = (None if mode is None else
+               MeasureConfig(mode=mode, every=args.every, probes=args.probes))
+    result = _run_training(cfg, measure=measure)
     result.metrics.preamble = _preamble(cfg)
     result.metrics.write_csv(os.path.join(out, "metrics.csv"))
     save_checkpoint(result.net, os.path.join(out, "checkpoint.txt"))
+    return cfg, out, result
+
+
+def _write_measurements(cfg, out, result, name, columns, rows, what) -> int:
+    """Write the measurement rows to `name` and report; the exit code."""
+    log = MetricsLog(columns=columns, preamble=_preamble(cfg))
+    for row in rows:
+        log.append(**row)
+    log.write_csv(os.path.join(out, name))
+    if result.diverged:
+        print(f"diverged at epoch {result.diverged_epoch}", file=sys.stderr)
+        return EXIT_DIVERGED
+    print(f"wrote {out}/{name} ({len(rows)} {what})")
+    return EXIT_OK
+
+
+def cmd_train(args) -> int:
+    cfg, out, result = _train_and_write(args)
     if result.diverged:
         print(f"diverged at epoch {result.diverged_epoch}; "
               f"last-good checkpoint written to {out}", file=sys.stderr)
@@ -118,45 +138,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    cfg = _load_config(args.config, args.seed, args.out)
-    out = _outdir(cfg)
-    measure = MeasureConfig(mode=args.measure, every=args.every,
-                            probes=args.probes)
-    ds, result = _run_training(cfg, measure=measure)
-    result.metrics.preamble = _preamble(cfg)
-    result.metrics.write_csv(os.path.join(out, "metrics.csv"))
-    save_checkpoint(result.net, os.path.join(out, "checkpoint.txt"))
-    log = MetricsLog(columns=result.trace_columns, preamble=_preamble(cfg))
-    for row in result.trace_rows:
-        log.append(**row)
-    log.write_csv(os.path.join(out, "trace.csv"))
-    if result.diverged:
-        print(f"diverged at epoch {result.diverged_epoch}", file=sys.stderr)
-        return EXIT_DIVERGED
-    print(f"wrote {out}/trace.csv ({len(result.trace_rows)} measurements)")
-    return EXIT_OK
+    cfg, out, result = _train_and_write(args, args.measure)
+    return _write_measurements(cfg, out, result, "trace.csv",
+                               result.trace_columns, result.trace_rows,
+                               "measurements")
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _load_config(args.config, args.seed, args.out)
-    out = _outdir(cfg)
-    measure = MeasureConfig(mode="spectrum", every=args.every,
-                            probes=args.probes)
-    ds, result = _run_training(cfg, measure=measure)
-    result.metrics.preamble = _preamble(cfg)
-    result.metrics.write_csv(os.path.join(out, "metrics.csv"))
-    save_checkpoint(result.net, os.path.join(out, "checkpoint.txt"))
-    log = MetricsLog(columns=["epoch", "layer", "trace", "trace_sq",
-                              "eig_mean", "eig_std"],
-                     preamble=_preamble(cfg))
-    for row in result.spectrum_rows:
-        log.append(**row)
-    log.write_csv(os.path.join(out, "spectrum.csv"))
-    if result.diverged:
-        print(f"diverged at epoch {result.diverged_epoch}", file=sys.stderr)
-        return EXIT_DIVERGED
-    print(f"wrote {out}/spectrum.csv ({len(result.spectrum_rows)} rows)")
-    return EXIT_OK
+    cfg, out, result = _train_and_write(args, "spectrum")
+    return _write_measurements(cfg, out, result, "spectrum.csv",
+                               ["epoch", "layer", "trace", "trace_sq",
+                                "eig_mean", "eig_std"], result.spectrum_rows,
+                               "rows")
 
 
 _SWEEPABLE = {
@@ -185,7 +178,7 @@ def cmd_sweep(args) -> int:
         sub = getattr(trial, attr)
         setattr(trial, attr, replace(sub, **{fieldname: value}))
         try:
-            ds, result = _run_training(trial)
+            result = _run_training(trial)
             last = result.metrics.rows[-1]
             if result.diverged:
                 raise RuntimeError(f"diverged at epoch {result.diverged_epoch}")

@@ -1,21 +1,26 @@
-"""Ground-truth Hessian traces: exact finite-difference diagonals,
-stochastic Rademacher-probe estimation, and eigenvalue summary statistics.
+"""Finite-difference Hessian oracles and Rademacher-probe trace estimators.
 
-Two independent routes are kept deliberately separate from the closed
-forms in :mod:`trhreg.trh` and :mod:`trhreg.layer_traces`:
+Every finite-difference and probe computation on the objective's curvature
+lives here or in :mod:`trhreg.numerics`; ``verify`` and the trainer's
+measurements call the same functions.  They are kept deliberately separate
+from the closed forms in :mod:`trhreg.trh` and :mod:`trhreg.layer_traces`:
 
-* ``exact_trace`` sums central differences of an analytic gradient over a
-  parameter subset -- the cross-validation oracle for every closed-form
-  trace in the package;
-* ``hutchinson_trace`` / ``hutchinson_trace_sq`` average Rademacher
-  quadratic forms ``v^T H v`` and curvature norms ``||H v||^2``, unbiased
-  for Tr(H) and Tr(H^2) respectively.  For a diagonal Hessian a single
-  probe is already exact since the probe entries square to one.
+* ``exact_trace`` is a finite-difference sum of per-coordinate central
+  differences of an analytic gradient -- the cross-validation oracle for
+  every closed-form trace in the package;
+* ``hutchinson_trace`` averages Rademacher quadratic forms ``v^T H v``;
+  ``hutchinson_trace_pair`` takes ``v . Hv`` and ``||H v||^2`` from the
+  same Hessian-vector products, unbiased for Tr(H) and Tr(H^2).  For a
+  diagonal Hessian a single probe is already exact since the probe
+  entries square to one;
+* ``frozen_objective_fns`` (values from :func:`trhreg.trh.objective_value`,
+  no tape graph) feeds ``frozen_quad_form`` and ``frozen_hvp``.
 
 Eigenvalue mean/std follow from (Tr H, Tr H^2, n) without materializing any
 Hessian.  Quadratic forms use second differences of objective values at a
 wider step (second differences are noisier than first), Hessian-vector
-products use central differences of gradients.
+products use central differences of gradients.  Both step every weight at
+once, so ReLU kinks inside the stencil enter the estimate.
 """
 
 from __future__ import annotations
@@ -25,36 +30,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import trh as trh_module
-from .network import (MlpNetwork, flat_index_slices, gradient_vector, lift,
-                      unflatten_weights)
-from .numerics import HESS_STEP, OracleError, Rng, rademacher_vector
+from .network import (MlpNetwork, flat_index_slices, flatten_weights,
+                      gradient_vector, unflatten_weights)
+from .numerics import (HESS_STEP, OracleError, Rng, hessian_diag_subset,
+                       mean_se, rademacher_vector)
 
 QUAD_STEP = 1e-3  # second differences of values need a wider stencil
 
 
-def hessian_diag_subset(grad_fn, w0: np.ndarray, indices, h: float = HESS_STEP) -> np.ndarray:
-    """Central differences of grad entries over a parameter subset."""
-    w0 = np.asarray(w0, dtype=np.float64)
-    indices = np.asarray(indices, dtype=np.int64)
-    out = np.empty(indices.size)
-    for j, i in enumerate(indices):
-        wp = w0.copy()
-        wm = w0.copy()
-        wp[i] += h
-        wm[i] -= h
-        gp = grad_fn(wp)
-        gm = grad_fn(wm)
-        if not (np.isfinite(gp[i]) and np.isfinite(gm[i])):
-            raise OracleError(f"non-finite gradient at index {int(i)}", index=int(i))
-        out[j] = (gp[i] - gm[i]) / (2.0 * h)
-    return out
-
-
 def exact_trace(grad_fn, w0: np.ndarray, indices=None, h: float = HESS_STEP) -> float:
-    """Sum of finite-difference second derivatives over a parameter subset.
+    """Trace over a parameter subset as a finite-difference sum: the sum of
+    :func:`hessian_diag_subset` (central differences of `grad_fn`).
 
-    `indices` selects the diagonal entries (default: all).  Intended for
-    desk-scale subsets; cost is two gradient evaluations per entry.
+    "Exact" means deterministic and per-coordinate, not closed-form: the
+    result carries the O(h^2) truncation of the stencil, and a ReLU kink
+    inside the stencil spoils it.  `indices` selects the diagonal entries
+    (default: all).  Intended for desk-scale subsets; cost is two gradient
+    evaluations per entry.
     """
     w0 = np.asarray(w0, dtype=np.float64)
     if indices is None:
@@ -63,13 +55,6 @@ def exact_trace(grad_fn, w0: np.ndarray, indices=None, h: float = HESS_STEP) -> 
 
 
 # -- stochastic estimators ---------------------------------------------
-
-
-def _mean_se(samples: np.ndarray):
-    mean = float(np.mean(samples))
-    if samples.size < 2:
-        return mean, 0.0
-    return mean, float(np.std(samples, ddof=1) / np.sqrt(samples.size))
 
 
 def hutchinson_trace(quad_form, dim: int, probes: int, rng: Rng,
@@ -86,25 +71,37 @@ def hutchinson_trace(quad_form, dim: int, probes: int, rng: Rng,
     for p in range(probes):
         v = _probe(dim, rng, indices)
         vals[p] = quad_form(v)
-    return _mean_se(vals)
+    return mean_se(vals)
 
 
-def hutchinson_trace_sq(hvp, dim: int, probes: int, rng: Rng, indices=None):
-    """Rademacher estimate of Tr(H^2) from a Hessian-vector product.
+def hutchinson_trace_pair(hvp, dim: int, probes: int, rng: Rng, indices=None):
+    """Rademacher estimates of Tr(H) and Tr(H^2) from the same
+    Hessian-vector products.
 
-    Averages ``||H v||^2``; with `indices`, probes and products are
-    restricted to the subset, estimating Tr(B^2) for the diagonal block B.
+    Each probe v gives ``v . Hv`` and ``||H v||^2``; returns
+    ``((trace, se), (trace_sq, se_sq))``.  With `indices`, probes and
+    products are restricted to the subset, estimating Tr(B) and Tr(B^2)
+    for the diagonal block B.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
-    vals = np.empty(probes)
+    tvals = np.empty(probes)
+    sqvals = np.empty(probes)
     for p in range(probes):
         v = _probe(dim, rng, indices)
         hv = hvp(v)
+        tvals[p] = float(np.dot(v, hv))
         if indices is not None:
             hv = hv[indices]
-        vals[p] = float(np.dot(hv, hv))
-    return _mean_se(vals)
+        sqvals[p] = float(np.dot(hv, hv))
+    return mean_se(tvals), mean_se(sqvals)
+
+
+def hutchinson_trace_sq(hvp, dim: int, probes: int, rng: Rng, indices=None):
+    """Rademacher estimate ``(estimate, se)`` of Tr(H^2) from a
+    Hessian-vector product: the second half of :func:`hutchinson_trace_pair`.
+    """
+    return hutchinson_trace_pair(hvp, dim, probes, rng, indices)[1]
 
 
 def _probe(dim: int, rng: Rng, indices) -> np.ndarray:
@@ -196,10 +193,8 @@ def frozen_objective_fns(net: MlpNetwork, X, X_adv, y, kind,
         return unflatten_weights(net, w)
 
     def value_fn(w):
-        node = trh_module.objective_nodes(
-            lift(build(w)), X, X_adv, y, kind, lam, gamma,
-            stop_grad_clean=stop_grad_clean, frozen=frozen)
-        return float(node.value)
+        return trh_module.objective_value(build(w), X, X_adv, y, kind, lam,
+                                          gamma, stop_grad_clean, frozen)
 
     def grad_fn(w):
         _, grad = gradient_vector(build(w), lambda lifted: trh_module.objective_nodes(
@@ -208,6 +203,21 @@ def frozen_objective_fns(net: MlpNetwork, X, X_adv, y, kind,
         return grad
 
     return value_fn, grad_fn
+
+
+def frozen_quad_form(net: MlpNetwork, X, X_adv, y, kind):
+    """v -> v^T H v of the bare robust objective (no penalty terms) at the
+    weights of `net`: second differences of :func:`frozen_objective_fns`
+    values."""
+    value_fn, _ = frozen_objective_fns(net, X, X_adv, y, kind)
+    return quad_form_from_values(value_fn, flatten_weights(net))
+
+
+def frozen_hvp(net: MlpNetwork, X, X_adv, y, kind):
+    """v -> H v of the bare robust objective at the weights of `net`: central
+    differences of :func:`frozen_objective_fns` gradients."""
+    _, grad_fn = frozen_objective_fns(net, X, X_adv, y, kind)
+    return hvp_from_grad(grad_fn, flatten_weights(net))
 
 
 def weight_indices(net: MlpNetwork, layer: int | None = None,

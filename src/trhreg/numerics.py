@@ -10,7 +10,10 @@ estimators) is built on the two ingredients in this module:
   streams never overlap.
 * central finite differences at fixed step sizes (1e-5 for first
   derivatives, 1e-4 for second differences), which balance truncation
-  against rounding error in 64-bit arithmetic.
+  against rounding error in 64-bit arithmetic: one loop for the gradient,
+  one for the Hessian diagonal (whole, or over an index subset).
+
+Monte-Carlo and probe estimates report :func:`mean_se`.
 
 All arrays are float64 throughout the package.
 """
@@ -118,17 +121,18 @@ def finite_diff_gradient(f, w: np.ndarray, h: float = GRAD_STEP) -> np.ndarray:
     return grad
 
 
-def finite_diff_hessian_diag(grad, w: np.ndarray, h: float = HESS_STEP) -> np.ndarray:
-    """Hessian diagonal from central differences of an analytic gradient.
-
-    Entry i is ``(grad(w + h e_i)_i - grad(w - h e_i)_i) / (2h)``; the sum
-    of the result is the Hessian-trace oracle used throughout the package.
-    """
+def hessian_diag_subset(grad, w: np.ndarray, indices,
+                        h: float = HESS_STEP) -> np.ndarray:
+    """Hessian diagonal at `indices` from central differences of an analytic
+    gradient: entry j is ``(grad(w + h e_i)_i - grad(w - h e_i)_i) / (2h)``
+    for ``i = indices[j]``.  Raises :class:`OracleError` with the index of
+    a non-finite gradient entry."""
     if h <= 0:
         raise ValueError("h must be positive")
     w = np.asarray(w, dtype=np.float64)
-    diag = np.empty_like(w)
-    for i in range(w.size):
+    indices = np.asarray(indices, dtype=np.int64)
+    out = np.empty(indices.size)
+    for j, i in enumerate(indices):
         wp = w.copy()
         wm = w.copy()
         wp[i] += h
@@ -136,15 +140,22 @@ def finite_diff_hessian_diag(grad, w: np.ndarray, h: float = HESS_STEP) -> np.nd
         gp = grad(wp)
         gm = grad(wm)
         if not (np.isfinite(gp[i]) and np.isfinite(gm[i])):
-            raise OracleError(f"non-finite gradient at index {i}", index=i)
-        diag[i] = (gp[i] - gm[i]) / (2.0 * h)
-    return diag
+            raise OracleError(f"non-finite gradient at index {int(i)}", index=int(i))
+        out[j] = (gp[i] - gm[i]) / (2.0 * h)
+    return out
 
 
-def assert_all_finite(arr: np.ndarray, what: str = "array") -> np.ndarray:
-    """Raise OracleError unless every entry of arr is finite."""
-    arr = np.asarray(arr)
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.flatnonzero(~np.isfinite(arr.ravel()))[0])
-        raise OracleError(f"non-finite value in {what} at flat index {bad}", index=bad)
-    return arr
+def finite_diff_hessian_diag(grad, w: np.ndarray, h: float = HESS_STEP) -> np.ndarray:
+    """The whole Hessian diagonal: :func:`hessian_diag_subset` over every
+    index.  Its sum is the Hessian-trace oracle used throughout the package.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    return hessian_diag_subset(grad, w, np.arange(w.size), h)
+
+
+def mean_se(samples: np.ndarray):
+    """``(mean, standard error)`` of a 1-d sample array; the error is 0 for one."""
+    mean = float(np.mean(samples))
+    if samples.size < 2:
+        return mean, 0.0
+    return mean, float(np.std(samples, ddof=1) / np.sqrt(samples.size))

@@ -30,7 +30,7 @@ import numpy as np
 from .attacks import AttackConfig, pgd
 from .losses import RobustLossKind
 from .network import MlpNetwork, flatten_weights, param_count, unflatten_weights
-from .numerics import Rng
+from .numerics import Rng, mean_se
 from .trh import robust_loss_rows
 
 
@@ -179,9 +179,7 @@ def expected_loss_mc(net: MlpNetwork, dataset, kind: RobustLossKind,
                     draw_rng.child("attack"))
         vals[i] = float(np.mean(robust_loss_rows(candidate, dataset.inputs,
                                                  x_adv, dataset.labels, kind)))
-    mean = float(vals.mean())
-    se = 0.0 if samples < 2 else float(np.std(vals, ddof=1) / np.sqrt(samples))
-    return mean, se
+    return mean_se(vals)
 
 
 def bound_surrogate(net: MlpNetwork, dataset, kind: RobustLossKind,

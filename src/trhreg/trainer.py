@@ -28,13 +28,14 @@ import numpy as np
 
 from .attacks import AttackConfig, clean_accuracy, eval_robust_accuracy, pgd
 from .data import Dataset
-from .hessian_oracle import (frozen_objective_fns, hvp_from_grad,
-                             quad_form_from_values)
-from .losses import RobustLossKind, cross_entropy_rows
+from .hessian_oracle import (LayerHessianReport, frozen_hvp,
+                             frozen_objective_fns, frozen_quad_form,
+                             hutchinson_trace, hutchinson_trace_pair,
+                             hutchinson_trace_sq, weight_indices)
+from .losses import RobustLossKind
 from .network import (MlpNetwork, TrainingDivergence, backprop,
-                      flat_index_slices, flatten_weights, forward,
-                      param_count, unflatten_weights)
-from .numerics import Rng, rademacher_vector
+                      flatten_weights, param_count, unflatten_weights)
+from .numerics import Rng
 from .layer_traces import full_ce_trace_rows_nodes, layer_trace_rows
 from .trh import TrHConfig, analytic_trh_rows, objective_nodes
 from . import tape
@@ -189,12 +190,13 @@ class MeasureConfig:
     mode "top": the closed-form top-layer trace of the training loss and the
     per-layer closed-form CE traces; the whole-network estimate columns are
     nan.  "layers" is a synonym for "top".  "full": adds a whole-network
-    Rademacher estimate with a probe set that is fixed once and reused
-    across epochs (common random numbers keep the trajectory smooth).
-    "spectrum" produces per-layer and whole-network (trace, trace_sq) pairs
-    and eigenvalue statistics.  The measurement objective is the bare robust
-    loss of the training kind with adversarial inputs regenerated (and
-    then frozen) at measurement time.
+    Rademacher estimate (``hessian_oracle.hutchinson_trace``) with the same
+    seeded probes at every measurement (common random numbers keep the
+    trajectory smooth).  "spectrum" produces per-layer and whole-network
+    (trace, trace_sq) pairs and eigenvalue statistics from
+    ``hessian_oracle`` probe estimators.  The measurement objective is the
+    bare robust loss of the training kind with adversarial inputs
+    regenerated (and then frozen) at measurement time.
     """
 
     mode: str
@@ -252,7 +254,6 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
 
     velocity = np.zeros(param_count(net))
     swa_avg = flatten_weights(net) if cfg.baseline == "swa" else None
-    probe_matrix = None
     diverged = False
     diverged_epoch = None
     t = 0
@@ -288,14 +289,14 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
             except TrainingDivergence:
                 diverged, diverged_epoch = True, epoch
                 break
-            if value > cfg.divergence_threshold:
-                diverged, diverged_epoch = True, epoch
-                break
-            epoch_losses.append(value)
-
             flat_grad = np.concatenate(
                 [np.concatenate([gw.ravel()] + ([gb] if gb is not None else []))
                  for gw, gb in grads])
+            # stop before a non-finite gradient turns the weights into nan
+            if value > cfg.divergence_threshold or not np.all(np.isfinite(flat_grad)):
+                diverged, diverged_epoch = True, epoch
+                break
+            epoch_losses.append(value)
             velocity = cfg.momentum * velocity + flat_grad
             weights = flatten_weights(net) - lr * velocity
             net = unflatten_weights(net, weights)
@@ -315,14 +316,8 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
 
         if measure is not None and not diverged and (
                 epoch % measure.every == 0 or epoch == cfg.epochs - 1):
-            if probe_matrix is None and measure.mode == "full":
-                probe_rng = Rng(measure.probe_seed).child("trace-probes")
-                probe_matrix = np.stack([
-                    rademacher_vector(param_count(net), probe_rng)
-                    for _ in range(measure.probes)])
             row = measure_trace_row(eval_net, dataset, kind, attack_cfg,
-                                    epoch, measure, probe_matrix,
-                                    metrics.rows[-1])
+                                    epoch, measure, metrics.rows[-1])
             if measure.mode == "spectrum":
                 spectrum_rows.extend(row)
             else:
@@ -343,21 +338,13 @@ def measurement_attack(attack_cfg: AttackConfig) -> AttackConfig:
 
 
 def bare_objective_value_fn(net: MlpNetwork, X, X_adv, y, kind: RobustLossKind):
-    """Fast frozen-constant robust-loss evaluator over the flat weights."""
-    if kind.variant == "at":
-        # no stop-gradient constants: plain numpy forward is exact and fast
-        def value_fn(w):
-            cand = unflatten_weights(net, w)
-            return float(np.mean(cross_entropy_rows(forward(cand, X_adv).logits, y)))
-
-        return value_fn
-    value_fn, _ = frozen_objective_fns(net, X, X_adv, y, kind)
-    return value_fn
+    """Frozen-constant robust-loss value over the flat weights (no tape)."""
+    return frozen_objective_fns(net, X, X_adv, y, kind)[0]
 
 
 def measure_trace_row(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
                       attack_cfg: AttackConfig, epoch: int,
-                      measure: MeasureConfig, probe_matrix, metrics_row):
+                      measure: MeasureConfig, metrics_row):
     """One measurement record (or spectrum records) at the current weights."""
     meas_rng = Rng(measure.probe_seed).child("measure", epoch)
     x_adv = pgd(net, dataset.inputs, dataset.labels,
@@ -371,13 +358,10 @@ def measure_trace_row(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
     row = {"epoch": epoch,
            "trh_top_analytic": float(np.mean(analytic_trh_rows(net, x, x_adv, y, kind)))}
     if measure.mode == "full":
-        value_fn = bare_objective_value_fn(net, x, x_adv, y, kind)
-        w0 = flatten_weights(net)
-        quad = quad_form_from_values(value_fn, w0)
-        vals = np.array([quad(v) for v in probe_matrix])
-        row["trh_full_estimate"] = float(vals.mean())
-        row["trh_full_stderr"] = (0.0 if vals.size < 2 else
-                                  float(np.std(vals, ddof=1) / np.sqrt(vals.size)))
+        # a fresh stream each time: the same probes at every measurement
+        row["trh_full_estimate"], row["trh_full_stderr"] = hutchinson_trace(
+            frozen_quad_form(net, x, x_adv, y, kind), param_count(net),
+            measure.probes, Rng(measure.probe_seed).child("trace-probes"))
     else:
         row["trh_full_estimate"] = float("nan")
         row["trh_full_stderr"] = float("nan")
@@ -398,42 +382,17 @@ def spectrum_records(net: MlpNetwork, x, x_adv, y, kind: RobustLossKind,
     traces (trace is block-additive), while its trace_sq gets its own
     full-support probes because squares are not.
     """
-    from .hessian_oracle import LayerHessianReport
-
-    _, grad_fn = frozen_objective_fns(net, x, x_adv, y, kind)
-    w0 = flatten_weights(net)
-    hvp = hvp_from_grad(grad_fn, w0)
-    dim = w0.size
-    records = []
-    trace_total = 0.0
-    for li, (ws, bs) in enumerate(flat_index_slices(net), start=1):
-        idx = np.arange(ws.start, ws.stop)
-        if bs is not None:
-            idx = np.concatenate([idx, np.arange(bs.start, bs.stop)])
-        tvals = np.empty(probes)
-        sqvals = np.empty(probes)
-        layer_rng = rng.child("layer", li)
-        for p in range(probes):
-            v = np.zeros(dim)
-            v[idx] = rademacher_vector(idx.size, layer_rng)
-            hv = hvp(v)
-            tvals[p] = float(np.dot(v, hv))
-            sqvals[p] = float(np.dot(hv[idx], hv[idx]))
-        report = LayerHessianReport.from_traces(li, float(tvals.mean()),
-                                                float(sqvals.mean()), idx.size)
-        trace_total += report.trace
-        records.append({"epoch": epoch, "layer": li, "trace": report.trace,
-                        "trace_sq": report.trace_sq, "eig_mean": report.eig_mean,
-                        "eig_std": report.eig_std})
-    full_rng = rng.child("full")
-    sqvals = np.empty(probes)
-    for p in range(probes):
-        v = rademacher_vector(dim, full_rng)
-        hv = hvp(v)
-        sqvals[p] = float(np.dot(hv, hv))
-    report = LayerHessianReport.from_traces(0, trace_total,
-                                            float(sqvals.mean()), dim)
-    records.insert(0, {"epoch": epoch, "layer": 0, "trace": report.trace,
-                       "trace_sq": report.trace_sq, "eig_mean": report.eig_mean,
-                       "eig_std": report.eig_std})
-    return records
+    hvp = frozen_hvp(net, x, x_adv, y, kind)
+    dim = param_count(net)
+    reports = []
+    for li in range(1, net.depth + 1):
+        idx = weight_indices(net, li - 1, include_bias=True)
+        (trace, _), (trace_sq, _) = hutchinson_trace_pair(
+            hvp, dim, probes, rng.child("layer", li), idx)
+        reports.append(LayerHessianReport.from_traces(li, trace, trace_sq, idx.size))
+    trace_sq, _ = hutchinson_trace_sq(hvp, dim, probes, rng.child("full"))
+    reports.insert(0, LayerHessianReport.from_traces(
+        0, sum(r.trace for r in reports), trace_sq, dim))
+    return [{"epoch": epoch, "layer": r.layer, "trace": r.trace,
+             "trace_sq": r.trace_sq, "eig_mean": r.eig_mean, "eig_std": r.eig_std}
+            for r in reports]

@@ -29,13 +29,16 @@ Adversarial inputs are always treated as constants when differentiating
 Which function computes what: :func:`top_trace_rows` is the one body of
 the closed forms (per-example traces of all four losses, as tape nodes of
 the clean and adversarial features and logits) and ``_loss_rows`` the one
-body of the per-example robust loss; :func:`objective_nodes` combines both
-on lifted weights.  ``trh_at``, ``trh_trades``, ``trh_trades_full``,
-``trh_alp`` and ``trh_mart`` evaluate :func:`top_trace_rows` on constants,
-for one example (1-d traces, float result) or a batch (``(m,)`` result);
-:func:`analytic_trh_rows` calls them once per batch through
-:func:`analytic_trh`, and :func:`robust_loss_rows` evaluates ``_loss_rows``
-on constants.  Evaluating on constants records no tape graph.
+body of the per-example robust loss; ``_objective_tail`` combines both
+(plus the weight decay) into the objective.  :func:`objective_nodes` runs
+the tail on lifted weights, for gradients; :func:`objective_value` runs it
+on constants after numpy forward passes, for values only.  ``trh_at``,
+``trh_trades``, ``trh_trades_full``, ``trh_alp`` and ``trh_mart`` evaluate
+:func:`top_trace_rows` on constants, for one example (1-d traces, float
+result) or a batch (``(m,)`` result); :func:`analytic_trh_rows` calls them
+once per batch through :func:`analytic_trh`, and :func:`robust_loss_rows`
+evaluates ``_loss_rows`` on constants.  Every evaluation on constants
+starts from the same numpy forward pair and records no tape graph.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import numpy as np
 
 from . import tape
 from .losses import RobustLossKind
-from .network import ForwardTrace, MlpNetwork, forward, forward_nodes
+from .network import ForwardTrace, MlpNetwork, forward, forward_nodes, lift
 
 _SCHEDULES = ("constant", "linear", "multistep")
 
@@ -104,9 +107,19 @@ def _side(features: tape.Node, logits: tape.Node) -> _Side:
     return _Side(features, logs, tape.exp(logs))
 
 
-def _constant_side(trace: ForwardTrace) -> _Side:
+def _constant_side(trace: ForwardTrace | None) -> _Side | None:
+    if trace is None:
+        return None
     return _side(tape.constant(np.atleast_2d(trace.features)),
                  tape.constant(np.atleast_2d(trace.logits)))
+
+
+def _forward_pair(net: MlpNetwork, X, X_adv, kind: RobustLossKind):
+    """Plain numpy forward traces ``(clean, adversarial)`` of `net`, the
+    first step of every evaluation on constants; clean is None for at."""
+    adv = forward(net, np.atleast_2d(X_adv))
+    clean = None if kind.variant == "at" else forward(net, np.atleast_2d(X))
+    return clean, adv
 
 
 def _one_hot(idx: np.ndarray, k: int) -> np.ndarray:
@@ -201,9 +214,8 @@ def top_trace_rows(clean: _Side | None, adv: _Side, y, kind: RobustLossKind,
 def _on_constants(trace_clean, trace_adv, y, kind: RobustLossKind,
                   stop_grad_clean: bool = True):
     """:func:`top_trace_rows` on constants: a float for 1-d traces."""
-    clean = None if trace_clean is None else _constant_side(trace_clean)
-    rows = top_trace_rows(clean, _constant_side(trace_adv), y, kind,
-                          stop_grad_clean).value
+    rows = top_trace_rows(_constant_side(trace_clean), _constant_side(trace_adv),
+                          y, kind, stop_grad_clean).value
     return float(rows[0]) if np.ndim(trace_adv.logits) == 1 else rows
 
 
@@ -273,8 +285,8 @@ def analytic_trh_rows(net: MlpNetwork, X, X_adv, y, kind: RobustLossKind,
                       stop_grad_clean: bool = True) -> np.ndarray:
     """Per-example closed-form top-layer traces, plain numpy: one
     :func:`analytic_trh` call on the whole batch."""
-    return analytic_trh(forward(net, np.atleast_2d(X)),
-                        forward(net, np.atleast_2d(X_adv)), y, kind, stop_grad_clean)
+    return analytic_trh(*_forward_pair(net, X, X_adv, kind), y, kind,
+                        stop_grad_clean)
 
 
 # -- the robust loss and the batched objective on the tape ----------------
@@ -301,9 +313,8 @@ def capture_frozen(net: MlpNetwork, X: np.ndarray, X_adv: np.ndarray,
     expression can be (a) trained, with constants refreshed every step, and
     (b) finite-differenced, with constants pinned at the reference weights.
     """
-    return _frozen(_constant_side(forward(net, np.atleast_2d(X))),
-                   _constant_side(forward(net, np.atleast_2d(X_adv))),
-                   np.asarray(y, dtype=np.int64), kind)
+    clean, adv = map(_constant_side, _forward_pair(net, X, X_adv, kind))
+    return _frozen(clean, adv, np.asarray(y, dtype=np.int64), kind)
 
 
 def _loss_rows(clean: _Side | None, adv: _Side, y: np.ndarray,
@@ -358,6 +369,26 @@ def objective_nodes(lifted, X, X_adv, y, kind: RobustLossKind,
     if kind.variant != "at":
         layer_inputs, preacts = forward_nodes(lifted, X)
         clean = _side(layer_inputs[-1], preacts[-1])
+    return _objective_tail(lifted, clean, adv, y, kind, lam, gamma,
+                           stop_grad_clean, frozen)
+
+
+def objective_value(net: MlpNetwork, X, X_adv, y, kind: RobustLossKind,
+                    lam: float, gamma: float, stop_grad_clean: bool = True,
+                    frozen: dict | None = None) -> float:
+    """The value of :func:`objective_nodes` at the weights of `net`, with no
+    tape graph: numpy forward passes, then the same tail on constants."""
+    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    clean, adv = map(_constant_side, _forward_pair(net, X, X_adv, kind))
+    return float(_objective_tail(lift(net, wrap=tape.constant), clean, adv, y,
+                                 kind, lam, gamma, stop_grad_clean, frozen).value)
+
+
+def _objective_tail(params, clean: _Side | None, adv: _Side, y: np.ndarray,
+                    kind: RobustLossKind, lam: float, gamma: float,
+                    stop_grad_clean: bool, frozen: dict | None) -> tape.Node:
+    """The objective from its sides and (lifted or constant) parameters:
+    ``mean(loss rows + lam * trace rows) + gamma ||theta||^2``."""
     if frozen is None:
         frozen = _frozen(clean, adv, y, kind)
     rows = _loss_rows(clean, adv, y, kind, stop_grad_clean, frozen)
@@ -366,13 +397,9 @@ def objective_nodes(lifted, X, X_adv, y, kind: RobustLossKind,
                                            frozen.get("kappa_star"))
     out = tape.mean(rows)
     if gamma != 0.0:
-        sq = None
-        for w, b in lifted:
-            term = tape.nsum(w * w)
-            if b is not None:
-                term = term + tape.nsum(b * b)
-            sq = term if sq is None else sq + term
-        out = out + gamma * sq
+        out = out + gamma * sum(tape.nsum(w * w) if b is None else
+                                tape.nsum(w * w) + tape.nsum(b * b)
+                                for w, b in params)
     return out
 
 
@@ -413,8 +440,6 @@ def robust_loss_rows(net: MlpNetwork, X, X_adv, y,
     """Per-example robust loss values (no regularizer): the objective's loss
     rows evaluated on constants."""
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    adv = _constant_side(forward(net, np.atleast_2d(X_adv)))
-    clean = (None if kind.variant == "at"
-             else _constant_side(forward(net, np.atleast_2d(X))))
+    clean, adv = map(_constant_side, _forward_pair(net, X, X_adv, kind))
     return _loss_rows(clean, adv, y, kind, True,
                       _frozen(clean, adv, y, kind)).value

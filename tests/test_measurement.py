@@ -1,0 +1,185 @@
+"""The trainer's measurements run the `hessian_oracle` estimators.
+
+Each test pins one measurement against a reference written here the
+explicit way (probe matrices, hand-written probe loops, the tape objective),
+bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from trhreg import tape
+from trhreg.attacks import AttackConfig, pgd
+from trhreg.data import two_moons
+from trhreg.hessian_oracle import (LayerHessianReport, frozen_objective_fns,
+                                   hutchinson_trace, hvp_from_grad,
+                                   quad_form_from_values)
+from trhreg.losses import RobustLossKind, cross_entropy_rows
+from trhreg.network import (flat_index_slices, flatten_weights, forward,
+                            init_mlp, lift, unflatten_weights)
+from trhreg.numerics import Rng, rademacher_vector
+from trhreg.trainer import (MeasureConfig, bare_objective_value_fn,
+                            measure_trace_row, measurement_attack,
+                            spectrum_records)
+from trhreg.trh import capture_frozen, objective_nodes
+
+ATTACK = AttackConfig(delta=0.05, steps=2)
+KINDS = [RobustLossKind("at"), RobustLossKind("trades", 6.0),
+         RobustLossKind("alp", 0.5), RobustLossKind("mart", 5.0)]
+
+
+def _setup(seed=3):
+    ds = two_moons(40, noise_std=0.1, seed=seed)
+    net = init_mlp([2, 6, 5, 2], Rng(seed).child("init"))
+    return ds, net
+
+
+def _measured_adv(net, ds, measure, epoch):
+    meas_rng = Rng(measure.probe_seed).child("measure", epoch)
+    return pgd(net, ds.inputs, ds.labels, measurement_attack(ATTACK),
+               meas_rng.child("attack"))
+
+
+def _tape_value_fn(net, X, X_adv, y, kind, lam=0.0, gamma=0.0,
+                   stop_grad_clean=True):
+    """The objective's value the tape way, constants frozen at `net`."""
+    frozen = capture_frozen(net, X, X_adv, y, kind)
+
+    def value_fn(w):
+        return float(objective_nodes(lift(unflatten_weights(net, w)), X, X_adv,
+                                     y, kind, lam, gamma,
+                                     stop_grad_clean=stop_grad_clean,
+                                     frozen=frozen).value)
+
+    return value_fn
+
+
+class TestFullEstimate:
+    @pytest.mark.parametrize("variant", ["at", "mart"])
+    def test_equals_hutchinson_on_trace_probe_stream(self, variant):
+        kind = next(k for k in KINDS if k.variant == variant)
+        ds, net = _setup()
+        measure = MeasureConfig(mode="full", probes=6, probe_seed=11)
+        for epoch in (0, 3):
+            row = measure_trace_row(net, ds, kind, ATTACK, epoch, measure,
+                                    {"train_loss": 0.0, "pgd_acc": 0.0})
+            x_adv = _measured_adv(net, ds, measure, epoch)
+            w0 = flatten_weights(net)
+            if variant == "at":
+                # the numpy cross entropy the AT estimate used to run on
+                def value_fn(w):
+                    logits = forward(unflatten_weights(net, w), x_adv).logits
+                    return float(np.mean(cross_entropy_rows(logits, ds.labels)))
+            else:
+                value_fn = _tape_value_fn(net, ds.inputs, x_adv, ds.labels, kind)
+            quad = quad_form_from_values(value_fn, w0)
+            est, se = hutchinson_trace(quad, w0.size, measure.probes,
+                                       Rng(11).child("trace-probes"))
+            assert row["trh_full_estimate"] == est
+            assert row["trh_full_stderr"] == se
+            # the probes are the rows of one matrix drawn once per run
+            probe_rng = Rng(11).child("trace-probes")
+            probes = np.stack([rademacher_vector(w0.size, probe_rng)
+                               for _ in range(measure.probes)])
+            vals = np.array([quad(v) for v in probes])
+            assert est == float(vals.mean())
+            assert se == float(np.std(vals, ddof=1) / np.sqrt(vals.size))
+
+    def test_other_modes_leave_estimate_nan(self):
+        ds, net = _setup()
+        row = measure_trace_row(net, ds, RobustLossKind("at"), ATTACK, 0,
+                                MeasureConfig(mode="top"),
+                                {"train_loss": 0.0, "pgd_acc": 0.0})
+        assert np.isnan(row["trh_full_estimate"])
+        assert np.isnan(row["trh_full_stderr"])
+
+
+def _reference_spectrum(net, x, x_adv, y, kind, epoch, probes, rng):
+    """Spectrum records with explicit per-layer and whole-network probe loops."""
+    _, grad_fn = frozen_objective_fns(net, x, x_adv, y, kind)
+    w0 = flatten_weights(net)
+    hvp = hvp_from_grad(grad_fn, w0)
+    dim = w0.size
+    records = []
+    trace_total = 0.0
+    for li, (ws, bs) in enumerate(flat_index_slices(net), start=1):
+        idx = np.arange(ws.start, ws.stop)
+        if bs is not None:
+            idx = np.concatenate([idx, np.arange(bs.start, bs.stop)])
+        tvals = np.empty(probes)
+        sqvals = np.empty(probes)
+        layer_rng = rng.child("layer", li)
+        for p in range(probes):
+            v = np.zeros(dim)
+            v[idx] = rademacher_vector(idx.size, layer_rng)
+            hv = hvp(v)
+            tvals[p] = float(np.dot(v, hv))
+            sqvals[p] = float(np.dot(hv[idx], hv[idx]))
+        report = LayerHessianReport.from_traces(li, float(tvals.mean()),
+                                                float(sqvals.mean()), idx.size)
+        trace_total += report.trace
+        records.append(report)
+    full_rng = rng.child("full")
+    sqvals = np.empty(probes)
+    for p in range(probes):
+        hv = hvp(rademacher_vector(dim, full_rng))
+        sqvals[p] = float(np.dot(hv, hv))
+    records.insert(0, LayerHessianReport.from_traces(0, trace_total,
+                                                     float(sqvals.mean()), dim))
+    return [{"epoch": epoch, "layer": r.layer, "trace": r.trace,
+             "trace_sq": r.trace_sq, "eig_mean": r.eig_mean,
+             "eig_std": r.eig_std} for r in records]
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("variant", ["at", "mart"])
+    def test_equals_explicit_probe_loops(self, variant):
+        kind = next(k for k in KINDS if k.variant == variant)
+        ds, net = _setup(seed=4)
+        x_adv = pgd(net, ds.inputs, ds.labels, ATTACK, Rng(4).child("a"))
+        rng = Rng(21).child("spectrum")
+        got = spectrum_records(net, ds.inputs, x_adv, ds.labels, kind, 5, 3, rng)
+        ref = _reference_spectrum(net, ds.inputs, x_adv, ds.labels, kind, 5, 3,
+                                  Rng(21).child("spectrum"))
+        assert [r["layer"] for r in got] == [0, 1, 2, 3]
+        assert got == ref
+
+
+class TestValuePath:
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.variant)
+    def test_value_equals_tape_objective_and_records_no_edges(self, kind,
+                                                              monkeypatch):
+        ds, net = _setup(seed=5)
+        x_adv = pgd(net, ds.inputs, ds.labels, ATTACK, Rng(5).child("a"))
+        args = (ds.inputs, x_adv, ds.labels, kind)
+        value_fn, _ = frozen_objective_fns(net, *args, lam=0.3, gamma=0.01,
+                                           stop_grad_clean=False)
+        ref_fn = _tape_value_fn(net, *args, lam=0.3, gamma=0.01,
+                                stop_grad_clean=False)
+        w0 = flatten_weights(net)
+        shifted = w0 + 1e-3 * rademacher_vector(w0.size, Rng(5).child("v"))
+
+        counts = []  # edges recorded by each node built
+        init = tape.Node.__init__
+
+        def counting_init(self, value, edges=()):
+            init(self, value, edges)
+            counts.append(len(self._edges))
+
+        monkeypatch.setattr(tape.Node, "__init__", counting_init)
+        for w in (w0, shifted):
+            counts.clear()
+            value = value_fn(w)
+            assert counts and sum(counts) == 0
+            counts.clear()
+            assert value == ref_fn(w)
+            assert sum(counts) > 0  # the tape objective does record its graph
+
+    def test_bare_value_fn_is_the_shared_path(self):
+        ds, net = _setup(seed=6)
+        x_adv = pgd(net, ds.inputs, ds.labels, ATTACK, Rng(6).child("a"))
+        w = flatten_weights(net) * 1.01
+        for kind in KINDS:
+            bare = bare_objective_value_fn(net, ds.inputs, x_adv, ds.labels, kind)
+            shared, _ = frozen_objective_fns(net, ds.inputs, x_adv, ds.labels, kind)
+            assert bare(w) == shared(w)

@@ -253,3 +253,35 @@ class TestTrainLoop:
             TrainConfig(epochs=1, base_lr=0.1, momentum=1.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, base_lr=0.1, baseline="sam")
+
+
+class TestNonFiniteGradient:
+    def test_stops_before_the_update(self, monkeypatch):
+        import trhreg.trainer as trainer_module
+
+        real_backprop = trainer_module.backprop
+        calls = []
+
+        def nan_grad_backprop(net, objective):
+            value, grads = real_backprop(net, objective)
+            calls.append(value)
+            if len(calls) < 3:
+                return value, grads
+            gw, gb = grads[0]
+            gw = gw.copy()
+            gw[0, 0] = np.nan
+            return value, [(gw, gb)] + grads[1:]
+
+        monkeypatch.setattr(trainer_module, "backprop", nan_grad_backprop)
+        ds = two_moons(40, seed=3)
+        net = init_mlp([2, 6, 2], Rng(3).child("i"))
+        cfg = TrainConfig(epochs=4, base_lr=0.05, batch_size=20,
+                          lr_decay="constant", seed=0)
+        res = train(net, ds, RobustLossKind("at"), TrHConfig(),
+                    AttackConfig(delta=0.02, steps=1), cfg)
+        assert res.diverged and res.diverged_epoch == 1
+        assert len(calls) == 3 and np.isfinite(calls[-1])
+        assert np.all(np.isfinite(flatten_weights(res.net)))
+        assert np.all(np.isfinite(flatten_weights(res.raw_net)))
+        # the two updates before the nan step are kept
+        assert not np.array_equal(flatten_weights(res.raw_net), flatten_weights(net))

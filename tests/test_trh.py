@@ -376,3 +376,33 @@ class TestMartSaturatedRunnerUp:
         assert float(node.value) == pytest.approx(loss + 0.5 * trace, rel=1e-12)
         rows = robust_loss_rows(self.NET, self.X, self.X_ADV, self.Y, kind)
         assert rows[0] == pytest.approx(loss, rel=1e-12)
+
+
+class TestMartBinaryIdentity:
+    """At K = 2 the runner-up class is the other class, so the margin trace
+    is the adversarial CE trace and, with no weighted-KL term, the MART
+    trace is the clean plus the adversarial CE trace."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_nets(self, seed):
+        net = init_mlp([3, 5, 2], Rng(seed).child("net"))
+        rng = Rng(seed).child("x")
+        x = rng.normal(size=3)
+        x_adv = x + 0.1 * rng.normal(size=3)
+        tc, ta = forward(net, x), forward(net, x_adv)
+        for y in (0, 1):
+            assert trh_mart(tc, ta, y, 0.0) == pytest.approx(
+                trh_at(tc) + trh_at(ta), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("y", [
+        pytest.param(0, marks=pytest.mark.xfail(
+            strict=True,
+            reason="trh_at forms 1^T h as 1 - sum(s^2), which cancels at "
+                   "logits (16, -16): relative error 3e-4 against the "
+                   "margin trace, which is accurate for this label")),
+        1])
+    def test_saturated_logits(self, y):
+        net = MlpNetwork([DenseLayer(np.array([[8.0, -8.0], [0.0, 0.0]]))])
+        tr = forward(net, np.array([2.0, 0.3]))  # logits (16, -16)
+        assert trh_mart(tr, tr, y, 0.0) == pytest.approx(
+            2.0 * trh_at(tr), rel=1e-12, abs=0.0)
