@@ -20,8 +20,7 @@ from .layer_traces import (LayerHTensor, check_layer_inequality, full_ce_trace,
                        l1_operator_norm, layer_h_tensor, trh_ce_layer)
 from .trainer import (MeasureConfig, MetricsLog, TrainConfig, TrainResult,
                       awp_step, lambda_at, lr_at, swa_update, train)
-from .trh import (TradesFullTerms, TrHConfig, training_objective,
-                  analytic_trh, trh_alp, trh_at, trh_mart, trh_trades,
-                  trh_trades_full)
+from .trh import (TradesFullTerms, TrHConfig, analytic_trh, trh_alp, trh_at,
+                  trh_mart, trh_trades, trh_trades_full)
 
 __version__ = "0.1.0"

@@ -29,13 +29,12 @@ EXIT_DIVERGED = 2
 EXIT_VERIFY = 3
 
 
-def _load_config(path, seed=None, out=None) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(path)
-    if seed is not None:
-        cfg.train = replace(cfg.train, seed=seed)
-    if out is not None:
-        cfg.out_dir = out
-    return cfg
+def _load_config(args, lines=None) -> ExperimentConfig:
+    """The config file with --seed, --out and `lines` ({key: value}) applied
+    as key lines, so they are checked like the file's own."""
+    lines = {"train.seed": args.seed, "out.dir": args.out, **(lines or {})}
+    return ExperimentConfig.from_file(
+        args.config, {key: value for key, value in lines.items() if value is not None})
 
 
 def _outdir(cfg: ExperimentConfig) -> str:
@@ -75,7 +74,7 @@ def _train_and_write(args, mode: str | None = None):
     """Shared by train, trace and spectrum: load the config, make the output
     directory, train (measuring in `mode`, if given), then write
     ``metrics.csv`` and the checkpoint.  Returns ``(cfg, out, result)``."""
-    cfg = _load_config(args.config, args.seed, args.out)
+    cfg = _load_config(args)
     out = _outdir(cfg)
     measure = (None if mode is None else
                MeasureConfig(mode=mode, every=args.every, probes=args.probes))
@@ -113,7 +112,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args.config, args.seed, args.out)
+    cfg = _load_config(args)
     net = load_checkpoint(args.checkpoint)
     ds = cfg.build_dataset()
     if ds.inputs.shape[1] != net.input_dim:
@@ -153,15 +152,15 @@ def cmd_spectrum(args) -> int:
 
 
 _SWEEPABLE = {
-    "lambda": ("trh", "lam"),
-    "gamma": ("train", "gamma"),
-    "delta": ("attack", "delta"),
-    "penalty": ("loss", "penalty"),
+    "lambda": "trh.lambda",
+    "gamma": "train.gamma",
+    "delta": "attack.delta",
+    "penalty": "loss.penalty",
 }
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config, args.seed, args.out)
+    cfg = _load_config(args)
     out = _outdir(cfg)
     if args.param not in _SWEEPABLE:
         raise ConfigError(f"unsupported sweep parameter {args.param!r}; "
@@ -169,28 +168,30 @@ def cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if len(values) < 2:
         raise ConfigError("sweep needs at least 2 values")
-    attr, fieldname = _SWEEPABLE[args.param]
     log = MetricsLog(columns=["value", "clean_acc", "robust_acc"],
                      preamble=_preamble(cfg))
     failures = 0
     for value in values:
-        trial = cfg.with_overrides()
-        sub = getattr(trial, attr)
-        setattr(trial, attr, replace(sub, **{fieldname: value}))
+        # a trial fails on a rejected value (or unreadable data) or on
+        # divergence; any other error is a fault and propagates
         try:
-            result = _run_training(trial)
+            result = _run_training(_load_config(args, {_SWEEPABLE[args.param]: value}))
+        except ValueError as exc:
+            reason = exc
+        else:
+            reason = (f"diverged at epoch {result.diverged_epoch}"
+                      if result.diverged else None)
+        if reason is None:
             last = result.metrics.rows[-1]
-            if result.diverged:
-                raise RuntimeError(f"diverged at epoch {result.diverged_epoch}")
             log.append(value=value, clean_acc=last["clean_acc"],
                        robust_acc=last["pgd_acc"])
             print(f"{args.param}={value}: clean={last['clean_acc']:.4f} "
                   f"robust={last['pgd_acc']:.4f}")
-        except Exception as exc:  # keep sweeping past per-trial failures
+        else:
             failures += 1
             log.append(value=value, clean_acc=float("nan"),
                        robust_acc=float("nan"))
-            print(f"{args.param}={value}: FAILED ({exc})", file=sys.stderr)
+            print(f"{args.param}={value}: FAILED ({reason})", file=sys.stderr)
     log.write_csv(os.path.join(out, "sweep.csv"))
     print(f"wrote {out}/sweep.csv ({len(values)} trials, {failures} failed)")
     return EXIT_OK

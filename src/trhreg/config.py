@@ -2,8 +2,11 @@
 
 One dotted key per line, `#` starts a comment, whitespace is free.  Every
 tunable of the attack, loss, regularizer, trainer and bound modules has a
-key; unknown keys are an error (typos should not pass silently).  Parse
-errors and cross-field inconsistencies raise :class:`ConfigError` with the
+key, listed once in :data:`_KEYS` with its type and file default; unknown
+keys are an error (typos should not pass silently).  Overrides (CLI flags,
+sweep values) are applied as extra key lines before anything is built, so
+they are cast and checked exactly like the file.  Parse errors, rejected
+values and cross-field inconsistencies raise :class:`ConfigError` with the
 offending key and line.
 
 Cross-field rule: when the bound parameters (pacbayes.sigma0_sq,
@@ -15,9 +18,7 @@ dataset.normalize = true the radius is rescaled by 1/std before attacking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .attacks import AttackConfig
 from .data import Dataset, load_csv, normalize_center, two_moons
@@ -62,188 +63,204 @@ def parse_kv(text: str) -> dict:
     return out
 
 
-_BOOLS = {"true": True, "false": False, "1": True, "0": False,
-          "yes": True, "no": False}
+def _bool(text: str) -> bool:
+    value = {"true": True, "false": False, "1": True, "0": False,
+             "yes": True, "no": False}.get(text.lower())
+    if value is None:
+        raise ValueError(f"not a boolean: {text!r}")
+    return value
 
-KNOWN_KEYS = {
-    "dataset.kind", "dataset.n", "dataset.noise_std", "dataset.seed",
-    "dataset.path", "dataset.normalize",
-    "net.hidden", "net.hidden_bias",
-    "loss.kind", "loss.penalty",
-    "attack.norm", "attack.delta", "attack.steps", "attack.step_size",
-    "attack.restarts", "attack.random_start", "attack.clamp_min",
-    "attack.clamp_max",
-    "trh.lambda", "trh.schedule", "trh.stop_grad_clean", "trh.full_coeff",
-    "train.epochs", "train.batch_size", "train.base_lr", "train.momentum",
-    "train.warmup_iters", "train.lr_decay", "train.lr_milestones",
-    "train.lr_drop", "train.gamma", "train.seed", "train.baseline",
-    "train.swa_alpha", "train.awp_delta", "train.eval_restarts",
-    "pacbayes.sigma0_sq", "pacbayes.beta", "pacbayes.tau", "pacbayes.m",
-    "pacbayes.c_const",
-    "out.dir",
+
+def _ints(text: str) -> list:
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+_REQUIRED = object()  # no default: must be given once its section is
+
+# Every key once: its cast and its file default, written as a file line
+# would be (None: unset).
+_KEYS = {
+    "dataset.kind": (str, "two_moons"),
+    "dataset.n": (int, "500"),
+    "dataset.noise_std": (float, "0.1"),
+    "dataset.seed": (int, "1"),
+    "dataset.path": (str, None),
+    "dataset.normalize": (_bool, "false"),
+    "net.hidden": (_ints, "100,100"),
+    "net.hidden_bias": (_bool, "true"),
+    "loss.kind": (str, "at"),
+    "loss.penalty": (float, "0.0"),
+    "attack.norm": (str, "linf"),
+    "attack.delta": (float, "0.02"),
+    "attack.steps": (int, "1"),
+    "attack.step_size": (float, None),
+    "attack.restarts": (int, "1"),
+    "attack.random_start": (_bool, "true"),
+    "attack.clamp_min": (float, None),
+    "attack.clamp_max": (float, None),
+    "trh.lambda": (float, "0.0"),
+    "trh.schedule": (str, "constant"),
+    "trh.stop_grad_clean": (_bool, "true"),
+    "trh.full_coeff": (float, "0.0"),
+    "train.epochs": (int, "100"),
+    "train.batch_size": (int, "0"),
+    "train.base_lr": (float, "0.1"),
+    "train.momentum": (float, "0.9"),
+    "train.warmup_iters": (int, "0"),
+    "train.lr_decay": (str, "constant"),
+    "train.lr_milestones": (_floats, "0.5,0.75"),
+    "train.lr_drop": (float, "0.1"),
+    "train.gamma": (float, "0.0"),
+    "train.seed": (int, "0"),
+    "train.baseline": (str, "none"),
+    "train.swa_alpha": (float, "0.995"),
+    "train.awp_delta": (float, "0.005"),
+    "train.eval_restarts": (int, "1"),
+    "pacbayes.sigma0_sq": (float, _REQUIRED),
+    "pacbayes.beta": (float, _REQUIRED),
+    "pacbayes.tau": (float, "0.05"),
+    "pacbayes.m": (int, None),  # unset: max(1, dataset.n)
+    "pacbayes.c_const": (float, "0.0"),
+    "out.dir": (str, None),
 }
+
+# Section keys whose constructor argument is not the key's last part
+# (None: the key is read on its own, not passed to the constructor).
+_ARG = {"loss.kind": "variant", "trh.lambda": "lam", "trh.full_coeff": None,
+        "attack.clamp_min": None, "attack.clamp_max": None}
 
 
 class _Reader:
     def __init__(self, kv: dict):
         self.kv = kv
         for key in kv:
-            if key not in KNOWN_KEYS:
+            if key not in _KEYS:
                 raise ConfigError("unknown key", key=key, line=kv[key][1])
 
     def has(self, key) -> bool:
         return key in self.kv
 
-    def get(self, key, cast, default=None):
-        if key not in self.kv:
-            return default
-        value, lineno = self.kv[key]
+    def get(self, key, given: bool = True):
+        """The key's value from its line (unless not `given`), else its
+        cast default."""
+        cast, default = _KEYS[key]
+        value, line = self.kv[key] if given and key in self.kv else (default, None)
+        if value is _REQUIRED:
+            self.err(key, "no default; required once its section is given")
         try:
-            if cast is bool:
-                if value.lower() not in _BOOLS:
-                    raise ValueError(f"not a boolean: {value!r}")
-                return _BOOLS[value.lower()]
-            return cast(value)
+            return None if value is None else cast(value)
         except ValueError as exc:
-            raise ConfigError(str(exc), key=key, line=lineno) from None
+            raise ConfigError(str(exc), key=key, line=line) from None
 
     def err(self, key, message):
         line = self.kv[key][1] if key in self.kv else None
         raise ConfigError(message, key=key, line=line)
 
+    def build(self, ctor, section: str, **fixed):
+        """``ctor(**fixed, **args)`` with one argument per key of `section`.
 
-def _int_list(text: str):
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
-def _float_list(text: str):
-    return [float(v) for v in text.split(",") if v.strip()]
+        A rejected value is reported against its key: the first given key
+        that the constructor rejects with the section's other keys at their
+        defaults (keys without a default keep their given value)."""
+        keys = {}
+        for key in _KEYS:
+            arg = _ARG.get(key, key.partition(".")[2])
+            if key.startswith(section + ".") and arg is not None:
+                keys[arg] = key
+        args = {arg: self.get(key) for arg, key in keys.items()}
+        try:
+            return ctor(**fixed, **args)
+        except ValueError as exc:
+            message = str(exc)
+        base = {arg: self.get(key, given=_KEYS[key][1] is _REQUIRED)
+                for arg, key in keys.items()}
+        given = [(arg, key) for arg, key in keys.items() if key in self.kv]
+        for arg, key in given:
+            try:
+                ctor(**fixed, **{**base, arg: args[arg]})
+            except ValueError:
+                self.err(key, message)
+        self.err(given[0][1], message)
 
 
 @dataclass
 class ExperimentConfig:
-    dataset_kind: str = "two_moons"
-    dataset_n: int = 500
-    dataset_noise_std: float = 0.1
-    dataset_seed: int = 1
-    dataset_path: str | None = None
-    dataset_normalize: bool = False
-    hidden: list = field(default_factory=lambda: [100, 100])
-    hidden_bias: bool = True
-    loss: RobustLossKind = field(default_factory=lambda: RobustLossKind("at"))
-    attack: AttackConfig = field(default_factory=lambda: AttackConfig(delta=0.02, steps=1))
-    trh: TrHConfig = field(default_factory=TrHConfig)
-    full_coeff: float = 0.0
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(
-        epochs=100, base_lr=0.1, lr_decay="constant"))
-    pacbayes: PacBayesConfig | None = None
-    out_dir: str | None = None
+    dataset_kind: str
+    dataset_n: int
+    dataset_noise_std: float
+    dataset_seed: int
+    dataset_path: str | None
+    dataset_normalize: bool
+    hidden: list
+    hidden_bias: bool
+    loss: RobustLossKind
+    attack: AttackConfig
+    trh: TrHConfig
+    full_coeff: float
+    train: TrainConfig
+    pacbayes: PacBayesConfig | None
+    out_dir: str | None
 
     @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
-        r = _Reader(parse_kv(text))
-        cfg = cls()
-        cfg.dataset_kind = r.get("dataset.kind", str, cfg.dataset_kind)
-        if cfg.dataset_kind not in ("two_moons", "csv"):
-            r.err("dataset.kind", f"unknown dataset kind {cfg.dataset_kind!r}")
-        cfg.dataset_n = r.get("dataset.n", int, cfg.dataset_n)
-        cfg.dataset_noise_std = r.get("dataset.noise_std", float, cfg.dataset_noise_std)
-        cfg.dataset_seed = r.get("dataset.seed", int, cfg.dataset_seed)
-        cfg.dataset_path = r.get("dataset.path", str, cfg.dataset_path)
-        cfg.dataset_normalize = r.get("dataset.normalize", bool, cfg.dataset_normalize)
-        if cfg.dataset_kind == "csv" and not cfg.dataset_path:
-            raise ConfigError("dataset.path required for csv datasets",
-                              key="dataset.path")
-        cfg.hidden = r.get("net.hidden", _int_list, cfg.hidden)
-        cfg.hidden_bias = r.get("net.hidden_bias", bool, cfg.hidden_bias)
+    def from_text(cls, text: str, overrides: dict | None = None) -> "ExperimentConfig":
+        """The config of `text`, with ``overrides = {key: value}`` applied as
+        key lines that replace the file's."""
+        kv = parse_kv(text)
+        kv.update({key: (str(value), None) for key, value in (overrides or {}).items()})
+        r = _Reader(kv)
+        kind = r.get("dataset.kind")
+        if kind not in ("two_moons", "csv"):
+            r.err("dataset.kind", f"unknown dataset kind {kind!r}")
+        if kind == "csv" and not r.get("dataset.path"):
+            r.err("dataset.path", "dataset.path required for csv datasets")
 
-        try:
-            cfg.loss = RobustLossKind(r.get("loss.kind", str, "at"),
-                                      r.get("loss.penalty", float, 0.0))
-        except ValueError as exc:
-            r.err("loss.kind", str(exc))
-
-        clamp_min = r.get("attack.clamp_min", float)
-        clamp_max = r.get("attack.clamp_max", float)
-        clamp = None
+        loss = r.build(RobustLossKind, "loss")
+        clamp_min, clamp_max = r.get("attack.clamp_min"), r.get("attack.clamp_max")
         if (clamp_min is None) != (clamp_max is None):
             r.err("attack.clamp_min", "clamp_min and clamp_max must be given together")
-        if clamp_min is not None:
-            clamp = (clamp_min, clamp_max)
-        try:
-            cfg.attack = AttackConfig(
-                delta=r.get("attack.delta", float, 0.02),
-                steps=r.get("attack.steps", int, 1),
-                norm=r.get("attack.norm", str, "linf"),
-                step_size=r.get("attack.step_size", float),
-                restarts=r.get("attack.restarts", int, 1),
-                inner_loss="kl" if cfg.loss.variant == "trades" else "ce",
-                clamp=clamp,
-                random_start=r.get("attack.random_start", bool, True))
-        except ValueError as exc:
-            r.err("attack.delta", str(exc))
+        attack = r.build(AttackConfig, "attack",
+                         inner_loss="kl" if loss.variant == "trades" else "ce",
+                         clamp=None if clamp_min is None else (clamp_min, clamp_max))
+        trh = r.build(TrHConfig, "trh")
+        full_coeff = r.get("trh.full_coeff")
+        if full_coeff < 0:
+            r.err("trh.full_coeff", "full_coeff must be >= 0")
+        train = r.build(TrainConfig, "train")
 
-        try:
-            cfg.trh = TrHConfig(
-                lam=r.get("trh.lambda", float, 0.0),
-                schedule=r.get("trh.schedule", str, "constant"),
-                stop_grad_clean=r.get("trh.stop_grad_clean", bool, True))
-        except ValueError as exc:
-            r.err("trh.lambda", str(exc))
-        cfg.full_coeff = r.get("trh.full_coeff", float, 0.0)
-
-        try:
-            cfg.train = TrainConfig(
-                epochs=r.get("train.epochs", int, 100),
-                base_lr=r.get("train.base_lr", float, 0.1),
-                batch_size=r.get("train.batch_size", int, 0),
-                momentum=r.get("train.momentum", float, 0.9),
-                warmup_iters=r.get("train.warmup_iters", int, 0),
-                lr_decay=r.get("train.lr_decay", str, "constant"),
-                lr_milestones=tuple(r.get("train.lr_milestones", _float_list,
-                                          [0.5, 0.75])),
-                lr_drop=r.get("train.lr_drop", float, 0.1),
-                gamma=r.get("train.gamma", float, 0.0),
-                seed=r.get("train.seed", int, 0),
-                baseline=r.get("train.baseline", str, "none"),
-                swa_alpha=r.get("train.swa_alpha", float, 0.995),
-                awp_delta=r.get("train.awp_delta", float, 0.005),
-                eval_restarts=r.get("train.eval_restarts", int, 1))
-        except ValueError as exc:
-            r.err("train.epochs", str(exc))
-
+        pacbayes = None
         if r.has("pacbayes.sigma0_sq") or r.has("pacbayes.beta"):
-            if not (r.has("pacbayes.sigma0_sq") and r.has("pacbayes.beta")):
-                r.err("pacbayes.beta", "sigma0_sq and beta must be given together")
-            try:
-                cfg.pacbayes = PacBayesConfig(
-                    sigma0_sq=r.get("pacbayes.sigma0_sq", float),
-                    beta=r.get("pacbayes.beta", float),
-                    tau=r.get("pacbayes.tau", float, 0.05),
-                    m=r.get("pacbayes.m", int, max(1, cfg.dataset_n)),
-                    c_const=r.get("pacbayes.c_const", float, 0.0))
-            except ValueError as exc:
-                r.err("pacbayes.sigma0_sq", str(exc))
-            explicit_gamma = r.has("train.gamma")
-            explicit_lam = r.has("trh.lambda")
-            if explicit_gamma and not cfg.pacbayes.consistent_with(
-                    cfg.train.gamma, cfg.pacbayes.lam):
+            n = r.get("dataset.n")
+            pacbayes = r.build(lambda m, **kw: PacBayesConfig(
+                m=max(1, n) if m is None else m, **kw), "pacbayes")
+            if r.has("train.gamma") and not pacbayes.consistent_with(
+                    train.gamma, pacbayes.lam):
                 r.err("train.gamma",
-                      f"gamma={cfg.train.gamma} inconsistent with "
-                      f"1/(2 beta sigma0_sq)={cfg.pacbayes.gamma}")
-            if explicit_lam and abs(cfg.trh.lam - cfg.pacbayes.lam) > 1e-12 * max(
-                    1.0, cfg.pacbayes.lam):
+                      f"gamma={train.gamma} inconsistent with "
+                      f"1/(2 beta sigma0_sq)={pacbayes.gamma}")
+            if r.has("trh.lambda") and abs(trh.lam - pacbayes.lam) > 1e-12 * max(
+                    1.0, pacbayes.lam):
                 r.err("trh.lambda",
-                      f"lambda={cfg.trh.lam} inconsistent with "
-                      f"sigma0_sq/2={cfg.pacbayes.lam}")
+                      f"lambda={trh.lam} inconsistent with "
+                      f"sigma0_sq/2={pacbayes.lam}")
 
-        cfg.out_dir = r.get("out.dir", str, cfg.out_dir)
-        return cfg
+        return cls(dataset_kind=kind, dataset_n=r.get("dataset.n"),
+                   dataset_noise_std=r.get("dataset.noise_std"),
+                   dataset_seed=r.get("dataset.seed"),
+                   dataset_path=r.get("dataset.path"),
+                   dataset_normalize=r.get("dataset.normalize"),
+                   hidden=r.get("net.hidden"), hidden_bias=r.get("net.hidden_bias"),
+                   loss=loss, attack=attack, trh=trh,
+                   full_coeff=full_coeff, train=train,
+                   pacbayes=pacbayes, out_dir=r.get("out.dir"))
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
+    def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+            return cls.from_text(fh.read(), overrides)
 
     # -- experiment assembly -------------------------------------------
 
@@ -268,12 +285,3 @@ class ExperimentConfig:
         dims = [ds.inputs.shape[1]] + list(self.hidden) + [ds.num_classes]
         return init_mlp(dims, Rng(seed).child("init"),
                         hidden_bias=self.hidden_bias)
-
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        import copy
-        out = copy.deepcopy(self)
-        for k, v in kwargs.items():
-            if not hasattr(out, k):
-                raise ConfigError(f"unknown override {k!r}")
-            setattr(out, k, v)
-        return out

@@ -60,7 +60,8 @@ import numpy as np
 
 from . import tape
 from .losses import softmax
-from .network import MlpNetwork, forward, forward_nodes, lift
+from .network import (MlpNetwork, forward, forward_nodes, lift,
+                      min_preact_magnitude)
 from .numerics import SMOOTH_TOL
 
 
@@ -76,11 +77,9 @@ class LayerHTensor:
 
 
 def _check_smooth(net: MlpNetwork, x: np.ndarray, tol: float) -> None:
-    tr = forward(net, x)
-    for pre in tr.preacts[:-1]:
-        if np.min(np.abs(pre)) < tol:
-            raise NonSmoothInput(
-                f"pre-activation within {tol} of a ReLU kink; resample the input")
+    if min_preact_magnitude(net, x) < tol:
+        raise NonSmoothInput(
+            f"pre-activation within {tol} of a ReLU kink; resample the input")
 
 
 def logits_jacobian(net: MlpNetwork, x: np.ndarray, level: int) -> np.ndarray:

@@ -293,15 +293,21 @@ def backprop(net: MlpNetwork, objective):
     return value, grads
 
 
-def gradient_vector(net: MlpNetwork, objective):
-    """Like :func:`backprop` but with the gradient flattened."""
-    value, grads = backprop(net, objective)
+def flat_gradient(grads) -> np.ndarray:
+    """:func:`backprop`'s per-layer gradients as one vector, in the order of
+    :func:`flatten_weights`."""
     parts = []
     for gw, gb in grads:
         parts.append(np.asarray(gw).ravel())
         if gb is not None:
             parts.append(np.asarray(gb))
-    return value, np.concatenate(parts)
+    return np.concatenate(parts)
+
+
+def gradient_vector(net: MlpNetwork, objective):
+    """Like :func:`backprop` but with the gradient flattened."""
+    value, grads = backprop(net, objective)
+    return value, flat_gradient(grads)
 
 
 def input_gradient(net: MlpNetwork, X: np.ndarray, dlogits: np.ndarray,

@@ -34,7 +34,8 @@ from .hessian_oracle import (LayerHessianReport, frozen_hvp,
                              hutchinson_trace_sq, weight_indices)
 from .losses import RobustLossKind
 from .network import (MlpNetwork, TrainingDivergence, backprop,
-                      flatten_weights, param_count, unflatten_weights)
+                      flat_gradient, flatten_weights, param_count,
+                      unflatten_weights)
 from .numerics import Rng
 from .layer_traces import full_ce_trace_rows_nodes, layer_trace_rows
 from .trh import TrHConfig, analytic_trh_rows, objective_nodes
@@ -238,6 +239,8 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
     penalty (used by the toy-problem "Full" arm) on top of whatever
     ``trh_cfg.lam`` specifies; the two regularizers are independent.
     """
+    if full_reg_coeff < 0:
+        raise ValueError("full_reg_coeff must be >= 0")
     rng = Rng(cfg.seed)
     net = net.copy()
     m = len(dataset)
@@ -289,9 +292,7 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
             except TrainingDivergence:
                 diverged, diverged_epoch = True, epoch
                 break
-            flat_grad = np.concatenate(
-                [np.concatenate([gw.ravel()] + ([gb] if gb is not None else []))
-                 for gw, gb in grads])
+            flat_grad = flat_gradient(grads)
             # stop before a non-finite gradient turns the weights into nan
             if value > cfg.divergence_threshold or not np.all(np.isfinite(flat_grad)):
                 diverged, diverged_epoch = True, epoch

@@ -80,17 +80,13 @@ class TradesFullTerms:
     """Ingredients of the unfrozen TRADES trace, exposed for inspection.
 
     ``psi[k]`` / ``psi_prime[k]`` are the k-th row of the clean log-softmax
-    Jacobian dotted with log s / log s'; ``omega[k]`` / ``omega_prime[k]``
-    are column dot products of the softmax Jacobians, which equal h
-    identically and are reported as h; ``g_term`` is the extra trace
+    Jacobian dotted with log s / log s'; ``g_term`` is the extra trace
     contribution from differentiating through the clean logits.  Batched
     traces give every field a leading batch axis.
     """
 
     psi: np.ndarray
     psi_prime: np.ndarray
-    omega: np.ndarray
-    omega_prime: np.ndarray
     g_term: float | np.ndarray
 
 
@@ -244,11 +240,9 @@ def trh_trades_full(trace_clean: ForwardTrace, trace_adv: ForwardTrace,
     s, logs, logs_adv = clean.s.value, clean.logs.value, adv.logs.value
     psi = logs - np.sum(s * logs, axis=1, keepdims=True)
     psi_prime = logs_adv - np.sum(s * logs_adv, axis=1, keepdims=True)
-    h = s - s ** 2
     if np.ndim(trace_adv.logits) == 1:
-        psi, psi_prime, h, g_term = psi[0], psi_prime[0], h[0], float(g_term[0])
-    return value, TradesFullTerms(psi=psi, psi_prime=psi_prime, omega=h,
-                                  omega_prime=h.copy(), g_term=g_term)
+        psi, psi_prime, g_term = psi[0], psi_prime[0], float(g_term[0])
+    return value, TradesFullTerms(psi=psi, psi_prime=psi_prime, g_term=g_term)
 
 
 def trh_alp(trace_clean: ForwardTrace, trace_adv: ForwardTrace,
@@ -401,38 +395,6 @@ def _objective_tail(params, clean: _Side | None, adv: _Side, y: np.ndarray,
                                 tape.nsum(w * w) + tape.nsum(b * b)
                                 for w, b in params)
     return out
-
-
-@dataclass
-class TrainingStepResult:
-    value: float
-    grads: list          # per-layer (dW, db|None)
-    x_adv: np.ndarray    # the adversarial batch used
-
-
-def training_objective(net: MlpNetwork, batch, kind: RobustLossKind,
-                         trh_cfg: TrHConfig, gamma: float, attack_cfg,
-                         rng) -> TrainingStepResult:
-    """One evaluation of the regularized training objective with gradients.
-
-    Runs the inner maximizer, then differentiates
-    ``mean(robust loss + lam * top-layer trace) + gamma ||theta||^2``
-    with gradients flowing through features and softmax terms into every
-    layer.  The adversarial batch is treated as constant.
-    """
-    from .attacks import pgd  # local import: attacks depends on network only
-    from .network import backprop
-
-    X, y = batch
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.int64)
-    if X.shape[0] == 0:
-        raise ValueError("batch must be nonempty")
-    x_adv = pgd(net, X, y, attack_cfg, rng)
-    value, grads = backprop(net, lambda lifted: objective_nodes(
-        lifted, X, x_adv, y, kind, trh_cfg.lam, gamma,
-        stop_grad_clean=trh_cfg.stop_grad_clean))
-    return TrainingStepResult(value=value, grads=grads, x_adv=x_adv)
 
 
 def robust_loss_rows(net: MlpNetwork, X, X_adv, y,

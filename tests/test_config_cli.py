@@ -285,3 +285,112 @@ class TestCliTraceModes:
             vals = dict(zip(cols, row.split(",")))
             assert vals["trh_full_estimate"] == "nan"
             assert vals["trh_full_stderr"] == "nan"
+
+
+BOUND_CONFIG = BASE_CONFIG + ("pacbayes.sigma0_sq = 0.2\npacbayes.beta = 10\n"
+                              "train.gamma = 0.25\n")
+
+# one rejected value per section (and the regularizer coefficient)
+BAD_VALUES = [
+    ("train.momentum = 1.5", "train.momentum"),
+    ("attack.steps = 0", "attack.steps"),
+    ("trh.schedule = bogus", "trh.schedule"),
+    ("loss.penalty = -1", "loss.penalty"),
+    ("pacbayes.sigma0_sq = 0.2\npacbayes.beta = 10\npacbayes.tau = 2",
+     "pacbayes.tau"),
+    ("trh.full_coeff = -5", "trh.full_coeff"),
+]
+_KEY_IDS = [key for _, key in BAD_VALUES]
+
+
+def _with(line):
+    """BASE_CONFIG with `line`'s keys set by `line`, appended last."""
+    keys = {ln.partition("=")[0].strip() for ln in line.splitlines()}
+    base = [ln for ln in BASE_CONFIG.splitlines()
+            if ln.partition("=")[0].strip() not in keys]
+    return "\n".join(base + [line]) + "\n"
+
+
+def _lines(path):
+    return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+
+class TestKeyNaming:
+    @pytest.mark.parametrize("line,key", BAD_VALUES, ids=_KEY_IDS)
+    def test_rejected_value_names_its_key_and_line(self, line, key):
+        text = _with(line)
+        lineno = 1 + [ln.partition("=")[0].strip()
+                      for ln in text.splitlines()].index(key)
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_text(text)
+        assert (info.value.key, info.value.line) == (key, lineno)
+
+    @pytest.mark.parametrize("line,key", BAD_VALUES, ids=_KEY_IDS)
+    def test_cli_exits_one_naming_the_key(self, tmp_path, capsys, line, key):
+        cfg = write_config(tmp_path, _with(line))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "duplicate" not in err
+        assert f"(key {key!r}, line " in err
+
+    def test_required_bound_key_named(self):
+        with pytest.raises(ConfigError, match=r"pacbayes\.sigma0_sq"):
+            ExperimentConfig.from_text("pacbayes.beta = 10\n")
+
+
+class TestSingleRoute:
+    def test_seed_flag_writes_the_bytes_of_a_seed_line(self, tmp_path):
+        flag = write_config(tmp_path, BASE_CONFIG, "flag.txt")
+        line = write_config(tmp_path, BASE_CONFIG.replace(
+            "train.seed = 0", "train.seed = 3"), "line.txt")
+        assert main(["train", "--config", flag, "--seed", "3",
+                     "--out", str(tmp_path / "flag")]) == 0
+        assert main(["train", "--config", line, "--out", str(tmp_path / "line")]) == 0
+        for name in ("metrics.csv", "checkpoint.txt"):
+            assert ((tmp_path / "flag" / name).read_bytes()
+                    == (tmp_path / "line" / name).read_bytes())
+
+    def test_overrides_are_checked_like_file_lines(self, tmp_path):
+        path = write_config(tmp_path, BOUND_CONFIG)
+        assert ExperimentConfig.from_file(path).trh.lam == 0.1
+        with pytest.raises(ConfigError, match=r"\(key 'trh\.lambda'\)"):
+            ExperimentConfig.from_file(path, {"trh.lambda": 0.3})
+        with pytest.raises(ConfigError, match="unknown key"):
+            ExperimentConfig.from_file(path, {"trh.lam": 0.1})
+
+    def test_bound_consistent_sweep_rejects_inconsistent_trial(self, tmp_path,
+                                                               capsys):
+        cfg = write_config(tmp_path, BOUND_CONFIG)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "t")]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"),
+                     "--param", "lambda", "--values", "0.1,0.3"]) == 0
+        captured = capsys.readouterr()
+        assert "lambda=0.3: FAILED" in captured.err
+        assert "(key 'trh.lambda')" in captured.err
+        assert "(2 trials, 1 failed)" in captured.out
+        metrics = _lines(tmp_path / "t" / "metrics.csv")
+        last = dict(zip(metrics[0].split(","), metrics[-1].split(",")))
+        rows = _lines(tmp_path / "sw" / "sweep.csv")
+        assert rows[1] == f"0.1,{last['clean_acc']},{last['pgd_acc']}"
+        assert rows[2] == "0.3,nan,nan"
+
+    def test_diverging_trial_writes_nan_row(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG.replace(
+            "train.base_lr = 0.1", "train.base_lr = 1e9"))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"),
+                     "--param", "lambda", "--values", "0.0,0.1"]) == 0
+        assert "diverged at epoch" in capsys.readouterr().err
+        assert _lines(tmp_path / "sw" / "sweep.csv")[1:] == ["0.0,nan,nan",
+                                                             "0.1,nan,nan"]
+
+    def test_sweep_lets_programming_errors_escape(self, tmp_path, monkeypatch):
+        import trhreg.cli as cli
+
+        def broken(*args, **kwargs):
+            raise TypeError("a fault, not a bad value")
+
+        monkeypatch.setattr(cli, "_run_training", broken)
+        cfg = write_config(tmp_path)
+        with pytest.raises(TypeError):
+            main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"),
+                  "--param", "lambda", "--values", "0.0,0.1"])

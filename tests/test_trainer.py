@@ -170,6 +170,15 @@ class TestTrainLoop:
         assert len(res.metrics.rows) == 3
         assert not res.diverged
 
+    def test_negative_full_reg_coeff_rejected(self):
+        # a negative coefficient would reward curvature
+        ds = two_moons(20, noise_std=0.1, seed=1)
+        net = init_mlp([2, 4, 2], Rng(0).child("init"))
+        with pytest.raises(ValueError, match="full_reg_coeff"):
+            train(net, ds, RobustLossKind("at"), TrHConfig(),
+                  AttackConfig(delta=0.02, steps=1),
+                  TrainConfig(epochs=1, base_lr=0.1), full_reg_coeff=-5.0)
+
     def test_divergence_aborts_with_flag(self):
         res, _ = toy_run(epochs=5, base_lr=1e9)
         assert res.diverged

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from trhreg import tape
-from trhreg.attacks import AttackConfig
+from trhreg.attacks import AttackConfig, pgd
 from trhreg.hessian_oracle import (exact_trace, frozen_objective_fns,
                                    top_layer_indices)
-from trhreg.losses import RobustLossKind, softmax
+from trhreg.losses import RobustLossKind, softmax, softmax_derivs
 from trhreg.network import (DenseLayer, MlpNetwork, flatten_weights, forward,
-                            init_mlp, lift)
+                            gradient_vector, init_mlp, lift)
 from trhreg.numerics import Rng
-from trhreg.trh import (TradesFullTerms, TrHConfig, training_objective,
-                        analytic_trh_rows, objective_nodes, robust_loss_rows,
-                        trh_alp, trh_at, trh_mart, trh_trades,
-                        trh_trades_full)
+from trhreg.trh import (TradesFullTerms, analytic_trh_rows, objective_nodes,
+                        robust_loss_rows, trh_alp, trh_at, trh_mart,
+                        trh_trades, trh_trades_full)
 from trhreg.verify import sample_smooth_instance
 
 
@@ -110,16 +109,17 @@ class TestTrhTradesFull:
             assert value == pytest.approx(oracle, rel=1e-5)
 
     def test_column_products_collapse_to_h(self):
-        # omega_k = Phi_col_k . Psi_col_k and its primed variant both equal
-        # h_k identically; the reduced expressions in the tape objective
-        # rely on this collapse
+        # Phi[:, k] . Psi[:, k] = h_k identically, for clean and adversarial
+        # logits; the reduced expressions in the tape objective rely on
+        # this collapse
         net, x, x_adv, _ = sample_smooth_instance(109)
         tr, tr_adv = forward(net, x[0]), forward(net, x_adv[0])
+        for logits in (tr.logits, tr_adv.logits):
+            d = softmax_derivs(logits)
+            assert np.allclose(np.sum(d.phi * d.psi, axis=0), d.h, atol=1e-12)
+            assert np.allclose(d.h, softmax(logits) * (1 - softmax(logits)),
+                               atol=1e-12)
         _, terms = trh_trades_full(tr, tr_adv, 2.0)
-        d = softmax(tr.logits)
-        h = d * (1 - d)
-        assert np.allclose(terms.omega, h, atol=1e-12)
-        assert np.allclose(terms.omega_prime, h, atol=1e-12)
         assert isinstance(terms, TradesFullTerms)
         assert terms.psi.shape == terms.psi_prime.shape
 
@@ -227,11 +227,13 @@ class TestTrainingObjective:
             layer.weights[:] = 0.0
         ds_x = Rng(0).child("x").normal(size=(6, 3))
         y = Rng(0).child("y").integers(0, 4, size=6)
-        res = training_objective(
-            net, (ds_x, y), RobustLossKind("at"), TrHConfig(lam=0.0),
-            gamma=0.5, attack_cfg=AttackConfig(delta=0.0, steps=1),
-            rng=Rng(1).child("a"))
-        assert res.value == pytest.approx(np.log(4), rel=1e-12)
+        # the trainer's step: a zero-radius attack, then the objective's
+        # flat gradient
+        x_adv = pgd(net, ds_x, y, AttackConfig(delta=0.0, steps=1),
+                    Rng(1).child("a"))
+        value, _ = gradient_vector(net, lambda lifted: objective_nodes(
+            lifted, ds_x, x_adv, y, RobustLossKind("at"), 0.0, 0.5))
+        assert value == pytest.approx(np.log(4), rel=1e-12)
 
     def test_gradients_match_finite_differences(self):
         from trhreg.numerics import finite_diff_gradient
@@ -243,14 +245,6 @@ class TestTrainingObjective:
         fd = finite_diff_gradient(value_fn, w0)
         an = grad_fn(w0)
         assert np.linalg.norm(an - fd) / np.linalg.norm(fd) <= 1e-6
-
-    def test_nonempty_batch_required(self):
-        net = init_mlp([2, 3, 2], Rng(0).child("i"))
-        with pytest.raises(ValueError):
-            training_objective(net, (np.zeros((0, 2)), np.zeros(0, dtype=int)),
-                                 RobustLossKind("at"), TrHConfig(),
-                                 0.0, AttackConfig(delta=0.1, steps=1),
-                                 Rng(0).child("a"))
 
 
 def _batch(k, m=7, seed=300):
