@@ -54,6 +54,9 @@ class AttackConfig:
             raise ValueError("need delta >= 0, steps >= 1, restarts >= 1")
         if self.step_size is not None and self.step_size <= 0:
             raise ValueError("step_size must be positive")
+        if self.clamp is not None and not self.clamp[0] <= self.clamp[1]:
+            raise ValueError(f"clamp box {self.clamp} has its lower bound above "
+                             "its upper bound")
 
     @property
     def effective_step(self) -> float:

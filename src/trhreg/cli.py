@@ -19,7 +19,7 @@ from dataclasses import replace
 from .attacks import clean_accuracy, eval_robust_accuracy
 from .config import ConfigError, ExperimentConfig
 from .network import load_checkpoint, save_checkpoint
-from .numerics import Rng
+from .numerics import Rng, pin_allocator
 from .trainer import MeasureConfig, MetricsLog, train
 from .verify import format_report, run_verification
 
@@ -255,6 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    pin_allocator()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -9,10 +9,12 @@ they are cast and checked exactly like the file.  Parse errors, rejected
 values and cross-field inconsistencies raise :class:`ConfigError` with the
 offending key and line.
 
-Cross-field rule: when the bound parameters (pacbayes.sigma0_sq,
-pacbayes.beta) are given alongside explicit train.gamma / trh.lambda, they
-must satisfy gamma = 1/(2 beta sigma0_sq) and lambda = sigma0_sq/2 within
-1e-12.  Attack radii are stated in raw input units; with
+Cross-field rules: any `pacbayes.*` key gives the bound section, which then
+needs pacbayes.sigma0_sq and pacbayes.beta; when those are given alongside
+explicit train.gamma / trh.lambda, they must satisfy gamma = 1/(2 beta
+sigma0_sq) and lambda = sigma0_sq/2 within 1e-12.  attack.clamp_min and
+attack.clamp_max come together, the lower not above the upper.  Attack
+radii are stated in raw input units; with
 dataset.normalize = true the radius is rescaled by 1/std before attacking.
 """
 
@@ -79,18 +81,35 @@ def _floats(text: str) -> tuple:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
+def _at_least(cast, low):
+    """`cast`, then reject a value below `low`."""
+    def checked(text: str):
+        value = cast(text)
+        if not value >= low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
+    return checked
+
+
+def _widths(text: str) -> list:
+    widths = _ints(text)
+    if any(w < 1 for w in widths):
+        raise ValueError(f"hidden widths must be >= 1, got {text!r}")
+    return widths
+
+
 _REQUIRED = object()  # no default: must be given once its section is
 
 # Every key once: its cast and its file default, written as a file line
 # would be (None: unset).
 _KEYS = {
     "dataset.kind": (str, "two_moons"),
-    "dataset.n": (int, "500"),
-    "dataset.noise_std": (float, "0.1"),
+    "dataset.n": (_at_least(int, 2), "500"),
+    "dataset.noise_std": (_at_least(float, 0.0), "0.1"),
     "dataset.seed": (int, "1"),
     "dataset.path": (str, None),
     "dataset.normalize": (_bool, "false"),
-    "net.hidden": (_ints, "100,100"),
+    "net.hidden": (_widths, "100,100"),
     "net.hidden_bias": (_bool, "true"),
     "loss.kind": (str, "at"),
     "loss.penalty": (float, "0.0"),
@@ -171,7 +190,9 @@ class _Reader:
             arg = _ARG.get(key, key.partition(".")[2])
             if key.startswith(section + ".") and arg is not None:
                 keys[arg] = key
-        args = {arg: self.get(key) for arg, key in keys.items()}
+        # given keys first: a bad value is named before a missing one
+        args = {arg: self.get(key) for arg, key in
+                sorted(keys.items(), key=lambda item: item[1] not in self.kv)}
         try:
             return ctor(**fixed, **args)
         except ValueError as exc:
@@ -222,6 +243,9 @@ class ExperimentConfig:
         clamp_min, clamp_max = r.get("attack.clamp_min"), r.get("attack.clamp_max")
         if (clamp_min is None) != (clamp_max is None):
             r.err("attack.clamp_min", "clamp_min and clamp_max must be given together")
+        if clamp_min is not None and not clamp_min <= clamp_max:
+            r.err("attack.clamp_min",
+                  f"clamp_min={clamp_min} must be <= clamp_max={clamp_max}")
         attack = r.build(AttackConfig, "attack",
                          inner_loss="kl" if loss.variant == "trades" else "ce",
                          clamp=None if clamp_min is None else (clamp_min, clamp_max))
@@ -232,7 +256,7 @@ class ExperimentConfig:
         train = r.build(TrainConfig, "train")
 
         pacbayes = None
-        if r.has("pacbayes.sigma0_sq") or r.has("pacbayes.beta"):
+        if any(key.startswith("pacbayes.") for key in kv):
             n = r.get("dataset.n")
             pacbayes = r.build(lambda m, **kw: PacBayesConfig(
                 m=max(1, n) if m is None else m, **kw), "pacbayes")

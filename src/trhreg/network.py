@@ -111,6 +111,8 @@ def init_mlp(dims, rng: Rng, hidden_bias: bool = True) -> MlpNetwork:
     dims = list(dims)
     if len(dims) < 2:
         raise ValueError("need at least input and output dims")
+    if any(d < 1 for d in dims):
+        raise ValueError(f"every layer width must be >= 1, got {dims}")
     layers = []
     for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
         w = rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_out))

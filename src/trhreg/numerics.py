@@ -15,10 +15,17 @@ estimators) is built on the two ingredients in this module:
 
 Monte-Carlo and probe estimates report :func:`mean_se`.
 
+:func:`pin_allocator` fixes glibc's malloc thresholds, so that the cost of
+the many short-lived arrays a run allocates does not depend on which large
+block happened to be freed first.
+
 All arrays are float64 throughout the package.
 """
 
 from __future__ import annotations
+
+import ctypes
+import platform
 
 import numpy as np
 
@@ -31,6 +38,37 @@ HESS_STEP = 1e-4
 # meaningless (the kink sits inside the stencil); oracle callers reject or
 # resample such points.
 SMOOTH_TOL = 1e-3
+
+
+# glibc mallopt parameters (malloc.h) and the values pin_allocator sets.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024
+_TRIM_THRESHOLD_BYTES = 64 * 1024 * 1024
+
+
+def pin_allocator() -> bool:
+    """Fix glibc's mmap threshold (32 MiB) and trim threshold (64 MiB).
+
+    glibc starts both low and raises them only after a large mmapped block
+    is freed.  Until then every array above 128 KiB (a batch of hidden
+    activations, a gradient) is mmapped and unmapped afresh, and each use
+    page-faults its memory in again; so a run's speed would depend on
+    whether some earlier large block happened to raise the thresholds.
+    Fixed thresholds keep such arrays on the heap and its freed top in
+    place.  Returns True once both are set; off glibc it does nothing and
+    returns False.  Calling it again is harmless.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES) == 1)
 
 
 class OracleError(RuntimeError):

@@ -12,6 +12,11 @@ Broadcasting between operands follows numpy; adjoints are summed back over
 broadcast axes.  There is no graph reuse across calls: build, evaluate,
 backward, discard.
 
+:func:`backward` accumulates lazily: a node's first gradient contribution
+is stored as it is, later ones are added into a new array.  Row-wise
+:func:`log_softmax` is one node with a hand-written VJP, not a chain of
+small ops.
+
 Only nodes that depend on a :func:`leaf` are *live*.  An operation records
 edges to its live operands alone, so a result computed purely from
 constants holds no graph: evaluating an expression on constants costs its
@@ -22,16 +27,20 @@ from __future__ import annotations
 
 import numpy as np
 
+_FLOAT64 = np.dtype(np.float64)  # an identity test is cheaper than dtype ==
+
 
 class Node:
     __slots__ = ("value", "grad", "_edges", "live")
 
     def __init__(self, value, edges=()):
-        self.value = np.asarray(value, dtype=np.float64)
+        if type(value) is not np.ndarray or value.dtype is not _FLOAT64:
+            value = np.asarray(value, dtype=np.float64)
+        self.value = value
         self.grad = None
         for parent, _ in edges:
             if not parent.live:  # drop edges into constants
-                edges = tuple(e for e in edges if e[0].live)
+                edges = tuple([e for e in edges if e[0].live])
                 break
         self._edges = edges  # tuple of (live parent Node, vjp callable)
         self.live = bool(edges)
@@ -105,6 +114,8 @@ def constant(value) -> Node:
 def _unbroadcast(grad, shape):
     """Sum grad back down to `shape` after numpy broadcasting."""
     g = np.asarray(grad)
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for ax, n in enumerate(shape):
@@ -128,11 +139,16 @@ def log(a: Node) -> Node:
 
 
 def nsum(a: Node, axis=None, keepdims=False) -> Node:
+    """Sum over one axis (an int) or over all of them (None)."""
+    kept = None  # the summed shape with the axis kept, for broadcasting g
+    if axis is not None:
+        kept = list(a.shape)
+        kept[axis] = 1
+
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, a.shape).copy()
-        g2 = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(g2, a.shape).copy()
+        out = np.empty(a.shape)
+        out[...] = g if kept is None else g.reshape(kept)
+        return out
     return Node(a.value.sum(axis=axis, keepdims=keepdims), ((a, vjp),))
 
 
@@ -151,36 +167,50 @@ def row_sum(a: Node, keepdims=False) -> Node:
 
 
 def log_softmax(logits: Node) -> Node:
-    """Row-wise log-softmax, stable via a constant max shift."""
-    shift = logits.value.max(axis=1, keepdims=True)  # constant wrt graph
-    centered = logits - constant(shift)
-    lse = log(row_sum(exp(centered), keepdims=True))
-    return centered - lse
+    """Row-wise log-softmax, stable via a constant max shift.
+
+    One node for ``centered - log(sum(exp(centered)))`` with ``centered =
+    logits - max``.  Its VJP, ``g + (-sum(g)) / total * e``, repeats the
+    float operations of that expression's op-by-op adjoint in the same
+    order, so values and gradients are those of the composite to the bit.
+    """
+    centered = logits.value - logits.value.max(axis=1, keepdims=True)
+    e = np.exp(centered)
+    total = e.sum(axis=1, keepdims=True)
+    return Node(centered - np.log(total),
+                ((logits, lambda g: g + (-g.sum(axis=1, keepdims=True)) / total * e),))
 
 
 def backward(out: Node) -> None:
-    """Accumulate gradients of a scalar node into every reachable node."""
+    """Gradients of a scalar node into every reachable node.
+
+    Nodes are processed in reverse post-order of one depth-first traversal.
+    The traversal marks every reachable node by setting its grad to a
+    marker of this call, so a second backward over shared leaves recomputes
+    rather than accumulates.  A node's first contribution replaces the
+    marker as it is and later ones are added as ``grad + c``, never in
+    place, because a VJP may return the very array it was handed
+    (``_unbroadcast``, ``reshape``) and one array may then be the grad of
+    several nodes.
+    """
     if out.value.ndim != 0:
         raise ValueError("backward expects a scalar node")
+    mark = object()  # reached by this call, no contribution yet
     order = []
-    seen = set()
     stack = [(out, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node._edges:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    for node in order:
-        node.grad = np.zeros(node.shape)
+        elif node.grad is not mark:
+            node.grad = mark
+            stack.append((node, True))
+            for parent, _ in node._edges:
+                if parent.grad is not mark:
+                    stack.append((parent, False))
     out.grad = np.ones(())
     for node in reversed(order):
         g = node.grad
         for parent, vjp in node._edges:
-            parent.grad = parent.grad + vjp(g)
+            c = vjp(g)
+            parent.grad = c if parent.grad is mark else parent.grad + c

@@ -294,3 +294,12 @@ class TestPgdBuffers:
             adv = reference_pgd(net, ds.inputs, ds.labels, cfg, rng.child(r))
             correct &= predictions(net, adv) == ds.labels
         assert eval_robust_accuracy(net, ds, cfg, rng) == float(np.mean(correct))
+
+
+class TestAttackConfigChecks:
+    def test_inverted_clamp_box_rejected(self):
+        with pytest.raises(ValueError, match="lower bound above"):
+            AttackConfig(delta=0.1, clamp=(1.0, -1.0))
+
+    def test_degenerate_clamp_box_accepted(self):
+        assert AttackConfig(delta=0.1, clamp=(0.0, 0.0)).clamp == (0.0, 0.0)

@@ -394,3 +394,51 @@ class TestSingleRoute:
         with pytest.raises(TypeError):
             main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"),
                   "--param", "lambda", "--values", "0.0,0.1"])
+
+
+# values that a later stage used to take or reject without naming the key
+UNCHECKED_VALUES = [
+    ("attack.clamp_min = 1\nattack.clamp_max = -1", "attack.clamp_min"),
+    ("pacbayes.tau = abc", "pacbayes.tau"),
+    ("pacbayes.m = zz\npacbayes.sigma0_sq = 0.2\npacbayes.beta = 10",
+     "pacbayes.m"),
+    ("dataset.n = 0", "dataset.n"),
+    ("dataset.noise_std = -1", "dataset.noise_std"),
+    ("net.hidden = 0", "net.hidden"),
+    ("net.hidden = 8,0", "net.hidden"),
+]
+_UNCHECKED_IDS = [line.partition("\n")[0] for line, _ in UNCHECKED_VALUES]
+
+
+class TestValueChecks:
+    @pytest.mark.parametrize("line,key", UNCHECKED_VALUES, ids=_UNCHECKED_IDS)
+    def test_rejected_value_names_its_key_and_line(self, line, key):
+        text = _with(line)
+        lineno = 1 + [ln.partition("=")[0].strip()
+                      for ln in text.splitlines()].index(key)
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_text(text)
+        assert (info.value.key, info.value.line) == (key, lineno)
+
+    @pytest.mark.parametrize("line,key", UNCHECKED_VALUES, ids=_UNCHECKED_IDS)
+    def test_cli_exits_one_naming_the_key(self, tmp_path, capsys, line, key):
+        cfg = write_config(tmp_path, _with(line))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"(key {key!r}, line " in err
+        assert not (tmp_path / "o" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("given,missing", [
+        ("pacbayes.tau = 0.1", "pacbayes.sigma0_sq"),
+        ("pacbayes.c_const = 1", "pacbayes.sigma0_sq"),
+        ("pacbayes.sigma0_sq = 0.2", "pacbayes.beta"),
+    ])
+    def test_any_bound_key_gives_the_section(self, given, missing):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_text(_with(given))
+        assert info.value.key == missing
+
+    def test_equal_clamp_bounds_and_no_bound_keys_still_load(self):
+        cfg = ExperimentConfig.from_text(
+            _with("attack.clamp_min = 0.5\nattack.clamp_max = 0.5"))
+        assert cfg.attack.clamp == (0.5, 0.5) and cfg.pacbayes is None

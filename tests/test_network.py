@@ -228,3 +228,10 @@ class TestCheckpoint:
         path.write_text("TRHNET v1 1\nlayer 0 2 2 0\n1.0 nan\n0.0 1.0\n")
         with pytest.raises(ValueError, match="non-finite"):
             load_checkpoint(path)
+
+
+class TestInitChecks:
+    @pytest.mark.parametrize("dims", [(2, 0, 2), (0, 3, 2), (2, 3, 0)])
+    def test_zero_width_layer_rejected(self, dims):
+        with pytest.raises(ValueError, match="width"):
+            init_mlp(dims, Rng(0))

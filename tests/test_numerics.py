@@ -1,9 +1,13 @@
+import platform
+
 import numpy as np
 import pytest
 
+from trhreg import cli, numerics
 from trhreg.losses import softmax
 from trhreg.numerics import (OracleError, Rng, finite_diff_gradient,
-                             finite_diff_hessian_diag, rademacher_vector)
+                             finite_diff_hessian_diag, pin_allocator,
+                             rademacher_vector)
 
 
 class TestFiniteDiffGradient:
@@ -121,3 +125,21 @@ class TestRademacher:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             rademacher_vector(0, Rng(0))
+
+
+class TestPinAllocator:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+    def test_sets_thresholds_on_glibc_and_is_idempotent(self):
+        assert pin_allocator() is True
+        assert pin_allocator() is True
+
+    def test_does_nothing_off_glibc(self, monkeypatch):
+        monkeypatch.setattr(numerics.platform, "libc_ver", lambda: ("", ""))
+        assert pin_allocator() is False
+
+    def test_cli_pins_before_parsing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "pin_allocator", lambda: calls.append(1))
+        with pytest.raises(SystemExit):
+            cli.main(["--no-such-flag"])
+        assert calls == [1]

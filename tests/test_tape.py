@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from trhreg import tape
+from trhreg.layer_traces import full_ce_trace_rows_nodes
+from trhreg.losses import RobustLossKind
+from trhreg.network import backprop, init_mlp
 from trhreg.numerics import Rng, finite_diff_gradient
+from trhreg.trh import objective_nodes
 
 
 def gradcheck(build, x0, rtol=1e-7):
@@ -131,3 +135,143 @@ class TestConstantPropagation:
         x0 = R.child("r").normal(size=(2, 6))
         w = tape.constant(R.child("rw").normal(size=(3, 2, 2)))
         gradcheck(lambda n: tape.nsum(tape.reshape(n, (3, 2, 2)) * w), x0)
+
+
+# -- the lazy backward and the one-node log-softmax against what they replace
+
+
+def _zeros_backward(out):
+    """Reference backward: a zeros buffer per reachable node, then every
+    contribution added into it (the tape's former accumulation)."""
+    order = []
+    seen = set()
+    stack = [(out, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent, _ in node._edges:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    for node in order:
+        node.grad = np.zeros(node.shape)
+    out.grad = np.ones(())
+    for node in reversed(order):
+        g = node.grad
+        for parent, vjp in node._edges:
+            parent.grad = parent.grad + vjp(g)
+
+
+def _composite_log_softmax(logits):
+    """Reference log-softmax as a chain of elementary tape ops."""
+    shift = logits.value.max(axis=1, keepdims=True)
+    centered = logits - tape.constant(shift)
+    return centered - tape.log(tape.row_sum(tape.exp(centered), keepdims=True))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _grads_both_ways(monkeypatch, net, objective):
+    """backprop's (value, grads) with the tape's backward and with the
+    zeros-based reference."""
+    lazy = backprop(net, objective)
+    with monkeypatch.context() as m:
+        m.setattr(tape, "backward", _zeros_backward)
+        ref = backprop(net, objective)
+    return lazy, ref
+
+
+def _assert_same_grads(lazy, ref):
+    assert lazy[0] == ref[0]
+    for (gw, gb), (rw, rb) in zip(lazy[1], ref[1]):
+        assert _same_bits(gw, rw)
+        assert (gb is None) == (rb is None)
+        if gb is not None:
+            assert _same_bits(gb, rb)
+
+
+class TestLazyBackwardMatchesZerosBackward:
+    @pytest.mark.parametrize("variant", ["at", "trades", "alp", "mart"])
+    def test_objective_nodes_bitwise(self, monkeypatch, variant):
+        rng = Rng(31).child(variant)
+        net = init_mlp([3, 7, 6, 4], rng.child("net"))
+        X = rng.child("x").normal(size=(9, 3))
+        X_adv = X + 0.1 * rng.child("dx").normal(size=X.shape)
+        y = rng.child("y").integers(0, 4, size=9)
+        kind = RobustLossKind(variant, 2.0)
+        lazy, ref = _grads_both_ways(monkeypatch, net, lambda lifted: objective_nodes(
+            lifted, X, X_adv, y, kind, lam=0.3, gamma=0.01, stop_grad_clean=False))
+        _assert_same_grads(lazy, ref)
+
+    def test_whole_network_trace_k10_bitwise(self, monkeypatch):
+        rng = Rng(32)
+        net = init_mlp([5, 8, 8, 10], rng.child("net"))
+        X = rng.child("x").normal(size=(12, 5))
+        lazy, ref = _grads_both_ways(monkeypatch, net, lambda lifted: tape.mean(
+            full_ce_trace_rows_nodes(lifted, X)))
+        _assert_same_grads(lazy, ref)
+
+
+class TestOneNodeLogSoftmax:
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 800.0])
+    def test_value_and_vjp_bitwise_equal_composite(self, scale):
+        rng = Rng(33).child(str(scale))
+        logits0 = rng.child("z").normal(size=(6, 5)) * scale
+        weights = tape.constant(rng.child("w").normal(size=(6, 5)))
+        results = []
+        for fn in (tape.log_softmax, _composite_log_softmax):
+            x = tape.leaf(logits0)
+            ls = fn(x)
+            out = tape.nsum(ls * weights + tape.exp(ls) * weights)
+            _zeros_backward(out)
+            results.append((ls.value, x.grad))
+        (v1, g1), (v2, g2) = results
+        assert _same_bits(v1, v2) and _same_bits(g1, g2)
+
+    def test_finite_at_800(self):
+        x = tape.leaf(np.array([[800.0, -800.0, 0.0], [-800.0, -800.0, 800.0]]))
+        ls = tape.log_softmax(x)
+        tape.backward(tape.nsum(ls * tape.constant(np.arange(6.0).reshape(2, 3))))
+        assert np.all(np.isfinite(ls.value)) and np.all(np.isfinite(x.grad))
+        assert ls.value[0, 0] == 0.0 and ls.value[0, 1] == -1600.0
+
+    def test_one_node_on_the_tape(self):
+        x = tape.leaf(np.ones((2, 3)))
+        ls = tape.log_softmax(x)
+        assert [p for p, _ in ls._edges] == [x]
+
+
+class TestLazyAccumulation:
+    def test_three_consumers_accumulate(self):
+        x = tape.leaf(np.array([1.0, 2.0]))
+        out = tape.nsum(x * 2.0) + tape.nsum(x * x) + tape.nsum(tape.exp(x * 0.0) * x)
+        tape.backward(out)
+        assert np.array_equal(x.grad, 2.0 + 2.0 * np.array([1.0, 2.0]) + 1.0)
+
+    def test_second_backward_over_same_leaves_recomputes(self):
+        w = tape.leaf(np.array([[1.0, -2.0], [0.5, 3.0]]))
+        x = tape.constant(np.array([[1.0, 2.0]]))
+        grads = []
+        for _ in range(2):
+            tape.backward(tape.nsum((x @ w) * (x @ w)))
+            grads.append(w.grad.copy())
+        assert np.array_equal(grads[0], grads[1])
+
+    @pytest.mark.parametrize("x_first", [True, False])
+    def test_leaf_grads_share_no_memory(self, x_first):
+        # x + w hands both leaves the sum's own gradient array; x's second
+        # contribution must not be added into that shared array
+        x, w = tape.leaf(np.ones(3)), tape.leaf(np.full(3, 2.0))
+        shared, own = tape.nsum(x + w), tape.nsum(x * 3.0)
+        tape.backward(shared + own if x_first else own + shared)
+        assert np.array_equal(x.grad, np.full(3, 4.0))
+        assert np.array_equal(w.grad, np.ones(3))
+        assert not np.shares_memory(x.grad, w.grad)
