@@ -6,7 +6,10 @@ a few overrides.  Outputs are self-describing CSVs and `TRHNET v1`
 checkpoints.
 
 Exit codes: 0 success, 1 config error, 2 training divergence,
-3 verification failure.
+3 verification failure, 4 a finite-difference oracle hit a non-finite
+evaluation, 5 an input too close to a ReLU kink for an exact formula,
+6 curvature out of the closed-form posterior's regime.  Codes 4-6 print
+one line naming the error.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from dataclasses import replace
 
 from .attacks import clean_accuracy, eval_robust_accuracy
 from .config import ConfigError, ExperimentConfig
+from .layer_traces import NonSmoothInput
 from .network import load_checkpoint, save_checkpoint
-from .numerics import Rng, pin_allocator
+from .numerics import OracleError, Rng, pin_allocator
+from .pacbayes import OutOfRegimeError
 from .trainer import MeasureConfig, MetricsLog, train
 from .verify import format_report, run_verification
 
@@ -27,6 +32,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DIVERGED = 2
 EXIT_VERIFY = 3
+EXIT_ORACLE = 4
+EXIT_NON_SMOOTH = 5
+EXIT_OUT_OF_REGIME = 6
 
 
 def _load_config(args, lines=None) -> ExperimentConfig:
@@ -264,6 +272,15 @@ def main(argv=None) -> int:
         # ConfigError, malformed CSV/checkpoint files, bad combinations
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OracleError as exc:
+        print(f"oracle error at index {exc.index}: {exc}", file=sys.stderr)
+        return EXIT_ORACLE
+    except NonSmoothInput as exc:
+        print(f"non-smooth input: {exc}", file=sys.stderr)
+        return EXIT_NON_SMOOTH
+    except OutOfRegimeError as exc:
+        print(f"out of regime: {exc}", file=sys.stderr)
+        return EXIT_OUT_OF_REGIME
 
 
 if __name__ == "__main__":

@@ -14,7 +14,11 @@ from the closed forms in :mod:`trhreg.trh` and :mod:`trhreg.layer_traces`:
   diagonal Hessian a single probe is already exact since the probe
   entries square to one;
 * ``frozen_objective_fns`` (values from :func:`trhreg.trh.objective_value`,
-  no tape graph) feeds ``frozen_quad_form`` and ``frozen_hvp``.
+  no tape graph) feeds ``frozen_quad_form`` and ``frozen_hvp``.  Its value
+  and gradient take a ``(P, n)`` stack of weight vectors as well as one
+  vector and evaluate the stack on a stacked network in one pass (one
+  backward for all P gradients), so a per-coordinate stencil costs one
+  call rather than 2k; the probe estimators step one point at a time.
 
 Eigenvalue mean/std follow from (Tr H, Tr H^2, n) without materializing any
 Hessian.  Quadratic forms use second differences of objective values at a
@@ -33,7 +37,7 @@ from . import trh as trh_module
 from .network import (MlpNetwork, flat_index_slices, flatten_weights,
                       gradient_vector, unflatten_weights)
 from .numerics import (HESS_STEP, OracleError, Rng, hessian_diag_subset,
-                       mean_se, rademacher_vector)
+                       mean_se, rademacher_vector, stackable)
 
 QUAD_STEP = 1e-3  # second differences of values need a wider stencil
 
@@ -45,8 +49,10 @@ def exact_trace(grad_fn, w0: np.ndarray, indices=None, h: float = HESS_STEP) -> 
     "Exact" means deterministic and per-coordinate, not closed-form: the
     result carries the O(h^2) truncation of the stencil, and a ReLU kink
     inside the stencil spoils it.  `indices` selects the diagonal entries
-    (default: all).  Intended for desk-scale subsets; cost is two gradient
-    evaluations per entry.
+    (default: all).  Intended for desk-scale subsets: the stencil holds two
+    gradient evaluations per entry, made in one stacked call when `grad_fn`
+    is stackable (as :func:`frozen_objective_fns` gradients are) and one
+    call each otherwise.
     """
     w0 = np.asarray(w0, dtype=np.float64)
     if indices is None:
@@ -172,6 +178,11 @@ class LayerHessianReport:
 # -- objective plumbing over the flat weight vector ---------------------
 
 
+# Activation entries (stack copies x rows x units) one stacked evaluation
+# of a frozen objective may hold; larger stacks are split into chunks.
+_STACK_ACTIVATIONS = 1 << 18
+
+
 def frozen_objective_fns(net: MlpNetwork, X, X_adv, y, kind,
                          lam: float = 0.0, gamma: float = 0.0,
                          stop_grad_clean: bool = True):
@@ -183,26 +194,40 @@ def frozen_objective_fns(net: MlpNetwork, X, X_adv, y, kind,
     backprop reports under the stop-gradient semantics, and second
     differences recover the Hessian the closed forms describe.  The
     adversarial batch is a constant by convention.
+
+    Both functions are :func:`~trhreg.numerics.stackable`: handed one
+    weight vector ``(n,)`` they return a float and an ``(n,)`` gradient;
+    handed a stack ``(P, n)``, one value ``(P,)`` and one gradient row
+    ``(P, n)`` per weight vector, equal to the bit to per-row calls.  A
+    stack is evaluated on a stacked network (:func:`unflatten_weights`),
+    in chunks that hold at most ``_STACK_ACTIVATIONS`` activation entries.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     X_adv = np.atleast_2d(np.asarray(X_adv, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     frozen = trh_module.capture_frozen(net, X, X_adv, y, kind)
+    rows = len(X_adv) + (0 if kind.variant == "at" else len(X))
+    chunk = max(1, _STACK_ACTIVATIONS // (rows * sum(l.d_out for l in net.layers)))
 
-    def build(w):
-        return unflatten_weights(net, w)
+    def chunked(fn):
+        def call(w):
+            w = np.asarray(w, dtype=np.float64)
+            if w.ndim == 1:
+                return fn(unflatten_weights(net, w))
+            return np.concatenate([fn(unflatten_weights(net, w[i:i + chunk]))
+                                   for i in range(0, len(w), chunk)])
+        return stackable(call)
 
-    def value_fn(w):
-        return trh_module.objective_value(build(w), X, X_adv, y, kind, lam,
+    def value(candidate):
+        return trh_module.objective_value(candidate, X, X_adv, y, kind, lam,
                                           gamma, stop_grad_clean, frozen)
 
-    def grad_fn(w):
-        _, grad = gradient_vector(build(w), lambda lifted: trh_module.objective_nodes(
+    def grad(candidate):
+        return gradient_vector(candidate, lambda lifted: trh_module.objective_nodes(
             lifted, X, X_adv, y, kind, lam, gamma,
-            stop_grad_clean=stop_grad_clean, frozen=frozen))
-        return grad
+            stop_grad_clean=stop_grad_clean, frozen=frozen))[1]
 
-    return value_fn, grad_fn
+    return chunked(value), chunked(grad)
 
 
 def frozen_quad_form(net: MlpNetwork, X, X_adv, y, kind):

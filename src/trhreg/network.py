@@ -11,6 +11,13 @@ row-major ``(d_in, d_out)``, bias (when present) after the weights of its
 layer.  ``flatten_weights``/``unflatten_weights`` round-trip bit-exactly in
 this ordering, which is what the finite-difference oracles and the Gaussian
 posterior machinery operate on.
+
+A *stacked* network holds P weight vectors at once: ``unflatten_weights``
+of a ``(P, n)`` stack gives layers with weights ``(P, d_in, d_out)`` and
+biases ``(P, 1, d_out)``.  :func:`forward`, :func:`lift`,
+:func:`forward_nodes`, :func:`backprop` and :func:`gradient_vector` take
+such a network and give every copy its own result along a leading axis, in
+one pass; the finite-difference oracles evaluate whole stencils this way.
 """
 
 from __future__ import annotations
@@ -29,25 +36,27 @@ class TrainingDivergence(RuntimeError):
 
 @dataclass
 class DenseLayer:
-    weights: np.ndarray  # (d_in, d_out)
-    bias: np.ndarray | None = None
+    weights: np.ndarray  # (d_in, d_out), or (P, d_in, d_out) in a stack
+    bias: np.ndarray | None = None  # (d_out,), or (P, 1, d_out) in a stack
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise ValueError("layer weights must be 2-d")
+        if self.weights.ndim not in (2, 3):
+            raise ValueError("layer weights must be 2-d (3-d in a stack)")
         if self.bias is not None:
             self.bias = np.asarray(self.bias, dtype=np.float64)
-            if self.bias.shape != (self.weights.shape[1],):
+            shape = ((self.d_out,) if self.weights.ndim == 2 else
+                     (self.weights.shape[0], 1, self.d_out))
+            if self.bias.shape != shape:
                 raise ValueError("bias shape must match layer output dim")
 
     @property
     def d_in(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     @property
     def d_out(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
 
 @dataclass
@@ -153,6 +162,8 @@ def forward(net: MlpNetwork, x: np.ndarray,
 
     With ``buffers`` (2-d x only) the trace's arrays are those buffers,
     overwritten in place; x itself is kept, not copied, as layer input 0.
+    A stacked network (no buffers) gives every array after layer input 0 a
+    leading stack axis.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -173,8 +184,8 @@ def forward(net: MlpNetwork, x: np.ndarray,
             cur = np.maximum(pre, 0.0, out=hidden_out[i])
             layer_inputs.append(cur)
     if single:
-        layer_inputs = [a[0] for a in layer_inputs]
-        preacts = [a[0] for a in preacts]
+        layer_inputs = [a[..., 0, :] for a in layer_inputs]
+        preacts = [a[..., 0, :] for a in preacts]
     return ForwardTrace(layer_inputs, preacts)
 
 
@@ -209,18 +220,23 @@ def flatten_weights(net: MlpNetwork) -> np.ndarray:
 
 
 def unflatten_weights(net: MlpNetwork, w: np.ndarray) -> MlpNetwork:
+    """The network of shape `net` with weight vector w, or the stacked
+    network of a ``(P, n)`` stack of them."""
     w = np.asarray(w, dtype=np.float64)
-    if w.size != param_count(net):
-        raise ValueError(f"expected {param_count(net)} params, got {w.size}")
+    if w.ndim not in (1, 2) or w.shape[-1] != param_count(net):
+        raise ValueError(f"expected {param_count(net)} params, got shape {w.shape}")
+    lead = w.shape[:-1]
     layers = []
     pos = 0
     for l in net.layers:
         k = l.weights.size
-        weights = w[pos:pos + k].reshape(l.weights.shape).copy()
+        weights = w[..., pos:pos + k].reshape(lead + l.weights.shape).copy()
         pos += k
         bias = None
         if l.bias is not None:
-            bias = w[pos:pos + l.bias.size].copy()
+            bias = w[..., pos:pos + l.bias.size].copy()
+            if lead:
+                bias = bias[:, None, :]
             pos += l.bias.size
         layers.append(DenseLayer(weights, bias))
     return MlpNetwork(layers)
@@ -278,13 +294,18 @@ def backprop(net: MlpNetwork, objective):
     node (typically the mean loss of a batch plus regularizers).  Returns
     ``(loss_value, grads)`` with one ``(dW, db|None)`` pair per layer.
     Raises :class:`TrainingDivergence` if the loss is non-finite.
+
+    On a stacked network the objective returns one value per copy, shape
+    ``(P,)``; their sum is backpropagated, so row p of every gradient is
+    the gradient at copy p, and the loss value is the ``(P,)`` array.
     """
     lifted = lift(net)
     out = objective(lifted)
-    value = float(out.value)
-    if not np.isfinite(value):
-        raise TrainingDivergence(f"objective evaluated to {value}")
-    tape.backward(out)
+    value = float(out.value) if out.value.ndim == 0 else out.value
+    if not np.all(np.isfinite(value)):
+        raise TrainingDivergence(
+            f"objective evaluated to {np.extract(~np.isfinite(value), value)[0]}")
+    tape.backward(out if out.value.ndim == 0 else tape.nsum(out))
     grads = []
     for w, b in lifted:
         gw = w.grad if w.grad is not None else np.zeros(w.shape)
@@ -297,13 +318,15 @@ def backprop(net: MlpNetwork, objective):
 
 def flat_gradient(grads) -> np.ndarray:
     """:func:`backprop`'s per-layer gradients as one vector, in the order of
-    :func:`flatten_weights`."""
+    :func:`flatten_weights`; ``(P, n)``, one row per copy, for a stack."""
     parts = []
     for gw, gb in grads:
-        parts.append(np.asarray(gw).ravel())
+        gw = np.asarray(gw)
+        flat = gw.shape[:-2] + (-1,)
+        parts.append(gw.reshape(flat))
         if gb is not None:
-            parts.append(np.asarray(gb))
-    return np.concatenate(parts)
+            parts.append(np.asarray(gb).reshape(flat))
+    return np.concatenate(parts, axis=-1)
 
 
 def gradient_vector(net: MlpNetwork, objective):

@@ -10,8 +10,12 @@ estimators) is built on the two ingredients in this module:
   streams never overlap.
 * central finite differences at fixed step sizes (1e-5 for first
   derivatives, 1e-4 for second differences), which balance truncation
-  against rounding error in 64-bit arithmetic: one loop for the gradient,
-  one for the Hessian diagonal (whole, or over an index subset).
+  against rounding error in 64-bit arithmetic: one routine for the
+  gradient, one for the Hessian diagonal (whole, or over an index subset).
+  Both build their stencil as a stack of weight vectors, one row per
+  point, and hand it to the function in one call if the function is marked
+  :func:`stackable`, row by row otherwise; either way the result is the
+  same to the bit.
 
 Monte-Carlo and probe estimates report :func:`mean_se`.
 
@@ -135,52 +139,73 @@ def rademacher_vector(n: int, rng: Rng) -> np.ndarray:
     return rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
 
 
-def finite_diff_gradient(f, w: np.ndarray, h: float = GRAD_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a weight vector.
+def stackable(fn):
+    """Mark `fn` as taking a ``(P, n)`` stack of weight vectors as well as
+    one ``(n,)`` vector, returning one result per row; returns `fn`."""
+    fn.stackable = True
+    return fn
 
-    Entry i is ``(f(w + h e_i) - f(w - h e_i)) / (2h)``.  Exact to rounding
-    on polynomials of degree <= 2.  Raises :class:`OracleError` with the
-    offending index if an evaluation comes back non-finite.
+
+# Weight entries of one stencil block: bounds the stack a stencil builds.
+_STENCIL_ENTRIES = 1 << 20
+
+
+def _central_differences(f, w, indices, h: float, own_entry: bool = False):
+    """``(f(w + h e_i) - f(w - h e_i)) / (2h)`` for every i in `indices`;
+    with `own_entry` (f vector-valued) just entry i of each difference.
+
+    The stencil is a stack of displaced copies of w, evaluated in blocks of
+    at most ``_STENCIL_ENTRIES`` weight entries: one call per block for a
+    :func:`stackable` f, one call per point otherwise.  Raises
+    :class:`OracleError` naming the first index, in the order of
+    `indices`, with a non-finite evaluation.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     w = np.asarray(w, dtype=np.float64)
-    grad = np.empty_like(w)
-    for i in range(w.size):
-        wp = w.copy()
-        wm = w.copy()
-        wp[i] += h
-        wm[i] -= h
-        fp = f(wp)
-        fm = f(wm)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise OracleError(f"non-finite evaluation at index {i}", index=i)
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad
+    block = max(1, _STENCIL_ENTRIES // (2 * max(1, w.size)))
+    out = [np.empty(0)]
+    for start in range(0, indices.size, block):
+        idx = indices[start:start + block]
+        rows, cols = np.arange(2 * idx.size), np.tile(idx, 2)
+        stencil = np.tile(w, (rows.size, 1))
+        stencil[rows, cols] += np.repeat([h, -h], idx.size)
+        if getattr(f, "stackable", False):
+            values = np.asarray(f(stencil))
+        else:
+            values = np.array([f(point) for point in stencil])
+        if own_entry:
+            values = values[rows, cols]
+        fp, fm = values[:idx.size], values[idx.size:]
+        bad = np.flatnonzero(~(np.isfinite(fp) & np.isfinite(fm)))
+        if bad.size:
+            i = int(idx[bad[0]])
+            what = "gradient" if own_entry else "evaluation"
+            raise OracleError(f"non-finite {what} at index {i}", index=i)
+        out.append((fp - fm) / (2.0 * h))
+    return np.concatenate(out)
+
+
+def finite_diff_gradient(f, w: np.ndarray, h: float = GRAD_STEP) -> np.ndarray:
+    """Central-difference gradient of a scalar function of a weight vector.
+
+    Entry i is ``(f(w + h e_i) - f(w - h e_i)) / (2h)``, the 2n stencil
+    points evaluated as one stack when f is :func:`stackable`.  Exact to
+    rounding on polynomials of degree <= 2.  Raises :class:`OracleError`
+    with the first index whose evaluation comes back non-finite.
+    """
+    return _central_differences(f, w, np.arange(np.size(w)), h)
 
 
 def hessian_diag_subset(grad, w: np.ndarray, indices,
                         h: float = HESS_STEP) -> np.ndarray:
     """Hessian diagonal at `indices` from central differences of an analytic
     gradient: entry j is ``(grad(w + h e_i)_i - grad(w - h e_i)_i) / (2h)``
-    for ``i = indices[j]``.  Raises :class:`OracleError` with the index of
-    a non-finite gradient entry."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    w = np.asarray(w, dtype=np.float64)
-    indices = np.asarray(indices, dtype=np.int64)
-    out = np.empty(indices.size)
-    for j, i in enumerate(indices):
-        wp = w.copy()
-        wm = w.copy()
-        wp[i] += h
-        wm[i] -= h
-        gp = grad(wp)
-        gm = grad(wm)
-        if not (np.isfinite(gp[i]) and np.isfinite(gm[i])):
-            raise OracleError(f"non-finite gradient at index {int(i)}", index=int(i))
-        out[j] = (gp[i] - gm[i]) / (2.0 * h)
-    return out
+    for ``i = indices[j]``, the stencil evaluated as one stack when `grad`
+    is :func:`stackable`.  Raises :class:`OracleError` with the first index
+    whose gradient entry is non-finite."""
+    return _central_differences(grad, w, np.asarray(indices, dtype=np.int64), h,
+                                own_entry=True)
 
 
 def finite_diff_hessian_diag(grad, w: np.ndarray, h: float = HESS_STEP) -> np.ndarray:

@@ -44,7 +44,12 @@ class OutOfRegimeError(RuntimeError):
 
 @dataclass
 class GaussianPosterior:
-    """Product-Gaussian posterior: mean vector plus shared or per-weight variance."""
+    """Product-Gaussian posterior: mean vector plus shared or per-weight variance.
+
+    A ``(G, N)`` stack of per-weight variance vectors stands for G
+    posteriors around the same mean; :func:`gaussian_kl` then returns one
+    divergence per row.
+    """
 
     mean: np.ndarray
     sigma_sq: float | np.ndarray  # scalar -> spherical, vector -> diagonal
@@ -56,7 +61,7 @@ class GaussianPosterior:
                 raise ValueError("variance must be positive")
         else:
             self.sigma_sq = np.asarray(self.sigma_sq, dtype=np.float64)
-            if self.sigma_sq.shape != self.mean.shape:
+            if self.sigma_sq.ndim > 2 or self.sigma_sq.shape[-1:] != self.mean.shape:
                 raise ValueError("per-weight variance must match the mean shape")
             if np.any(self.sigma_sq <= 0):
                 raise ValueError("variance must be positive")
@@ -107,14 +112,16 @@ def gaussian_kl(post: GaussianPosterior, sigma0_sq: float) -> float:
 
     0.5 [ sum_n log(sigma0^2 / sigma_n^2) - N + ||theta||^2 / sigma0^2
           + sum_n sigma_n^2 / sigma0^2 ];  zero iff posterior == prior.
+    A float, or ``(G,)`` for a stack of G variance vectors.
     """
     if sigma0_sq <= 0:
         raise ValueError("sigma0_sq must be positive")
     var = post.variances()
     n = post.dim
-    return 0.5 * (float(np.sum(np.log(sigma0_sq / var))) - n
-                  + float(np.dot(post.mean, post.mean)) / sigma0_sq
-                  + float(var.sum()) / sigma0_sq)
+    kl = 0.5 * (np.sum(np.log(sigma0_sq / var), axis=-1) - n
+                + float(np.dot(post.mean, post.mean)) / sigma0_sq
+                + var.sum(axis=-1) / sigma0_sq)
+    return float(kl) if kl.ndim == 0 else kl
 
 
 def optimal_sigma_spherical(trace: float, sigma0_sq: float, beta: float,
@@ -148,12 +155,18 @@ def optimal_sigma_diag(hessian_diag: np.ndarray, sigma0_sq: float,
 
 def second_order_inner_objective(robust_loss: float, hessian_diag: np.ndarray,
                                  theta: np.ndarray, sigma_sq,
-                                 sigma0_sq: float, beta: float) -> float:
-    """R + 0.5 sum sigma_n^2 d_n + KL/beta: the expanded bound being minimized."""
+                                 sigma0_sq: float, beta: float):
+    """R + 0.5 sum sigma_n^2 d_n + KL/beta: the expanded bound being minimized.
+
+    A float, or ``(G,)`` for a ``(G, N)`` stack of variance vectors; each
+    row's value equals the call on that row alone to the bit.
+    """
     post = GaussianPosterior(mean=theta, sigma_sq=sigma_sq)
     var = post.variances()
-    return (robust_loss + 0.5 * float(np.dot(var, hessian_diag))
-            + gaussian_kl(post, sigma0_sq) / beta)
+    # one (1, N) @ (N, 1) product per row: the same dot as for one vector
+    curvature = np.matmul(var[..., None, :], hessian_diag[:, None])[..., 0, 0]
+    value = (robust_loss + 0.5 * curvature + gaussian_kl(post, sigma0_sq) / beta)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def expected_loss_mc(net: MlpNetwork, dataset, kind: RobustLossKind,

@@ -6,7 +6,10 @@ leaf.  The op set is deliberately small -- just enough to express the
 training objectives in this package (dense layers, ReLU, softmax algebra
 and the closed-form curvature terms) -- and everything is batched: node
 payloads are scalars, ``(m,)`` vectors, ``(m, k)`` matrices or stacks of
-them.
+them.  Every op works on any rank: matrix products act on the last two
+axes, row-wise reductions (:func:`row_sum`, :func:`log_softmax`) on the
+last one, so a leading axis can carry a stack of independent copies of a
+whole expression (see :func:`trhreg.network.backprop`).
 
 Broadcasting between operands follows numpy; adjoints are summed back over
 broadcast axes.  There is no graph reuse across calls: build, evaluate,
@@ -91,8 +94,8 @@ class Node:
         other = wrap(other)
         a, b = self, other
         return Node(a.value @ b.value,
-                    ((a, lambda g: g @ b.value.T),
-                     (b, lambda g: a.value.T @ g)))
+                    ((a, lambda g: _unbroadcast(g @ b.value.swapaxes(-1, -2), a.shape)),
+                     (b, lambda g: _unbroadcast(a.value.swapaxes(-1, -2) @ g, b.shape))))
 
 
 def wrap(x) -> Node:
@@ -139,11 +142,12 @@ def log(a: Node) -> Node:
 
 
 def nsum(a: Node, axis=None, keepdims=False) -> Node:
-    """Sum over one axis (an int) or over all of them (None)."""
-    kept = None  # the summed shape with the axis kept, for broadcasting g
+    """Sum over one axis (an int), several (a tuple) or all of them (None)."""
+    kept = None  # the summed shape with the axes kept, for broadcasting g
     if axis is not None:
         kept = list(a.shape)
-        kept[axis] = 1
+        for ax in (axis if isinstance(axis, tuple) else (axis,)):
+            kept[ax] = 1
 
     def vjp(g):
         out = np.empty(a.shape)
@@ -156,29 +160,38 @@ def reshape(a: Node, shape) -> Node:
     return Node(a.value.reshape(shape), ((a, lambda g: g.reshape(a.shape)),))
 
 
-def mean(a: Node) -> Node:
-    n = a.value.size
-    return Node(a.value.mean(), ((a, lambda g: np.full(a.shape, g / n)),))
+def mean(a: Node, axis=None) -> Node:
+    """Mean over one axis (an int) or over all of them (None)."""
+    if axis is None:
+        n = a.value.size
+        return Node(a.value.mean(), ((a, lambda g: np.full(a.shape, g / n)),))
+    n = a.shape[axis]
+
+    def vjp(g):
+        out = np.empty(a.shape)
+        out[...] = np.expand_dims(g / n, axis)
+        return out
+    return Node(a.value.mean(axis=axis), ((a, vjp),))
 
 
 def row_sum(a: Node, keepdims=False) -> Node:
-    """Sum over the last axis of a 2-d node."""
-    return nsum(a, axis=1, keepdims=keepdims)
+    """Sum over the last axis."""
+    return nsum(a, axis=-1, keepdims=keepdims)
 
 
 def log_softmax(logits: Node) -> Node:
-    """Row-wise log-softmax, stable via a constant max shift.
+    """Log-softmax over the last axis, stable via a constant max shift.
 
     One node for ``centered - log(sum(exp(centered)))`` with ``centered =
     logits - max``.  Its VJP, ``g + (-sum(g)) / total * e``, repeats the
     float operations of that expression's op-by-op adjoint in the same
     order, so values and gradients are those of the composite to the bit.
     """
-    centered = logits.value - logits.value.max(axis=1, keepdims=True)
+    centered = logits.value - logits.value.max(axis=-1, keepdims=True)
     e = np.exp(centered)
-    total = e.sum(axis=1, keepdims=True)
+    total = e.sum(axis=-1, keepdims=True)
     return Node(centered - np.log(total),
-                ((logits, lambda g: g + (-g.sum(axis=1, keepdims=True)) / total * e),))
+                ((logits, lambda g: g + (-g.sum(axis=-1, keepdims=True)) / total * e),))
 
 
 def backward(out: Node) -> None:

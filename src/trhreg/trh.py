@@ -190,7 +190,7 @@ def top_trace_rows(clean: _Side | None, adv: _Side, y, kind: RobustLossKind,
         return r2_adv * hsum_adv + kind.penalty * (2.0 * r2_adv * (col_norms - cross))
     if kind.variant == "mart":
         y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-        k = s_adv.shape[1]
+        k = s_adv.shape[-1]
         E = _one_hot(_runner_up(s_adv.value, y) if kappa is None else kappa, k)
         r2, hsum = _sq_norm_and_hsum(clean)
         u = tape.row_sum(s_adv * tape.constant(E), keepdims=True)  # s'_kappa
@@ -320,7 +320,7 @@ def _loss_rows(clean: _Side | None, adv: _Side, y: np.ndarray,
     constant) read their constants from `frozen`.
     """
     logs_adv, s_adv = adv.logs, adv.s
-    k = s_adv.shape[1]
+    k = s_adv.shape[-1]
     Y = tape.constant(_one_hot(y, k))
     if kind.variant == "at":
         return -tape.row_sum(logs_adv * Y)
@@ -369,30 +369,34 @@ def objective_nodes(lifted, X, X_adv, y, kind: RobustLossKind,
 
 def objective_value(net: MlpNetwork, X, X_adv, y, kind: RobustLossKind,
                     lam: float, gamma: float, stop_grad_clean: bool = True,
-                    frozen: dict | None = None) -> float:
+                    frozen: dict | None = None):
     """The value of :func:`objective_nodes` at the weights of `net`, with no
-    tape graph: numpy forward passes, then the same tail on constants."""
+    tape graph: numpy forward passes, then the same tail on constants.  A
+    float, or one value per copy, shape ``(P,)``, for a stacked network."""
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     clean, adv = map(_constant_side, _forward_pair(net, X, X_adv, kind))
-    return float(_objective_tail(lift(net, wrap=tape.constant), clean, adv, y,
-                                 kind, lam, gamma, stop_grad_clean, frozen).value)
+    value = _objective_tail(lift(net, wrap=tape.constant), clean, adv, y,
+                            kind, lam, gamma, stop_grad_clean, frozen).value
+    return float(value) if value.ndim == 0 else value
 
 
 def _objective_tail(params, clean: _Side | None, adv: _Side, y: np.ndarray,
                     kind: RobustLossKind, lam: float, gamma: float,
                     stop_grad_clean: bool, frozen: dict | None) -> tape.Node:
     """The objective from its sides and (lifted or constant) parameters:
-    ``mean(loss rows + lam * trace rows) + gamma ||theta||^2``."""
+    ``mean(loss rows + lam * trace rows) + gamma ||theta||^2``, one value
+    per copy of a stacked network (mean and norm taken per copy)."""
     if frozen is None:
         frozen = _frozen(clean, adv, y, kind)
     rows = _loss_rows(clean, adv, y, kind, stop_grad_clean, frozen)
     if lam > 0:
         rows = rows + lam * top_trace_rows(clean, adv, y, kind, stop_grad_clean,
                                            frozen.get("kappa_star"))
-    out = tape.mean(rows)
+    out = tape.mean(rows, axis=-1)
     if gamma != 0.0:
-        out = out + gamma * sum(tape.nsum(w * w) if b is None else
-                                tape.nsum(w * w) + tape.nsum(b * b)
+        axes = (1, 2) if params[0][0].value.ndim == 3 else None  # per copy
+        out = out + gamma * sum(tape.nsum(w * w, axes) if b is None else
+                                tape.nsum(w * w, axes) + tape.nsum(b * b, axes)
                                 for w, b in params)
     return out
 

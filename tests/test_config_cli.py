@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from trhreg import cli
 from trhreg.cli import main
 from trhreg.config import ConfigError, ExperimentConfig, parse_kv
+from trhreg.layer_traces import NonSmoothInput
 from trhreg.network import load_checkpoint
+from trhreg.numerics import OracleError
+from trhreg.pacbayes import OutOfRegimeError
 
 BASE_CONFIG = """
 # toy experiment
@@ -267,6 +271,26 @@ class TestCliVerify:
         out = capsys.readouterr().out
         assert "FAIL group=trh_formulas" in out
         assert "seed=" in out  # failing checks carry a reproduction seed
+
+
+class TestCliNamedErrors:
+    """Oracle, smoothness and regime errors get their own exit code and one
+    line on stderr, not a traceback."""
+
+    @pytest.mark.parametrize("error,code,words", [
+        (OracleError("non-finite evaluation at index 7", index=7), 4, "index 7"),
+        (NonSmoothInput("pre-activation within 0.001 of a ReLU kink"), 5,
+         "non-smooth input"),
+        (OutOfRegimeError("trace -9.0 too negative"), 6, "out of regime"),
+    ], ids=["oracle", "non-smooth", "out-of-regime"])
+    def test_exit_code_and_one_line(self, capsys, monkeypatch, error, code, words):
+        def raise_error(**kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "run_verification", raise_error)
+        assert main(["verify", "--level", "quick"]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and words in err and str(error) in err
 
 
 class TestCliTraceModes:

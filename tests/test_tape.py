@@ -79,6 +79,62 @@ class TestMatmulReductions:
         assert np.allclose(leaf.grad, np.full((5, 2), 0.1))
 
 
+class TestAnyRank:
+    """Stacks of matrices: products on the last two axes, reductions on the
+    last one, adjoints summed back over broadcast stack axes."""
+
+    def test_matmul_stacks_both_sides(self):
+        a0 = R.child("sa").normal(size=(3, 2, 4))
+        b = tape.constant(R.child("sb").normal(size=(3, 4, 2)))
+        gradcheck(lambda n: tape.nsum((n @ b) * (n @ b)), a0)
+
+        b0 = R.child("sc").normal(size=(3, 4, 2))
+        a = tape.constant(R.child("sd").normal(size=(3, 2, 4)))
+        gradcheck(lambda n: tape.nsum((a @ n) * (a @ n)), b0)
+
+    def test_matmul_broadcasts_a_matrix_over_a_stack(self):
+        x = tape.constant(R.child("se").normal(size=(2, 4)))
+        w0 = R.child("sf").normal(size=(3, 4, 5))
+        gradcheck(lambda n: tape.nsum((x @ n) * (x @ n)), w0)
+        v = tape.constant(R.child("sg").normal(size=(3, 4, 5)))
+        m0 = R.child("sh").normal(size=(2, 4))
+        gradcheck(lambda n: tape.nsum((n @ v) * (n @ v)), m0)
+
+    def test_mean_over_one_axis(self):
+        x0 = R.child("si").normal(size=(3, 5))
+        c = tape.constant(R.child("sj").normal(size=3))
+        gradcheck(lambda n: tape.nsum(tape.mean(n * n, axis=-1) * c), x0)
+        node = tape.mean(tape.constant(x0), axis=-1)
+        assert np.array_equal(node.value, x0.mean(axis=-1))
+
+    def test_sum_over_an_axis_tuple(self):
+        x0 = R.child("sk").normal(size=(3, 2, 4))
+        c = tape.constant(R.child("sl").normal(size=3))
+        gradcheck(lambda n: tape.nsum(tape.nsum(n * n, (1, 2)) * c), x0)
+
+    def test_row_ops_on_the_last_axis(self):
+        x0 = R.child("sm").normal(size=(2, 3, 5))
+        onehot = np.eye(5)[[[1, 4, 0], [2, 2, 3]]]
+        gradcheck(lambda n: tape.nsum(-tape.row_sum(
+            tape.log_softmax(n) * tape.constant(onehot))), x0)
+
+    def test_stack_slices_equal_unstacked_bits(self):
+        x0 = R.child("sn").normal(size=(3, 2, 5))
+        onehot = tape.constant(np.eye(5)[[1, 4]])
+
+        def objective(n, axis):
+            return tape.mean(-tape.row_sum(tape.log_softmax(n) * onehot), axis)
+
+        stacked = tape.leaf(x0)
+        tape.backward(tape.nsum(objective(stacked, -1)))
+        for p in range(3):
+            single = tape.leaf(x0[p])
+            out = objective(single, None)
+            tape.backward(out)
+            assert _same_bits(out.value, objective(tape.constant(x0), -1).value[p])
+            assert _same_bits(single.grad, stacked.grad[p])
+
+
 class TestLogSoftmax:
     def test_rows_sum_to_one_probabilities(self):
         logits = R.child("l").normal(size=(4, 6)) * 5
