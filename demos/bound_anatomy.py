@@ -20,12 +20,14 @@ from trhreg.data import two_moons
 from trhreg.hessian_oracle import frozen_objective_fns
 from trhreg.losses import RobustLossKind
 from trhreg.network import flatten_weights, init_mlp, lift, param_count
-from trhreg.numerics import Rng, finite_diff_hessian_diag
+from trhreg.numerics import Rng, finite_diff_hessian_diag, pin_allocator
 from trhreg.pacbayes import (GaussianPosterior, PacBayesConfig,
                              expected_loss_mc, gaussian_kl, optimal_sigma_diag,
                              optimal_sigma_spherical,
                              second_order_inner_objective)
 from trhreg.trh import analytic_trh_rows, objective_nodes, robust_loss_rows
+
+pin_allocator()
 
 rng = Rng(11)
 dataset = two_moons(24, noise_std=0.1, seed=3)

@@ -16,9 +16,12 @@ from trhreg.hessian_oracle import (exact_trace, frozen_objective_fns,
                                    top_layer_indices, weight_indices)
 from trhreg.losses import RobustLossKind
 from trhreg.network import flatten_weights, forward
+from trhreg.numerics import pin_allocator
 from trhreg.layer_traces import check_layer_inequality, trh_ce_layer
 from trhreg.trh import analytic_trh_rows
 from trhreg.verify import sample_smooth_instance
+
+pin_allocator()
 
 FORMULAS = [
     ("adversarial CE", RobustLossKind("at"), True),

@@ -23,9 +23,11 @@ from trhreg.attacks import AttackConfig
 from trhreg.data import two_moons
 from trhreg.losses import RobustLossKind
 from trhreg.network import init_mlp
-from trhreg.numerics import Rng
+from trhreg.numerics import Rng, pin_allocator
 from trhreg.trainer import MeasureConfig, TrainConfig, train
 from trhreg.trh import TrHConfig
+
+pin_allocator()
 
 EPOCHS = 100
 SEED = 0

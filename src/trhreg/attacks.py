@@ -8,11 +8,9 @@ satisfies the ball constraint to rounding, and a zero input gradient
 leaves the iterate in place rather than erroring.
 
 Cost: a step of ``pgd`` is one ``forward`` and one input-backward
-(``input_gradient`` on that step's trace).  The per-step pre-activations,
-hidden activations, ReLU masks and backward deltas live in buffers that one
-``pgd`` call allocates and every step overwrites; they are not kept across
-calls.  The returned points are fresh arrays that share no memory with the
-buffers.
+(``input_gradient`` on that step's trace), each on fresh arrays.  Entry
+points call ``numerics.pin_allocator`` first, so those per-step arrays are
+reused from the heap rather than page-faulted in again on every step.
 
 ``eval_robust_accuracy`` counts a point as correct only if every restart
 leaves it correctly classified, which makes accuracy monotone
@@ -26,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .losses import softmax
-from .network import MlpNetwork, forward, input_gradient, pass_buffers
+from .network import MlpNetwork, forward, input_gradient
 from .numerics import Rng
 
 _NORMS = ("linf", "l2")
@@ -107,10 +105,9 @@ def pgd(net: MlpNetwork, x, y, cfg: AttackConfig, rng: Rng) -> np.ndarray:
     single = x.ndim == 1
     X = np.atleast_2d(x)
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    buffers = pass_buffers(net, X.shape[0])
     s_clean = None
     if cfg.inner_loss == "kl":
-        s_clean = softmax(forward(net, X, buffers).logits)
+        s_clean = softmax(forward(net, X).logits)
 
     if cfg.random_start and cfg.delta > 0:
         if cfg.norm == "linf":
@@ -129,9 +126,9 @@ def pgd(net: MlpNetwork, x, y, cfg: AttackConfig, rng: Rng) -> np.ndarray:
 
     alpha = cfg.effective_step
     for _ in range(cfg.steps):
-        tr = forward(net, x_adv, buffers)
+        tr = forward(net, x_adv)
         g = input_gradient(net, x_adv, _dlogits(tr.logits, y, cfg, s_clean),
-                           trace=tr, buffers=buffers)
+                           trace=tr)
         if cfg.norm == "linf":
             step = alpha * np.sign(g)  # sign(0) = 0: zero-grad rows stay put
         else:
@@ -152,10 +149,8 @@ def clean_accuracy(net: MlpNetwork, dataset) -> float:
 
 
 def eval_robust_accuracy(net: MlpNetwork, dataset, cfg: AttackConfig,
-                         rng: Rng | None = None) -> float:
+                         rng: Rng) -> float:
     """Fraction of points correct under the worst case over all restarts."""
-    if rng is None:
-        rng = Rng(0).child("eval-attack")
     X = dataset.inputs
     y = dataset.labels
     if len(y) == 0:

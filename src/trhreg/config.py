@@ -12,9 +12,10 @@ offending key and line.
 Cross-field rules: any `pacbayes.*` key gives the bound section, which then
 needs pacbayes.sigma0_sq and pacbayes.beta; when those are given alongside
 explicit train.gamma / trh.lambda, they must satisfy gamma = 1/(2 beta
-sigma0_sq) and lambda = sigma0_sq/2 within 1e-12.  attack.clamp_min and
-attack.clamp_max come together, the lower not above the upper.  Attack
-radii are stated in raw input units; with
+sigma0_sq) and lambda = sigma0_sq/2 within 1e-12.  pacbayes.m defaults to
+dataset.n, the two-moons size, so a csv dataset must give it.
+attack.clamp_min and attack.clamp_max come together, the lower not above
+the upper.  Attack radii are stated in raw input units; with
 dataset.normalize = true the radius is rescaled by 1/std before attacking.
 """
 
@@ -142,7 +143,7 @@ _KEYS = {
     "pacbayes.sigma0_sq": (float, _REQUIRED),
     "pacbayes.beta": (float, _REQUIRED),
     "pacbayes.tau": (float, "0.05"),
-    "pacbayes.m": (int, None),  # unset: max(1, dataset.n)
+    "pacbayes.m": (int, None),  # unset: dataset.n (two-moons only)
     "pacbayes.c_const": (float, "0.0"),
     "out.dir": (str, None),
 }
@@ -260,6 +261,9 @@ class ExperimentConfig:
             n = r.get("dataset.n")
             pacbayes = r.build(lambda m, **kw: PacBayesConfig(
                 m=max(1, n) if m is None else m, **kw), "pacbayes")
+            if kind == "csv" and not r.has("pacbayes.m"):
+                r.err("pacbayes.m", "pacbayes.m required for csv datasets "
+                      "(dataset.n is the two-moons size)")
             if r.has("train.gamma") and not pacbayes.consistent_with(
                     train.gamma, pacbayes.lam):
                 r.err("train.gamma",

@@ -22,6 +22,7 @@ one pass; the finite-difference oracles evaluate whole stencils this way.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,57 +132,27 @@ def init_mlp(dims, rng: Rng, hidden_bias: bool = True) -> MlpNetwork:
     return MlpNetwork(layers)
 
 
-@dataclass
-class PassBuffers:
-    """Arrays that :func:`forward` and :func:`input_gradient` overwrite.
-
-    Sized for one network and batches of ``m`` rows.  Every call handed the
-    buffers overwrites what the previous call returned, so a trace or an
-    input gradient computed into them lives only until the next such call.
-    """
-
-    preacts: list[np.ndarray]  # (m, d_out) per layer
-    hidden: list[np.ndarray]   # (m, d_out) per hidden layer: max(0, preact)
-    masks: list[np.ndarray]    # (m, d_out) bool per hidden layer: preact > 0
-    deltas: list[np.ndarray]   # (m, d_in) per layer: d(loss)/d(layer input)
-
-
-def pass_buffers(net: MlpNetwork, m: int) -> PassBuffers:
-    """Uninitialized buffers for batches of m rows of net."""
-    hidden = [l.d_out for l in net.layers[:-1]]
-    return PassBuffers(
-        preacts=[np.empty((m, l.d_out)) for l in net.layers],
-        hidden=[np.empty((m, w)) for w in hidden],
-        masks=[np.empty((m, w), dtype=bool) for w in hidden],
-        deltas=[np.empty((m, l.d_in)) for l in net.layers])
-
-
-def forward(net: MlpNetwork, x: np.ndarray,
-            buffers: PassBuffers | None = None) -> ForwardTrace:
+def forward(net: MlpNetwork, x: np.ndarray) -> ForwardTrace:
     """Run the network on x (``(d,)`` or ``(m, d)``) and cache the trace.
 
-    With ``buffers`` (2-d x only) the trace's arrays are those buffers,
-    overwritten in place; x itself is kept, not copied, as layer input 0.
-    A stacked network (no buffers) gives every array after layer input 0 a
-    leading stack axis.
+    x itself is kept, not copied, as layer input 0.  A stacked network
+    gives every array after layer input 0 a leading stack axis.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     X = x[None, :] if single else x
     if X.shape[1] != net.input_dim:
         raise ValueError(f"input dim {X.shape[1]} != network input dim {net.input_dim}")
-    pre_out = buffers.preacts if buffers is not None else [None] * net.depth
-    hidden_out = buffers.hidden if buffers is not None else [None] * (net.depth - 1)
     layer_inputs = [X]
     preacts = []
     cur = X
     for i, layer in enumerate(net.layers):
-        pre = np.matmul(cur, layer.weights, out=pre_out[i])
+        pre = cur @ layer.weights
         if layer.bias is not None:
-            np.add(pre, layer.bias, out=pre)
+            pre += layer.bias
         preacts.append(pre)
         if i < net.depth - 1:
-            cur = np.maximum(pre, 0.0, out=hidden_out[i])
+            cur = np.maximum(pre, 0.0)
             layer_inputs.append(cur)
     if single:
         layer_inputs = [a[..., 0, :] for a in layer_inputs]
@@ -336,34 +307,44 @@ def gradient_vector(net: MlpNetwork, objective):
 
 
 def input_gradient(net: MlpNetwork, X: np.ndarray, dlogits: np.ndarray,
-                   trace: ForwardTrace | None = None,
-                   buffers: PassBuffers | None = None) -> np.ndarray:
+                   trace: ForwardTrace | None = None) -> np.ndarray:
     """Gradient of a loss w.r.t. the input, given d(loss)/d(logits).
 
     Closed-form reverse pass used by the attack loops; X and dlogits are
     ``(m, d)`` and ``(m, K)``.  Without ``trace`` the pass first runs
     :func:`forward` at X; handed the trace an attack step already computed,
     it runs none, so the step costs one forward and one input-backward.
-    With ``buffers`` the masks and deltas are overwritten in place and the
-    returned gradient is ``buffers.deltas[0]``, valid until the buffers'
-    next use.  ``attacks.pgd`` allocates its buffers once per call, reuses
-    them on every step and returns fresh arrays, never a buffer.
     """
     if trace is None:
-        trace = forward(net, X, buffers)
-    delta_out = buffers.deltas if buffers is not None else [None] * net.depth
-    mask_out = buffers.masks if buffers is not None else [None] * (net.depth - 1)
+        trace = forward(net, X)
     delta = np.asarray(dlogits, dtype=np.float64)
     for i in range(net.depth - 1, 0, -1):
-        delta = np.matmul(delta, net.layers[i].weights.T, out=delta_out[i])
-        np.multiply(delta, np.greater(trace.preacts[i - 1], 0.0, out=mask_out[i - 1]),
-                    out=delta)
-    return np.matmul(delta, net.layers[0].weights.T, out=delta_out[0])
+        delta = delta @ net.layers[i].weights.T
+        delta *= trace.preacts[i - 1] > 0.0
+    return delta @ net.layers[0].weights.T
 
 
 # -- checkpoint format -------------------------------------------------
 
 CHECKPOINT_MAGIC = "TRHNET v1"
+
+
+def write_atomic(path, text: str) -> None:
+    """Write text to path through a temp file beside it and ``os.replace``.
+
+    A write that fails partway (a full disk, an interrupt) leaves the file
+    that was at path untouched and removes the temp file.  There is no
+    fsync: the guard is against a failing process, not a power cut.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save_checkpoint(net: MlpNetwork, path) -> None:
@@ -376,8 +357,7 @@ def save_checkpoint(net: MlpNetwork, path) -> None:
             lines.append(" ".join(repr(float(v)) for v in row))
         if l.bias is not None:
             lines.append(" ".join(repr(float(v)) for v in l.bias))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_checkpoint(path) -> MlpNetwork:

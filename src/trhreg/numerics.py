@@ -62,6 +62,10 @@ def pin_allocator() -> bool:
     Fixed thresholds keep such arrays on the heap and its freed top in
     place.  Returns True once both are set; off glibc it does nothing and
     returns False.  Calling it again is harmless.
+
+    ``cli.main``, the demo scripts and the test suite call it first; any
+    other program that trains or attacks should too, since ``attacks.pgd``
+    allocates fresh arrays on every step.
     """
     if platform.libc_ver()[0] != "glibc":
         return False

@@ -35,7 +35,7 @@ from .hessian_oracle import (LayerHessianReport, frozen_hvp,
 from .losses import RobustLossKind
 from .network import (MlpNetwork, TrainingDivergence, backprop,
                       flat_gradient, flatten_weights, param_count,
-                      unflatten_weights)
+                      unflatten_weights, write_atomic)
 from .numerics import Rng
 from .layer_traces import full_ce_trace_rows_nodes, layer_trace_rows
 from .trh import TrHConfig, analytic_trh_rows, objective_nodes
@@ -43,6 +43,9 @@ from . import tape
 
 _BASELINES = ("none", "swa", "awp")
 _LR_DECAYS = ("constant", "cosine", "multistep")
+
+# A step whose objective exceeds this stops the run as diverged.
+DIVERGENCE_THRESHOLD = 1e6
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,6 @@ class TrainConfig:
     baseline: str = "none"
     swa_alpha: float = 0.995
     awp_delta: float = 0.005
-    divergence_threshold: float = 1e6
     eval_restarts: int = 1
 
     def __post_init__(self):
@@ -171,8 +173,7 @@ class MetricsLog:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
+        write_atomic(path, self.to_csv())
 
 
 def _fmt(v) -> str:
@@ -294,7 +295,7 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
                 break
             flat_grad = flat_gradient(grads)
             # stop before a non-finite gradient turns the weights into nan
-            if value > cfg.divergence_threshold or not np.all(np.isfinite(flat_grad)):
+            if value > DIVERGENCE_THRESHOLD or not np.all(np.isfinite(flat_grad)):
                 diverged, diverged_epoch = True, epoch
                 break
             epoch_losses.append(value)

@@ -51,8 +51,12 @@ class CheckResult:
     seed: int
 
 
-def sample_smooth_instance(seed: int, max_inputs: int = 6, max_width: int = 8,
-                           max_classes: int = 5, tries: int = 200):
+# Bounds of the random instances: input dim, hidden width, classes, and the
+# attempts before giving up on a seed.
+_MAX_INPUTS, _MAX_WIDTH, _MAX_CLASSES, _TRIES = 6, 8, 5, 200
+
+
+def sample_smooth_instance(seed: int):
     """Random net + input + adversarial input, away from every ReLU kink.
 
     Also enforces a healthy feature norm and (for the margin-boosted loss)
@@ -60,12 +64,12 @@ def sample_smooth_instance(seed: int, max_inputs: int = 6, max_width: int = 8,
     Returns ``(net, x, x_adv, y)`` with batch dimension 1.
     """
     rng = Rng(seed).child("instance")
-    for attempt in range(tries):
+    for attempt in range(_TRIES):
         r = rng.child(attempt)
-        d_in = int(r.integers(2, max_inputs + 1))
-        k = int(r.integers(2, max_classes + 1))
+        d_in = int(r.integers(2, _MAX_INPUTS + 1))
+        k = int(r.integers(2, _MAX_CLASSES + 1))
         n_hidden = int(r.integers(1, 3))
-        widths = [int(r.integers(2, max_width + 1)) for _ in range(n_hidden)]
+        widths = [int(r.integers(2, _MAX_WIDTH + 1)) for _ in range(n_hidden)]
         net = init_mlp([d_in] + widths + [k], r.child("init"))
         x = r.child("x").normal(size=(1, d_in))
         y = np.array([int(r.integers(0, k))])

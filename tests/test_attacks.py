@@ -1,6 +1,13 @@
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import trhreg
 from trhreg.attacks import (AttackConfig, clean_accuracy,
                             eval_robust_accuracy, pgd, predictions, project)
 from trhreg.data import two_moons
@@ -144,7 +151,7 @@ class TestEvalRobustAccuracy:
 def reference_pgd(net, x, y, cfg, rng):
     """pgd stepped the plain way: forward, softmax, a fresh
     input_gradient(net, x_adv, dlogits) that runs its own forward, then the
-    step rule.  No buffers are shared between steps."""
+    step rule."""
     x = np.asarray(x, dtype=np.float64)
     X = np.atleast_2d(x)
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
@@ -184,7 +191,7 @@ def reference_pgd(net, x, y, cfg, rng):
 
 
 class TestPgdBuffers:
-    """The one-forward step with reused buffers matches the plain step."""
+    """The one-forward step matches the plain step."""
 
     @staticmethod
     def problem(dims, m, seed=20):
@@ -251,24 +258,37 @@ class TestPgdBuffers:
         pgd(net, X, y, cfg, Rng(25).child("a"))
         assert len(calls) == cfg.steps + extra
 
-    def test_result_shares_no_memory_with_buffers(self, monkeypatch):
-        import trhreg.attacks
-
-        made = []
-        real = trhreg.attacks.pass_buffers
-
-        def recording(*args):
-            made.append(real(*args))
-            return made[-1]
-
-        monkeypatch.setattr(trhreg.attacks, "pass_buffers", recording)
-        net, X, y = self.problem([2, 6, 6, 2], 20)
-        for norm in ("linf", "l2"):
-            got = pgd(net, X, y, AttackConfig(delta=0.2, steps=3, norm=norm),
-                      Rng(26).child("a"))
-            b = made[-1]
-            for arr in b.preacts + b.hidden + b.masks + b.deltas:
-                assert not np.shares_memory(got, arr)
+    def test_pinned_attack_steps_take_no_page_faults(self):
+        """Each step allocates fresh arrays; with the allocator pinned they
+        come from the heap, not from fresh pages.  Unpinned, the same loop
+        takes tens of thousands of minor faults."""
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("malloc thresholds are pinned on glibc only")
+        script = textwrap.dedent("""
+            import resource
+            from trhreg.attacks import AttackConfig, pgd
+            from trhreg.network import init_mlp
+            from trhreg.numerics import Rng, pin_allocator
+            assert pin_allocator()
+            rng = Rng(30)
+            net = init_mlp([2, 100, 100, 2], rng.child("i"))
+            X = rng.child("x").normal(size=(500, 2))
+            y = rng.child("y").integers(0, 2, size=500)
+            cfg = AttackConfig(delta=0.1, steps=10)
+            pgd(net, X, y, cfg, rng.child("warm-up"))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for r in range(20):
+                pgd(net, X, y, cfg, rng.child(r))
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(trhreg.__file__)),
+             env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 1000
 
     def test_back_to_back_calls_independent(self):
         net, X, y = self.problem([2, 12, 12, 2], 40)

@@ -362,6 +362,39 @@ class TestKeyNaming:
             ExperimentConfig.from_text("pacbayes.beta = 10\n")
 
 
+class TestBoundSampleSize:
+    """pacbayes.m defaults to dataset.n, which sizes two-moons data only."""
+
+    BOUND = "pacbayes.sigma0_sq = 0.2\npacbayes.beta = 10\n"
+
+    @staticmethod
+    def csv_config(tmp_path, extra=""):
+        path = tmp_path / "d.csv"
+        path.write_text("0.0,1.0,0\n1.0,0.0,1\n0.5,0.5,0\n")
+        return (f"dataset.kind = csv\ndataset.path = {path}\n"
+                f"{TestBoundSampleSize.BOUND}{extra}")
+
+    def test_two_moons_default_is_dataset_n(self):
+        cfg = ExperimentConfig.from_text(BASE_CONFIG + self.BOUND)
+        assert cfg.pacbayes.m == 80
+        assert ExperimentConfig.from_text(self.BOUND).pacbayes.m == 500
+
+    def test_csv_without_m_rejected(self, tmp_path):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_text(self.csv_config(tmp_path))
+        assert info.value.key == "pacbayes.m"
+
+    def test_csv_with_explicit_m(self, tmp_path):
+        cfg = ExperimentConfig.from_text(self.csv_config(tmp_path, "pacbayes.m = 3\n"))
+        assert cfg.pacbayes.m == 3
+
+    def test_cli_exits_one_naming_m(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.csv_config(tmp_path))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "(key 'pacbayes.m')" in err
+
+
 class TestSingleRoute:
     def test_seed_flag_writes_the_bytes_of_a_seed_line(self, tmp_path):
         flag = write_config(tmp_path, BASE_CONFIG, "flag.txt")

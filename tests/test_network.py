@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import trhreg.network
 from trhreg import tape
 from trhreg.losses import softmax
 from trhreg.network import (DenseLayer, MlpNetwork, backprop, flatten_weights,
@@ -8,6 +11,7 @@ from trhreg.network import (DenseLayer, MlpNetwork, backprop, flatten_weights,
                             lift, load_checkpoint, param_count,
                             save_checkpoint, unflatten_weights)
 from trhreg.numerics import Rng, finite_diff_gradient
+from trhreg.trainer import MetricsLog
 
 
 def small_net(seed=0, dims=(3, 4, 2)):
@@ -235,3 +239,53 @@ class TestInitChecks:
     def test_zero_width_layer_rejected(self, dims):
         with pytest.raises(ValueError, match="width"):
             init_mlp(dims, Rng(0))
+
+
+class _FailingFile:
+    """A text file that writes half of what it is given, then fails as a
+    full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+def _write_metrics(net, path):
+    log = MetricsLog(columns=["a", "b"])
+    log.append(a=1, b=float(net.layers[0].weights[0, 0]))
+    log.write_csv(path)
+
+
+@pytest.mark.parametrize("write", [save_checkpoint, _write_metrics])
+class TestAtomicWrites:
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "out.txt"
+        write(small_net(seed=1), path)
+        old = path.read_bytes()
+        real_open = open
+        monkeypatch.setattr(trhreg.network, "open",
+                            lambda *a, **kw: _FailingFile(real_open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write(small_net(seed=2), path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_write_replaces_and_leaves_no_temp(self, tmp_path, write):
+        path = tmp_path / "out.txt"
+        write(small_net(seed=1), path)
+        write(small_net(seed=2), path)
+        fresh = tmp_path / "fresh.txt"
+        write(small_net(seed=2), fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["fresh.txt", "out.txt"]
