@@ -5,11 +5,11 @@ driven by a flat `key = value` config file (see :mod:`trhreg.config`) plus
 a few overrides.  Outputs are self-describing CSVs and `TRHNET v1`
 checkpoints.
 
-Exit codes: 0 success, 1 config error, 2 training divergence,
-3 verification failure, 4 a finite-difference oracle hit a non-finite
-evaluation, 5 an input too close to a ReLU kink for an exact formula,
-6 curvature out of the closed-form posterior's regime.  Codes 4-6 print
-one line naming the error.
+Exit codes: 0 success, 1 config error, 2 divergence (in training or in
+an oracle), 3 verification failure, 4 a finite-difference oracle hit a
+non-finite evaluation, 5 an input too close to a ReLU kink for an exact
+formula, 6 curvature out of the closed-form posterior's regime.  Codes 2
+and 4-6 print one line naming the error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import replace
 from .attacks import clean_accuracy, eval_robust_accuracy
 from .config import ConfigError, ExperimentConfig
 from .layer_traces import NonSmoothInput
-from .network import load_checkpoint, save_checkpoint
+from .network import TrainingDivergence, load_checkpoint, save_checkpoint
 from .numerics import OracleError, Rng, pin_allocator
 from .pacbayes import OutOfRegimeError
 from .trainer import MeasureConfig, MetricsLog, train
@@ -272,6 +272,9 @@ def main(argv=None) -> int:
         # ConfigError, malformed CSV/checkpoint files, bad combinations
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except TrainingDivergence as exc:
+        print(f"diverged: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except OracleError as exc:
         print(f"oracle error at index {exc.index}: {exc}", file=sys.stderr)
         return EXIT_ORACLE

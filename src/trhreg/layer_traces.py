@@ -29,11 +29,12 @@ finite-difference oracle pins the exact version down; the per-column
 quadratic form simplifies to ``sum_k s_k J_kd^2 - (sum_k s_k J_kd)^2``.
 
 One routine computes that trace, :func:`layer_trace_nodes`: it carries the
-logit Jacobians of all K classes down the network as one ``(D, m, K)``
-stack (the K backward passes of a loss-Hessian factor, as in BackPACK,
-Dangel et al. 2020, arXiv:1912.10985) and returns per-example rows per
-weight matrix as tape nodes.  Everything else here that reports the trace
-calls it:
+logit Jacobians of all K classes down the network as one class-major
+``(K, D, m)`` stack (the K backward passes of a loss-Hessian factor, as in
+BackPACK, Dangel et al. 2020, arXiv:1912.10985), so each layer step is one
+batched matrix product and each class sum a reduction over the leading
+axis, and returns per-example rows per weight matrix as tape nodes.
+Everything else here that reports the trace calls it:
 
 * :func:`full_ce_trace_rows_nodes` -- the sum over layers on lifted
   weights, the trainable whole-network regularizer;
@@ -151,38 +152,44 @@ def check_layer_inequality(net: MlpNetwork, x: np.ndarray, level: int,
 def layer_trace_nodes(lifted, X: np.ndarray) -> list:
     """Per-example CE trace of every weight matrix: one ``(m,)`` node per layer.
 
-    ``jac[d, n, c]`` is d logits_c / d (pre-activation d of the level above
-    the current weights) at example n.  All K classes go down together, one
-    matrix product per layer.  ReLU gates are held at their forward values
-    (the ReLU'' = 0 convention); everything else is a live function of the
-    lifted parameters.
+    ``jac[c, d, n]`` is d logits_c / d (pre-activation d of the level above
+    the current weights) at example n.  All K classes go down together as
+    one ``(K, D, m)`` stack, one batched matrix product per layer.  ReLU
+    gates are held at their forward values (the ReLU'' = 0 convention);
+    everything else is a live function of the lifted parameters.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     layer_inputs, preacts = forward_nodes(lifted, X)
     s = tape.exp(tape.log_softmax(preacts[-1]))
     k = s.shape[1]
-    jac = tape.constant(np.eye(k)[:, None, :])  # logits level, same for every row
+    s = tape.reshape(tape.transpose(s), (k, 1, -1))
+    jac = tape.constant(np.eye(k)[:, :, None])  # logits level, same for every row
     rows = [None] * len(lifted)
     for i in range(len(lifted) - 1, -1, -1):
         below = layer_inputs[i]
         rows[i] = tape.row_sum(below * below) * _summed_quadratic_form(s, jac)
         if i > 0:
-            w = lifted[i][0]
-            jac = tape.reshape(w @ tape.reshape(jac, (w.shape[1], -1)),
-                               (w.shape[0], -1, k))
-            jac = jac * tape.constant((preacts[i - 1].value > 0).T[:, :, None])
+            jac = (lifted[i][0] @ jac) * tape.constant((preacts[i - 1].value > 0).T)
     return rows
 
 
 def _summed_quadratic_form(s: tape.Node, jac: tape.Node) -> tape.Node:
-    """``sum_d J_d^T Phi J_d = sum_d (s^T J_d^2 - (s^T J_d)^2)`` per row.
+    """``sum_d J_d^T Phi J_d = sum_d (sum_c s_c J_cd^2 - u_d^2)`` per row,
+    with ``u_d = sum_c s_c J_cd``, ``s`` of shape ``(K, 1, m)`` and ``jac``
+    a ``(K, D, m)`` stack.
 
-    A function of its own so that, on constants, its ``(D, m, K)``
-    temporaries are freed on return.
+    One node with a hand-written VJP: ``2 s (J - u)`` for ``jac`` and
+    ``sum_d J_cd (J_cd - 2 u_d)`` for ``s``.  On constants it keeps no
+    graph.  Only the constant logits-level ``jac`` broadcasts over rows, so
+    a live ``jac`` needs no unbroadcasting.
     """
-    weighted = s * jac
-    s_jac = tape.nsum(weighted, axis=2)
-    return tape.nsum(tape.nsum(weighted * jac, axis=2) - s_jac * s_jac, axis=0)
+    j = jac.value
+    weighted = s.value * j
+    u = weighted.sum(axis=0)
+    value = ((weighted * j).sum(axis=0) - u * u).sum(axis=0)
+    return tape.Node(value, (
+        (s, lambda g: (j * (j - 2.0 * u)).sum(axis=1, keepdims=True) * g),
+        (jac, lambda g: (j - u) * (2.0 * s.value * g))))
 
 
 def full_ce_trace_rows_nodes(lifted, X: np.ndarray) -> tape.Node:
@@ -192,7 +199,7 @@ def full_ce_trace_rows_nodes(lifted, X: np.ndarray) -> tape.Node:
     return sum(rows[1:], rows[0])
 
 
-_ROWS_PER_PASS = 128  # bounds the (D, m, K) stacks of a measurement pass
+_ROWS_PER_PASS = 128  # bounds the (K, D, m) stacks of a measurement pass
 
 
 def layer_trace_rows(net: MlpNetwork, X: np.ndarray) -> np.ndarray:

@@ -6,10 +6,11 @@ leaf.  The op set is deliberately small -- just enough to express the
 training objectives in this package (dense layers, ReLU, softmax algebra
 and the closed-form curvature terms) -- and everything is batched: node
 payloads are scalars, ``(m,)`` vectors, ``(m, k)`` matrices or stacks of
-them.  Every op works on any rank: matrix products act on the last two
-axes, row-wise reductions (:func:`row_sum`, :func:`log_softmax`) on the
-last one, so a leading axis can carry a stack of independent copies of a
-whole expression (see :func:`trhreg.network.backprop`).
+them.  Every op works on any rank: matrix products and :func:`transpose`
+act on the last two axes, row-wise reductions (:func:`row_sum`,
+:func:`log_softmax`) on the last one, so a leading axis can carry a stack
+of independent copies of a whole expression (see
+:func:`trhreg.network.backprop`).
 
 Broadcasting between operands follows numpy; adjoints are summed back over
 broadcast axes.  There is no graph reuse across calls: build, evaluate,
@@ -158,6 +159,11 @@ def nsum(a: Node, axis=None, keepdims=False) -> Node:
 
 def reshape(a: Node, shape) -> Node:
     return Node(a.value.reshape(shape), ((a, lambda g: g.reshape(a.shape)),))
+
+
+def transpose(a: Node) -> Node:
+    """Swap the last two axes."""
+    return Node(a.value.swapaxes(-1, -2), ((a, lambda g: g.swapaxes(-1, -2)),))
 
 
 def mean(a: Node, axis=None) -> Node:

@@ -274,11 +274,6 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
             lr = lr_at(cfg, t, total_iters)
             x_adv = pgd(net, x_b, y_b, attack_cfg, rng.child("attack", epoch, b))
 
-            step_net = net
-            if cfg.baseline == "awp":
-                xi = awp_step(net, x_b, x_adv, y_b, kind, cfg.awp_delta)
-                step_net = _apply_perturbation(net, xi)
-
             def objective(lifted):
                 node = objective_nodes(lifted, x_b, x_adv, y_b, kind,
                                        lam_eff, cfg.gamma,
@@ -289,6 +284,10 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
                 return node
 
             try:
+                step_net = net
+                if cfg.baseline == "awp":
+                    xi = awp_step(net, x_b, x_adv, y_b, kind, cfg.awp_delta)
+                    step_net = _apply_perturbation(net, xi)
                 value, grads = backprop(step_net, objective)
             except TrainingDivergence:
                 diverged, diverged_epoch = True, epoch

@@ -5,7 +5,7 @@ from trhreg import cli
 from trhreg.cli import main
 from trhreg.config import ConfigError, ExperimentConfig, parse_kv
 from trhreg.layer_traces import NonSmoothInput
-from trhreg.network import load_checkpoint
+from trhreg.network import TrainingDivergence, load_checkpoint
 from trhreg.numerics import OracleError
 from trhreg.pacbayes import OutOfRegimeError
 
@@ -274,15 +274,17 @@ class TestCliVerify:
 
 
 class TestCliNamedErrors:
-    """Oracle, smoothness and regime errors get their own exit code and one
-    line on stderr, not a traceback."""
+    """Divergence outside a training step, and oracle, smoothness and
+    regime errors, get their own exit code and one line on stderr, not a
+    traceback."""
 
     @pytest.mark.parametrize("error,code,words", [
+        (TrainingDivergence("objective evaluated to nan"), 2, "diverged"),
         (OracleError("non-finite evaluation at index 7", index=7), 4, "index 7"),
         (NonSmoothInput("pre-activation within 0.001 of a ReLU kink"), 5,
          "non-smooth input"),
         (OutOfRegimeError("trace -9.0 too negative"), 6, "out of regime"),
-    ], ids=["oracle", "non-smooth", "out-of-regime"])
+    ], ids=["diverged", "oracle", "non-smooth", "out-of-regime"])
     def test_exit_code_and_one_line(self, capsys, monkeypatch, error, code, words):
         def raise_error(**kwargs):
             raise error
@@ -291,6 +293,46 @@ class TestCliNamedErrors:
         assert main(["verify", "--level", "quick"]) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and words in err and str(error) in err
+
+
+class TestCliDivergenceOutsideTraining:
+    """A non-finite objective met outside a training step (an oracle's
+    gradient, the AWP ascent step) exits 2 with one line, not a traceback."""
+
+    def test_measurement_exits_two(self, tmp_path, capsys, monkeypatch):
+        import trhreg.trainer as trainer_module
+
+        def raise_error(*args):
+            raise TrainingDivergence("objective evaluated to inf")
+
+        monkeypatch.setattr(trainer_module, "measure_trace_row", raise_error)
+        cfg = write_config(tmp_path)
+        assert main(["trace", "--config", cfg, "--out", str(tmp_path / "run"),
+                     "--measure", "top"]) == 2
+        err = capsys.readouterr().err
+        assert err == "diverged: objective evaluated to inf\n"
+
+    def test_awp_step_divergence_keeps_last_good_checkpoint(
+            self, tmp_path, capsys, monkeypatch):
+        import trhreg.trainer as trainer_module
+
+        real_awp_step = trainer_module.awp_step
+        calls = []
+
+        def failing_awp_step(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise TrainingDivergence("objective evaluated to nan")
+            return real_awp_step(*args)
+
+        monkeypatch.setattr(trainer_module, "awp_step", failing_awp_step)
+        cfg = write_config(tmp_path, BASE_CONFIG + "train.baseline = awp\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("diverged at epoch 1; last-good checkpoint")
+        assert err.count("\n") == 1
+        assert load_checkpoint(out / "checkpoint.txt").input_dim == 2
 
 
 class TestCliTraceModes:

@@ -8,10 +8,11 @@ from trhreg.losses import RobustLossKind, softmax
 from trhreg.network import (DenseLayer, MlpNetwork, flatten_weights, forward,
                             gradient_vector, init_mlp, unflatten_weights)
 from trhreg.numerics import Rng, finite_diff_gradient
-from trhreg.layer_traces import (NonSmoothInput, check_layer_inequality,
-                             full_ce_trace, full_ce_trace_rows_nodes,
-                             l1_operator_norm, layer_h_tensor,
-                             layer_trace_rows, logits_jacobian, trh_ce_layer)
+from trhreg.layer_traces import (NonSmoothInput, _summed_quadratic_form,
+                             check_layer_inequality, full_ce_trace,
+                             full_ce_trace_rows_nodes, l1_operator_norm,
+                             layer_h_tensor, layer_trace_rows,
+                             logits_jacobian, trh_ce_layer)
 from trhreg.trh import trh_at
 from trhreg.verify import sample_smooth_instance
 
@@ -239,3 +240,56 @@ class TestClassBatchedRoutine:
             assert node._edges == () and not node.live
         live = layer_trace_nodes(lift(net), X)
         assert all(node.live for node in live)
+
+
+def _composite_quadratic_form(s, jac):
+    """Reference: the summed quadratic form as a chain of elementary tape
+    ops on the class-major ``(K, D, m)`` stack."""
+    weighted = s * jac
+    u = tape.nsum(weighted, axis=0)
+    return tape.nsum(tape.nsum(weighted * jac, axis=0) - u * u, axis=0)
+
+
+def _random_stack(seed, k=10, d=6, m=5):
+    rng = Rng(250).child(seed)
+    s = softmax(rng.child("z").normal(size=(m, k)) * 2.0).T.reshape(k, 1, m)
+    return s, rng.child("j").normal(size=(k, d, m))
+
+
+class TestFusedQuadraticForm:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_value_matches_composite(self, seed):
+        s, jac = _random_stack(seed)
+        fused = _summed_quadratic_form(tape.constant(s), tape.constant(jac)).value
+        ref = _composite_quadratic_form(tape.constant(s), tape.constant(jac)).value
+        assert fused.shape == ref.shape == (s.shape[2],)
+        assert np.all(np.abs(fused - ref) <= 1e-13 * np.abs(ref))
+
+    @pytest.mark.parametrize("wrt", ["s", "jac"])
+    def test_gradcheck(self, wrt):
+        s, jac = _random_stack(3, k=4, d=3, m=2)
+        c = tape.constant(Rng(251).child(wrt).normal(size=s.shape[2]))
+
+        def value(x, form=_summed_quadratic_form):
+            args = {"s": tape.constant(s), "jac": tape.constant(jac)}
+            args[wrt] = x
+            return tape.nsum(form(args["s"], args["jac"]) * c)
+
+        x0 = s if wrt == "s" else jac
+        x = tape.leaf(x0)
+        tape.backward(value(x))
+        fd = finite_diff_gradient(
+            lambda flat: float(value(tape.constant(flat.reshape(x0.shape))).value),
+            x0.ravel().copy())
+        assert np.linalg.norm(x.grad.ravel() - fd) <= 1e-7 * np.linalg.norm(fd)
+        ref = tape.leaf(x0)
+        tape.backward(value(ref, _composite_quadratic_form))
+        assert np.allclose(x.grad, ref.grad, rtol=1e-12, atol=1e-14)
+
+    def test_one_node_and_no_graph_on_constants(self):
+        s, jac = _random_stack(4)
+        s_node, jac_node = tape.leaf(s), tape.leaf(jac)
+        out = _summed_quadratic_form(s_node, jac_node)
+        assert [p for p, _ in out._edges] == [s_node, jac_node]
+        out = _summed_quadratic_form(tape.constant(s), tape.constant(jac))
+        assert out._edges == () and not out.live

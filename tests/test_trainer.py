@@ -294,3 +294,34 @@ class TestNonFiniteGradient:
         assert np.all(np.isfinite(flatten_weights(res.raw_net)))
         # the two updates before the nan step are kept
         assert not np.array_equal(flatten_weights(res.raw_net), flatten_weights(net))
+
+
+class TestAwpDivergence:
+    def test_non_finite_awp_gradient_stops_the_run(self, monkeypatch):
+        # the AWP ascent step runs backprop before the update; a
+        # non-finite objective there is a divergence of the step, not an
+        # escaped error, and the updates before it are kept
+        import trhreg.trainer as trainer_module
+        from trhreg.network import TrainingDivergence
+
+        real_awp_step = trainer_module.awp_step
+        calls = []
+
+        def failing_awp_step(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise TrainingDivergence("objective evaluated to nan")
+            return real_awp_step(*args)
+
+        monkeypatch.setattr(trainer_module, "awp_step", failing_awp_step)
+        ds = two_moons(40, seed=3)
+        net = init_mlp([2, 6, 2], Rng(3).child("i"))
+        cfg = TrainConfig(epochs=4, base_lr=0.05, batch_size=20,
+                          lr_decay="constant", seed=0, baseline="awp",
+                          awp_delta=0.005)
+        res = train(net, ds, RobustLossKind("at"), TrHConfig(),
+                    AttackConfig(delta=0.02, steps=1), cfg)
+        assert res.diverged and res.diverged_epoch == 1
+        assert len(calls) == 3 and len(res.metrics.rows) == 2
+        assert np.all(np.isfinite(flatten_weights(res.raw_net)))
+        assert not np.array_equal(flatten_weights(res.raw_net), flatten_weights(net))

@@ -154,15 +154,20 @@ class TestTrhAlp:
 
 
 class TestTrhMart:
-    def test_saturated_margin_tends_to_clean_ce_trace(self):
-        # drive the runner-up adversarial probability toward zero: the
-        # margin contribution vanishes and the clean-CE term remains
-        net = MlpNetwork([DenseLayer(np.array([[8.0, -8.0], [0.0, 0.0]]))])
+    def test_binary_margin_trace_is_the_ce_trace(self):
+        # at K = 2 the runner-up is the other class, so the margin term
+        # -log(1 - s'_other) = -log(s'_y) is a second adversarial CE: with
+        # clean == adversarial and no penalty the MART trace is twice the
+        # CE trace, for either label (at unsaturated logits, where
+        # 1 - sum(s^2) does not cancel)
         x = np.array([2.0, 0.3])
-        tr = forward(net, x)
-        val = trh_mart(tr, tr, 0, 0.0)
-        clean = trh_trades(tr, tr, 0.0)
-        assert val == pytest.approx(clean, rel=1e-4)
+        for scale in (0.2, 0.5, 2.0):
+            net = MlpNetwork([DenseLayer(np.array([[1.0, -1.0], [0.0, 0.0]]) * scale)])
+            tr = forward(net, x)
+            ce = trh_trades(tr, tr, 0.0)
+            for y in (0, 1):
+                assert trh_mart(tr, tr, y, 0.0) == pytest.approx(
+                    2 * ce, rel=1e-12, abs=0)
 
     def test_binary_symmetric_oracle(self):
         net = MlpNetwork([DenseLayer(np.array([[0.3, -0.3], [-0.1, 0.1]]))])
