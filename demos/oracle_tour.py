@@ -13,7 +13,7 @@ Run: python demos/oracle_tour.py
 import numpy as np
 
 from trhreg.hessian_oracle import (exact_trace, frozen_objective_fns,
-                                   top_layer_indices, weight_indices)
+                                   weight_indices)
 from trhreg.losses import RobustLossKind
 from trhreg.network import flatten_weights, forward
 from trhreg.numerics import pin_allocator
@@ -42,7 +42,8 @@ for seed in (1, 2, 3):
     for name, kind, stop_grad in FORMULAS:
         _, grad_fn = frozen_objective_fns(net, x, x_adv, y, kind,
                                           stop_grad_clean=stop_grad)
-        oracle = exact_trace(grad_fn, w0, top_layer_indices(net))
+        oracle = exact_trace(grad_fn, w0,
+                             weight_indices(net, layer=net.depth - 1))
         closed = float(analytic_trh_rows(net, x, x_adv, y, kind,
                                          stop_grad_clean=stop_grad)[0])
         rel = abs(oracle - closed) / max(1e-12, abs(oracle))

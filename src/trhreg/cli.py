@@ -236,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("trace", help="train while logging curvature traces")
     add_common(sp)
+    # "layers" is an older name of "top", kept for existing command lines
     sp.add_argument("--measure", choices=["top", "full", "layers"],
+                    type=lambda mode: "top" if mode == "layers" else mode,
                     default="full")
     sp.add_argument("--every", type=int, default=1)
     sp.add_argument("--probes", type=int, default=64)

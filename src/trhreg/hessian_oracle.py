@@ -103,13 +103,6 @@ def hutchinson_trace_pair(hvp, dim: int, probes: int, rng: Rng, indices=None):
     return mean_se(tvals), mean_se(sqvals)
 
 
-def hutchinson_trace_sq(hvp, dim: int, probes: int, rng: Rng, indices=None):
-    """Rademacher estimate ``(estimate, se)`` of Tr(H^2) from a
-    Hessian-vector product: the second half of :func:`hutchinson_trace_pair`.
-    """
-    return hutchinson_trace_pair(hvp, dim, probes, rng, indices)[1]
-
-
 def _probe(dim: int, rng: Rng, indices) -> np.ndarray:
     if indices is None:
         return rademacher_vector(dim, rng)
@@ -257,7 +250,3 @@ def weight_indices(net: MlpNetwork, layer: int | None = None,
         if include_bias and bs is not None:
             chunks.append(np.arange(bs.start, bs.stop))
     return np.concatenate(chunks)
-
-
-def top_layer_indices(net: MlpNetwork) -> np.ndarray:
-    return weight_indices(net, layer=net.depth - 1)

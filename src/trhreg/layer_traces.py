@@ -10,8 +10,7 @@ Two related quantities live here.  The tensor
 
     H[k, d] = (d logits_k / d level_d)^2 * h_k
 
-with the active set ``P = {d : level_d > 0}`` is the object of the
-consecutive-level bound
+over every unit of a level is the object of the consecutive-level bound
 
     max H(level i) <= max H(level i+1) * ||W_i||_1^2
 
@@ -20,7 +19,8 @@ entries of weight matrix ``W_i`` is
 
     trace(W_i) = ||level_i||^2 * sum_{d in P(level_{i+1})} J_d^T Phi J_d
 
-where ``J_d = d logits / d level_{i+1}[d]`` and ``Phi`` is the softmax
+with the active set ``P = {d : level_d > 0}``, where
+``J_d = d logits / d level_{i+1}[d]`` and ``Phi`` is the softmax
 Jacobian; summing only the diagonal of ``Phi`` would give
 ``sum_{k, d in P} H[k, d]``, which coincides with the exact trace at the
 top layer (where J is the identity and the trace reduces to
@@ -28,13 +28,18 @@ top layer (where J is the identity and the trace reduces to
 finite-difference oracle pins the exact version down; the per-column
 quadratic form simplifies to ``sum_k s_k J_kd^2 - (sum_k s_k J_kd)^2``.
 
-One routine computes that trace, :func:`layer_trace_nodes`: it carries the
-logit Jacobians of all K classes down the network as one class-major
-``(K, D, m)`` stack (the K backward passes of a loss-Hessian factor, as in
-BackPACK, Dangel et al. 2020, arXiv:1912.10985), so each layer step is one
-batched matrix product and each class sum a reduction over the leading
-axis, and returns per-example rows per weight matrix as tape nodes.
-Everything else here that reports the trace calls it:
+One recursion, :func:`_jacobian_stacks`, carries the logit Jacobians of
+all K classes down the network as one class-major ``(K, D, m)`` stack (the
+K backward passes of a loss-Hessian factor, as in BackPACK, Dangel et al.
+2020, arXiv:1912.10985), so each layer step is one batched matrix product.
+Both quantities read it:
+
+* :func:`layer_trace_nodes` -- per-example trace rows per weight matrix
+  as tape nodes, each class sum a reduction over the leading axis;
+* :func:`check_layer_inequality` -- the bound at one example, on
+  constant weights.
+
+Everything else here that reports the trace calls :func:`layer_trace_nodes`:
 
 * :func:`full_ce_trace_rows_nodes` -- the sum over layers on lifted
   weights, the trainable whole-network regularizer;
@@ -42,9 +47,6 @@ Everything else here that reports the trace calls it:
   values for measurement;
 * :func:`trh_ce_layer` / :func:`full_ce_trace` -- one example, behind the
   smoothness guard the oracles need.
-
-:func:`layer_h_tensor`, :func:`logits_jacobian` and
-:func:`check_layer_inequality` serve the consecutive-level bound.
 
 At the logits level there is no ReLU above the weights, so its active set
 is every index.  Biases are excluded throughout (traces are over
@@ -61,20 +63,12 @@ import numpy as np
 
 from . import tape
 from .losses import softmax
-from .network import (MlpNetwork, forward, forward_nodes, lift,
-                      min_preact_magnitude)
+from .network import MlpNetwork, forward_nodes, lift, min_preact_magnitude
 from .numerics import SMOOTH_TOL
 
 
 class NonSmoothInput(RuntimeError):
     """A pre-activation sits too close to a ReLU kink for exact formulas."""
-
-
-@dataclass
-class LayerHTensor:
-    level: int
-    values: np.ndarray        # (K, D) squared logit Jacobian times h
-    positive_set: np.ndarray  # indices of active units at this level
 
 
 def _check_smooth(net: MlpNetwork, x: np.ndarray, tol: float) -> None:
@@ -83,40 +77,24 @@ def _check_smooth(net: MlpNetwork, x: np.ndarray, tol: float) -> None:
             f"pre-activation within {tol} of a ReLU kink; resample the input")
 
 
-def logits_jacobian(net: MlpNetwork, x: np.ndarray, level: int) -> np.ndarray:
-    """d logits / d level activations, shape (K, D_level)."""
-    tr = forward(net, x)
-    depth = net.depth
-    if not 0 <= level <= depth:
-        raise ValueError(f"level must be in [0, {depth}]")
-    k = net.num_classes
-    jac = np.eye(k)
-    for i in range(depth - 1, level - 1, -1):
-        jac = jac @ net.layers[i].weights.T
-        if i > level:
-            jac = jac * (tr.preacts[i - 1] > 0)
-    return jac
+def _jacobian_stacks(lifted, preacts):
+    """The downward Jacobian recursion: ``(i, jac)`` for weight layers
+    ``i = L-1, ..., 0``.
 
-
-def layer_h_tensor(net: MlpNetwork, x: np.ndarray, level: int,
-                   tol: float = SMOOTH_TOL) -> LayerHTensor:
-    """Squared-Jacobian-times-h tensor and active set at an activation level."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("layer_h_tensor takes a single input vector")
-    _check_smooth(net, x, tol)
-    tr = forward(net, x)
-    act = (tr.layer_inputs + [tr.logits])[level]
-    if level == net.depth:
-        positive = np.arange(act.size)  # no ReLU above the top weights
-    else:
-        positive = np.flatnonzero(act > 0)
-        if level == 0 and positive.size == 0 and np.all(act == 0):
-            raise NonSmoothInput("zero input is degenerate for a bias-free net")
-    jac = logits_jacobian(net, x, level)
-    h = softmax(tr.logits) * (1.0 - softmax(tr.logits))
-    return LayerHTensor(level=level, values=jac ** 2 * h[:, None],
-                        positive_set=positive)
+    ``jac`` is the class-major ``(K, D, m)`` stack of d logits / d (the
+    pre-activations ``W_i`` feeds); at the top it is the identity, one
+    ``(K, K, 1)`` constant for every row.  Each step down is one batched
+    product ``W_i @ jac``, the Jacobian of the activations entering ``W_i``,
+    times the ReLU gates of that level held at their forward values.  A
+    step is taken only when the next layer is asked for, and none below
+    layer 0.
+    """
+    k = preacts[-1].shape[1]
+    jac = tape.constant(np.eye(k)[:, :, None])
+    for i in range(len(lifted) - 1, -1, -1):
+        yield i, jac
+        if i > 0:
+            jac = (lifted[i][0] @ jac) * tape.constant((preacts[i - 1].value > 0).T)
 
 
 def l1_operator_norm(w: np.ndarray) -> float:
@@ -136,13 +114,34 @@ class LayerInequality:
 
 def check_layer_inequality(net: MlpNetwork, x: np.ndarray, level: int,
                            slack: float = 1e-9) -> LayerInequality:
-    """Consecutive-level bound: max H(level) <= max H(level+1) * ||W||_1^2."""
+    """Consecutive-level bound: max H(level) <= max H(level+1) * ||W||_1^2.
+
+    ``H[k, d] = (d logits_k / d level_d)^2 h_k`` over every unit of the
+    level, active or not.  The Jacobian of level ``i < L`` is ``W_i @ jac``
+    with ``jac`` the stack :func:`_jacobian_stacks` carries at weight layer
+    ``i``; that of the logits level is the identity.  One input vector,
+    behind the smoothness guard.
+    """
     if not 0 <= level < net.depth:
         raise ValueError(f"level must be in [0, {net.depth})")
-    lower = layer_h_tensor(net, x, level)
-    upper = layer_h_tensor(net, x, level + 1)
-    lhs = float(lower.values.max())
-    rhs = float(upper.values.max()) * l1_operator_norm(net.layers[level].weights) ** 2
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("check_layer_inequality takes a single input vector")
+    _check_smooth(net, x, SMOOTH_TOL)
+    if level == 0 and np.all(x == 0):
+        raise NonSmoothInput("zero input is degenerate for a bias-free net")
+    lifted = lift(net, tape.constant)
+    _, preacts = forward_nodes(lifted, x[None, :])
+    s = softmax(preacts[-1].value[0])
+    h = (s * (1.0 - s))[:, None, None]
+    peak = {net.depth: float(h.max())}  # identity Jacobian: H = diag(h)
+    for i, jac in _jacobian_stacks(lifted, preacts):
+        if i <= level + 1:
+            peak[i] = float(((lifted[i][0] @ jac).value ** 2 * h).max())
+        if i == level:
+            break
+    lhs = peak[level]
+    rhs = peak[level + 1] * l1_operator_norm(net.layers[level].weights) ** 2
     return LayerInequality(lhs=lhs, rhs=rhs, holds=lhs <= rhs + slack)
 
 
@@ -163,13 +162,10 @@ def layer_trace_nodes(lifted, X: np.ndarray) -> list:
     s = tape.exp(tape.log_softmax(preacts[-1]))
     k = s.shape[1]
     s = tape.reshape(tape.transpose(s), (k, 1, -1))
-    jac = tape.constant(np.eye(k)[:, :, None])  # logits level, same for every row
     rows = [None] * len(lifted)
-    for i in range(len(lifted) - 1, -1, -1):
+    for i, jac in _jacobian_stacks(lifted, preacts):
         below = layer_inputs[i]
         rows[i] = tape.row_sum(below * below) * _summed_quadratic_form(s, jac)
-        if i > 0:
-            jac = (lifted[i][0] @ jac) * tape.constant((preacts[i - 1].value > 0).T)
     return rows
 
 

@@ -28,10 +28,9 @@ import numpy as np
 
 from .attacks import AttackConfig, clean_accuracy, eval_robust_accuracy, pgd
 from .data import Dataset
-from .hessian_oracle import (LayerHessianReport, frozen_hvp,
-                             frozen_objective_fns, frozen_quad_form,
+from .hessian_oracle import (LayerHessianReport, frozen_hvp, frozen_quad_form,
                              hutchinson_trace, hutchinson_trace_pair,
-                             hutchinson_trace_sq, weight_indices)
+                             weight_indices)
 from .losses import RobustLossKind
 from .network import (MlpNetwork, TrainingDivergence, backprop,
                       flat_gradient, flatten_weights, param_count,
@@ -191,14 +190,13 @@ class MeasureConfig:
 
     mode "top": the closed-form top-layer trace of the training loss and the
     per-layer closed-form CE traces; the whole-network estimate columns are
-    nan.  "layers" is a synonym for "top".  "full": adds a whole-network
-    Rademacher estimate (``hessian_oracle.hutchinson_trace``) with the same
-    seeded probes at every measurement (common random numbers keep the
-    trajectory smooth).  "spectrum" produces per-layer and whole-network
-    (trace, trace_sq) pairs and eigenvalue statistics from
-    ``hessian_oracle`` probe estimators.  The measurement objective is the
-    bare robust loss of the training kind with adversarial inputs
-    regenerated (and then frozen) at measurement time.
+    nan.  "full": adds a whole-network Rademacher estimate
+    (``hessian_oracle.hutchinson_trace``) with the same seeded probes at
+    every measurement (common random numbers keep the trajectory smooth).
+    "spectrum" produces per-layer and whole-network (trace, trace_sq) pairs
+    and eigenvalue statistics from ``hessian_oracle`` probe estimators.  The
+    measurement objective is the bare robust loss of the training kind with
+    adversarial inputs regenerated (and then frozen) at measurement time.
     """
 
     mode: str
@@ -207,7 +205,7 @@ class MeasureConfig:
     probe_seed: int = 2024
 
     def __post_init__(self):
-        if self.mode not in ("top", "full", "layers", "spectrum"):
+        if self.mode not in ("top", "full", "spectrum"):
             raise ValueError(f"unknown measure mode {self.mode!r}")
         if self.every < 1 or self.probes < 1:
             raise ValueError("every and probes must be >= 1")
@@ -338,11 +336,6 @@ def measurement_attack(attack_cfg: AttackConfig) -> AttackConfig:
     return replace(attack_cfg, restarts=1)
 
 
-def bare_objective_value_fn(net: MlpNetwork, X, X_adv, y, kind: RobustLossKind):
-    """Frozen-constant robust-loss value over the flat weights (no tape)."""
-    return frozen_objective_fns(net, X, X_adv, y, kind)[0]
-
-
 def measure_trace_row(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
                       attack_cfg: AttackConfig, epoch: int,
                       measure: MeasureConfig, metrics_row):
@@ -391,7 +384,7 @@ def spectrum_records(net: MlpNetwork, x, x_adv, y, kind: RobustLossKind,
         (trace, _), (trace_sq, _) = hutchinson_trace_pair(
             hvp, dim, probes, rng.child("layer", li), idx)
         reports.append(LayerHessianReport.from_traces(li, trace, trace_sq, idx.size))
-    trace_sq, _ = hutchinson_trace_sq(hvp, dim, probes, rng.child("full"))
+    trace_sq, _ = hutchinson_trace_pair(hvp, dim, probes, rng.child("full"))[1]
     reports.insert(0, LayerHessianReport.from_traces(
         0, sum(r.trace for r in reports), trace_sq, dim))
     return [{"epoch": epoch, "layer": r.layer, "trace": r.trace,

@@ -143,7 +143,8 @@ def _trades_g_rows(clean: _Side, adv: _Side, r2, hsum) -> tape.Node:
             - 2 (z . z') 1^T h
 
     where the ``s (1 - 2 s)`` weight (not h) comes from the corrected
-    Jacobian-of-Jacobian identity in :mod:`trhreg.losses`.
+    Jacobian-of-Jacobian identity pinned by
+    ``tests/test_losses.py::TestSoftmaxDerivs::test_second_derivative_identity``.
     """
     z, logs, s = clean
     logdiff = logs - adv.logs

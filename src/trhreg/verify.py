@@ -129,7 +129,7 @@ def check_trh_formulas(instances: int, seed: int = 0) -> list[CheckResult]:
         inst_seed = seed * 1000 + i
         net, x, x_adv, y = sample_smooth_instance(inst_seed)
         w0 = flatten_weights(net)
-        top = ho.top_layer_indices(net)
+        top = ho.weight_indices(net, layer=net.depth - 1)
         for variant, stop_grad in variants:
             kind = next(k for k in KINDS if k.variant == variant)
             _, grad_fn = ho.frozen_objective_fns(
@@ -291,8 +291,8 @@ def check_hutchinson(seed: int = 0) -> list[CheckResult]:
     b = rng.child("six").normal(size=(6, 6))
     sym = b + b.T
     hvp = lambda v: sym @ v
-    est_sq, se_sq = ho.hutchinson_trace_sq(hvp, 6, probes=4000,
-                                           rng=rng.child("sq"))
+    est_sq, se_sq = ho.hutchinson_trace_pair(hvp, 6, probes=4000,
+                                             rng=rng.child("sq"))[1]
     truth = float(np.sum(np.linalg.eigvalsh(sym) ** 2))
     ok = abs(est_sq - truth) <= 3 * max(se_sq, 1e-12)
     out.append(CheckResult("hutchinson", "trace-sq-vs-eigensolver", ok,

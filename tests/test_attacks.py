@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import trhreg
+from loss_references import cross_entropy_rows
 from trhreg.attacks import (AttackConfig, clean_accuracy,
                             eval_robust_accuracy, pgd, predictions, project)
 from trhreg.data import two_moons
-from trhreg.losses import cross_entropy_rows, softmax
+from trhreg.losses import softmax
 from trhreg.network import (DenseLayer, MlpNetwork, forward, init_mlp,
                             input_gradient)
 from trhreg.numerics import Rng

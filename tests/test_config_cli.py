@@ -8,6 +8,7 @@ from trhreg.layer_traces import NonSmoothInput
 from trhreg.network import TrainingDivergence, load_checkpoint
 from trhreg.numerics import OracleError
 from trhreg.pacbayes import OutOfRegimeError
+from trhreg.trainer import MeasureConfig
 
 BASE_CONFIG = """
 # toy experiment
@@ -338,19 +339,27 @@ class TestCliDivergenceOutsideTraining:
 class TestCliTraceModes:
     def test_layers_and_top_write_equal_rows(self, tmp_path):
         cfg = write_config(tmp_path)
-        tables = {}
+        raw = {}
         for mode in ("top", "layers"):
             out = tmp_path / mode
             assert main(["trace", "--config", cfg, "--out", str(out),
                          "--measure", mode, "--every", "2"]) == 0
-            tables[mode] = [ln for ln in (out / "trace.csv").read_text()
-                            .splitlines() if not ln.startswith("#")]
-        assert tables["layers"] == tables["top"]
-        cols = tables["top"][0].split(",")
-        for row in tables["top"][1:]:
+            raw[mode] = (out / "trace.csv").read_bytes()
+        assert raw["layers"] == raw["top"]  # the preamble included
+        table = [ln for ln in raw["top"].decode().splitlines()
+                 if not ln.startswith("#")]
+        cols = table[0].split(",")
+        for row in table[1:]:
             vals = dict(zip(cols, row.split(",")))
             assert vals["trh_full_estimate"] == "nan"
             assert vals["trh_full_stderr"] == "nan"
+
+    def test_layers_is_read_at_parsing_only(self):
+        args = cli.build_parser().parse_args(["trace", "--config", "c.txt",
+                                              "--measure", "layers"])
+        assert args.measure == "top"
+        with pytest.raises(ValueError, match="unknown measure mode 'layers'"):
+            MeasureConfig(mode="layers")
 
 
 BOUND_CONFIG = BASE_CONFIG + ("pacbayes.sigma0_sq = 0.2\npacbayes.beta = 10\n"

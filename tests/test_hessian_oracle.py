@@ -4,9 +4,8 @@ import pytest
 from trhreg.hessian_oracle import (LayerHessianReport, eigen_stats,
                                    exact_trace, frozen_objective_fns,
                                    hessian_diag_subset, hutchinson_trace,
-                                   hutchinson_trace_sq, hvp_from_grad,
-                                   quad_form_from_values, top_layer_indices,
-                                   weight_indices)
+                                   hutchinson_trace_pair, hvp_from_grad,
+                                   quad_form_from_values, weight_indices)
 from trhreg.losses import RobustLossKind
 from trhreg.network import flatten_weights, forward
 from trhreg.numerics import OracleError, Rng
@@ -30,7 +29,8 @@ class TestExactTrace:
     def test_top_layer_equals_closed_form(self):
         net, x, x_adv, y = sample_smooth_instance(301)
         _, grad_fn = frozen_objective_fns(net, x, x_adv, y, RobustLossKind("at"))
-        oracle = exact_trace(grad_fn, flatten_weights(net), top_layer_indices(net))
+        oracle = exact_trace(grad_fn, flatten_weights(net),
+                             weight_indices(net, layer=net.depth - 1))
         assert oracle == pytest.approx(trh_at(forward(net, x_adv[0])), rel=1e-5)
 
     def test_block_additivity(self):
@@ -116,12 +116,12 @@ class TestHutchinsonTraceSq:
     def test_diagonal_exact_per_probe(self):
         d = np.array([1.0, 3.0])
         hvp = lambda v: d * v
-        est, _ = hutchinson_trace_sq(hvp, 2, probes=1, rng=Rng(5).child("h"))
+        est, _ = hutchinson_trace_pair(hvp, 2, probes=1, rng=Rng(5).child("h"))[1]
         assert est == pytest.approx(10.0, abs=1e-12)
 
     def test_zero_matrix(self):
-        est, se = hutchinson_trace_sq(lambda v: np.zeros_like(v), 5,
-                                      probes=3, rng=Rng(6).child("h"))
+        est, se = hutchinson_trace_pair(lambda v: np.zeros_like(v), 5,
+                                        probes=3, rng=Rng(6).child("h"))[1]
         assert est == 0.0 and se == 0.0
 
     def test_matches_dense_eigensolver(self):
@@ -129,8 +129,8 @@ class TestHutchinsonTraceSq:
         a = rng.child("m").normal(size=(6, 6))
         sym = a + a.T
         truth = float(np.sum(np.linalg.eigvalsh(sym) ** 2))
-        est, se = hutchinson_trace_sq(lambda v: sym @ v, 6, probes=4000,
-                                      rng=rng.child("p"))
+        est, se = hutchinson_trace_pair(lambda v: sym @ v, 6, probes=4000,
+                                        rng=rng.child("p"))[1]
         assert abs(est - truth) <= 3 * se
 
 

@@ -6,27 +6,71 @@ from trhreg.hessian_oracle import (exact_trace, frozen_objective_fns,
                                    weight_indices)
 from trhreg.losses import RobustLossKind, softmax
 from trhreg.network import (DenseLayer, MlpNetwork, flatten_weights, forward,
-                            gradient_vector, init_mlp, unflatten_weights)
+                            forward_nodes, gradient_vector, init_mlp, lift,
+                            unflatten_weights)
 from trhreg.numerics import Rng, finite_diff_gradient
-from trhreg.layer_traces import (NonSmoothInput, _summed_quadratic_form,
-                             check_layer_inequality, full_ce_trace,
-                             full_ce_trace_rows_nodes, l1_operator_norm,
-                             layer_h_tensor, layer_trace_rows,
-                             logits_jacobian, trh_ce_layer)
+from trhreg.layer_traces import (NonSmoothInput, _jacobian_stacks,
+                                 _summed_quadratic_form,
+                                 check_layer_inequality, full_ce_trace,
+                                 full_ce_trace_rows_nodes, l1_operator_norm,
+                                 layer_trace_rows, trh_ce_layer)
 from trhreg.trh import trh_at
 from trhreg.verify import sample_smooth_instance
 
 
+# -- the per-example reference for the recursion ---------------------------
+
+
+def logits_jacobian(net, x, level):
+    """Reference: d logits / d level activations at one example, shape
+    (K, D_level), by the chain rule one weight matrix at a time."""
+    tr = forward(net, x)
+    depth = net.depth
+    if not 0 <= level <= depth:
+        raise ValueError(f"level must be in [0, {depth}]")
+    jac = np.eye(net.num_classes)
+    for i in range(depth - 1, level - 1, -1):
+        jac = jac @ net.layers[i].weights.T
+        if i > level:
+            jac = jac * (tr.preacts[i - 1] > 0)
+    return jac
+
+
+def _h(net, x):
+    s = softmax(forward(net, x).logits)
+    return s * (1 - s)
+
+
+def _peak_h(net, x, level):
+    """Reference ``max_{k,d} (d logits_k / d level_d)^2 h_k``."""
+    return float((logits_jacobian(net, x, level) ** 2 * _h(net, x)[:, None]).max())
+
+
+def _level_jacobians(net, x):
+    """The recursion at one example: ``{level: (K, D) Jacobian of the
+    level's activations}``, read as ``W_i @ jac`` from the stack at weight
+    layer i, plus the stacks themselves keyed by weight layer."""
+    lifted = lift(net, tape.constant)
+    _, preacts = forward_nodes(lifted, x[None, :])
+    stacks = dict(_jacobian_stacks(lifted, preacts))
+    levels = {i: (lifted[i][0] @ jac).value[:, :, 0] for i, jac in stacks.items()}
+    return levels, {i: jac.value[:, :, 0] for i, jac in stacks.items()}
+
+
 class TestLayerHTensor:
+    """``H = (d logits / d level)^2 h`` as the recursion carries it."""
+
     def test_logits_level_identity_jacobian(self):
         net, x, _, _ = sample_smooth_instance(201)
-        t = layer_h_tensor(net, x[0], net.depth)
-        s = softmax(forward(net, x[0]).logits)
-        h = s * (1 - s)
+        _, stacks = _level_jacobians(net, x[0])
         k = net.num_classes
-        assert np.allclose(t.values, np.eye(k) * h[:, None], atol=1e-15)
-        assert t.values.sum() == pytest.approx(h.sum(), rel=1e-12)
-        assert np.array_equal(t.positive_set, np.arange(k))
+        assert np.array_equal(stacks[net.depth - 1], np.eye(k))
+        h = _h(net, x[0])
+        top = stacks[net.depth - 1] ** 2 * h[:, None]
+        assert top.sum() == pytest.approx(h.sum(), rel=1e-12)
+        r = check_layer_inequality(net, x[0], net.depth - 1)
+        w_norm = l1_operator_norm(net.layers[-1].weights)
+        assert r.rhs == h.max() * w_norm ** 2
 
     def test_entries_match_fd_jacobians_times_h(self):
         net, x, _, _ = sample_smooth_instance(202)
@@ -49,30 +93,39 @@ class TestLayerHTensor:
         for c in range(k):
             fd_jac[c] = finite_diff_gradient(
                 lambda a, cc=c: float(forward_from_level(a)[cc]), act0.copy())
-        s = softmax(tr.logits)
-        expected = fd_jac ** 2 * (s * (1 - s))[:, None]
-        t = layer_h_tensor(net, x[0], level)
-        rel = np.abs(t.values - expected).max() / max(1e-12, np.abs(expected).max())
+        h = _h(net, x[0])
+        expected = fd_jac ** 2 * h[:, None]
+        levels, stacks = _level_jacobians(net, x[0])
+        got = levels[level] ** 2 * h[:, None]
+        rel = np.abs(got - expected).max() / max(1e-12, np.abs(expected).max())
         assert rel <= 1e-6
-        assert np.array_equal(t.positive_set, np.flatnonzero(act0 > 0))
+        # the stack one layer down holds the same Jacobian behind the gates
+        gated = fd_jac * (tr.preacts[level - 1] > 0)
+        assert np.abs(stacks[level - 1] - gated).max() <= 1e-6 * np.abs(fd_jac).max()
+        assert check_layer_inequality(net, x[0], level).lhs == pytest.approx(
+            expected.max(), rel=1e-6)
 
     def test_all_entries_nonnegative(self):
         for seed in (203, 204):
             net, x, _, _ = sample_smooth_instance(seed)
-            for level in range(net.depth + 1):
-                t = layer_h_tensor(net, x[0], level)
-                assert np.all(t.values >= 0)
+            levels, _ = _level_jacobians(net, x[0])
+            h = _h(net, x[0])
+            for level, jac in levels.items():
+                assert np.all(jac ** 2 * h[:, None] >= 0)
+            for level in range(net.depth):
+                r = check_layer_inequality(net, x[0], level)
+                assert r.lhs >= 0 and r.rhs >= 0
 
     def test_zero_input_rejected_for_bias_free_net(self):
-        net = init_mlp([3, 4, 2], Rng(1).child("i"), hidden_bias=False)
-        with pytest.raises(NonSmoothInput):
-            layer_h_tensor(net, np.zeros(3), 0)
+        net = init_mlp([3, 2], Rng(1).child("i"), hidden_bias=False)
+        with pytest.raises(NonSmoothInput, match="zero input is degenerate"):
+            check_layer_inequality(net, np.zeros(3), 0)
 
     def test_kink_rejected(self):
         net = init_mlp([2, 3, 2], Rng(2).child("i"), hidden_bias=False)
         net.layers[0].weights[:, 0] = 0.0  # first hidden pre-activation == 0
-        with pytest.raises(NonSmoothInput):
-            layer_h_tensor(net, np.array([0.5, 0.5]), 1)
+        with pytest.raises(NonSmoothInput, match="ReLU kink"):
+            check_layer_inequality(net, np.array([0.5, 0.5]), 1)
 
 
 class TestTrhCeLayer:
@@ -143,6 +196,23 @@ class TestLayerInequality:
                 r = check_layer_inequality(net, x[0], level)
                 assert r.holds, (seed, level, r)
 
+    def test_sides_match_per_example_reference(self):
+        cases = [sample_smooth_instance(seed)[:2] for seed in range(210, 230)]
+        cases.append(_ten_class_instance())
+        for net, X in cases:
+            for x in X:
+                for level in range(net.depth):
+                    r = check_layer_inequality(net, x, level)
+                    w_norm = l1_operator_norm(net.layers[level].weights)
+                    assert r.lhs == pytest.approx(_peak_h(net, x, level), rel=1e-12)
+                    assert r.rhs == pytest.approx(
+                        _peak_h(net, x, level + 1) * w_norm ** 2, rel=1e-12)
+
+    def test_one_input_vector(self):
+        net, x, _, _ = sample_smooth_instance(212)
+        with pytest.raises(ValueError, match="single input vector"):
+            check_layer_inequality(net, x[:1], 0)
+
 
 class TestBatchedAndDifferentiable:
     def test_rows_match_single_example_traces(self):
@@ -178,6 +248,8 @@ class TestLogitsJacobian:
         net, x, _, _ = sample_smooth_instance(233)
         with pytest.raises(ValueError):
             logits_jacobian(net, x[0], net.depth + 1)
+        with pytest.raises(ValueError):
+            check_layer_inequality(net, x[0], net.depth)
         with pytest.raises(ValueError):
             trh_ce_layer(net, x[0], net.depth)
 

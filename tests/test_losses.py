@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from trhreg.losses import (RobustLossKind, alp_pair_loss, cross_entropy,
-                           kl_div, log_softmax, mart_losses, softmax,
-                           softmax_derivs)
+from loss_references import (alp_pair_loss, cross_entropy, kl_div,
+                             log_softmax, mart_losses, softmax_derivs)
+from trhreg.losses import RobustLossKind, softmax
 from trhreg.network import forward, init_mlp
 from trhreg.numerics import Rng, finite_diff_gradient
 

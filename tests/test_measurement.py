@@ -8,19 +8,19 @@ bit for bit.
 import numpy as np
 import pytest
 
+from loss_references import cross_entropy_rows
 from trhreg import tape
 from trhreg.attacks import AttackConfig, pgd
 from trhreg.data import two_moons
 from trhreg.hessian_oracle import (LayerHessianReport, frozen_objective_fns,
                                    hutchinson_trace, hvp_from_grad,
                                    quad_form_from_values)
-from trhreg.losses import RobustLossKind, cross_entropy_rows
+from trhreg.losses import RobustLossKind
 from trhreg.network import (flat_index_slices, flatten_weights, forward,
                             init_mlp, lift, unflatten_weights)
 from trhreg.numerics import Rng, rademacher_vector
-from trhreg.trainer import (MeasureConfig, bare_objective_value_fn,
-                            measure_trace_row, measurement_attack,
-                            spectrum_records)
+from trhreg.trainer import (MeasureConfig, measure_trace_row,
+                            measurement_attack, spectrum_records)
 from trhreg.trh import capture_frozen, objective_nodes
 
 ATTACK = AttackConfig(delta=0.05, steps=2)
@@ -174,12 +174,3 @@ class TestValuePath:
             counts.clear()
             assert value == ref_fn(w)
             assert sum(counts) > 0  # the tape objective does record its graph
-
-    def test_bare_value_fn_is_the_shared_path(self):
-        ds, net = _setup(seed=6)
-        x_adv = pgd(net, ds.inputs, ds.labels, ATTACK, Rng(6).child("a"))
-        w = flatten_weights(net) * 1.01
-        for kind in KINDS:
-            bare = bare_objective_value_fn(net, ds.inputs, x_adv, ds.labels, kind)
-            shared, _ = frozen_objective_fns(net, ds.inputs, x_adv, ds.labels, kind)
-            assert bare(w) == shared(w)

@@ -217,7 +217,6 @@ class TestTrainLoop:
                                            hutchinson_trace,
                                            quad_form_from_values)
         from trhreg.network import forward
-        from trhreg.trainer import bare_objective_value_fn
 
         ds = two_moons(60, noise_std=0.1, seed=6)
         net = init_mlp([2, 6, 2], Rng(5).child("i"))
@@ -232,11 +231,10 @@ class TestTrainLoop:
         x, xa, y = ds.inputs[keep], x_adv[keep], ds.labels[keep]
 
         w0 = flatten_weights(net)
-        value_fn = bare_objective_value_fn(net, x, xa, y, kind)
+        value_fn, grad_fn = frozen_objective_fns(net, x, xa, y, kind)
         quad = quad_form_from_values(value_fn, w0)
         est, se = hutchinson_trace(quad, w0.size, probes=600,
                                    rng=Rng(7).child("p"))
-        _, grad_fn = frozen_objective_fns(net, x, xa, y, kind)
         exact = exact_trace(grad_fn, w0)
         assert abs(est - exact) <= 3 * se
 

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from loss_references import (alp_pair_loss, cross_entropy, kl_div,
+                             mart_losses, softmax_derivs)
 from trhreg import tape
 from trhreg.attacks import AttackConfig, pgd
 from trhreg.hessian_oracle import (exact_trace, frozen_objective_fns,
-                                   top_layer_indices)
-from trhreg.losses import RobustLossKind, softmax, softmax_derivs
+                                   weight_indices)
+from trhreg.losses import RobustLossKind, softmax
 from trhreg.network import (DenseLayer, MlpNetwork, flatten_weights, forward,
                             gradient_vector, init_mlp, lift)
 from trhreg.numerics import Rng
@@ -38,7 +40,8 @@ class TestTrhAt:
         net, x, x_adv, y = sample_smooth_instance(101)
         kind = RobustLossKind("at")
         _, grad_fn = frozen_objective_fns(net, x, x_adv, y, kind)
-        oracle = exact_trace(grad_fn, flatten_weights(net), top_layer_indices(net))
+        oracle = exact_trace(grad_fn, flatten_weights(net),
+                             weight_indices(net, layer=net.depth - 1))
         analytic = trh_at(forward(net, x_adv[0]))
         assert analytic == pytest.approx(oracle, rel=1e-5)
 
@@ -63,7 +66,8 @@ class TestTrhTrades:
         kind = RobustLossKind("trades", 6.0)
         _, grad_fn = frozen_objective_fns(net, x, x_adv, y, kind,
                                           stop_grad_clean=True)
-        oracle = exact_trace(grad_fn, flatten_weights(net), top_layer_indices(net))
+        oracle = exact_trace(grad_fn, flatten_weights(net),
+                             weight_indices(net, layer=net.depth - 1))
         analytic = trh_trades(forward(net, x[0]), forward(net, x_adv[0]), 6.0)
         assert analytic == pytest.approx(oracle, rel=1e-5)
 
@@ -87,7 +91,8 @@ class TestTrhTradesFull:
         kind = RobustLossKind("trades", 4.0)
         _, grad_fn = frozen_objective_fns(net, x, x, y, kind,
                                           stop_grad_clean=False)
-        oracle = exact_trace(grad_fn, flatten_weights(net), top_layer_indices(net))
+        oracle = exact_trace(grad_fn, flatten_weights(net),
+                             weight_indices(net, layer=net.depth - 1))
         assert value == pytest.approx(oracle, rel=1e-5, abs=1e-7)
 
     def test_zero_penalty_matches_stop_grad_version(self):
@@ -103,7 +108,7 @@ class TestTrhTradesFull:
             _, grad_fn = frozen_objective_fns(net, x, x_adv, y, kind,
                                               stop_grad_clean=False)
             oracle = exact_trace(grad_fn, flatten_weights(net),
-                                 top_layer_indices(net))
+                                 weight_indices(net, layer=net.depth - 1))
             value, _ = trh_trades_full(forward(net, x[0]),
                                        forward(net, x_adv[0]), 6.0)
             assert value == pytest.approx(oracle, rel=1e-5)
@@ -138,7 +143,8 @@ class TestTrhAlp:
         y = np.array([0])
         kind = RobustLossKind("alp", 0.7)
         _, grad_fn = frozen_objective_fns(net, x, x, y, kind)
-        oracle = exact_trace(grad_fn, flatten_weights(net), top_layer_indices(net))
+        oracle = exact_trace(grad_fn, flatten_weights(net),
+                             weight_indices(net, layer=net.depth - 1))
         tr = forward(net, x[0])
         assert trh_alp(tr, tr, 0.7) == pytest.approx(oracle, rel=1e-5)
 
@@ -148,7 +154,7 @@ class TestTrhAlp:
             kind = RobustLossKind("alp", 0.5)
             _, grad_fn = frozen_objective_fns(net, x, x_adv, y, kind)
             oracle = exact_trace(grad_fn, flatten_weights(net),
-                                 top_layer_indices(net))
+                                 weight_indices(net, layer=net.depth - 1))
             analytic = trh_alp(forward(net, x[0]), forward(net, x_adv[0]), 0.5)
             assert analytic == pytest.approx(oracle, rel=1e-5)
 
@@ -175,7 +181,8 @@ class TestTrhMart:
         y = np.array([0])
         kind = RobustLossKind("mart", 5.0)
         _, grad_fn = frozen_objective_fns(net, x, x, y, kind)
-        oracle = exact_trace(grad_fn, flatten_weights(net), top_layer_indices(net))
+        oracle = exact_trace(grad_fn, flatten_weights(net),
+                             weight_indices(net, layer=net.depth - 1))
         analytic = trh_mart(forward(net, x[0]), forward(net, x[0]), 0, 5.0)
         assert analytic == pytest.approx(oracle, rel=1e-5)
 
@@ -191,7 +198,7 @@ class TestTrhMart:
             kind = RobustLossKind("mart", 5.0)
             _, grad_fn = frozen_objective_fns(net, x, x_adv, y, kind)
             oracle = exact_trace(grad_fn, flatten_weights(net),
-                                 top_layer_indices(net))
+                                 weight_indices(net, layer=net.depth - 1))
             analytic = trh_mart(forward(net, x[0]), forward(net, x_adv[0]),
                                 int(y[0]), 5.0)
             assert analytic == pytest.approx(oracle, rel=1e-5)
@@ -313,8 +320,6 @@ class TestBatchedWrappers:
 class TestRobustLossRowsReference:
     @pytest.mark.parametrize("k", [2, 3, 10])
     def test_batched_rows_equal_per_row_reference(self, k):
-        from trhreg.losses import (alp_pair_loss, cross_entropy, kl_div,
-                                   mart_losses)
         net, X, X_adv, y = _batch(k, seed=310)
         for kind in (RobustLossKind("at"), RobustLossKind("trades", 6.0),
                      RobustLossKind("alp", 0.5), RobustLossKind("mart", 5.0)):
