@@ -41,7 +41,8 @@ for seed in (1, 2, 3):
     w0 = flatten_weights(net)
     for name, kind, stop_grad in FORMULAS:
         _, grad_fn = frozen_objective_fns(net, x, x_adv, y, kind,
-                                          stop_grad_clean=stop_grad)
+                                          stop_grad_clean=stop_grad,
+                                          layer=net.depth - 1)
         oracle = exact_trace(grad_fn, w0,
                              weight_indices(net, layer=net.depth - 1))
         closed = float(analytic_trh_rows(net, x, x_adv, y, kind,
@@ -56,8 +57,9 @@ print("Layer-wise CE traces and the consecutive-level bound")
 print("=" * 72)
 net, x, _, y = sample_smooth_instance(7)
 w0 = flatten_weights(net)
-_, grad_fn = frozen_objective_fns(net, x, x, y, RobustLossKind("at"))
 for layer in range(net.depth):
+    _, grad_fn = frozen_objective_fns(net, x, x, y, RobustLossKind("at"),
+                                      layer=layer)
     oracle = exact_trace(grad_fn, w0, weight_indices(net, layer=layer))
     closed = trh_ce_layer(net, x[0], layer)
     print(f"  layer {layer}: closed={closed:.8f}  oracle={oracle:.8f}")

@@ -126,9 +126,11 @@ def cmd_eval(args) -> int:
     if ds.inputs.shape[1] != net.input_dim:
         raise ConfigError(f"checkpoint input dim {net.input_dim} does not "
                           f"match dataset dim {ds.inputs.shape[1]}")
-    attack = cfg.effective_attack(ds)
+    # evaluation attacks with CE whatever the training loss, as the
+    # trainer's per-epoch robust accuracy does
+    attack = replace(cfg.effective_attack(ds), inner_loss="ce")
     if args.restarts is not None:
-        attack = replace(attack, restarts=args.restarts, inner_loss="ce")
+        attack = replace(attack, restarts=args.restarts)
     rng = Rng(cfg.train.seed).child("eval-cli")
     clean = clean_accuracy(net, ds)
     robust = eval_robust_accuracy(net, ds, attack, rng)

@@ -19,12 +19,16 @@ from the closed forms in :mod:`trhreg.trh` and :mod:`trhreg.layer_traces`:
   vector and evaluate the stack on a stacked network in one pass (one
   backward for all P gradients), so a per-coordinate stencil costs one
   call rather than 2k; the probe estimators step one point at a time.
+  With ``layer`` = i both functions are layer-local: for stencils and
+  probes supported on weight layer i they run the net from layer i up and
+  differentiate layer i alone, with the same bits on that layer.
 
 Eigenvalue mean/std follow from (Tr H, Tr H^2, n) without materializing any
 Hessian.  Quadratic forms use second differences of objective values at a
 wider step (second differences are noisier than first), Hessian-vector
-products use central differences of gradients.  Both step every weight at
-once, so ReLU kinks inside the stencil enter the estimate.
+products use central differences of gradients.  Both step every weight the
+probe moves at once (a block probe moves one layer, a full probe all of
+them), so ReLU kinks inside the stencil enter the estimate.
 """
 
 from __future__ import annotations
@@ -33,9 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tape
 from . import trh as trh_module
 from .network import (MlpNetwork, flat_index_slices, flatten_weights,
-                      gradient_vector, unflatten_weights)
+                      forward_nodes, gradient_vector, lift, unflatten_weights)
 from .numerics import (HESS_STEP, OracleError, Rng, hessian_diag_subset,
                        mean_se, rademacher_vector, stackable)
 
@@ -52,7 +57,9 @@ def exact_trace(grad_fn, w0: np.ndarray, indices=None, h: float = HESS_STEP) -> 
     (default: all).  Intended for desk-scale subsets: the stencil holds two
     gradient evaluations per entry, made in one stacked call when `grad_fn`
     is stackable (as :func:`frozen_objective_fns` gradients are) and one
-    call each otherwise.
+    call each otherwise.  For `indices` within one weight layer, the
+    layer-local gradient of :func:`frozen_objective_fns` (``layer=i``) gives
+    the same sum to the bit and runs only the layers from i up.
     """
     w0 = np.asarray(w0, dtype=np.float64)
     if indices is None:
@@ -178,7 +185,7 @@ _STACK_ACTIVATIONS = 1 << 18
 
 def frozen_objective_fns(net: MlpNetwork, X, X_adv, y, kind,
                          lam: float = 0.0, gamma: float = 0.0,
-                         stop_grad_clean: bool = True):
+                         stop_grad_clean: bool = True, layer: int | None = None):
     """(value_fn, grad_fn) of the robust objective over the flat weights.
 
     Stop-gradient constants (clean softmax, runner-up class, KL weight)
@@ -194,31 +201,69 @@ def frozen_objective_fns(net: MlpNetwork, X, X_adv, y, kind,
     ``(P, n)`` per weight vector, equal to the bit to per-row calls.  A
     stack is evaluated on a stacked network (:func:`unflatten_weights`),
     in chunks that hold at most ``_STACK_ACTIVATIONS`` activation entries.
+
+    With `layer` = i the functions are layer-local, for stencils and probes
+    that move only weight layer i (weights and bias).  The clean and
+    adversarial inputs of layer i are computed once, at the weights of
+    `net`; a call runs the net from layer i up, with only layer i's
+    parameters as tape leaves, so its backward stops at layer i and makes
+    no weight gradient above it.  Values and the gradient entries of layer
+    i equal the whole-network route's to the bit; the other gradient
+    entries are 0.  A weight vector that differs from the net's outside
+    layer i raises ``ValueError``, and so does a nonzero `lam` or `gamma`.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     X_adv = np.atleast_2d(np.asarray(X_adv, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     frozen = trh_module.capture_frozen(net, X, X_adv, y, kind)
     rows = len(X_adv) + (0 if kind.variant == "at" else len(X))
-    chunk = max(1, _STACK_ACTIVATIONS // (rows * sum(l.d_out for l in net.layers)))
+    top, start, leaves, inputs = net, 0, None, (X, X_adv)
+    if layer is not None:
+        if lam or gamma:
+            raise ValueError("a layer-local objective takes no lam or gamma")
+        if not 0 <= layer < net.depth:
+            raise ValueError(f"layer {layer} out of range for {net.depth} layers")
+        top, leaves = MlpNetwork(net.layers[layer:]), (0,)
+        ws, bs = flat_index_slices(net)[layer]
+        start, stop = ws.start, (ws if bs is None else bs).stop
+        w0 = flatten_weights(net)
+        if layer:
+            below = lift(net, wrap=tape.constant)[:layer]
+
+            def layer_input(a):
+                # the tape forward's ops, run on the layers below i only
+                return tape.relu(forward_nodes(below, a)[1][-1]).value
+
+            # at reads no clean batch
+            inputs = (X if kind.variant == "at" else layer_input(X),
+                      layer_input(X_adv))
+    chunk = max(1, _STACK_ACTIVATIONS // (rows * sum(l.d_out for l in top.layers)))
 
     def chunked(fn):
         def call(w):
             w = np.asarray(w, dtype=np.float64)
+            if layer is not None and (np.any(w[..., :start] != w0[:start])
+                                      or np.any(w[..., stop:] != w0[stop:])):
+                raise ValueError(f"weight vector differs from the net's "
+                                 f"outside layer {layer}")
+            w = w[..., start:]
             if w.ndim == 1:
-                return fn(unflatten_weights(net, w))
-            return np.concatenate([fn(unflatten_weights(net, w[i:i + chunk]))
+                return fn(unflatten_weights(top, w))
+            return np.concatenate([fn(unflatten_weights(top, w[i:i + chunk]))
                                    for i in range(0, len(w), chunk)])
         return stackable(call)
 
     def value(candidate):
-        return trh_module.objective_value(candidate, X, X_adv, y, kind, lam,
+        return trh_module.objective_value(candidate, *inputs, y, kind, lam,
                                           gamma, stop_grad_clean, frozen)
 
     def grad(candidate):
-        return gradient_vector(candidate, lambda lifted: trh_module.objective_nodes(
-            lifted, X, X_adv, y, kind, lam, gamma,
-            stop_grad_clean=stop_grad_clean, frozen=frozen))[1]
+        g = gradient_vector(candidate, lambda lifted: trh_module.objective_nodes(
+            lifted, *inputs, y, kind, lam, gamma,
+            stop_grad_clean=stop_grad_clean, frozen=frozen), leaves)[1]
+        if start:
+            g = np.concatenate([np.zeros(g.shape[:-1] + (start,)), g], axis=-1)
+        return g
 
     return chunked(value), chunked(grad)
 
@@ -231,10 +276,15 @@ def frozen_quad_form(net: MlpNetwork, X, X_adv, y, kind):
     return quad_form_from_values(value_fn, flatten_weights(net))
 
 
-def frozen_hvp(net: MlpNetwork, X, X_adv, y, kind):
+def frozen_hvp(net: MlpNetwork, X, X_adv, y, kind, layer: int | None = None):
     """v -> H v of the bare robust objective at the weights of `net`: central
-    differences of :func:`frozen_objective_fns` gradients."""
-    _, grad_fn = frozen_objective_fns(net, X, X_adv, y, kind)
+    differences of :func:`frozen_objective_fns` gradients.
+
+    With `layer` = i the product is layer-local: v must be supported on
+    weight layer i, and H v is the product's layer-i block with zeros
+    elsewhere (the block ``H_ii v_i``), from gradients that run the net
+    from layer i up only."""
+    _, grad_fn = frozen_objective_fns(net, X, X_adv, y, kind, layer=layer)
     return hvp_from_grad(grad_fn, flatten_weights(net))
 
 

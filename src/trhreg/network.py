@@ -231,11 +231,15 @@ def flat_index_slices(net: MlpNetwork):
 # -- differentiation ---------------------------------------------------
 
 
-def lift(net: MlpNetwork, wrap=tape.leaf):
+def lift(net: MlpNetwork, wrap=tape.leaf, leaves=None):
     """Wrap every parameter in a tape node, a leaf unless `wrap` is
-    ``tape.constant``: list of (W node, bias node|None)."""
-    return [(wrap(l.weights), None if l.bias is None else wrap(l.bias))
-            for l in net.layers]
+    ``tape.constant``: list of (W node, bias node|None).  With `leaves`, a
+    collection of layer indices, only those layers are wrapped by `wrap`
+    and the others are constants."""
+    def node(value, i):
+        return wrap(value) if leaves is None or i in leaves else tape.constant(value)
+    return [(node(l.weights, i), None if l.bias is None else node(l.bias, i))
+            for i, l in enumerate(net.layers)]
 
 
 def forward_nodes(lifted, X):
@@ -258,19 +262,22 @@ def forward_nodes(lifted, X):
     return layer_inputs, preacts
 
 
-def backprop(net: MlpNetwork, objective):
+def backprop(net: MlpNetwork, objective, leaves=None):
     """Exact gradients of a scalar objective built on lifted parameters.
 
     `objective` receives the lifted layer list and returns a scalar tape
     node (typically the mean loss of a batch plus regularizers).  Returns
     ``(loss_value, grads)`` with one ``(dW, db|None)`` pair per layer.
-    Raises :class:`TrainingDivergence` if the loss is non-finite.
+    Raises :class:`TrainingDivergence` if the loss is non-finite.  With
+    `leaves` (layer indices, see :func:`lift`) the other layers are tape
+    constants: the backward pass computes no gradient for them, and their
+    entries of ``grads`` are zero.
 
     On a stacked network the objective returns one value per copy, shape
     ``(P,)``; their sum is backpropagated, so row p of every gradient is
     the gradient at copy p, and the loss value is the ``(P,)`` array.
     """
-    lifted = lift(net)
+    lifted = lift(net, leaves=leaves)
     out = objective(lifted)
     value = float(out.value) if out.value.ndim == 0 else out.value
     if not np.all(np.isfinite(value)):
@@ -300,9 +307,9 @@ def flat_gradient(grads) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
-def gradient_vector(net: MlpNetwork, objective):
+def gradient_vector(net: MlpNetwork, objective, leaves=None):
     """Like :func:`backprop` but with the gradient flattened."""
-    value, grads = backprop(net, objective)
+    value, grads = backprop(net, objective, leaves)
     return value, flat_gradient(grads)
 
 

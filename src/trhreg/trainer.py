@@ -372,19 +372,24 @@ def spectrum_records(net: MlpNetwork, x, x_adv, y, kind: RobustLossKind,
     """Per-layer and whole-network (trace, trace_sq) with eigenvalue stats.
 
     Layer subsets cover that layer's weights and biases; layer 0 denotes
-    the whole network.  The whole-network trace is the sum of the layer
-    traces (trace is block-additive), while its trace_sq gets its own
-    full-support probes because squares are not.
+    the whole network.  The probes of a layer move that layer alone, so
+    they run on its layer-local Hessian-vector product
+    (:func:`~trhreg.hessian_oracle.frozen_hvp` with ``layer``), which
+    differentiates only that layer.  The whole-network trace is the sum of
+    the layer traces (trace is block-additive), while its trace_sq gets its
+    own full-support probes, on the whole-network product, because squares
+    are not.
     """
-    hvp = frozen_hvp(net, x, x_adv, y, kind)
     dim = param_count(net)
     reports = []
     for li in range(1, net.depth + 1):
         idx = weight_indices(net, li - 1, include_bias=True)
         (trace, _), (trace_sq, _) = hutchinson_trace_pair(
-            hvp, dim, probes, rng.child("layer", li), idx)
+            frozen_hvp(net, x, x_adv, y, kind, layer=li - 1), dim, probes,
+            rng.child("layer", li), idx)
         reports.append(LayerHessianReport.from_traces(li, trace, trace_sq, idx.size))
-    trace_sq, _ = hutchinson_trace_pair(hvp, dim, probes, rng.child("full"))[1]
+    trace_sq, _ = hutchinson_trace_pair(frozen_hvp(net, x, x_adv, y, kind), dim,
+                                        probes, rng.child("full"))[1]
     reports.insert(0, LayerHessianReport.from_traces(
         0, sum(r.trace for r in reports), trace_sq, dim))
     return [{"epoch": epoch, "layer": r.layer, "trace": r.trace,

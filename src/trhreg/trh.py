@@ -308,6 +308,8 @@ def capture_frozen(net: MlpNetwork, X: np.ndarray, X_adv: np.ndarray,
     expression can be (a) trained, with constants refreshed every step, and
     (b) finite-differenced, with constants pinned at the reference weights.
     """
+    if kind.variant == "at":
+        return {}  # the adversarial CE holds nothing fixed: no forward pass
     clean, adv = map(_constant_side, _forward_pair(net, X, X_adv, kind))
     return _frozen(clean, adv, np.asarray(y, dtype=np.int64), kind)
 

@@ -133,7 +133,8 @@ def check_trh_formulas(instances: int, seed: int = 0) -> list[CheckResult]:
         for variant, stop_grad in variants:
             kind = next(k for k in KINDS if k.variant == variant)
             _, grad_fn = ho.frozen_objective_fns(
-                net, x, x_adv, y, kind, stop_grad_clean=stop_grad)
+                net, x, x_adv, y, kind, stop_grad_clean=stop_grad,
+                layer=net.depth - 1)
             oracle = ho.exact_trace(grad_fn, w0, top)
             analytic = float(trh_module.analytic_trh_rows(
                 net, x, x_adv, y, kind, stop_grad_clean=stop_grad)[0])
@@ -154,8 +155,8 @@ def check_layer_traces(instances: int, inequality_instances: int,
         inst_seed = seed * 2000 + i
         net, x, _, y = sample_smooth_instance(inst_seed)
         w0 = flatten_weights(net)
-        _, grad_fn = ho.frozen_objective_fns(net, x, x, y, ce)
         for layer in range(net.depth):
+            _, grad_fn = ho.frozen_objective_fns(net, x, x, y, ce, layer=layer)
             idx = ho.weight_indices(net, layer=layer)
             oracle = ho.exact_trace(grad_fn, w0, idx)
             analytic = lt.trh_ce_layer(net, x[0], layer)

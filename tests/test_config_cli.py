@@ -173,6 +173,26 @@ class TestCliEval:
             contents.append((tmp_path / name / "eval.csv").read_bytes())
         assert contents[0] == contents[1]
 
+    def test_trades_eval_attacks_with_ce_with_or_without_restarts(
+            self, tmp_path, capsys):
+        # a TRADES config trains against the KL inner loss; evaluation
+        # attacks with CE whether or not --restarts is given
+        text = BASE_CONFIG.replace(
+            "loss.kind = at", "loss.kind = trades\nloss.penalty = 6.0").replace(
+            "attack.delta = 0.02\nattack.steps = 1",
+            "attack.delta = 0.3\nattack.steps = 5\nattack.restarts = 2")
+        cfg = write_config(tmp_path, text, "trades.txt")
+        main(["train", "--config", cfg, "--out", str(tmp_path / "run")])
+        ckpt = str(tmp_path / "run" / "checkpoint.txt")
+        outputs = []
+        for name, extra in (("plain", []), ("restarts", ["--restarts", "2"])):
+            capsys.readouterr()
+            assert main(["eval", "--config", cfg, "--checkpoint", ckpt,
+                         "--out", str(tmp_path / name), *extra]) == 0
+            outputs.append((capsys.readouterr().out.splitlines()[0],
+                            (tmp_path / name / "eval.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_dimension_mismatch_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path)
         out = str(tmp_path / "run")

@@ -145,6 +145,23 @@ class TestSpectrum:
         assert got == ref
 
 
+    @pytest.mark.parametrize("dims,bias", [([2, 6, 5, 2], False), ([2, 2], True)],
+                             ids=["no-hidden-bias", "one-layer"])
+    @pytest.mark.parametrize("variant", ["trades", "alp"])
+    def test_other_losses_and_nets_equal_explicit_probe_loops(self, variant,
+                                                             dims, bias):
+        kind = next(k for k in KINDS if k.variant == variant)
+        ds = two_moons(40, noise_std=0.1, seed=6)
+        net = init_mlp(dims, Rng(6).child("init"), hidden_bias=bias)
+        x_adv = pgd(net, ds.inputs, ds.labels, ATTACK, Rng(6).child("a"))
+        got = spectrum_records(net, ds.inputs, x_adv, ds.labels, kind, 2, 3,
+                               Rng(22).child("spectrum"))
+        ref = _reference_spectrum(net, ds.inputs, x_adv, ds.labels, kind, 2, 3,
+                                  Rng(22).child("spectrum"))
+        assert [r["layer"] for r in got] == list(range(len(dims)))
+        assert got == ref
+
+
 class TestValuePath:
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.variant)
     def test_value_equals_tape_objective_and_records_no_edges(self, kind,

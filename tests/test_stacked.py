@@ -7,8 +7,9 @@ import itertools
 import numpy as np
 import pytest
 
-from trhreg import hessian_oracle, numerics
+from trhreg import hessian_oracle, numerics, tape
 from trhreg import pacbayes as pb
+from trhreg import trh as trh_module
 from trhreg.hessian_oracle import frozen_objective_fns
 from trhreg.losses import RobustLossKind
 from trhreg.network import (TrainingDivergence, flatten_weights, forward,
@@ -146,6 +147,130 @@ def test_stack_larger_than_one_chunk(monkeypatch, chunk):
     W = _stack(net, 5)
     for whole_fn, split_fn in zip(whole, split):
         assert np.array_equal(split_fn(W), whole_fn(W))
+
+
+# -- the layer-local route ----------------------------------------------------
+
+# nets with one, two and three weight layers, hidden biases off and on
+LOCAL_NETS = [([], False)] + NETS
+LOCAL_NET_IDS = ["0h"] + NET_IDS
+
+
+def _layer_stack(net, layer, p):
+    """p weight vectors that move only weight layer `layer`."""
+    W = np.tile(flatten_weights(net), (p, 1))
+    idx = hessian_oracle.weight_indices(net, layer, include_bias=True)
+    W[:, idx] += 0.05 * Rng(6).child("layer", layer).normal(size=(p, idx.size))
+    return W, idx
+
+
+@pytest.mark.parametrize("hidden,bias", LOCAL_NETS, ids=LOCAL_NET_IDS)
+@pytest.mark.parametrize("kind", KINDS, ids=[k.variant for k in KINDS])
+def test_layer_local_fns_equal_whole_network_block(kind, hidden, bias):
+    net, x, x_adv, y = _instance(hidden, bias)
+    w0 = flatten_weights(net)
+    # the clean batch as its own adversarial batch too (one array for both)
+    for x_adv, stop_grad in itertools.product((x_adv, x), (True, False)):
+        whole_value, whole_grad = frozen_objective_fns(
+            net, x, x_adv, y, kind, stop_grad_clean=stop_grad)
+        for layer in range(net.depth):
+            value_fn, grad_fn = frozen_objective_fns(
+                net, x, x_adv, y, kind, stop_grad_clean=stop_grad, layer=layer)
+            W, idx = _layer_stack(net, layer, 4)
+            outside = np.setdiff1d(np.arange(w0.size), idx)
+            for w in (w0, W[0], W):
+                assert np.array_equal(value_fn(w), whole_value(w))
+                grads = grad_fn(w)
+                assert grads.shape == w.shape
+                assert np.array_equal(grads[..., idx], whole_grad(w)[..., idx])
+                assert not np.any(grads[..., outside])
+            assert isinstance(value_fn(w0), float)
+            assert (hessian_oracle.exact_trace(grad_fn, w0, idx)
+                    == hessian_oracle.exact_trace(whole_grad, w0, idx))
+            local = hessian_oracle.hvp_from_grad(grad_fn, w0)
+            whole = hessian_oracle.hvp_from_grad(whole_grad, w0)
+            v = np.zeros(w0.size)
+            v[idx] = numerics.rademacher_vector(idx.size, Rng(7).child(layer))
+            hv, ref = local(v), whole(v)
+            assert np.array_equal(hv[idx], ref[idx])
+            assert float(np.dot(v, hv)) == float(np.dot(v, ref))
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_layer_local_stack_larger_than_one_chunk(monkeypatch, chunk):
+    net, x, x_adv, y = _instance([5, 4], True)
+    kind = RobustLossKind("trades", 6.0)
+    for layer in range(net.depth):
+        one_chunk = frozen_objective_fns(net, x, x_adv, y, kind,
+                                         stop_grad_clean=False, layer=layer)
+        units = sum(l.d_out for l in net.layers[layer:])
+        with monkeypatch.context() as m:
+            m.setattr(hessian_oracle, "_STACK_ACTIVATIONS",
+                      chunk * 2 * len(x) * units)
+            split = frozen_objective_fns(net, x, x_adv, y, kind,
+                                         stop_grad_clean=False, layer=layer)
+        W, _ = _layer_stack(net, layer, 5)
+        for one_fn, split_fn in zip(one_chunk, split):
+            assert np.array_equal(split_fn(W), one_fn(W))
+
+
+def test_layer_local_rejects_what_it_cannot_compute():
+    net, x, x_adv, y = _instance([5, 4], True)
+    kind = RobustLossKind("mart", 5.0)
+    value_fn, grad_fn = frozen_objective_fns(net, x, x_adv, y, kind, layer=1)
+    W, idx = _layer_stack(net, 1, 3)
+    for other in (0, 2):
+        moved, _ = _layer_stack(net, other, 3)
+        for fn in (value_fn, grad_fn):
+            with pytest.raises(ValueError, match="outside layer 1"):
+                fn(moved[0])
+            with pytest.raises(ValueError, match="outside layer 1"):
+                fn(np.vstack([W[:2], moved[2:]]))  # one bad row in a stack
+    for bad in (dict(lam=0.25), dict(gamma=0.01)):
+        with pytest.raises(ValueError, match="lam or gamma"):
+            frozen_objective_fns(net, x, x_adv, y, kind, layer=1, **bad)
+    for layer in (-1, net.depth):
+        with pytest.raises(ValueError, match="out of range"):
+            frozen_objective_fns(net, x, x_adv, y, kind, layer=layer)
+
+
+def test_top_layer_probe_runs_no_hidden_layer(monkeypatch):
+    net, x, x_adv, y = _instance([5, 4], True)
+    kind = RobustLossKind("trades", 6.0)
+    top = net.depth - 1
+    top_shape = net.layers[top].weights.shape
+    value_fn, grad_fn = frozen_objective_fns(net, x, x_adv, y, kind,
+                                             stop_grad_clean=False, layer=top)
+    hvp = hessian_oracle.frozen_hvp(net, x, x_adv, y, kind, layer=top)
+    W, idx = _layer_stack(net, top, 3)
+    v = np.zeros(W.shape[1])
+    v[idx] = 1.0
+
+    weights = []  # right operand shape of every tape matmul
+    depths = []  # depth of every network a numpy forward pass runs
+    matmul, numpy_forward = tape.Node.__matmul__, trh_module.forward
+
+    def counting_matmul(self, other):
+        weights.append(tape.wrap(other).shape[-2:])
+        return matmul(self, other)
+
+    def counting_forward(net, x):
+        depths.append(net.depth)
+        return numpy_forward(net, x)
+
+    monkeypatch.setattr(tape.Node, "__matmul__", counting_matmul)
+    monkeypatch.setattr(trh_module, "forward", counting_forward)
+    for w in (W[0], W):
+        grad_fn(w)
+        value_fn(w)
+    hvp(v)
+    # two sides per evaluation, each one matmul with the top weights
+    assert weights == [top_shape] * 2 * (2 + 2)
+    assert depths == [1] * 2 * 2
+    # the whole-network route runs every layer
+    weights.clear()
+    frozen_objective_fns(net, x, x_adv, y, kind)[1](W[0])
+    assert len(weights) == 2 * net.depth
 
 
 # -- the stencils -------------------------------------------------------------
