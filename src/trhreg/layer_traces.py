@@ -45,7 +45,7 @@ Everything else here that reports the trace calls :func:`layer_trace_nodes`:
   weights, the trainable whole-network regularizer;
 * :func:`layer_trace_rows` -- the routine on constant weights, numpy
   values for measurement;
-* :func:`trh_ce_layer` / :func:`full_ce_trace` -- one example, behind the
+* :func:`trh_ce_layer` -- one example and one layer, behind the
   smoothness guard the oracles need.
 
 At the logits level there is no ReLU above the weights, so its active set
@@ -213,20 +213,11 @@ def layer_trace_rows(net: MlpNetwork, X: np.ndarray) -> np.ndarray:
         for i in range(0, len(X), _ROWS_PER_PASS)])
 
 
-def _smooth_rows(net: MlpNetwork, x: np.ndarray, tol: float) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    _check_smooth(net, x, tol)
-    return layer_trace_rows(net, x)[0]
-
-
 def trh_ce_layer(net: MlpNetwork, x: np.ndarray, layer: int,
                  tol: float = SMOOTH_TOL) -> float:
     """Exact CE Hessian trace over the entries of weight matrix `layer`."""
     if not 0 <= layer < net.depth:
         raise ValueError(f"layer must be in [0, {net.depth})")
-    return float(_smooth_rows(net, x, tol)[layer])
-
-
-def full_ce_trace(net: MlpNetwork, x: np.ndarray, tol: float = SMOOTH_TOL) -> float:
-    """CE Hessian trace over all weight matrices (biases excluded)."""
-    return float(_smooth_rows(net, x, tol).sum())
+    x = np.asarray(x, dtype=np.float64)
+    _check_smooth(net, x, tol)
+    return float(layer_trace_rows(net, x)[0, layer])

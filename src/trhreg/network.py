@@ -245,16 +245,16 @@ def lift(net: MlpNetwork, wrap=tape.leaf, leaves=None):
 def forward_nodes(lifted, X):
     """Tape forward pass on constant inputs X (m, d).
 
-    Returns (layer_input_nodes, preact_nodes) mirroring ForwardTrace.
+    Returns (layer_input_nodes, preact_nodes) mirroring ForwardTrace.  Each
+    layer is one :func:`tape.dense` node, ``x @ W + b``, so the tape keeps
+    one pre-activation array per layer.
     """
     cur = tape.constant(np.atleast_2d(np.asarray(X, dtype=np.float64)))
     layer_inputs = [cur]
     preacts = []
     depth = len(lifted)
     for i, (w, b) in enumerate(lifted):
-        pre = cur @ w
-        if b is not None:
-            pre = pre + b
+        pre = tape.dense(cur, w, b)
         preacts.append(pre)
         if i < depth - 1:
             cur = tape.relu(pre)
@@ -276,6 +276,10 @@ def backprop(net: MlpNetwork, objective, leaves=None):
     On a stacked network the objective returns one value per copy, shape
     ``(P,)``; their sum is backpropagated, so row p of every gradient is
     the gradient at copy p, and the loss value is the ``(P,)`` array.
+
+    The graph an objective builds on :func:`forward_nodes` holds one node
+    per dense layer and side; the backward pass frees each interior adjoint
+    once it is used, so only the parameter leaves return with a grad.
     """
     lifted = lift(net, leaves=leaves)
     out = objective(lifted)

@@ -17,9 +17,12 @@ broadcast axes.  There is no graph reuse across calls: build, evaluate,
 backward, discard.
 
 :func:`backward` accumulates lazily: a node's first gradient contribution
-is stored as it is, later ones are added into a new array.  Row-wise
-:func:`log_softmax` is one node with a hand-written VJP, not a chain of
-small ops.
+is stored as it is, later ones are added into a new array.  It frees each
+interior adjoint as soon as that node's VJPs have run, so after the sweep
+only leaves hold a ``.grad``; edges stay, and the graph can be
+backpropagated again.  Row-wise :func:`log_softmax` is one node with a
+hand-written VJP, not a chain of small ops, and so is a dense layer
+(:func:`dense`); :func:`relu` keeps its gate as a bool array.
 
 Only nodes that depend on a :func:`leaf` are *live*.  An operation records
 edges to its live operands alone, so a result computed purely from
@@ -129,8 +132,29 @@ def _unbroadcast(grad, shape):
 
 
 def relu(a: Node) -> Node:
-    mask = (a.value > 0).astype(np.float64)  # derivative at exactly 0 is 0
-    return Node(a.value * mask, ((a, lambda g: g * mask),))
+    """``a * (a > 0)``; the gate is kept as a bool array, 1 byte an entry.
+
+    Multiplying by the bool gate casts it to 0.0/1.0, so value and VJP are
+    those of a float64 mask to the bit (derivative at exactly 0 is 0)."""
+    gate = a.value > 0
+    return Node(a.value * gate, ((a, lambda g: g * gate),))
+
+
+def dense(x: Node, w: Node, b: Node | None = None) -> Node:
+    """One dense layer, ``x @ w + b``, as a single node.
+
+    The bias is added in place into the product, and the VJPs are those of
+    the matmul and of the add, so value and adjoints equal the two-node
+    ``x @ w + b`` to the bit while the tape keeps one pre-activation array
+    instead of two.
+    """
+    value = x.value @ w.value
+    edges = ((x, lambda g: _unbroadcast(g @ w.value.swapaxes(-1, -2), x.shape)),
+             (w, lambda g: _unbroadcast(x.value.swapaxes(-1, -2) @ g, w.shape)))
+    if b is not None:
+        value += b.value
+        edges += ((b, lambda g: _unbroadcast(g, b.shape)),)
+    return Node(value, edges)
 
 
 def exp(a: Node) -> Node:
@@ -201,7 +225,7 @@ def log_softmax(logits: Node) -> Node:
 
 
 def backward(out: Node) -> None:
-    """Gradients of a scalar node into every reachable node.
+    """Gradients of a scalar node into every reachable leaf.
 
     Nodes are processed in reverse post-order of one depth-first traversal.
     The traversal marks every reachable node by setting its grad to a
@@ -210,7 +234,9 @@ def backward(out: Node) -> None:
     marker as it is and later ones are added as ``grad + c``, never in
     place, because a VJP may return the very array it was handed
     (``_unbroadcast``, ``reshape``) and one array may then be the grad of
-    several nodes.
+    several nodes.  Once an interior node's VJPs have run, its grad is set
+    to None: the sweep holds only the adjoints it will still read, and on
+    return only leaves keep a grad.
     """
     if out.value.ndim != 0:
         raise ValueError("backward expects a scalar node")
@@ -233,3 +259,5 @@ def backward(out: Node) -> None:
         for parent, vjp in node._edges:
             c = vjp(g)
             parent.grad = c if parent.grad is mark else parent.grad + c
+        if node._edges:  # interior: every contribution is in, and was used
+            node.grad = None

@@ -268,6 +268,20 @@ def check_pacbayes(curvature_vectors: int = 20, seed: int = 0) -> list[CheckResu
     return out
 
 
+class _EverySign:
+    """A probe stream for the Rademacher estimators: its ``integers(0, 2,
+    size=n)`` draws walk the 2^n bit patterns in order, so 2^n probes are
+    every sign vector once."""
+
+    def __init__(self):
+        self._count = 0
+
+    def integers(self, low, high, size):
+        bits = (self._count >> np.arange(size)) & 1
+        self._count += 1
+        return bits
+
+
 def check_hutchinson(seed: int = 0) -> list[CheckResult]:
     out = []
     rng = Rng(seed).child("hutchinson")
@@ -279,26 +293,25 @@ def check_hutchinson(seed: int = 0) -> list[CheckResult]:
                            abs(est - diag.sum()) <= 1e-12,
                            f"est={est} trace={diag.sum()}", seed))
 
-    r = rng.child("quadratic")
-    a = r.normal(size=(8, 8))
+    # Over all 2^n sign vectors the probe average is the exact trace (and
+    # trace square), so these match to rounding on every seed.
+    a = rng.child("quadratic").normal(size=(8, 8))
     h_mat = a + a.T
-    h_mat *= 10.0 / np.trace(h_mat)  # fixed trace 10
     quad2 = lambda v: float(v @ h_mat @ v)
-    est, se = ho.hutchinson_trace(quad2, 8, probes=1000, rng=rng.child("probes"))
-    ok = abs(est - 10.0) <= 3 * max(se, 1e-12)
-    out.append(CheckResult("hutchinson", "trace-10-within-3se", ok,
-                           f"est={est:.4f} se={se:.4f}", seed))
+    est, _ = ho.hutchinson_trace(quad2, 8, probes=2 ** 8, rng=_EverySign())
+    truth = float(np.trace(h_mat))
+    out.append(CheckResult("hutchinson", "trace-over-every-sign-vector",
+                           abs(est - truth) <= 1e-12 * max(1.0, abs(truth)),
+                           f"est={est!r} trace={truth!r}", seed))
 
     b = rng.child("six").normal(size=(6, 6))
     sym = b + b.T
-    hvp = lambda v: sym @ v
-    est_sq, se_sq = ho.hutchinson_trace_pair(hvp, 6, probes=4000,
-                                             rng=rng.child("sq"))[1]
+    est_sq, _ = ho.hutchinson_trace_pair(lambda v: sym @ v, 6, probes=2 ** 6,
+                                         rng=_EverySign())[1]
     truth = float(np.sum(np.linalg.eigvalsh(sym) ** 2))
-    ok = abs(est_sq - truth) <= 3 * max(se_sq, 1e-12)
-    out.append(CheckResult("hutchinson", "trace-sq-vs-eigensolver", ok,
-                           f"est={est_sq:.4f} se={se_sq:.4f} truth={truth:.4f}",
-                           seed))
+    out.append(CheckResult("hutchinson", "trace-sq-over-every-sign-vs-eigensolver",
+                           abs(est_sq - truth) <= 1e-12 * max(1.0, abs(truth)),
+                           f"est={est_sq!r} truth={truth!r}", seed))
 
     mean, std = ho.eigen_stats(4.0, 10.0, 2)
     out.append(CheckResult("hutchinson", "eigen-stats-diag13",

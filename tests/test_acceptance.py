@@ -71,8 +71,8 @@ def test_criterion_4_pacbayes_closed_forms():
 def test_criterion_5_hutchinson_estimators():
     results = verify.check_hutchinson(seed=950)
     bad = [r for r in results if not r.passed]
-    report(5, "probe estimators: diagonal exactness, 3-SE agreement, "
-              "trace-square vs eigensolver",
+    report(5, "probe estimators: diagonal exactness, exact trace and "
+              "trace-square over every sign vector",
            not bad, f"checks={len(results)} failed={len(bad)}")
 
 

@@ -9,6 +9,7 @@ from trhreg.network import TrainingDivergence, load_checkpoint
 from trhreg.numerics import OracleError
 from trhreg.pacbayes import OutOfRegimeError
 from trhreg.trainer import MeasureConfig
+from trhreg.verify import check_hutchinson
 
 BASE_CONFIG = """
 # toy experiment
@@ -282,6 +283,23 @@ class TestCliVerify:
         for group in ("gradients", "trh_formulas", "layer_traces", "pacbayes",
                       "hutchinson"):
             assert f"PASS group={group}" in out
+
+    # seeds where the former 3-standard-error probe checks failed by chance
+    CHANCE_FAILURES = (778, 904, 958, 1034, 1159, 1238, 1268, 1305, 1460,
+                       1564, 1680)
+
+    @pytest.mark.parametrize("seeds", [range(100), CHANCE_FAILURES,
+                                       [s + 4 for s in CHANCE_FAILURES]],
+                             ids=["0-99", "verify-seeds", "hutchinson-seeds"])
+    def test_hutchinson_passes_on_every_seed(self, seeds):
+        for seed in seeds:
+            results = check_hutchinson(seed)
+            assert len(results) == 4
+            assert all(r.passed for r in results), (seed, results)
+
+    def test_quick_passes_at_a_former_chance_failure(self, capsys):
+        assert main(["verify", "--level", "quick", "--seed", "778"]) == 0
+        assert "PASS group=hutchinson checks=4 failed=0" in capsys.readouterr().out
 
     def test_injected_fault_exits_three(self, capsys, monkeypatch):
         import trhreg.trh as trh_module

@@ -11,7 +11,7 @@ from trhreg.network import (DenseLayer, MlpNetwork, flatten_weights, forward,
 from trhreg.numerics import Rng, finite_diff_gradient
 from trhreg.layer_traces import (NonSmoothInput, _jacobian_stacks,
                                  _summed_quadratic_form,
-                                 check_layer_inequality, full_ce_trace,
+                                 check_layer_inequality,
                                  full_ce_trace_rows_nodes, l1_operator_norm,
                                  layer_trace_rows, trh_ce_layer)
 from trhreg.trh import trh_at
@@ -155,7 +155,8 @@ class TestTrhCeLayer:
         net, x, _, y = sample_smooth_instance(209)
         _, grad_fn = frozen_objective_fns(net, x, x, y, RobustLossKind("at"))
         oracle = exact_trace(grad_fn, flatten_weights(net), weight_indices(net))
-        assert full_ce_trace(net, x[0]) == pytest.approx(oracle, rel=1e-5)
+        layer_sum = sum(trh_ce_layer(net, x[0], layer) for layer in range(net.depth))
+        assert layer_sum == pytest.approx(oracle, rel=1e-5)
 
 
 class TestL1OperatorNorm:

@@ -246,25 +246,25 @@ def test_top_layer_probe_runs_no_hidden_layer(monkeypatch):
     v = np.zeros(W.shape[1])
     v[idx] = 1.0
 
-    weights = []  # right operand shape of every tape matmul
+    weights = []  # weight shape of every tape dense layer
     depths = []  # depth of every network a numpy forward pass runs
-    matmul, numpy_forward = tape.Node.__matmul__, trh_module.forward
+    dense, numpy_forward = tape.dense, trh_module.forward
 
-    def counting_matmul(self, other):
-        weights.append(tape.wrap(other).shape[-2:])
-        return matmul(self, other)
+    def counting_dense(x, w, b=None):
+        weights.append(w.shape[-2:])
+        return dense(x, w, b)
 
     def counting_forward(net, x):
         depths.append(net.depth)
         return numpy_forward(net, x)
 
-    monkeypatch.setattr(tape.Node, "__matmul__", counting_matmul)
+    monkeypatch.setattr(tape, "dense", counting_dense)
     monkeypatch.setattr(trh_module, "forward", counting_forward)
     for w in (W[0], W):
         grad_fn(w)
         value_fn(w)
     hvp(v)
-    # two sides per evaluation, each one matmul with the top weights
+    # two sides per evaluation, each one dense layer of the top weights
     assert weights == [top_shape] * 2 * (2 + 2)
     assert depths == [1] * 2 * 2
     # the whole-network route runs every layer

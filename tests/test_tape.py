@@ -1,14 +1,18 @@
 """Gradient checks for every tape op: adjoints vs central differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from trhreg import tape
+from trhreg.data import two_moons
 from trhreg.layer_traces import full_ce_trace_rows_nodes
 from trhreg.losses import RobustLossKind
-from trhreg.network import backprop, init_mlp
+from trhreg.network import (backprop, flatten_weights, forward_nodes, init_mlp,
+                            lift, unflatten_weights)
 from trhreg.numerics import Rng, finite_diff_gradient
-from trhreg.trh import objective_nodes
+from trhreg.trh import capture_frozen, objective_nodes
 
 
 def gradcheck(build, x0, rtol=1e-7):
@@ -338,3 +342,134 @@ class TestLazyAccumulation:
         assert np.array_equal(x.grad, np.full(3, 4.0))
         assert np.array_equal(w.grad, np.ones(3))
         assert not np.shares_memory(x.grad, w.grad)
+
+
+# -- the lean tape: freed interior adjoints, a bool ReLU gate, one dense node
+
+
+def _graph_nodes(out):
+    """Every node reachable from `out` through recorded edges."""
+    nodes, stack, seen = [], [out], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(parent for parent, _ in node._edges)
+    return nodes
+
+
+def _float_mask_relu(a):
+    """Reference ReLU with the former float64 mask."""
+    mask = (a.value > 0).astype(np.float64)
+    return tape.Node(a.value * mask, ((a, lambda g: g * mask),))
+
+
+class TestLeanTape:
+    @pytest.mark.parametrize("copies", [None, 3], ids=["single", "stacked"])
+    def test_only_leaves_keep_grads_equal_to_zeros_backward(self, copies):
+        rng = Rng(41).child("lean", str(copies))
+        net = init_mlp([3, 7, 6, 4], rng.child("net"), hidden_bias=True)
+        X = rng.child("x").normal(size=(9, 3))
+        X_adv = X + 0.1 * rng.child("dx").normal(size=X.shape)
+        y = rng.child("y").integers(0, 4, size=9)
+        kind = RobustLossKind("mart", 5.0)
+        # a stack evaluates under constants captured at one net's weights
+        frozen = capture_frozen(net, X, X_adv, y, kind)
+        if copies is not None:
+            w0 = flatten_weights(net)
+            net = unflatten_weights(net, w0 + 0.05 * rng.child("stack").normal(
+                size=(copies, w0.size)))
+        lifted = lift(net)
+        out = objective_nodes(lifted, X, X_adv, y, kind, lam=0.3, gamma=0.01,
+                              frozen=frozen)
+        if copies is not None:
+            out = tape.nsum(out)
+        tape.backward(out)
+        nodes = _graph_nodes(out)
+        params = [p for pair in lifted for p in pair if p is not None]
+        assert len(params) == 5
+        assert all(any(p is n for n in nodes) for p in params)  # biases too
+        interior = [n for n in nodes if n._edges]
+        assert interior and all(n.grad is None for n in interior)
+        lean = [p.grad.copy() for p in params]
+        _zeros_backward(out)  # the edges stay: the same graph runs again
+        for g, p in zip(lean, params):
+            assert _same_bits(g, p.grad)
+
+    def test_second_backward_over_the_same_graph(self):
+        w = tape.leaf(np.array([[1.0, -2.0], [0.5, 3.0]]))
+        x = tape.constant(np.array([[1.0, 2.0], [-1.0, 0.5]]))
+        out = tape.nsum(tape.relu(tape.dense(x, w)) * 3.0)
+        tape.backward(out)
+        first = w.grad.copy()
+        tape.backward(out)
+        assert _same_bits(first, w.grad)
+
+    def test_relu_bool_gate_bits_equal_float_mask(self):
+        special = [0.0, -0.0, 1e-310, -1e-310, np.inf, -np.inf, np.nan, 2.5, -3.0]
+        a0 = np.concatenate([special, R.child("rg").normal(size=31)]).reshape(5, 8)
+        g = np.concatenate([special[::-1], R.child("rh").normal(size=31)]).reshape(5, 8)
+        a = tape.leaf(a0)
+        with np.errstate(invalid="ignore"):  # inf * 0 is nan either way
+            lean, ref = tape.relu(a), _float_mask_relu(a)
+            assert _same_bits(lean.value, ref.value)
+            assert _same_bits(lean._edges[0][1](g), ref._edges[0][1](g))
+
+    @pytest.mark.parametrize("shapes", [
+        ((5, 3), (3, 4), (4,)),            # one network
+        ((5, 3), (2, 3, 4), (2, 1, 4)),    # a stacked layer on shared inputs
+        ((2, 5, 3), (2, 3, 4), (2, 1, 4)),  # a stacked layer on stacked inputs
+        ((5, 3), (3, 4), None),            # no bias
+    ], ids=["single", "stack-shared-x", "stack", "no-bias"])
+    def test_dense_bits_equal_matmul_plus_bias(self, shapes):
+        rng = R.child("dense", str(shapes))
+        arrays = [None if s is None else rng.child(i).normal(size=s)
+                  for i, s in enumerate(shapes)]
+        c = rng.child("c").normal(size=np.broadcast_shapes(
+            shapes[0][:-1], shapes[1][:-2] + (1, 1)) + (4,))
+        results = []
+        for fused in (True, False):
+            x, w, b = [None if v is None else tape.leaf(v) for v in arrays]
+            pre = tape.dense(x, w, b) if fused else (
+                x @ w if b is None else x @ w + b)
+            tape.backward(tape.nsum(pre * tape.constant(c)))
+            results.append([pre.value] + [n.grad for n in (x, w, b) if n is not None])
+        for lean, ref in zip(*results):
+            assert _same_bits(lean, ref)
+
+    def test_dense_is_one_node_with_live_edges_only(self):
+        x = tape.constant(np.ones((2, 3)))
+        w, b = tape.leaf(np.ones((3, 4))), tape.leaf(np.zeros(4))
+        pre = tape.dense(x, w, b)
+        assert [p for p, _ in pre._edges] == [w, b]
+        assert tape.dense(x, tape.constant(np.ones((3, 4)))).live is False
+
+    def test_forward_nodes_records_one_node_per_layer(self):
+        net = init_mlp([3, 5, 4, 2], Rng(42).child("net"))
+        lifted = lift(net)
+        layer_inputs, preacts = forward_nodes(lifted, np.ones((2, 3)))
+        for i, ((w, b), pre) in enumerate(zip(lifted, preacts)):
+            parents = [p for p, _ in pre._edges]
+            below = [layer_inputs[i]] if i else []  # the input X is a constant
+            assert parents == below + [w] + ([] if b is None else [b])
+
+    def test_mart_backprop_peak_memory(self):
+        # the README net and batch: 2-100-100-2, 500 clean + 500 adversarial
+        ds = two_moons(500, 0.1, seed=1)
+        net = init_mlp([2, 100, 100, 2], Rng(43).child("net"))
+        X_adv = ds.inputs + 0.02 * np.sign(Rng(43).child("dx").normal(size=ds.inputs.shape))
+        kind = RobustLossKind("mart", 5.0)
+
+        def objective(lifted):
+            return objective_nodes(lifted, ds.inputs, X_adv, ds.labels, kind,
+                                   lam=0.5, gamma=0.0)
+        backprop(net, objective)  # first-call allocations out of the way
+        tracemalloc.start()
+        try:
+            backprop(net, objective)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7e6, f"backprop peak {peak / 1e6:.2f} MB"
