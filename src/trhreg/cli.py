@@ -219,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Curvature-regularized robust training workbench")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, config_required=True):
-        sp.add_argument("--config", required=config_required,
+    def add_common(sp):
+        sp.add_argument("--config", required=True,
                         help="key = value experiment file")
         sp.add_argument("--seed", type=int, default=None,
                         help="override train.seed")

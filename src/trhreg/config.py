@@ -269,8 +269,8 @@ class ExperimentConfig:
                 r.err("train.gamma",
                       f"gamma={train.gamma} inconsistent with "
                       f"1/(2 beta sigma0_sq)={pacbayes.gamma}")
-            if r.has("trh.lambda") and abs(trh.lam - pacbayes.lam) > 1e-12 * max(
-                    1.0, pacbayes.lam):
+            if r.has("trh.lambda") and not pacbayes.consistent_with(
+                    pacbayes.gamma, trh.lam):
                 r.err("trh.lambda",
                       f"lambda={trh.lam} inconsistent with "
                       f"sigma0_sq/2={pacbayes.lam}")
@@ -308,8 +308,7 @@ class ExperimentConfig:
             return self.attack.scaled(1.0 / ds.scale)
         return self.attack
 
-    def build_network(self, ds: Dataset, seed: int | None = None) -> MlpNetwork:
-        seed = self.train.seed if seed is None else seed
+    def build_network(self, ds: Dataset) -> MlpNetwork:
         dims = [ds.inputs.shape[1]] + list(self.hidden) + [ds.num_classes]
-        return init_mlp(dims, Rng(seed).child("init"),
+        return init_mlp(dims, Rng(self.train.seed).child("init"),
                         hidden_bias=self.hidden_bias)

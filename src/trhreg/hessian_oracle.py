@@ -13,12 +13,14 @@ from the closed forms in :mod:`trhreg.trh` and :mod:`trhreg.layer_traces`:
   same Hessian-vector products, unbiased for Tr(H) and Tr(H^2).  For a
   diagonal Hessian a single probe is already exact since the probe
   entries square to one;
-* ``frozen_objective_fns`` (values from :func:`trhreg.trh.objective_value`,
-  no tape graph) feeds ``frozen_quad_form`` and ``frozen_hvp``.  Its value
-  and gradient take a ``(P, n)`` stack of weight vectors as well as one
-  vector and evaluate the stack on a stacked network in one pass (one
-  backward for all P gradients), so a per-coordinate stencil costs one
-  call rather than 2k; the probe estimators step one point at a time.
+* ``frozen_objective_fns`` feeds ``frozen_quad_form`` and ``frozen_hvp``.
+  Its value and gradient are one :func:`trhreg.trh.objective_nodes`
+  closure, run on constant weights for a value (no tape graph) and on
+  leaves for a gradient.  Both take a ``(P, n)`` stack of weight vectors
+  as well as one vector and evaluate the stack on a stacked network in one
+  pass (one backward for all P gradients), so a per-coordinate stencil
+  costs one call rather than 2k; the probe estimators step one point at a
+  time.
   With ``layer`` = i both functions are layer-local: for stencils and
   probes supported on weight layer i they run the net from layer i up and
   differentiate layer i alone, with the same bits on that layer.
@@ -118,8 +120,9 @@ def _probe(dim: int, rng: Rng, indices) -> np.ndarray:
     return v
 
 
-def quad_form_from_values(value_fn, w0: np.ndarray, h: float = QUAD_STEP):
-    """v -> v^T H v via the second central difference of objective values.
+def quad_form_from_values(value_fn, w0: np.ndarray):
+    """v -> v^T H v via the second central difference of objective values,
+    at step h = ``QUAD_STEP``.
 
     The stencil displaces every weight by +/- h at once, so ReLU
     pre-activations need margins comfortably above ``h`` times the typical
@@ -127,7 +130,7 @@ def quad_form_from_values(value_fn, w0: np.ndarray, h: float = QUAD_STEP):
     comparing against per-coordinate oracles should filter inputs
     accordingly.
     """
-    w0 = np.asarray(w0, dtype=np.float64)
+    w0, h = np.asarray(w0, dtype=np.float64), QUAD_STEP
     f0 = value_fn(w0)
 
     def quad(v):
@@ -140,9 +143,10 @@ def quad_form_from_values(value_fn, w0: np.ndarray, h: float = QUAD_STEP):
     return quad
 
 
-def hvp_from_grad(grad_fn, w0: np.ndarray, h: float = HESS_STEP):
-    """v -> H v via the central difference of analytic gradients."""
-    w0 = np.asarray(w0, dtype=np.float64)
+def hvp_from_grad(grad_fn, w0: np.ndarray):
+    """v -> H v via the central difference of analytic gradients, at step
+    ``HESS_STEP``."""
+    w0, h = np.asarray(w0, dtype=np.float64), HESS_STEP
 
     def hvp(v):
         return (grad_fn(w0 + h * v) - grad_fn(w0 - h * v)) / (2.0 * h)
@@ -253,14 +257,16 @@ def frozen_objective_fns(net: MlpNetwork, X, X_adv, y, kind,
                                    for i in range(0, len(w), chunk)])
         return stackable(call)
 
+    def objective(lifted):
+        return trh_module.objective_nodes(lifted, *inputs, y, kind, lam, gamma,
+                                          stop_grad_clean, frozen)
+
     def value(candidate):
-        return trh_module.objective_value(candidate, *inputs, y, kind, lam,
-                                          gamma, stop_grad_clean, frozen)
+        out = objective(lift(candidate, wrap=tape.constant)).value
+        return float(out) if out.ndim == 0 else out
 
     def grad(candidate):
-        g = gradient_vector(candidate, lambda lifted: trh_module.objective_nodes(
-            lifted, *inputs, y, kind, lam, gamma,
-            stop_grad_clean=stop_grad_clean, frozen=frozen), leaves)[1]
+        g = gradient_vector(candidate, objective, leaves)[1]
         if start:
             g = np.concatenate([np.zeros(g.shape[:-1] + (start,)), g], axis=-1)
         return g

@@ -66,6 +66,8 @@ from .losses import softmax
 from .network import MlpNetwork, forward_nodes, lift, min_preact_magnitude
 from .numerics import SMOOTH_TOL
 
+INEQUALITY_SLACK = 1e-9  # rounding allowance of check_layer_inequality
+
 
 class NonSmoothInput(RuntimeError):
     """A pre-activation sits too close to a ReLU kink for exact formulas."""
@@ -112,8 +114,8 @@ class LayerInequality:
     holds: bool
 
 
-def check_layer_inequality(net: MlpNetwork, x: np.ndarray, level: int,
-                           slack: float = 1e-9) -> LayerInequality:
+def check_layer_inequality(net: MlpNetwork, x: np.ndarray,
+                           level: int) -> LayerInequality:
     """Consecutive-level bound: max H(level) <= max H(level+1) * ||W||_1^2.
 
     ``H[k, d] = (d logits_k / d level_d)^2 h_k`` over every unit of the
@@ -142,7 +144,7 @@ def check_layer_inequality(net: MlpNetwork, x: np.ndarray, level: int,
             break
     lhs = peak[level]
     rhs = peak[level + 1] * l1_operator_norm(net.layers[level].weights) ** 2
-    return LayerInequality(lhs=lhs, rhs=rhs, holds=lhs <= rhs + slack)
+    return LayerInequality(lhs=lhs, rhs=rhs, holds=lhs <= rhs + INEQUALITY_SLACK)
 
 
 # -- the one trace routine and its callers ------------------------------

@@ -23,6 +23,7 @@ one pass; the finite-difference oracles evaluate whole stencils this way.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,7 +248,8 @@ def forward_nodes(lifted, X):
 
     Returns (layer_input_nodes, preact_nodes) mirroring ForwardTrace.  Each
     layer is one :func:`tape.dense` node, ``x @ W + b``, so the tape keeps
-    one pre-activation array per layer.
+    one pre-activation array per layer.  The ops are :func:`forward`'s, so
+    on constant weights the values equal its trace to the bit.
     """
     cur = tape.constant(np.atleast_2d(np.asarray(X, dtype=np.float64)))
     layer_inputs = [cur]
@@ -371,39 +373,62 @@ def save_checkpoint(net: MlpNetwork, path) -> None:
     write_atomic(path, "\n".join(lines) + "\n")
 
 
+_LAYER_HEADER = re.compile(r"layer (\d+) ([1-9]\d*) ([1-9]\d*) ([01])")
+
+
 def load_checkpoint(path) -> MlpNetwork:
+    """Read the `TRHNET v1` text format of :func:`save_checkpoint`.
+
+    Malformed content raises ``ValueError`` naming its line in the file: a
+    bad file or layer header (``has_bias`` must be 0 or 1, ``d_in`` the
+    ``d_out`` below, the final layer bias-free), a number that does not
+    parse, a row of the wrong length, any line after the last layer, and
+    the last line of a file that ends early.  Blank lines are skipped.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise ValueError("empty checkpoint file")
-    header = lines[0].split()
+    header = lines[0][1].split()
     if " ".join(header[:2]) != CHECKPOINT_MAGIC:
-        raise ValueError(f"not a {CHECKPOINT_MAGIC} checkpoint: {lines[0]!r}")
-    try:
-        num_layers = int(header[2])
-        layers = []
-        pos = 1
-        for i in range(num_layers):
-            tag, idx, d_in, d_out, has_bias = lines[pos].split()
-            if tag != "layer" or int(idx) != i:
-                raise ValueError(
-                    f"malformed layer header at line {pos + 1}: {lines[pos]!r}")
-            d_in, d_out, has_bias = int(d_in), int(d_out), int(has_bias)
-            pos += 1
-            rows = []
-            for _ in range(d_in):
-                vals = [float(v) for v in lines[pos].split()]
-                if len(vals) != d_out:
-                    raise ValueError(f"expected {d_out} values at line {pos + 1}")
-                rows.append(vals)
-                pos += 1
-            bias = None
-            if has_bias:
-                bias = np.array([float(v) for v in lines[pos].split()])
-                pos += 1
-            layers.append(DenseLayer(np.array(rows), bias))
-    except IndexError:
-        raise ValueError("truncated checkpoint file") from None
+        raise ValueError(f"not a {CHECKPOINT_MAGIC} checkpoint: {lines[0][1]!r}")
+    if len(header) != 3 or not header[2].isdigit():
+        raise ValueError(f"malformed header at line {lines[0][0]}: {lines[0][1]!r}")
+    rest = iter(lines[1:])
+
+    def next_line():
+        line = next(rest, None)
+        if line is None:
+            raise ValueError(f"truncated checkpoint file: ends at line {lines[-1][0]}")
+        return line
+
+    def values(count):
+        n, text = next_line()
+        try:
+            vals = [float(v) for v in text.split()]
+        except ValueError:
+            raise ValueError(f"unparsable number at line {n}: {text!r}") from None
+        if len(vals) != count:
+            raise ValueError(f"expected {count} values at line {n}")
+        return vals
+
+    layers = []
+    depth = int(header[2])
+    for i in range(depth):
+        n, text = next_line()
+        match = _LAYER_HEADER.fullmatch(" ".join(text.split()))
+        if match is None or int(match[1]) != i:
+            raise ValueError(f"malformed layer header at line {n}: {text!r} (expected "
+                             f"'layer {i} d_in d_out has_bias', has_bias 0 or 1)")
+        d_in, d_out, has_bias = (int(g) for g in match.groups()[1:])
+        if (layers and d_in != layers[-1].d_out) or (has_bias and i == depth - 1):
+            raise ValueError(f"layer header at line {n} does not chain to the layer "
+                             f"below or gives the final layer a bias: {text!r}")
+        weights = np.array([values(d_out) for _ in range(d_in)])
+        layers.append(DenseLayer(weights, np.array(values(d_out)) if has_bias else None))
+    extra = next(rest, None)
+    if extra is not None:
+        raise ValueError(f"line {extra[0]} follows the last layer: {extra[1]!r}")
     net = MlpNetwork(layers)
     if not np.all(np.isfinite(flatten_weights(net))):
         raise ValueError("checkpoint contains non-finite weights")

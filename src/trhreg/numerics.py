@@ -212,12 +212,13 @@ def hessian_diag_subset(grad, w: np.ndarray, indices,
                                 own_entry=True)
 
 
-def finite_diff_hessian_diag(grad, w: np.ndarray, h: float = HESS_STEP) -> np.ndarray:
+def finite_diff_hessian_diag(grad, w: np.ndarray) -> np.ndarray:
     """The whole Hessian diagonal: :func:`hessian_diag_subset` over every
-    index.  Its sum is the Hessian-trace oracle used throughout the package.
+    index, at step ``HESS_STEP``.  Its sum is the Hessian-trace oracle used
+    throughout the package.
     """
     w = np.asarray(w, dtype=np.float64)
-    return hessian_diag_subset(grad, w, np.arange(w.size), h)
+    return hessian_diag_subset(grad, w, np.arange(w.size))
 
 
 def mean_se(samples: np.ndarray):

@@ -102,9 +102,11 @@ class PacBayesConfig:
         """Curvature-penalty coefficient implied by the bound."""
         return self.sigma0_sq / 2.0
 
-    def consistent_with(self, gamma: float, lam: float, tol: float = 1e-12) -> bool:
-        return (abs(gamma - self.gamma) <= tol * max(1.0, abs(self.gamma))
-                and abs(lam - self.lam) <= tol * max(1.0, abs(self.lam)))
+    def consistent_with(self, gamma: float, lam: float) -> bool:
+        """Whether (gamma, lam) are the bound's own, to 1e-12 relative
+        (absolute below 1)."""
+        return all(abs(given - own) <= 1e-12 * max(1.0, abs(own))
+                   for given, own in ((gamma, self.gamma), (lam, self.lam)))
 
 
 def gaussian_kl(post: GaussianPosterior, sigma0_sq: float) -> float:

@@ -22,7 +22,8 @@ interior adjoint as soon as that node's VJPs have run, so after the sweep
 only leaves hold a ``.grad``; edges stay, and the graph can be
 backpropagated again.  Row-wise :func:`log_softmax` is one node with a
 hand-written VJP, not a chain of small ops, and so is a dense layer
-(:func:`dense`); :func:`relu` keeps its gate as a bool array.
+(:func:`dense`).  :func:`relu` keeps no gate array: its VJP reads the
+input's value when it runs.
 
 Only nodes that depend on a :func:`leaf` are *live*.  An operation records
 edges to its live operands alone, so a result computed purely from
@@ -132,12 +133,13 @@ def _unbroadcast(grad, shape):
 
 
 def relu(a: Node) -> Node:
-    """``a * (a > 0)``; the gate is kept as a bool array, 1 byte an entry.
+    """``max(a, 0)``, the numpy forward's own operation, so the two forwards
+    agree to the bit (0.0, never -0.0, at a negative or zero input).
 
-    Multiplying by the bool gate casts it to 0.0/1.0, so value and VJP are
-    those of a float64 mask to the bit (derivative at exactly 0 is 0)."""
-    gate = a.value > 0
-    return Node(a.value * gate, ((a, lambda g: g * gate),))
+    The VJP ``g * (a > 0)`` computes its gate when it runs: the node keeps
+    no gate array, and a ReLU on constants does no gate work.  The
+    derivative at exactly 0 is 0."""
+    return Node(np.maximum(a.value, 0.0), ((a, lambda g: g * (a.value > 0)),))
 
 
 def dense(x: Node, w: Node, b: Node | None = None) -> Node:

@@ -29,16 +29,17 @@ Adversarial inputs are always treated as constants when differentiating
 Which function computes what: :func:`top_trace_rows` is the one body of
 the closed forms (per-example traces of all four losses, as tape nodes of
 the clean and adversarial features and logits) and ``_loss_rows`` the one
-body of the per-example robust loss; ``_objective_tail`` combines both
-(plus the weight decay) into the objective.  :func:`objective_nodes` runs
-the tail on lifted weights, for gradients; :func:`objective_value` runs it
-on constants after numpy forward passes, for values only.  ``trh_at``,
-``trh_trades``, ``trh_trades_full``, ``trh_alp`` and ``trh_mart`` evaluate
-:func:`top_trace_rows` on constants, for one example (1-d traces, float
-result) or a batch (``(m,)`` result); :func:`analytic_trh_rows` calls them
-once per batch through :func:`analytic_trh`, and :func:`robust_loss_rows`
-evaluates ``_loss_rows`` on constants.  Every evaluation on constants
-starts from the same numpy forward pair and records no tape graph.
+body of the per-example robust loss.  :func:`objective_nodes` combines both
+(plus the weight decay) into the objective.  On lifted weights it is the
+objective for gradients; on constant weights it is the objective's value
+and keeps no graph, so values and gradients share one forward route.
+:func:`capture_frozen` and :func:`robust_loss_rows` take their sides from
+the same tape forward on constants.  ``trh_at``, ``trh_trades``,
+``trh_trades_full``, ``trh_alp`` and ``trh_mart`` evaluate
+:func:`top_trace_rows` on constants from :class:`ForwardTrace` inputs, for
+one example (1-d traces, float result) or a batch (``(m,)`` result);
+:func:`analytic_trh_rows` runs the numpy forward pair and calls them once
+per batch through :func:`analytic_trh`.
 """
 
 from __future__ import annotations
@@ -110,12 +111,14 @@ def _constant_side(trace: ForwardTrace | None) -> _Side | None:
                  tape.constant(np.atleast_2d(trace.logits)))
 
 
-def _forward_pair(net: MlpNetwork, X, X_adv, kind: RobustLossKind):
-    """Plain numpy forward traces ``(clean, adversarial)`` of `net`, the
-    first step of every evaluation on constants; clean is None for at."""
-    adv = forward(net, np.atleast_2d(X_adv))
-    clean = None if kind.variant == "at" else forward(net, np.atleast_2d(X))
-    return clean, adv
+def _sides(lifted, X, X_adv, kind: RobustLossKind):
+    """``(clean, adversarial)`` sides from tape forward passes of the lifted
+    parameters, leaves or constants; clean is None for at."""
+    def side(inputs):
+        layer_inputs, preacts = forward_nodes(lifted, inputs)
+        return _side(layer_inputs[-1], preacts[-1])
+    adv = side(X_adv)
+    return (None if kind.variant == "at" else side(X)), adv
 
 
 def _one_hot(idx: np.ndarray, k: int) -> np.ndarray:
@@ -280,8 +283,9 @@ def analytic_trh_rows(net: MlpNetwork, X, X_adv, y, kind: RobustLossKind,
                       stop_grad_clean: bool = True) -> np.ndarray:
     """Per-example closed-form top-layer traces, plain numpy: one
     :func:`analytic_trh` call on the whole batch."""
-    return analytic_trh(*_forward_pair(net, X, X_adv, kind), y, kind,
-                        stop_grad_clean)
+    adv = forward(net, np.atleast_2d(X_adv))
+    clean = None if kind.variant == "at" else forward(net, np.atleast_2d(X))
+    return analytic_trh(clean, adv, y, kind, stop_grad_clean)
 
 
 # -- the robust loss and the batched objective on the tape ----------------
@@ -310,7 +314,7 @@ def capture_frozen(net: MlpNetwork, X: np.ndarray, X_adv: np.ndarray,
     """
     if kind.variant == "at":
         return {}  # the adversarial CE holds nothing fixed: no forward pass
-    clean, adv = map(_constant_side, _forward_pair(net, X, X_adv, kind))
+    clean, adv = _sides(lift(net, wrap=tape.constant), X, X_adv, kind)
     return _frozen(clean, adv, np.asarray(y, dtype=np.int64), kind)
 
 
@@ -352,6 +356,11 @@ def objective_nodes(lifted, X, X_adv, y, kind: RobustLossKind,
                     frozen: dict | None = None) -> tape.Node:
     """Scalar tape node: mean robust loss + lam * mean trace + gamma ||theta||^2.
 
+    One value per copy, shape ``(P,)``, on a stacked network (mean and norm
+    taken per copy).  On leaves it is the training objective; on constants
+    (``lift(net, wrap=tape.constant)``) it is the objective's value, with
+    no graph kept.
+
     Freezing convention: the *loss* terms honor the stop-gradient choices
     (clean side of KL / pairing / weighted-KL held constant), while the
     closed-form trace terms are differentiated as ordinary expressions.
@@ -360,35 +369,7 @@ def objective_nodes(lifted, X, X_adv, y, kind: RobustLossKind,
     stop-gradient semantics exactly.
     """
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    layer_inputs_adv, preacts_adv = forward_nodes(lifted, X_adv)
-    adv = _side(layer_inputs_adv[-1], preacts_adv[-1])
-    clean = None
-    if kind.variant != "at":
-        layer_inputs, preacts = forward_nodes(lifted, X)
-        clean = _side(layer_inputs[-1], preacts[-1])
-    return _objective_tail(lifted, clean, adv, y, kind, lam, gamma,
-                           stop_grad_clean, frozen)
-
-
-def objective_value(net: MlpNetwork, X, X_adv, y, kind: RobustLossKind,
-                    lam: float, gamma: float, stop_grad_clean: bool = True,
-                    frozen: dict | None = None):
-    """The value of :func:`objective_nodes` at the weights of `net`, with no
-    tape graph: numpy forward passes, then the same tail on constants.  A
-    float, or one value per copy, shape ``(P,)``, for a stacked network."""
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    clean, adv = map(_constant_side, _forward_pair(net, X, X_adv, kind))
-    value = _objective_tail(lift(net, wrap=tape.constant), clean, adv, y,
-                            kind, lam, gamma, stop_grad_clean, frozen).value
-    return float(value) if value.ndim == 0 else value
-
-
-def _objective_tail(params, clean: _Side | None, adv: _Side, y: np.ndarray,
-                    kind: RobustLossKind, lam: float, gamma: float,
-                    stop_grad_clean: bool, frozen: dict | None) -> tape.Node:
-    """The objective from its sides and (lifted or constant) parameters:
-    ``mean(loss rows + lam * trace rows) + gamma ||theta||^2``, one value
-    per copy of a stacked network (mean and norm taken per copy)."""
+    clean, adv = _sides(lifted, X, X_adv, kind)
     if frozen is None:
         frozen = _frozen(clean, adv, y, kind)
     rows = _loss_rows(clean, adv, y, kind, stop_grad_clean, frozen)
@@ -397,10 +378,10 @@ def _objective_tail(params, clean: _Side | None, adv: _Side, y: np.ndarray,
                                            frozen.get("kappa_star"))
     out = tape.mean(rows, axis=-1)
     if gamma != 0.0:
-        axes = (1, 2) if params[0][0].value.ndim == 3 else None  # per copy
+        axes = (1, 2) if lifted[0][0].value.ndim == 3 else None  # per copy
         out = out + gamma * sum(tape.nsum(w * w, axes) if b is None else
                                 tape.nsum(w * w, axes) + tape.nsum(b * b, axes)
-                                for w, b in params)
+                                for w, b in lifted)
     return out
 
 
@@ -409,6 +390,6 @@ def robust_loss_rows(net: MlpNetwork, X, X_adv, y,
     """Per-example robust loss values (no regularizer): the objective's loss
     rows evaluated on constants."""
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    clean, adv = map(_constant_side, _forward_pair(net, X, X_adv, kind))
+    clean, adv = _sides(lift(net, wrap=tape.constant), X, X_adv, kind)
     return _loss_rows(clean, adv, y, kind, True,
                       _frozen(clean, adv, y, kind)).value

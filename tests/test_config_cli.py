@@ -85,6 +85,11 @@ class TestParser:
                 "train.gamma = 0.5\n")
         with pytest.raises(ConfigError, match=r"train\.gamma"):
             ExperimentConfig.from_text(bad2)
+        # lambda and gamma share one check, which a nan fails
+        for key in ("trh.lambda", "train.gamma"):
+            with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+                ExperimentConfig.from_text(
+                    f"pacbayes.sigma0_sq = 0.2\npacbayes.beta = 10\n{key} = nan\n")
 
     def test_csv_requires_path(self):
         with pytest.raises(ConfigError, match=r"dataset\.path"):
@@ -203,6 +208,17 @@ class TestCliEval:
         (tmp_path / "d.csv").write_text("1.0,2.0,3.0,0\n1.0,2.0,3.0,1\n")
         ckpt = str(tmp_path / "run" / "checkpoint.txt")
         assert main(["eval", "--config", bad_data, "--checkpoint", ckpt]) == 1
+
+
+    def test_checkpoint_with_trailing_line_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        main(["train", "--config", cfg, "--out", str(tmp_path / "run")])
+        ckpt = tmp_path / "run" / "checkpoint.txt"
+        lines = ckpt.read_text().splitlines()
+        ckpt.write_text("\n".join(lines + ["0.5 0.5"]) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--checkpoint", str(ckpt)]) == 1
+        assert f"line {len(lines) + 1} follows the last layer" in capsys.readouterr().err
 
 
 class TestCliTraceSpectrum:

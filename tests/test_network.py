@@ -233,6 +233,27 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="non-finite"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("text,message", [
+        ("TRHNET v1 1\nlayer 0 2 2 0\n1.0 0.5\n0.0 1.0\n0.0 1.0\n",
+         "line 5 follows the last layer"),
+        ("TRHNET v1 1\nlayer 0 2 2 7\n1.0 0.5\n0.0 1.0\n",
+         "malformed layer header at line 2"),
+        ("TRHNET v1 1\nlayer 0 2 2 0\n1.0 0.5\n0.0 x\n",
+         "unparsable number at line 4"),
+        ("TRHNET v1 1\nlayer 0 2 2\n1.0 0.5\n0.0 1.0\n",
+         "malformed layer header at line 2"),
+        ("TRHNET v1 2\nlayer 0 2 2 0\n1.0 0.5\n0.0 1.0\nlayer 1 3 2 0\n",
+         "layer header at line 5 does not chain"),
+        ("TRHNET v1 1\nlayer 0 2 2 1\n1.0 0.5\n0.0 1.0\n0.0 0.0\n",
+         "layer header at line 2 .* final layer a bias"),
+    ], ids=["trailing-line", "bias-flag", "bad-number", "short-header",
+            "unchained-layer", "final-bias"])
+    def test_malformed_checkpoint_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
 
 class TestInitChecks:
     @pytest.mark.parametrize("dims", [(2, 0, 2), (0, 3, 2), (2, 3, 0)])

@@ -13,7 +13,8 @@ from trhreg import trh as trh_module
 from trhreg.hessian_oracle import frozen_objective_fns
 from trhreg.losses import RobustLossKind
 from trhreg.network import (TrainingDivergence, flatten_weights, forward,
-                            gradient_vector, init_mlp, lift, unflatten_weights)
+                            forward_nodes, gradient_vector, init_mlp, lift,
+                            unflatten_weights)
 from trhreg.numerics import (OracleError, Rng, finite_diff_gradient,
                              hessian_diag_subset, stackable)
 from trhreg.trh import objective_nodes
@@ -95,6 +96,30 @@ def test_stacked_forward_equals_per_net_forward(hidden, bias):
                         single.layer_inputs[1:] + single.preacts)
             for a, b in pairs:
                 assert np.array_equal(a[p], b)
+
+
+@pytest.mark.parametrize("hidden,bias", NETS, ids=NET_IDS)
+def test_tape_forward_on_constants_equals_numpy_forward(hidden, bias):
+    """The objective's value route (the tape forward on constant weights)
+    and the attack's numpy forward give the same layer inputs and
+    pre-activations to the bit, signed zeros included, on one net and on a
+    stack; the rows reach negative and exactly zero pre-activations."""
+    net, x, _, _ = _instance(hidden, bias)
+    x = np.vstack([x, np.zeros(3), -x])
+    for candidate in (net, unflatten_weights(net, _stack(net, 4))):
+        first = candidate.layers[0]
+        first.weights[..., 0] = 0.0  # unit 0 of layer 0 is zero on every row
+        if first.bias is not None:
+            first.bias[..., 0] = 0.0
+        trace = forward(candidate, x)
+        layer_inputs, preacts = forward_nodes(lift(candidate, wrap=tape.constant), x)
+        hidden_pre = np.concatenate([p.ravel() for p in trace.preacts[:-1]])
+        assert np.any(hidden_pre < 0) and np.any(hidden_pre == 0)
+        pairs = zip(trace.layer_inputs + trace.preacts,
+                    [n.value for n in layer_inputs + preacts])
+        for ref, tape_value in pairs:
+            assert np.array_equal(ref, tape_value)
+            assert np.array_equal(np.signbit(ref), np.signbit(tape_value))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -258,18 +283,20 @@ def test_top_layer_probe_runs_no_hidden_layer(monkeypatch):
         depths.append(net.depth)
         return numpy_forward(net, x)
 
+    whole_grad = frozen_objective_fns(net, x, x_adv, y, kind)[1]
     monkeypatch.setattr(tape, "dense", counting_dense)
     monkeypatch.setattr(trh_module, "forward", counting_forward)
     for w in (W[0], W):
         grad_fn(w)
         value_fn(w)
     hvp(v)
-    # two sides per evaluation, each one dense layer of the top weights
-    assert weights == [top_shape] * 2 * (2 + 2)
-    assert depths == [1] * 2 * 2
+    # two sides per evaluation (2 gradients, 2 values, 2 for the product),
+    # each one dense layer of the top weights; no numpy forward at all
+    assert weights == [top_shape] * 2 * (2 + 2 + 2)
+    assert depths == []
     # the whole-network route runs every layer
     weights.clear()
-    frozen_objective_fns(net, x, x_adv, y, kind)[1](W[0])
+    whole_grad(W[0])
     assert len(weights) == 2 * net.depth
 
 

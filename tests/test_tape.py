@@ -407,14 +407,14 @@ class TestLeanTape:
         tape.backward(out)
         assert _same_bits(first, w.grad)
 
-    def test_relu_bool_gate_bits_equal_float_mask(self):
+    def test_relu_value_is_maximum_and_vjp_bits_equal_float_mask(self):
         special = [0.0, -0.0, 1e-310, -1e-310, np.inf, -np.inf, np.nan, 2.5, -3.0]
         a0 = np.concatenate([special, R.child("rg").normal(size=31)]).reshape(5, 8)
         g = np.concatenate([special[::-1], R.child("rh").normal(size=31)]).reshape(5, 8)
         a = tape.leaf(a0)
         with np.errstate(invalid="ignore"):  # inf * 0 is nan either way
             lean, ref = tape.relu(a), _float_mask_relu(a)
-            assert _same_bits(lean.value, ref.value)
+            assert _same_bits(lean.value, np.maximum(a0, 0.0))
             assert _same_bits(lean._edges[0][1](g), ref._edges[0][1](g))
 
     @pytest.mark.parametrize("shapes", [
