@@ -20,7 +20,7 @@ from trhreg.data import two_moons
 from trhreg.hessian_oracle import frozen_objective_fns
 from trhreg.losses import RobustLossKind
 from trhreg.network import flatten_weights, init_mlp, lift, param_count
-from trhreg.numerics import Rng, finite_diff_hessian_diag, pin_allocator
+from trhreg.numerics import Rng, hessian_diag_subset, pin_allocator
 from trhreg.pacbayes import (GaussianPosterior, PacBayesConfig,
                              expected_loss_mc, gaussian_kl, optimal_sigma_diag,
                              optimal_sigma_spherical,
@@ -50,7 +50,7 @@ print(f"   posterior == prior at zero mean: "
 # -- 2. optimal variances ----------------------------------------------
 x_adv = pgd(net, dataset.inputs, dataset.labels, attack, rng.child("atk"))
 _, grad_fn = frozen_objective_fns(net, dataset.inputs, x_adv, dataset.labels, kind)
-diag = finite_diff_hessian_diag(grad_fn, theta)
+diag = hessian_diag_subset(grad_fn, theta)
 risk = float(np.mean(robust_loss_rows(net, dataset.inputs, x_adv,
                                       dataset.labels, kind)))
 beta = 400.0

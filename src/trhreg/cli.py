@@ -126,6 +126,9 @@ def cmd_eval(args) -> int:
     if ds.inputs.shape[1] != net.input_dim:
         raise ConfigError(f"checkpoint input dim {net.input_dim} does not "
                           f"match dataset dim {ds.inputs.shape[1]}")
+    if net.num_classes < ds.num_classes:
+        raise ConfigError(f"checkpoint has {net.num_classes} outputs but the "
+                          f"dataset has {ds.num_classes} classes")
     # evaluation attacks with CE whatever the training loss, as the
     # trainer's per-epoch robust accuracy does
     attack = replace(cfg.effective_attack(ds), inner_loss="ce")

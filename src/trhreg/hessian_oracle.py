@@ -10,17 +10,17 @@ from the closed forms in :mod:`trhreg.trh` and :mod:`trhreg.layer_traces`:
   every closed-form trace in the package;
 * ``hutchinson_trace`` averages Rademacher quadratic forms ``v^T H v``;
   ``hutchinson_trace_pair`` takes ``v . Hv`` and ``||H v||^2`` from the
-  same Hessian-vector products, unbiased for Tr(H) and Tr(H^2).  For a
-  diagonal Hessian a single probe is already exact since the probe
-  entries square to one;
-* ``frozen_objective_fns`` feeds ``frozen_quad_form`` and ``frozen_hvp``.
-  Its value and gradient are one :func:`trhreg.trh.objective_nodes`
-  closure, run on constant weights for a value (no tape graph) and on
-  leaves for a gradient.  Both take a ``(P, n)`` stack of weight vectors
-  as well as one vector and evaluate the stack on a stacked network in one
-  pass (one backward for all P gradients), so a per-coordinate stencil
-  costs one call rather than 2k; the probe estimators step one point at a
-  time.
+  same Hessian-vector products, unbiased for Tr(H) and Tr(H^2), and can
+  restrict its probes to a diagonal block.  For a diagonal Hessian a single
+  probe is already exact since the probe entries square to one;
+* ``frozen_objective_fns`` gives the value and gradient that
+  ``quad_form_from_values`` and ``hvp_from_grad`` difference.  Both are one
+  :func:`trhreg.trh.objective_nodes` closure, run on constant weights for a
+  value (no tape graph) and on leaves for a gradient.  Both take a
+  ``(P, n)`` stack of weight vectors as well as one vector and evaluate the
+  stack on a stacked network in one pass (one backward for all P
+  gradients), so a per-coordinate stencil costs one call rather than 2k;
+  the probe estimators step one point at a time.
   With ``layer`` = i both functions are layer-local: for stencils and
   probes supported on weight layer i they run the net from layer i up and
   differentiate layer i alone, with the same bits on that layer.
@@ -35,8 +35,6 @@ them), so ReLU kinks inside the stencil enter the estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tape
@@ -49,9 +47,10 @@ from .numerics import (HESS_STEP, OracleError, Rng, hessian_diag_subset,
 QUAD_STEP = 1e-3  # second differences of values need a wider stencil
 
 
-def exact_trace(grad_fn, w0: np.ndarray, indices=None, h: float = HESS_STEP) -> float:
+def exact_trace(grad_fn, w0: np.ndarray, indices=None) -> float:
     """Trace over a parameter subset as a finite-difference sum: the sum of
-    :func:`hessian_diag_subset` (central differences of `grad_fn`).
+    :func:`hessian_diag_subset` (central differences of `grad_fn` at step
+    ``HESS_STEP``).
 
     "Exact" means deterministic and per-coordinate, not closed-form: the
     result carries the O(h^2) truncation of the stencil, and a ReLU kink
@@ -63,29 +62,22 @@ def exact_trace(grad_fn, w0: np.ndarray, indices=None, h: float = HESS_STEP) -> 
     layer-local gradient of :func:`frozen_objective_fns` (``layer=i``) gives
     the same sum to the bit and runs only the layers from i up.
     """
-    w0 = np.asarray(w0, dtype=np.float64)
-    if indices is None:
-        indices = np.arange(w0.size)
-    return float(hessian_diag_subset(grad_fn, w0, indices, h=h).sum())
+    return float(hessian_diag_subset(grad_fn, w0, indices).sum())
 
 
 # -- stochastic estimators ---------------------------------------------
 
 
-def hutchinson_trace(quad_form, dim: int, probes: int, rng: Rng,
-                     indices=None):
+def hutchinson_trace(quad_form, dim: int, probes: int, rng: Rng):
     """Rademacher estimate of Tr(H) from a quadratic form v -> v^T H v.
 
-    Returns ``(estimate, standard_error)``.  With `indices` given, probes
-    are supported on that subset only, estimating the trace of the
-    corresponding diagonal block.
+    Returns ``(estimate, standard_error)``.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
     vals = np.empty(probes)
     for p in range(probes):
-        v = _probe(dim, rng, indices)
-        vals[p] = quad_form(v)
+        vals[p] = quad_form(rademacher_vector(dim, rng))
     return mean_se(vals)
 
 
@@ -161,22 +153,6 @@ def eigen_stats(trace: float, trace_sq: float, n: int):
     mean = trace / n
     var = trace_sq / n - mean * mean
     return mean, float(np.sqrt(max(0.0, var)))
-
-
-@dataclass
-class LayerHessianReport:
-    layer: int  # 0 denotes the whole network
-    trace: float
-    trace_sq: float
-    eig_mean: float
-    eig_std: float
-    param_count: int
-
-    @classmethod
-    def from_traces(cls, layer, trace, trace_sq, n):
-        mean, std = eigen_stats(trace, trace_sq, n)
-        return cls(layer=layer, trace=trace, trace_sq=trace_sq,
-                   eig_mean=mean, eig_std=std, param_count=n)
 
 
 # -- objective plumbing over the flat weight vector ---------------------
@@ -272,26 +248,6 @@ def frozen_objective_fns(net: MlpNetwork, X, X_adv, y, kind,
         return g
 
     return chunked(value), chunked(grad)
-
-
-def frozen_quad_form(net: MlpNetwork, X, X_adv, y, kind):
-    """v -> v^T H v of the bare robust objective (no penalty terms) at the
-    weights of `net`: second differences of :func:`frozen_objective_fns`
-    values."""
-    value_fn, _ = frozen_objective_fns(net, X, X_adv, y, kind)
-    return quad_form_from_values(value_fn, flatten_weights(net))
-
-
-def frozen_hvp(net: MlpNetwork, X, X_adv, y, kind, layer: int | None = None):
-    """v -> H v of the bare robust objective at the weights of `net`: central
-    differences of :func:`frozen_objective_fns` gradients.
-
-    With `layer` = i the product is layer-local: v must be supported on
-    weight layer i, and H v is the product's layer-i block with zeros
-    elsewhere (the block ``H_ii v_i``), from gradients that run the net
-    from layer i up only."""
-    _, grad_fn = frozen_objective_fns(net, X, X_adv, y, kind, layer=layer)
-    return hvp_from_grad(grad_fn, flatten_weights(net))
 
 
 def weight_indices(net: MlpNetwork, layer: int | None = None,

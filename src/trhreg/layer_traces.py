@@ -73,10 +73,10 @@ class NonSmoothInput(RuntimeError):
     """A pre-activation sits too close to a ReLU kink for exact formulas."""
 
 
-def _check_smooth(net: MlpNetwork, x: np.ndarray, tol: float) -> None:
-    if min_preact_magnitude(net, x) < tol:
+def _check_smooth(net: MlpNetwork, x: np.ndarray) -> None:
+    if min_preact_magnitude(net, x) < SMOOTH_TOL:
         raise NonSmoothInput(
-            f"pre-activation within {tol} of a ReLU kink; resample the input")
+            f"pre-activation within {SMOOTH_TOL} of a ReLU kink; resample the input")
 
 
 def _jacobian_stacks(lifted, preacts):
@@ -129,7 +129,7 @@ def check_layer_inequality(net: MlpNetwork, x: np.ndarray,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("check_layer_inequality takes a single input vector")
-    _check_smooth(net, x, SMOOTH_TOL)
+    _check_smooth(net, x)
     if level == 0 and np.all(x == 0):
         raise NonSmoothInput("zero input is degenerate for a bias-free net")
     lifted = lift(net, tape.constant)
@@ -215,11 +215,10 @@ def layer_trace_rows(net: MlpNetwork, X: np.ndarray) -> np.ndarray:
         for i in range(0, len(X), _ROWS_PER_PASS)])
 
 
-def trh_ce_layer(net: MlpNetwork, x: np.ndarray, layer: int,
-                 tol: float = SMOOTH_TOL) -> float:
+def trh_ce_layer(net: MlpNetwork, x: np.ndarray, layer: int) -> float:
     """Exact CE Hessian trace over the entries of weight matrix `layer`."""
     if not 0 <= layer < net.depth:
         raise ValueError(f"layer must be in [0, {net.depth})")
     x = np.asarray(x, dtype=np.float64)
-    _check_smooth(net, x, tol)
+    _check_smooth(net, x)
     return float(layer_trace_rows(net, x)[0, layer])

@@ -11,7 +11,7 @@ estimators) is built on the two ingredients in this module:
 * central finite differences at fixed step sizes (1e-5 for first
   derivatives, 1e-4 for second differences), which balance truncation
   against rounding error in 64-bit arithmetic: one routine for the
-  gradient, one for the Hessian diagonal (whole, or over an index subset).
+  gradient, one for the Hessian diagonal (every entry, or an index subset).
   Both build their stencil as a stack of weight vectors, one row per
   point, and hand it to the function in one call if the function is marked
   :func:`stackable`, row by row otherwise; either way the result is the
@@ -201,24 +201,18 @@ def finite_diff_gradient(f, w: np.ndarray, h: float = GRAD_STEP) -> np.ndarray:
     return _central_differences(f, w, np.arange(np.size(w)), h)
 
 
-def hessian_diag_subset(grad, w: np.ndarray, indices,
-                        h: float = HESS_STEP) -> np.ndarray:
-    """Hessian diagonal at `indices` from central differences of an analytic
-    gradient: entry j is ``(grad(w + h e_i)_i - grad(w - h e_i)_i) / (2h)``
-    for ``i = indices[j]``, the stencil evaluated as one stack when `grad`
-    is :func:`stackable`.  Raises :class:`OracleError` with the first index
-    whose gradient entry is non-finite."""
-    return _central_differences(grad, w, np.asarray(indices, dtype=np.int64), h,
-                                own_entry=True)
-
-
-def finite_diff_hessian_diag(grad, w: np.ndarray) -> np.ndarray:
-    """The whole Hessian diagonal: :func:`hessian_diag_subset` over every
-    index, at step ``HESS_STEP``.  Its sum is the Hessian-trace oracle used
-    throughout the package.
-    """
+def hessian_diag_subset(grad, w: np.ndarray, indices=None) -> np.ndarray:
+    """Hessian diagonal at `indices` (default: every index) from central
+    differences of an analytic gradient at step ``HESS_STEP``: entry j is
+    ``(grad(w + h e_i)_i - grad(w - h e_i)_i) / (2h)`` for ``i = indices[j]``,
+    the stencil evaluated as one stack when `grad` is :func:`stackable`.
+    Its sum is the Hessian-trace oracle used throughout the package.  Raises
+    :class:`OracleError` with the first index whose gradient entry is
+    non-finite."""
     w = np.asarray(w, dtype=np.float64)
-    return hessian_diag_subset(grad, w, np.arange(w.size))
+    indices = (np.arange(w.size) if indices is None
+               else np.asarray(indices, dtype=np.int64))
+    return _central_differences(grad, w, indices, HESS_STEP, own_entry=True)
 
 
 def mean_se(samples: np.ndarray):

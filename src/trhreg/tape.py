@@ -92,9 +92,6 @@ class Node:
                     ((a, lambda g: _unbroadcast(g / b.value, a.shape)),
                      (b, lambda g: _unbroadcast(-g * (a.value / b.value) / b.value, b.shape))))
 
-    def __rtruediv__(self, other):
-        return wrap(other) / self
-
     def __matmul__(self, other):
         other = wrap(other)
         a, b = self, other

@@ -28,8 +28,9 @@ import numpy as np
 
 from .attacks import AttackConfig, clean_accuracy, eval_robust_accuracy, pgd
 from .data import Dataset
-from .hessian_oracle import (LayerHessianReport, frozen_hvp, frozen_quad_form,
+from .hessian_oracle import (eigen_stats, frozen_objective_fns,
                              hutchinson_trace, hutchinson_trace_pair,
+                             hvp_from_grad, quad_form_from_values,
                              weight_indices)
 from .losses import RobustLossKind
 from .network import (MlpNetwork, TrainingDivergence, backprop,
@@ -45,6 +46,10 @@ _LR_DECAYS = ("constant", "cosine", "multistep")
 
 # A step whose objective exceeds this stops the run as diverged.
 DIVERGENCE_THRESHOLD = 1e6
+
+# Seed of the measurement streams (adversarial points and probes), the same
+# at every measurement of every run.
+PROBE_SEED = 2024
 
 
 @dataclass(frozen=True)
@@ -197,12 +202,12 @@ class MeasureConfig:
     and eigenvalue statistics from ``hessian_oracle`` probe estimators.  The
     measurement objective is the bare robust loss of the training kind with
     adversarial inputs regenerated (and then frozen) at measurement time.
+    Attack starts and probes come from streams of ``PROBE_SEED``.
     """
 
     mode: str
     every: int = 1
     probes: int = 64
-    probe_seed: int = 2024
 
     def __post_init__(self):
         if self.mode not in ("top", "full", "spectrum"):
@@ -330,19 +335,13 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
                        diverged=diverged, diverged_epoch=diverged_epoch)
 
 
-def measurement_attack(attack_cfg: AttackConfig) -> AttackConfig:
-    """Deterministic single-restart attack used to fix adversarial points
-    before measuring curvature."""
-    return replace(attack_cfg, restarts=1)
-
-
 def measure_trace_row(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
                       attack_cfg: AttackConfig, epoch: int,
                       measure: MeasureConfig, metrics_row):
     """One measurement record (or spectrum records) at the current weights."""
-    meas_rng = Rng(measure.probe_seed).child("measure", epoch)
-    x_adv = pgd(net, dataset.inputs, dataset.labels,
-                measurement_attack(attack_cfg), meas_rng.child("attack"))
+    meas_rng = Rng(PROBE_SEED).child("measure", epoch)
+    x_adv = pgd(net, dataset.inputs, dataset.labels, attack_cfg,
+                meas_rng.child("attack"))
     x, y = dataset.inputs, dataset.labels
 
     if measure.mode == "spectrum":
@@ -352,10 +351,13 @@ def measure_trace_row(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
     row = {"epoch": epoch,
            "trh_top_analytic": float(np.mean(analytic_trh_rows(net, x, x_adv, y, kind)))}
     if measure.mode == "full":
-        # a fresh stream each time: the same probes at every measurement
+        # the bare robust objective (no penalty terms); a fresh stream each
+        # time: the same probes at every measurement
+        value_fn, _ = frozen_objective_fns(net, x, x_adv, y, kind)
         row["trh_full_estimate"], row["trh_full_stderr"] = hutchinson_trace(
-            frozen_quad_form(net, x, x_adv, y, kind), param_count(net),
-            measure.probes, Rng(measure.probe_seed).child("trace-probes"))
+            quad_form_from_values(value_fn, flatten_weights(net)),
+            param_count(net), measure.probes,
+            Rng(PROBE_SEED).child("trace-probes"))
     else:
         row["trh_full_estimate"] = float("nan")
         row["trh_full_stderr"] = float("nan")
@@ -372,26 +374,32 @@ def spectrum_records(net: MlpNetwork, x, x_adv, y, kind: RobustLossKind,
     """Per-layer and whole-network (trace, trace_sq) with eigenvalue stats.
 
     Layer subsets cover that layer's weights and biases; layer 0 denotes
-    the whole network.  The probes of a layer move that layer alone, so
-    they run on its layer-local Hessian-vector product
-    (:func:`~trhreg.hessian_oracle.frozen_hvp` with ``layer``), which
-    differentiates only that layer.  The whole-network trace is the sum of
-    the layer traces (trace is block-additive), while its trace_sq gets its
-    own full-support probes, on the whole-network product, because squares
-    are not.
+    the whole network.  Hessian-vector products are central differences of
+    the bare robust objective's gradient
+    (:func:`~trhreg.hessian_oracle.frozen_objective_fns`).  The probes of a
+    layer move that layer alone, so they run on its layer-local gradient
+    (``layer``), which differentiates only that layer.  The whole-network
+    trace is the sum of the layer traces (trace is block-additive), while
+    its trace_sq gets its own full-support probes, on the whole-network
+    product, because squares are not.
     """
+    def record(layer, trace, trace_sq, n):
+        mean, std = eigen_stats(trace, trace_sq, n)
+        return {"epoch": epoch, "layer": layer, "trace": trace,
+                "trace_sq": trace_sq, "eig_mean": mean, "eig_std": std}
+
     dim = param_count(net)
-    reports = []
+    records, total = [], 0.0
     for li in range(1, net.depth + 1):
         idx = weight_indices(net, li - 1, include_bias=True)
+        _, grad_fn = frozen_objective_fns(net, x, x_adv, y, kind, layer=li - 1)
         (trace, _), (trace_sq, _) = hutchinson_trace_pair(
-            frozen_hvp(net, x, x_adv, y, kind, layer=li - 1), dim, probes,
+            hvp_from_grad(grad_fn, flatten_weights(net)), dim, probes,
             rng.child("layer", li), idx)
-        reports.append(LayerHessianReport.from_traces(li, trace, trace_sq, idx.size))
-    trace_sq, _ = hutchinson_trace_pair(frozen_hvp(net, x, x_adv, y, kind), dim,
-                                        probes, rng.child("full"))[1]
-    reports.insert(0, LayerHessianReport.from_traces(
-        0, sum(r.trace for r in reports), trace_sq, dim))
-    return [{"epoch": epoch, "layer": r.layer, "trace": r.trace,
-             "trace_sq": r.trace_sq, "eig_mean": r.eig_mean, "eig_std": r.eig_std}
-            for r in reports]
+        records.append(record(li, trace, trace_sq, idx.size))
+        total += trace
+    _, grad_fn = frozen_objective_fns(net, x, x_adv, y, kind)
+    trace_sq, _ = hutchinson_trace_pair(hvp_from_grad(grad_fn, flatten_weights(net)),
+                                        dim, probes, rng.child("full"))[1]
+    records.insert(0, record(0, total, trace_sq, dim))
+    return records

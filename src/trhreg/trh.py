@@ -38,8 +38,8 @@ the same tape forward on constants.  ``trh_at``, ``trh_trades``,
 ``trh_trades_full``, ``trh_alp`` and ``trh_mart`` evaluate
 :func:`top_trace_rows` on constants from :class:`ForwardTrace` inputs, for
 one example (1-d traces, float result) or a batch (``(m,)`` result);
-:func:`analytic_trh_rows` runs the numpy forward pair and calls them once
-per batch through :func:`analytic_trh`.
+:func:`analytic_trh_rows` runs the numpy forward pair and calls the one
+that matches the loss kind once per batch.
 """
 
 from __future__ import annotations
@@ -74,21 +74,6 @@ class TrHConfig:
             raise ValueError("lam must be >= 0")
         if self.schedule not in _SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
-
-
-@dataclass
-class TradesFullTerms:
-    """Ingredients of the unfrozen TRADES trace, exposed for inspection.
-
-    ``psi[k]`` / ``psi_prime[k]`` are the k-th row of the clean log-softmax
-    Jacobian dotted with log s / log s'; ``g_term`` is the extra trace
-    contribution from differentiating through the clean logits.  Batched
-    traces give every field a leading batch axis.
-    """
-
-    psi: np.ndarray
-    psi_prime: np.ndarray
-    g_term: float | np.ndarray
 
 
 class _Side(NamedTuple):
@@ -235,18 +220,17 @@ def trh_trades_full(trace_clean: ForwardTrace, trace_adv: ForwardTrace,
                     lambda_t: float):
     """Top-layer TRADES trace with gradient kept on the clean logits.
 
-    Returns ``(value, TradesFullTerms)``; see :func:`_trades_g_rows` for G.
+    Returns ``(value, G)``, G the extra trace from differentiating through
+    the clean logits (see :func:`_trades_g_rows`); both are floats for 1-d
+    traces and ``(m,)`` arrays for a batch.
     """
     kind = RobustLossKind("trades", lambda_t)
     value = _on_constants(trace_clean, trace_adv, None, kind, stop_grad_clean=False)
     clean, adv = _constant_side(trace_clean), _constant_side(trace_adv)
     g_term = _trades_g_rows(clean, adv, *_sq_norm_and_hsum(clean)).value
-    s, logs, logs_adv = clean.s.value, clean.logs.value, adv.logs.value
-    psi = logs - np.sum(s * logs, axis=1, keepdims=True)
-    psi_prime = logs_adv - np.sum(s * logs_adv, axis=1, keepdims=True)
     if np.ndim(trace_adv.logits) == 1:
-        psi, psi_prime, g_term = psi[0], psi_prime[0], float(g_term[0])
-    return value, TradesFullTerms(psi=psi, psi_prime=psi_prime, g_term=g_term)
+        g_term = float(g_term[0])
+    return value, g_term
 
 
 def trh_alp(trace_clean: ForwardTrace, trace_adv: ForwardTrace,
@@ -263,11 +247,15 @@ def trh_mart(trace_clean: ForwardTrace, trace_adv: ForwardTrace, y,
                          RobustLossKind("mart", lambda_m))
 
 
-def analytic_trh(trace_clean: ForwardTrace, trace_adv: ForwardTrace, y,
-                 kind: RobustLossKind, stop_grad_clean: bool = True):
-    """Dispatch to the matching closed form for a loss kind."""
+def analytic_trh_rows(net: MlpNetwork, X, X_adv, y, kind: RobustLossKind,
+                      stop_grad_clean: bool = True) -> np.ndarray:
+    """Per-example closed-form top-layer traces, plain numpy: the numpy
+    forward pair of the batch, then one call of the loss kind's closed form
+    on the whole batch."""
+    trace_adv = forward(net, np.atleast_2d(X_adv))
     if kind.variant == "at":
         return trh_at(trace_adv)
+    trace_clean = forward(net, np.atleast_2d(X))
     if kind.variant == "trades":
         if stop_grad_clean:
             return trh_trades(trace_clean, trace_adv, kind.penalty)
@@ -277,15 +265,6 @@ def analytic_trh(trace_clean: ForwardTrace, trace_adv: ForwardTrace, y,
     if kind.variant == "mart":
         return trh_mart(trace_clean, trace_adv, y, kind.penalty)
     raise ValueError(f"unknown loss variant {kind.variant!r}")
-
-
-def analytic_trh_rows(net: MlpNetwork, X, X_adv, y, kind: RobustLossKind,
-                      stop_grad_clean: bool = True) -> np.ndarray:
-    """Per-example closed-form top-layer traces, plain numpy: one
-    :func:`analytic_trh` call on the whole batch."""
-    adv = forward(net, np.atleast_2d(X_adv))
-    clean = None if kind.variant == "at" else forward(net, np.atleast_2d(X))
-    return analytic_trh(clean, adv, y, kind, stop_grad_clean)
 
 
 # -- the robust loss and the batched objective on the tape ----------------

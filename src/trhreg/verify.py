@@ -28,10 +28,12 @@ import numpy as np
 from . import hessian_oracle as ho
 from . import pacbayes as pb
 from . import layer_traces as lt
+from . import tape
 from . import trh as trh_module
 from .attacks import AttackConfig, pgd
+from .data import two_moons
 from .losses import RobustLossKind, softmax
-from .network import (flatten_weights, forward, init_mlp,
+from .network import (flatten_weights, forward, init_mlp, lift,
                       min_preact_magnitude)
 from .numerics import (SMOOTH_TOL, Rng, finite_diff_gradient,
                        rademacher_vector)
@@ -241,24 +243,19 @@ def check_pacbayes(curvature_vectors: int = 20, seed: int = 0) -> list[CheckResu
                            seed))
 
     # reparameterization identity between surrogate and training objective
-    from .data import two_moons
     ds = two_moons(24, noise_std=0.1, seed=seed + 3)
     net = init_mlp([2, 6, 2], rng.child("net"))
     cfg = pb.PacBayesConfig(sigma0_sq=0.02, beta=200.0, m=len(ds))
     atk = AttackConfig(delta=0.05, steps=3)
     kind = RobustLossKind("at")
-    arng = Rng(seed).child("repar-attack")
-    x_adv = pgd(net, ds.inputs, ds.labels, atk, arng)
+    x_adv = pgd(net, ds.inputs, ds.labels, atk, Rng(seed).child("repar-attack"))
     trh_mean = float(np.mean(trh_module.analytic_trh_rows(
         net, ds.inputs, x_adv, ds.labels, kind)))
-    risk = float(np.mean(trh_module.robust_loss_rows(
-        net, ds.inputs, x_adv, ds.labels, kind)))
-    theta = flatten_weights(net)
-    surrogate = (risk + float(np.dot(theta, theta)) / (2 * cfg.beta * cfg.sigma0_sq)
-                 + (cfg.sigma0_sq / 2) * trh_mean)
-    from .network import lift
-    node = trh_module.objective_nodes(lift(net), ds.inputs, x_adv, ds.labels,
-                                      kind, cfg.lam, cfg.gamma)
+    # the surrogate draws the same attack points from a fresh stream
+    surrogate = pb.bound_surrogate(net, ds, kind, atk, cfg, trh_mean,
+                                   Rng(seed).child("repar-attack"))
+    node = trh_module.objective_nodes(lift(net, wrap=tape.constant), ds.inputs,
+                                      x_adv, ds.labels, kind, cfg.lam, cfg.gamma)
     objective = float(node.value)
     err = abs(surrogate - objective) / max(1.0, abs(objective))
     out.append(CheckResult("pacbayes", "reparameterization-identity",

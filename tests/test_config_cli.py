@@ -209,6 +209,21 @@ class TestCliEval:
         ckpt = str(tmp_path / "run" / "checkpoint.txt")
         assert main(["eval", "--config", bad_data, "--checkpoint", ckpt]) == 1
 
+    def test_fewer_outputs_than_classes_is_config_error(self, tmp_path, capsys):
+        # a 2-class checkpoint on data with a label 2
+        cfg = write_config(tmp_path)
+        main(["train", "--config", cfg, "--out", str(tmp_path / "run")])
+        (tmp_path / "d.csv").write_text("0.1,0.2,0\n0.3,0.1,1\n0.5,0.5,2\n")
+        text = "\n".join(line for line in BASE_CONFIG.splitlines()
+                         if not line.startswith(("dataset.n", "dataset.seed")))
+        three = write_config(tmp_path, text.replace(
+            "dataset.kind = two_moons",
+            f"dataset.kind = csv\ndataset.path = {tmp_path}/d.csv"), "three.txt")
+        ckpt = str(tmp_path / "run" / "checkpoint.txt")
+        capsys.readouterr()
+        assert main(["eval", "--config", three, "--checkpoint", ckpt]) == 1
+        err = capsys.readouterr().err
+        assert "2 outputs" in err and "3 classes" in err
 
     def test_checkpoint_with_trailing_line_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

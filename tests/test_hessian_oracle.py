@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from trhreg.hessian_oracle import (LayerHessianReport, eigen_stats,
-                                   exact_trace, frozen_objective_fns,
-                                   hessian_diag_subset, hutchinson_trace,
-                                   hutchinson_trace_pair, hvp_from_grad,
-                                   quad_form_from_values, weight_indices)
+from trhreg.hessian_oracle import (eigen_stats, exact_trace,
+                                   frozen_objective_fns, hessian_diag_subset,
+                                   hutchinson_trace, hutchinson_trace_pair,
+                                   hvp_from_grad, quad_form_from_values,
+                                   weight_indices)
 from trhreg.losses import RobustLossKind
 from trhreg.network import flatten_weights, forward
 from trhreg.numerics import OracleError, Rng
@@ -43,14 +43,15 @@ class TestExactTrace:
         assert parts == pytest.approx(total, rel=1e-8)
 
     def test_nonfinite_gradient_reported(self):
+        # nan half a stencil step (HESS_STEP) beyond the centre
         def grad(w):
             out = w.copy()
-            if abs(w[0]) > 0.5:
+            if abs(w[0]) > 0.50005:
                 out[0] = np.nan
             return out
 
         with pytest.raises(OracleError):
-            exact_trace(grad, np.array([0.5, 0.0]), h=0.1)
+            exact_trace(grad, np.array([0.5, 0.0]))
 
 
 class TestHutchinsonTrace:
@@ -102,9 +103,9 @@ class TestHutchinsonTrace:
 
     def test_subset_probes_estimate_block_trace(self):
         d = np.array([1.0, 10.0, 100.0])
-        quad = lambda v: float(v @ (d * v))
-        est, _ = hutchinson_trace(quad, 3, probes=4, rng=Rng(4).child("h"),
-                                  indices=[0, 2])
+        hvp = lambda v: d * v
+        (est, _), _ = hutchinson_trace_pair(hvp, 3, probes=4, rng=Rng(4).child("h"),
+                                            indices=[0, 2])
         assert est == pytest.approx(101.0, abs=1e-12)
 
     def test_requires_probes(self):
@@ -170,7 +171,3 @@ class TestEigenStats:
     def test_tiny_negative_variance_clamped(self):
         _, std = eigen_stats(2.0, 2.0 - 1e-12, 2)
         assert std == 0.0
-
-    def test_report_constructor(self):
-        r = LayerHessianReport.from_traces(1, 4.0, 10.0, 2)
-        assert r.eig_mean == 2.0 and r.eig_std == 1.0 and r.param_count == 2

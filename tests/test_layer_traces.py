@@ -223,7 +223,7 @@ class TestBatchedAndDifferentiable:
         assert rows.shape == (3, net.depth)
         for layer in range(net.depth):
             assert rows[0, layer] == pytest.approx(
-                trh_ce_layer(net, x[0], layer, tol=0.0), rel=1e-12)
+                trh_ce_layer(net, x[0], layer), rel=1e-12)
 
     def test_node_value_and_gradient(self):
         net, x, _, _ = sample_smooth_instance(232)

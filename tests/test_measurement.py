@@ -12,15 +12,15 @@ from loss_references import cross_entropy_rows
 from trhreg import tape
 from trhreg.attacks import AttackConfig, pgd
 from trhreg.data import two_moons
-from trhreg.hessian_oracle import (LayerHessianReport, frozen_objective_fns,
+from trhreg.hessian_oracle import (eigen_stats, frozen_objective_fns,
                                    hutchinson_trace, hvp_from_grad,
                                    quad_form_from_values)
 from trhreg.losses import RobustLossKind
 from trhreg.network import (flat_index_slices, flatten_weights, forward,
                             init_mlp, lift, unflatten_weights)
 from trhreg.numerics import Rng, rademacher_vector
-from trhreg.trainer import (MeasureConfig, measure_trace_row,
-                            measurement_attack, spectrum_records)
+from trhreg.trainer import (PROBE_SEED, MeasureConfig, measure_trace_row,
+                            spectrum_records)
 from trhreg.trh import capture_frozen, objective_nodes
 
 ATTACK = AttackConfig(delta=0.05, steps=2)
@@ -34,10 +34,9 @@ def _setup(seed=3):
     return ds, net
 
 
-def _measured_adv(net, ds, measure, epoch):
-    meas_rng = Rng(measure.probe_seed).child("measure", epoch)
-    return pgd(net, ds.inputs, ds.labels, measurement_attack(ATTACK),
-               meas_rng.child("attack"))
+def _measured_adv(net, ds, epoch):
+    meas_rng = Rng(PROBE_SEED).child("measure", epoch)
+    return pgd(net, ds.inputs, ds.labels, ATTACK, meas_rng.child("attack"))
 
 
 def _tape_value_fn(net, X, X_adv, y, kind, lam=0.0, gamma=0.0,
@@ -59,11 +58,11 @@ class TestFullEstimate:
     def test_equals_hutchinson_on_trace_probe_stream(self, variant):
         kind = next(k for k in KINDS if k.variant == variant)
         ds, net = _setup()
-        measure = MeasureConfig(mode="full", probes=6, probe_seed=11)
+        measure = MeasureConfig(mode="full", probes=6)
         for epoch in (0, 3):
             row = measure_trace_row(net, ds, kind, ATTACK, epoch, measure,
                                     {"train_loss": 0.0, "pgd_acc": 0.0})
-            x_adv = _measured_adv(net, ds, measure, epoch)
+            x_adv = _measured_adv(net, ds, epoch)
             w0 = flatten_weights(net)
             if variant == "at":
                 # the numpy cross entropy the AT estimate used to run on
@@ -74,11 +73,11 @@ class TestFullEstimate:
                 value_fn = _tape_value_fn(net, ds.inputs, x_adv, ds.labels, kind)
             quad = quad_form_from_values(value_fn, w0)
             est, se = hutchinson_trace(quad, w0.size, measure.probes,
-                                       Rng(11).child("trace-probes"))
+                                       Rng(PROBE_SEED).child("trace-probes"))
             assert row["trh_full_estimate"] == est
             assert row["trh_full_stderr"] == se
             # the probes are the rows of one matrix drawn once per run
-            probe_rng = Rng(11).child("trace-probes")
+            probe_rng = Rng(PROBE_SEED).child("trace-probes")
             probes = np.stack([rademacher_vector(w0.size, probe_rng)
                                for _ in range(measure.probes)])
             vals = np.array([quad(v) for v in probes])
@@ -115,20 +114,21 @@ def _reference_spectrum(net, x, x_adv, y, kind, epoch, probes, rng):
             hv = hvp(v)
             tvals[p] = float(np.dot(v, hv))
             sqvals[p] = float(np.dot(hv[idx], hv[idx]))
-        report = LayerHessianReport.from_traces(li, float(tvals.mean()),
-                                                float(sqvals.mean()), idx.size)
-        trace_total += report.trace
-        records.append(report)
+        trace = float(tvals.mean())
+        trace_total += trace
+        records.append((li, trace, float(sqvals.mean()), idx.size))
     full_rng = rng.child("full")
     sqvals = np.empty(probes)
     for p in range(probes):
         hv = hvp(rademacher_vector(dim, full_rng))
         sqvals[p] = float(np.dot(hv, hv))
-    records.insert(0, LayerHessianReport.from_traces(0, trace_total,
-                                                     float(sqvals.mean()), dim))
-    return [{"epoch": epoch, "layer": r.layer, "trace": r.trace,
-             "trace_sq": r.trace_sq, "eig_mean": r.eig_mean,
-             "eig_std": r.eig_std} for r in records]
+    records.insert(0, (0, trace_total, float(sqvals.mean()), dim))
+    out = []
+    for layer, trace, trace_sq, n in records:
+        mean, std = eigen_stats(trace, trace_sq, n)
+        out.append({"epoch": epoch, "layer": layer, "trace": trace,
+                    "trace_sq": trace_sq, "eig_mean": mean, "eig_std": std})
+    return out
 
 
 class TestSpectrum:

@@ -6,7 +6,7 @@ import pytest
 from trhreg import cli, numerics
 from trhreg.losses import softmax
 from trhreg.numerics import (OracleError, Rng, finite_diff_gradient,
-                             finite_diff_hessian_diag, pin_allocator,
+                             hessian_diag_subset, pin_allocator,
                              rademacher_vector)
 
 
@@ -57,13 +57,13 @@ class TestFiniteDiffHessianDiag:
     def test_diagonal_quadratic(self):
         d = np.array([1.0, 3.0])
         grad = lambda w: d * w
-        diag = finite_diff_hessian_diag(grad, np.array([0.7, -0.3]))
+        diag = hessian_diag_subset(grad, np.array([0.7, -0.3]))
         assert np.allclose(diag, d, atol=1e-9)
         assert abs(diag.sum() - 4.0) <= 1e-9
 
     def test_linear_zero(self):
         c = np.array([5.0, -2.0, 1.0, 0.25])
-        diag = finite_diff_hessian_diag(lambda w: c, np.zeros(4))
+        diag = hessian_diag_subset(lambda w: c, np.zeros(4))
         assert np.allclose(diag, 0.0, atol=1e-12)
 
     def test_two_parameter_net_matches_hand_second_derivatives(self):
@@ -75,7 +75,7 @@ class TestFiniteDiffHessianDiag:
             s = softmax(w * x)
             return x * (s - np.array([1.0, 0.0]))
 
-        diag = finite_diff_hessian_diag(grad, w0)
+        diag = hessian_diag_subset(grad, w0)
         s = softmax(w0 * x)
         expected = x ** 2 * s * (1 - s)
         assert np.allclose(diag, expected, rtol=1e-7)

@@ -266,7 +266,9 @@ def test_top_layer_probe_runs_no_hidden_layer(monkeypatch):
     top_shape = net.layers[top].weights.shape
     value_fn, grad_fn = frozen_objective_fns(net, x, x_adv, y, kind,
                                              stop_grad_clean=False, layer=top)
-    hvp = hessian_oracle.frozen_hvp(net, x, x_adv, y, kind, layer=top)
+    hvp = hessian_oracle.hvp_from_grad(
+        frozen_objective_fns(net, x, x_adv, y, kind, layer=top)[1],
+        flatten_weights(net))
     W, idx = _layer_stack(net, top, 3)
     v = np.zeros(W.shape[1])
     v[idx] = 1.0

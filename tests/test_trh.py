@@ -13,7 +13,7 @@ from trhreg.losses import RobustLossKind, softmax
 from trhreg.network import (DenseLayer, MlpNetwork, flatten_weights, forward,
                             gradient_vector, init_mlp, lift)
 from trhreg.numerics import Rng
-from trhreg.trh import (TradesFullTerms, analytic_trh_rows, objective_nodes,
+from trhreg.trh import (analytic_trh_rows, objective_nodes,
                         robust_loss_rows, trh_alp, trh_at, trh_mart,
                         trh_trades, trh_trades_full)
 from trhreg.verify import sample_smooth_instance
@@ -124,9 +124,8 @@ class TestTrhTradesFull:
             assert np.allclose(np.sum(d.phi * d.psi, axis=0), d.h, atol=1e-12)
             assert np.allclose(d.h, softmax(logits) * (1 - softmax(logits)),
                                atol=1e-12)
-        _, terms = trh_trades_full(tr, tr_adv, 2.0)
-        assert isinstance(terms, TradesFullTerms)
-        assert terms.psi.shape == terms.psi_prime.shape
+        _, g_term = trh_trades_full(tr, tr_adv, 2.0)
+        assert isinstance(g_term, float)
 
 
 class TestTrhAlp:
@@ -291,13 +290,11 @@ class TestBatchedWrappers:
 
     def test_trades_full_terms_batch_equal_per_row(self):
         net, X, X_adv, _ = _batch(3)
-        _, terms = trh_trades_full(forward(net, X), forward(net, X_adv), 2.0)
-        assert terms.psi.shape == (len(X), 3)
+        _, g_term = trh_trades_full(forward(net, X), forward(net, X_adv), 2.0)
+        assert g_term.shape == (len(X),)
         for i in range(len(X)):
             _, one = trh_trades_full(forward(net, X[i]), forward(net, X_adv[i]), 2.0)
-            assert terms.g_term[i] == pytest.approx(one.g_term, rel=1e-12, abs=1e-15)
-            assert np.allclose(terms.psi[i], one.psi, rtol=1e-12, atol=1e-15)
-            assert np.allclose(terms.psi_prime[i], one.psi_prime, rtol=1e-12, atol=1e-15)
+            assert g_term[i] == pytest.approx(one, rel=1e-12, abs=1e-15)
 
     def test_analytic_rows_equal_wrapper_on_batch(self):
         net, X, X_adv, y = _batch(3)
