@@ -8,9 +8,16 @@ satisfies the ball constraint to rounding, and a zero input gradient
 leaves the iterate in place rather than erroring.
 
 Cost: a step of ``pgd`` is one ``forward`` and one input-backward
-(``input_gradient`` on that step's trace), each on fresh arrays.  Entry
-points call ``numerics.pin_allocator`` first, so those per-step arrays are
-reused from the heap rather than page-faulted in again on every step.
+(``input_gradient`` on that step's trace), each on fresh arrays.  Both run
+on a float32 copy of the network, made once per call: a step needs only
+the direction of the input gradient, and single-precision products take
+about half the time.  The loss side (softmax and d(loss)/d(logits)) and
+the step rule stay float64, so the step, the projection and the clamp are
+exact as above, and everything ``pgd`` returns is float64.  The KL
+attack's clean probabilities come from the same float32 forward, so its
+direction at the clean point is exactly zero.  Entry points call
+``numerics.pin_allocator`` first, so the per-step arrays are reused from
+the heap rather than page-faulted in again on every step.
 
 ``eval_robust_accuracy`` counts a point as correct only if every restart
 leaves it correctly classified, which makes accuracy monotone
@@ -24,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .losses import softmax
-from .network import MlpNetwork, forward, input_gradient
+from .network import DenseLayer, MlpNetwork, forward, input_gradient
 from .numerics import Rng
 
 _NORMS = ("linf", "l2")
@@ -91,7 +98,8 @@ def project(x_adv: np.ndarray, x0: np.ndarray, norm: str, delta: float) -> np.nd
 
 
 def _dlogits(logits, y, cfg: AttackConfig, s_clean):
-    """d(inner loss)/d(logits) at the adversarial logits."""
+    """d(inner loss)/d(logits) at the adversarial logits, in float64
+    whatever the logits' precision (softmax casts them up)."""
     s = softmax(logits)
     if cfg.inner_loss == "ce":
         s[np.arange(len(y)), y] -= 1.0
@@ -99,15 +107,27 @@ def _dlogits(logits, y, cfg: AttackConfig, s_clean):
     return s - s_clean  # ascend KL(s_clean || s(x_adv))
 
 
+def _single_precision(net: MlpNetwork) -> MlpNetwork:
+    """A float32 copy of `net`, for the attack's ascent directions."""
+    return MlpNetwork([DenseLayer(l.weights.astype(np.float32),
+                                  None if l.bias is None else l.bias.astype(np.float32))
+                       for l in net.layers])
+
+
 def pgd(net: MlpNetwork, x, y, cfg: AttackConfig, rng: Rng) -> np.ndarray:
-    """Inner-loop maximizer; returns adversarial points, one per input row."""
+    """Inner-loop maximizer; returns adversarial points, one per input row.
+
+    Each step's direction comes from a float32 copy of `net` (see the
+    module docstring); the iterate and the result are float64.
+    """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     X = np.atleast_2d(x)
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    net32 = _single_precision(net)
     s_clean = None
     if cfg.inner_loss == "kl":
-        s_clean = softmax(forward(net, X).logits)
+        s_clean = softmax(forward(net32, X.astype(np.float32)).logits)
 
     if cfg.random_start and cfg.delta > 0:
         if cfg.norm == "linf":
@@ -126,9 +146,10 @@ def pgd(net: MlpNetwork, x, y, cfg: AttackConfig, rng: Rng) -> np.ndarray:
 
     alpha = cfg.effective_step
     for _ in range(cfg.steps):
-        tr = forward(net, x_adv)
-        g = input_gradient(net, x_adv, _dlogits(tr.logits, y, cfg, s_clean),
-                           trace=tr)
+        tr = forward(net32, x_adv.astype(np.float32))
+        dlogits = _dlogits(tr.logits, y, cfg, s_clean)
+        g = input_gradient(net32, tr.layer_inputs[0],
+                           dlogits.astype(np.float32), trace=tr).astype(np.float64)
         if cfg.norm == "linf":
             step = alpha * np.sign(g)  # sign(0) = 0: zero-grad rows stay put
         else:

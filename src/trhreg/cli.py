@@ -9,7 +9,10 @@ Exit codes: 0 success, 1 config error, 2 divergence (in training or in
 an oracle), 3 verification failure, 4 a finite-difference oracle hit a
 non-finite evaluation, 5 an input too close to a ReLU kink for an exact
 formula, 6 curvature out of the closed-form posterior's regime.  Codes 2
-and 4-6 print one line naming the error.
+and 4-6 print one line naming the error.  141 (128 + SIGPIPE, what a shell
+reports for a writer that a closed pipe killed): standard output was closed
+before the run finished writing it, as in ``trhreg verify | head -1``;
+the rest of the output is dropped and nothing is printed.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ EXIT_VERIFY = 3
 EXIT_ORACLE = 4
 EXIT_NON_SMOOTH = 5
 EXIT_OUT_OF_REGIME = 6
+EXIT_BROKEN_PIPE = 141
 
 
 def _load_config(args, lines=None) -> ExperimentConfig:
@@ -137,14 +141,15 @@ def cmd_eval(args) -> int:
     rng = Rng(cfg.train.seed).child("eval-cli")
     clean = clean_accuracy(net, ds)
     robust = eval_robust_accuracy(net, ds, attack, rng)
-    print(f"clean_acc={clean:.6f} robust_acc={robust:.6f} "
-          f"(delta={attack.delta}, restarts={attack.restarts})")
     out = _outdir(cfg)
     log = MetricsLog(columns=["clean_acc", "robust_acc", "delta", "restarts"],
                      preamble=_preamble(cfg))
     log.append(clean_acc=clean, robust_acc=robust, delta=attack.delta,
                restarts=attack.restarts)
+    # written before anything is printed, so a closed stdout cannot lose it
     log.write_csv(os.path.join(out, "eval.csv"))
+    print(f"clean_acc={clean:.6f} robust_acc={robust:.6f} "
+          f"(delta={attack.delta}, restarts={attack.restarts})")
     print(f"wrote {out}/eval.csv")
     return EXIT_OK
 
@@ -274,7 +279,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: point stdout at devnull, so that the flush
+        # at interpreter exit has nowhere to fail (Python docs, "Note on
+        # SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, FileNotFoundError) as exc:
         # ConfigError, malformed CSV/checkpoint files, bad combinations
         print(f"config error: {exc}", file=sys.stderr)

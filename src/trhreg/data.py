@@ -45,10 +45,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def subset(self, idx) -> "Dataset":
-        return Dataset(self.inputs[idx], self.labels[idx], self.num_classes,
-                       center=self.center, scale=self.scale)
-
 
 def two_moons(n: int, noise_std: float = 0.1, seed: int = 0) -> Dataset:
     if n < 2:

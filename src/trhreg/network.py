@@ -36,17 +36,29 @@ class TrainingDivergence(RuntimeError):
     """Objective evaluated to a non-finite value."""
 
 
+_FLOAT32 = np.dtype(np.float32)
+
+
+def _float_array(a) -> np.ndarray:
+    """`a` as a float array: a float32 array stays as it is (the attack's
+    single-precision copy, see :func:`trhreg.attacks.pgd`), anything else
+    becomes float64."""
+    if isinstance(a, np.ndarray) and a.dtype is _FLOAT32:
+        return a
+    return np.asarray(a, dtype=np.float64)
+
+
 @dataclass
 class DenseLayer:
     weights: np.ndarray  # (d_in, d_out), or (P, d_in, d_out) in a stack
     bias: np.ndarray | None = None  # (d_out,), or (P, 1, d_out) in a stack
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+        self.weights = _float_array(self.weights)
         if self.weights.ndim not in (2, 3):
             raise ValueError("layer weights must be 2-d (3-d in a stack)")
         if self.bias is not None:
-            self.bias = np.asarray(self.bias, dtype=np.float64)
+            self.bias = _float_array(self.bias)
             shape = ((self.d_out,) if self.weights.ndim == 2 else
                      (self.weights.shape[0], 1, self.d_out))
             if self.bias.shape != shape:
@@ -137,9 +149,10 @@ def forward(net: MlpNetwork, x: np.ndarray) -> ForwardTrace:
     """Run the network on x (``(d,)`` or ``(m, d)``) and cache the trace.
 
     x itself is kept, not copied, as layer input 0.  A stacked network
-    gives every array after layer input 0 a leading stack axis.
+    gives every array after layer input 0 a leading stack axis.  A float32
+    x on a network of float32 layers gives a float32 trace.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _float_array(x)
     single = x.ndim == 1
     X = x[None, :] if single else x
     if X.shape[1] != net.input_dim:
@@ -327,10 +340,11 @@ def input_gradient(net: MlpNetwork, X: np.ndarray, dlogits: np.ndarray,
     ``(m, d)`` and ``(m, K)``.  Without ``trace`` the pass first runs
     :func:`forward` at X; handed the trace an attack step already computed,
     it runs none, so the step costs one forward and one input-backward.
+    On a network of float32 layers, float32 dlogits give a float32 result.
     """
     if trace is None:
         trace = forward(net, X)
-    delta = np.asarray(dlogits, dtype=np.float64)
+    delta = _float_array(dlogits)
     for i in range(net.depth - 1, 0, -1):
         delta = delta @ net.layers[i].weights.T
         delta *= trace.preacts[i - 1] > 0.0

@@ -23,7 +23,9 @@ Monte-Carlo and probe estimates report :func:`mean_se`.
 the many short-lived arrays a run allocates does not depend on which large
 block happened to be freed first.
 
-All arrays are float64 throughout the package.
+All arrays are float64 throughout the package, with one exception inside
+:func:`trhreg.attacks.pgd`: each step's forward and input-backward run on
+a float32 copy of the network, which never leaves that call.
 """
 
 from __future__ import annotations

@@ -149,14 +149,23 @@ class TestEvalRobustAccuracy:
         assert predictions(net, X).shape == (7,)
 
 
+def single_precision(net):
+    return MlpNetwork([DenseLayer(l.weights.astype(np.float32),
+                                  None if l.bias is None else l.bias.astype(np.float32))
+                       for l in net.layers])
+
+
 def reference_pgd(net, x, y, cfg, rng):
-    """pgd stepped the plain way: forward, softmax, a fresh
-    input_gradient(net, x_adv, dlogits) that runs its own forward, then the
-    step rule."""
+    """pgd stepped the plain way, in single precision: a forward on a
+    float32 copy of the net, the float64 softmax, a fresh
+    input_gradient(net32, x_adv32, dlogits32) that runs its own forward on
+    the copy, then the float64 step rule."""
     x = np.asarray(x, dtype=np.float64)
     X = np.atleast_2d(x)
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    s_clean = softmax(forward(net, X).logits) if cfg.inner_loss == "kl" else None
+    net32 = single_precision(net)
+    s_clean = (softmax(forward(net32, X.astype(np.float32)).logits.astype(np.float64))
+               if cfg.inner_loss == "kl" else None)
     if cfg.random_start and cfg.delta > 0:
         if cfg.norm == "linf":
             start = rng.uniform(-cfg.delta, cfg.delta, size=X.shape)
@@ -173,13 +182,14 @@ def reference_pgd(net, x, y, cfg, rng):
         x_adv = np.clip(x_adv, *cfg.clamp)
     alpha = cfg.effective_step
     for _ in range(cfg.steps):
-        s = softmax(forward(net, x_adv).logits)
+        x32 = x_adv.astype(np.float32)
+        s = softmax(forward(net32, x32).logits.astype(np.float64))
         if cfg.inner_loss == "ce":
             dlogits = s.copy()
             dlogits[np.arange(len(y)), y] -= 1.0
         else:
             dlogits = s - s_clean
-        g = input_gradient(net, x_adv, dlogits)
+        g = input_gradient(net32, x32, dlogits.astype(np.float32)).astype(np.float64)
         if cfg.norm == "linf":
             step = alpha * np.sign(g)
         else:
@@ -315,6 +325,74 @@ class TestPgdBuffers:
             adv = reference_pgd(net, ds.inputs, ds.labels, cfg, rng.child(r))
             correct &= predictions(net, adv) == ds.labels
         assert eval_robust_accuracy(net, ds, cfg, rng) == float(np.mean(correct))
+
+
+class TestSinglePrecisionSteps:
+    """The attack's directions come from a float32 copy of the net; what it
+    returns, and the net it was given, stay float64."""
+
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_fixed_start_kl_attack_returns_x(self, norm):
+        # the clean probabilities come from the same float32 forward as the
+        # first step's, so the KL direction there is exactly zero
+        net, X, y = TestPgdBuffers.problem([3, 16, 12, 4], 60)
+        cfg = AttackConfig(delta=0.3, steps=5, norm=norm, inner_loss="kl",
+                           random_start=False)
+        assert np.array_equal(pgd(net, X, y, cfg, Rng(40).child("a")), X)
+        assert np.array_equal(pgd(net, X[0], y[0], cfg, Rng(40).child("a")), X[0])
+
+    @staticmethod
+    def directions(net, X, y):
+        """(g32, g64): the CE input gradient by the attack's float32 route
+        and by the float64 one."""
+        tr = forward(net, X)
+        d64 = softmax(tr.logits)
+        d64[np.arange(len(y)), y] -= 1.0
+        g64 = input_gradient(net, X, d64, trace=tr)
+        net32 = single_precision(net)
+        tr32 = forward(net32, X.astype(np.float32))
+        d32 = softmax(tr32.logits.astype(np.float64))
+        d32[np.arange(len(y)), y] -= 1.0
+        g32 = input_gradient(net32, tr32.layer_inputs[0], d32.astype(np.float32),
+                             trace=tr32)
+        assert g32.dtype == np.float32 and g64.dtype == np.float64
+        return g32.astype(np.float64), g64
+
+    @pytest.mark.parametrize("dims, m, data", [
+        ([2, 100, 100, 2], 500, "moons"),
+        ([20, 64, 64, 10], 1000, "normal"),
+        ([3, 16, 12, 4], 200, "normal"),
+    ])
+    def test_float32_direction_matches_float64(self, dims, m, data):
+        rng = Rng(41).child(*dims)
+        net = init_mlp(dims, rng.child("i"))
+        if data == "moons":
+            ds = two_moons(m, noise_std=0.1, seed=6)
+            X, y = ds.inputs, ds.labels
+        else:
+            X = rng.child("x").normal(size=(m, dims[0]))
+            y = rng.child("y").integers(0, dims[-1], size=m)
+        g32, g64 = self.directions(net, X, y)
+        scale = np.abs(g64).max(axis=1, keepdims=True)
+        assert np.all(np.abs(g32 - g64) <= 1e-4 * scale)
+        clear = np.abs(g64) > 1e-4 * scale
+        assert clear.mean() > 0.9
+        assert np.array_equal(np.sign(g32[clear]), np.sign(g64[clear]))
+
+    @pytest.mark.parametrize("inner", ["ce", "kl"])
+    def test_net_and_result_stay_float64(self, inner):
+        net, X, y = TestPgdBuffers.problem([3, 16, 12, 4], 60)
+        before = net.copy()
+        cfg = AttackConfig(delta=0.3, steps=3, inner_loss=inner)
+        batch = pgd(net, X, y, cfg, Rng(42).child("a"))
+        single = pgd(net, X[0], y[0], cfg, Rng(42).child("a"))
+        assert batch.dtype == np.float64 and single.dtype == np.float64
+        for layer, old in zip(net.layers, before.layers):
+            assert layer.weights.dtype == np.float64
+            assert np.array_equal(layer.weights, old.weights)
+            if layer.bias is not None:
+                assert layer.bias.dtype == np.float64
+                assert np.array_equal(layer.bias, old.bias)
 
 
 class TestAttackConfigChecks:

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -199,15 +203,22 @@ class TestCliEval:
                             (tmp_path / name / "eval.csv").read_bytes()))
         assert outputs[0] == outputs[1]
 
-    def test_dimension_mismatch_is_config_error(self, tmp_path):
+    def test_dimension_mismatch_is_config_error(self, tmp_path, capsys):
+        # a checkpoint trained on 2-d points, evaluated on 3-d rows
         cfg = write_config(tmp_path)
         out = str(tmp_path / "run")
         main(["train", "--config", cfg, "--out", out])
-        bad_data = write_config(tmp_path, BASE_CONFIG + "\ndataset.kind = csv\n"
-                                f"dataset.path = {tmp_path}/d.csv\n", "mism.txt")
         (tmp_path / "d.csv").write_text("1.0,2.0,3.0,0\n1.0,2.0,3.0,1\n")
+        text = "\n".join(line for line in BASE_CONFIG.splitlines()
+                         if not line.startswith(("dataset.n", "dataset.seed")))
+        bad_data = write_config(tmp_path, text.replace(
+            "dataset.kind = two_moons",
+            f"dataset.kind = csv\ndataset.path = {tmp_path}/d.csv"), "mism.txt")
         ckpt = str(tmp_path / "run" / "checkpoint.txt")
+        capsys.readouterr()
         assert main(["eval", "--config", bad_data, "--checkpoint", ckpt]) == 1
+        assert ("checkpoint input dim 2 does not match dataset dim 3"
+                in capsys.readouterr().err)
 
     def test_fewer_outputs_than_classes_is_config_error(self, tmp_path, capsys):
         # a 2-class checkpoint on data with a label 2
@@ -363,6 +374,40 @@ class TestCliNamedErrors:
         assert main(["verify", "--level", "quick"]) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and words in err and str(error) in err
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``trhreg verify | head -1``) ends
+    the run with its own exit code and no traceback."""
+
+    @staticmethod
+    def run_with_closed_stdout(args):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader: every write to the pipe fails
+        try:
+            return subprocess.run([sys.executable, "-m", "trhreg", *args],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+
+    def test_verify(self):
+        proc = self.run_with_closed_stdout(["verify", "--level", "quick"])
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+        assert proc.stderr == ""
+
+    def test_eval(self, tmp_path):
+        cfg = write_config(tmp_path)
+        main(["train", "--config", cfg, "--out", str(tmp_path / "run")])
+        proc = self.run_with_closed_stdout(
+            ["eval", "--config", cfg, "--out", str(tmp_path / "run"),
+             "--checkpoint", str(tmp_path / "run" / "checkpoint.txt")])
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE
+        assert proc.stderr == ""
+        assert (tmp_path / "run" / "eval.csv").exists()
 
 
 class TestCliDivergenceOutsideTraining:

@@ -180,6 +180,36 @@ class TestInputGradient:
         assert np.linalg.norm(g - fd) / np.linalg.norm(fd) <= 1e-7
 
 
+class TestSinglePrecision:
+    """A float32 layer, input and dlogits stay float32; anything else is
+    cast to float64, as before."""
+
+    def test_float32_kept_through_forward_and_input_gradient(self):
+        net = small_net(seed=7)
+        net32 = MlpNetwork([DenseLayer(l.weights.astype(np.float32),
+                                       None if l.bias is None else l.bias.astype(np.float32))
+                            for l in net.layers])
+        assert all(l.weights.dtype == np.float32 for l in net32.layers)
+        assert net32.layers[0].bias.dtype == np.float32
+        X = Rng(7).child("x").normal(size=(5, 3)).astype(np.float32)
+        tr = forward(net32, X)
+        assert tr.layer_inputs[0] is X
+        assert all(a.dtype == np.float32 for a in tr.layer_inputs + tr.preacts)
+        g = input_gradient(net32, X, np.ones((5, 2), dtype=np.float32), trace=tr)
+        assert g.dtype == np.float32
+        want = input_gradient(net, X.astype(np.float64), np.ones((5, 2)))
+        assert np.allclose(g, want, rtol=1e-5, atol=1e-6)
+
+    def test_other_dtypes_become_float64(self):
+        layer = DenseLayer([[1, 2], [3, 4]], np.array([1, 0], dtype=np.int32))
+        assert layer.weights.dtype == np.float64 and layer.bias.dtype == np.float64
+        net = small_net(seed=8)
+        tr = forward(net, [[1, 0, 2]])
+        assert tr.logits.dtype == np.float64
+        g = input_gradient(net, np.zeros((1, 3)), np.ones((1, 2), dtype=np.float32))
+        assert g.dtype == np.float64
+
+
 class TestCheckpoint:
     def test_round_trip_value_exact(self, tmp_path):
         net = small_net(seed=13)

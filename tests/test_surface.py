@@ -1,11 +1,11 @@
 """Every public name of the package has a caller outside the tests.
 
-A top-level function or class of ``src/trhreg`` that only tests reach is
-surface kept for its own sake.  This parses the package, the demos and the
-benchmark with ``ast`` and requires each public top-level ``def``/``class``
-of the package to be referenced -- as a name, an attribute or an imported
-name -- somewhere in ``src/`` (outside its own definition), ``demos/`` or
-``bench/``.
+A top-level function or class of ``src/trhreg``, or a public method of a
+public class, that only tests reach is surface kept for its own sake.
+This parses the package, the demos and the benchmark with ``ast`` and
+requires each such ``def``/``class`` to be referenced -- as a name, an
+attribute or an imported name -- somewhere in ``src/`` (outside its own
+definition), ``demos/`` or ``bench/``.
 """
 
 import ast
@@ -40,15 +40,22 @@ def _referenced(node):
     return out
 
 
+def _public(stmt):
+    return (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_"))
+
+
 def _public_definitions():
-    """``{(module, name)}`` of the package's public top-level defs and classes."""
+    """``{(qualified name, name)}`` of the package's public top-level defs
+    and classes and the public methods of its public classes."""
     defined = set()
     for path in _python_files(PACKAGE):
         module = os.path.splitext(os.path.basename(path))[0]
-        for stmt in _parse(path).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
-                    and not stmt.name.startswith("_"):
-                defined.add((module, stmt.name))
+        for stmt in filter(_public, _parse(path).body):
+            defined.add((f"{module}.{stmt.name}", stmt.name))
+            if isinstance(stmt, ast.ClassDef):
+                for method in filter(_public, stmt.body):
+                    defined.add((f"{module}.{stmt.name}.{method.name}", method.name))
     return defined
 
 
@@ -56,7 +63,16 @@ def _references():
     refs = set()
     for path in _python_files(PACKAGE):
         for stmt in _parse(path).body:
-            names = _referenced(stmt)
+            if isinstance(stmt, ast.ClassDef):
+                names = {name for node in stmt.bases + stmt.decorator_list
+                         for name in _referenced(node)}
+                for sub in stmt.body:
+                    sub_names = _referenced(sub)
+                    if isinstance(sub, (ast.FunctionDef, ast.ClassDef)):
+                        sub_names.discard(sub.name)  # nor does a method
+                    names |= sub_names
+            else:
+                names = _referenced(stmt)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 names.discard(stmt.name)  # a definition does not call itself
             refs |= names
@@ -68,6 +84,6 @@ def _references():
 
 def test_every_public_name_has_a_caller_outside_tests():
     refs = _references()
-    unused = sorted(f"{module}.{name}" for module, name in _public_definitions()
+    unused = sorted(qualified for qualified, name in _public_definitions()
                     if name not in refs)
     assert not unused, f"public names reached only from tests: {unused}"
