@@ -203,14 +203,17 @@ def cmd_sweep(args) -> int:
             last = result.metrics.rows[-1]
             log.append(value=value, clean_acc=last["clean_acc"],
                        robust_acc=last["pgd_acc"])
-            print(f"{args.param}={value}: clean={last['clean_acc']:.4f} "
-                  f"robust={last['pgd_acc']:.4f}")
+            line, stream = (f"{args.param}={value}: clean={last['clean_acc']:.4f} "
+                            f"robust={last['pgd_acc']:.4f}"), sys.stdout
         else:
             failures += 1
             log.append(value=value, clean_acc=float("nan"),
                        robust_acc=float("nan"))
-            print(f"{args.param}={value}: FAILED ({reason})", file=sys.stderr)
-    log.write_csv(os.path.join(out, "sweep.csv"))
+            line, stream = f"{args.param}={value}: FAILED ({reason})", sys.stderr
+        # rewritten before the trial's line is printed, so a closed stdout
+        # cannot lose a finished trial
+        log.write_csv(os.path.join(out, "sweep.csv"))
+        print(line, file=stream)
     print(f"wrote {out}/sweep.csv ({len(values)} trials, {failures} failed)")
     return EXIT_OK
 

@@ -174,9 +174,11 @@ def forward(net: MlpNetwork, x: np.ndarray) -> ForwardTrace:
     return ForwardTrace(layer_inputs, preacts)
 
 
-def min_preact_magnitude(net: MlpNetwork, x: np.ndarray) -> float:
-    """Smallest |hidden pre-activation|; small values sit on a ReLU kink."""
-    tr = forward(net, x)
+def min_preact_magnitude(net: MlpNetwork, x: np.ndarray,
+                         trace: ForwardTrace | None = None) -> float:
+    """Smallest |hidden pre-activation|; small values sit on a ReLU kink.
+    Handed the forward trace at x, it runs no forward of its own."""
+    tr = forward(net, x) if trace is None else trace
     hidden = tr.preacts[:-1]
     if not hidden:
         return np.inf

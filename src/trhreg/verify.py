@@ -58,12 +58,21 @@ class CheckResult:
 _MAX_INPUTS, _MAX_WIDTH, _MAX_CLASSES, _TRIES = 6, 8, 5, 200
 
 
+def _kinked_or_faint(net, x, tr) -> bool:
+    """`x` (with its forward trace `tr`) sits near a ReLU kink or has a
+    feature norm too small for finite differences."""
+    return (min_preact_magnitude(net, x, trace=tr) < SMOOTH_TOL
+            or float(np.dot(tr.features[0], tr.features[0])) < 0.05)
+
+
 def sample_smooth_instance(seed: int):
     """Random net + input + adversarial input, away from every ReLU kink.
 
     Also enforces a healthy feature norm and (for the margin-boosted loss)
     a unique runner-up class, so finite differences stay trustworthy.
-    Returns ``(net, x, x_adv, y)`` with batch dimension 1.
+    Returns ``(net, x, x_adv, y)`` with batch dimension 1.  The clean point
+    is checked before it is attacked; the attack's stream is addressed by
+    path, so the order of the checks does not change what is returned.
     """
     rng = Rng(seed).child("instance")
     for attempt in range(_TRIES):
@@ -75,17 +84,12 @@ def sample_smooth_instance(seed: int):
         net = init_mlp([d_in] + widths + [k], r.child("init"))
         x = r.child("x").normal(size=(1, d_in))
         y = np.array([int(r.integers(0, k))])
+        if _kinked_or_faint(net, x, forward(net, x)):
+            continue
         cfg = AttackConfig(delta=0.1, steps=5)
         x_adv = pgd(net, x, y, cfg, r.child("attack"))
-        if min_preact_magnitude(net, x) < SMOOTH_TOL:
-            continue
-        if min_preact_magnitude(net, x_adv) < SMOOTH_TOL:
-            continue
-        tr = forward(net, x)
         tr_adv = forward(net, x_adv)
-        if float(np.dot(tr.features[0], tr.features[0])) < 0.05:
-            continue
-        if float(np.dot(tr_adv.features[0], tr_adv.features[0])) < 0.05:
+        if _kinked_or_faint(net, x_adv, tr_adv):
             continue
         s_adv = softmax(tr_adv.logits[0])
         masked = np.delete(s_adv, y[0])

@@ -1,5 +1,6 @@
 import os
 import platform
+from dataclasses import replace
 import subprocess
 import sys
 import textwrap
@@ -9,9 +10,10 @@ import pytest
 
 import trhreg
 from loss_references import cross_entropy_rows
-from trhreg.attacks import (AttackConfig, clean_accuracy,
-                            eval_robust_accuracy, pgd, predictions, project)
-from trhreg.data import two_moons
+from trhreg.attacks import (_ROUNDING_ALLOWANCE, AttackConfig, clean_accuracy,
+                            eval_robust_accuracy, margin_lower_bound, pgd,
+                            predictions, project)
+from trhreg.data import Dataset, two_moons
 from trhreg.losses import softmax
 from trhreg.network import (DenseLayer, MlpNetwork, forward, init_mlp,
                             input_gradient)
@@ -402,3 +404,251 @@ class TestAttackConfigChecks:
 
     def test_degenerate_clamp_box_accepted(self):
         assert AttackConfig(delta=0.1, clamp=(0.0, 0.0)).clamp == (0.0, 0.0)
+
+
+# -- interval bounds and the pruned robust evaluation -------------------
+
+
+@pytest.fixture(scope="module")
+def trained_moons():
+    """A 2-16-16-2 net adversarially trained on two moons; about 80 % of
+    its points are certified at delta 0.05."""
+    from trhreg.losses import RobustLossKind
+    from trhreg.trainer import TrainConfig, train
+    from trhreg.trh import TrHConfig
+
+    ds = two_moons(200, noise_std=0.1, seed=7)
+    net = init_mlp([2, 16, 16, 2], Rng(7).child("init"))
+    res = train(net, ds, RobustLossKind("at"), TrHConfig(),
+                AttackConfig(delta=0.05, steps=3),
+                TrainConfig(epochs=40, base_lr=0.1, seed=7))
+    return res.net, ds
+
+
+def random_problem(dims, m, seed, scale=1.0, own_labels=False):
+    """A random net and inputs, labelled at random or (`own_labels`) by
+    the net's own predictions, so that every point is correct."""
+    rng = Rng(seed)
+    net = init_mlp(dims, rng.child("i"))
+    X = scale * rng.child("x").normal(size=(m, dims[0]))
+    y = (predictions(net, X) if own_labels else
+         rng.child("y").integers(0, dims[-1], size=m))
+    return net, Dataset(X, y, dims[-1])
+
+
+BOUND_CONFIGS = {
+    "linf": AttackConfig(delta=0.05, steps=10),
+    "l2": AttackConfig(delta=0.08, steps=10, norm="l2"),
+    # the moons' inputs reach about [-1, 2] x [-0.6, 1.1], so most points
+    # lie outside the box and clipping carries them out of the ball
+    "linf-clamp": AttackConfig(delta=0.1, steps=10, clamp=(-0.5, 0.5)),
+    "l2-clamp": AttackConfig(delta=0.1, steps=10, norm="l2", clamp=(-0.5, 0.5)),
+}
+
+
+class TestMarginLowerBound:
+    @pytest.mark.parametrize("name", list(BOUND_CONFIGS))
+    @pytest.mark.parametrize("which", ["trained", "random"])
+    def test_certified_points_survive_many_restarts(self, trained_moons,
+                                                    name, which):
+        cfg = replace(BOUND_CONFIGS[name], steps=20, restarts=30)
+        if which == "trained":
+            net, ds = trained_moons
+        else:
+            net, ds = random_problem([2, 12, 12, 3], 200, 50, scale=0.8,
+                                     own_labels=True)
+        bound = margin_lower_bound(net, ds.inputs, ds.labels, cfg)
+        certified = bound > _ROUNDING_ALLOWANCE
+        assert certified.mean() > 0.2
+        if cfg.clamp is not None:
+            outside = np.any((ds.inputs < cfg.clamp[0]) | (ds.inputs > cfg.clamp[1]),
+                             axis=1)
+            assert np.sum(certified & outside) > 10
+        for r in range(cfg.restarts):
+            x_adv = pgd(net, ds.inputs, ds.labels, cfg, Rng(51).child(name, r))
+            logits = forward(net, x_adv).logits
+            rows = np.arange(len(ds.labels))
+            true = logits[rows, ds.labels]
+            logits[rows, ds.labels] = -np.inf
+            margin = true - logits.max(axis=1)
+            # the attack reaches no point below the bound
+            assert np.all(margin[certified] >= bound[certified] - 1e-12)
+
+    @pytest.mark.parametrize("clamp", [None, (-0.3, 0.3)])
+    def test_grid_search_finds_no_counterexample(self, clamp):
+        """Every point of a 201 x 201 grid over the max-norm ball (clipped
+        into the box, if any) has a margin no smaller than the bound."""
+        net, ds = random_problem([2, 5, 4, 3], 40, 60, own_labels=True)
+        cfg = AttackConfig(delta=0.1, clamp=clamp)
+        bound = margin_lower_bound(net, ds.inputs, ds.labels, cfg)
+        certified = np.flatnonzero(bound > _ROUNDING_ALLOWANCE)
+        assert len(certified) >= 10
+        offsets = np.linspace(-cfg.delta, cfg.delta, 201)
+        grid = np.stack(np.meshgrid(offsets, offsets), axis=-1).reshape(-1, 2)
+        for i in certified:
+            points = ds.inputs[i] + grid
+            if clamp is not None:
+                points = np.clip(points, *clamp)
+            logits = forward(net, points).logits
+            y = ds.labels[i]
+            margin = logits[:, y] - np.delete(logits, y, axis=1).max(axis=1)
+            assert margin.min() >= bound[i] - 1e-12
+            assert np.all(predictions(net, points) == y)
+
+    @pytest.mark.parametrize("norm, order", [("linf", 1), ("l2", 2)])
+    def test_no_hidden_layer_bound_is_exact(self, norm, order):
+        """Without a hidden layer the bound is the exact worst case,
+        ``margin - delta * ||w_y - w_k||_dual`` minimized over k != y."""
+        net, ds = random_problem([5, 4], 60, 61)
+        w = net.layers[0].weights
+        cfg = AttackConfig(delta=0.3, norm=norm)
+        got = margin_lower_bound(net, ds.inputs, ds.labels, cfg)
+        want = np.full(len(ds.labels), np.inf)
+        for i, (x, y) in enumerate(zip(ds.inputs, ds.labels)):
+            for k in range(w.shape[1]):
+                if k != y:
+                    diff = w[:, y] - w[:, k]
+                    want[i] = min(want[i], x @ diff
+                                  - cfg.delta * np.linalg.norm(diff, ord=order))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_zero_radius_bound_is_the_margin(self, trained_moons):
+        net, ds = trained_moons
+        bound = margin_lower_bound(net, ds.inputs, ds.labels, AttackConfig(delta=0.0))
+        logits = forward(net, ds.inputs).logits
+        margin = logits[np.arange(len(ds.labels)), ds.labels] - logits[
+            np.arange(len(ds.labels)), 1 - ds.labels]
+        np.testing.assert_allclose(bound, margin, rtol=0, atol=1e-12)
+
+
+def reference_eval(net, ds, cfg, rng):
+    """Robust accuracy the plain way: every restart attacks every row."""
+    correct = np.ones(len(ds.labels), dtype=bool)
+    for r in range(cfg.restarts):
+        x_adv = pgd(net, ds.inputs, ds.labels, cfg, rng.child(r))
+        correct &= predictions(net, x_adv) == ds.labels
+    return float(np.mean(correct))
+
+
+EVAL_CONFIGS = {
+    **BOUND_CONFIGS,
+    "zero-radius": AttackConfig(delta=0.0, steps=5),
+    "kl": AttackConfig(delta=0.08, steps=10, inner_loss="kl"),
+    "fixed-start": AttackConfig(delta=0.08, steps=10, random_start=False),
+}
+
+
+class TestPrunedEvaluation:
+    @pytest.mark.parametrize("restarts", [1, 20])
+    @pytest.mark.parametrize("name", list(EVAL_CONFIGS))
+    @pytest.mark.parametrize("which", ["trained", "random"])
+    def test_equals_attacking_every_row(self, trained_moons, which, name,
+                                        restarts):
+        if which == "trained":
+            net, ds = trained_moons
+        else:
+            net, ds = random_problem([2, 12, 12, 3], 150, 70, scale=0.8)
+        cfg = replace(EVAL_CONFIGS[name], restarts=restarts)
+        rng = Rng(71).child(name)
+        assert eval_robust_accuracy(net, ds, cfg, rng) == reference_eval(net, ds, cfg, rng)
+
+    @staticmethod
+    def attacked_rows(monkeypatch):
+        """Patch the attack that eval_robust_accuracy calls; returns the
+        list that each call's row count is appended to."""
+        import trhreg.attacks
+
+        counts = []
+
+        def counting(net, x, y, cfg, rng, rows=None):
+            counts.append(len(x) if rows is None else len(rows))
+            return pgd(net, x, y, cfg, rng, rows=rows)
+
+        monkeypatch.setattr(trhreg.attacks, "pgd", counting)
+        return counts
+
+    def test_certificate_prunes_rows(self, trained_moons, monkeypatch):
+        net, ds = trained_moons
+        counts = self.attacked_rows(monkeypatch)
+        cfg = AttackConfig(delta=0.05, steps=10, restarts=20)
+        robust = eval_robust_accuracy(net, ds, cfg, Rng(72).child("e"))
+        m = len(ds.labels)
+        assert 1 <= len(counts) <= cfg.restarts
+        # about 82 % of the rows are certified, and a broken row leaves
+        assert counts[0] < 0.3 * m
+        assert all(a >= b for a, b in zip(counts, counts[1:]))
+        assert sum(counts) < 0.3 * m * len(counts)
+        assert robust >= 1.0 - counts[0] / m
+
+    def test_stops_when_no_row_is_left(self, trained_moons, monkeypatch):
+        # at radius 0 a misclassified row breaks at the first restart and
+        # every other row is certified
+        net, ds = trained_moons
+        counts = self.attacked_rows(monkeypatch)
+        cfg = AttackConfig(delta=0.0, steps=5, restarts=5)
+        robust = eval_robust_accuracy(net, ds, cfg, Rng(73).child("e"))
+        assert robust == clean_accuracy(net, ds) < 1.0
+        assert counts == [round((1.0 - robust) * len(ds.labels))]
+
+
+    @pytest.mark.parametrize("steps, restarts, bounded", [
+        (1, 1, False), (3, 1, False), (2, 2, True), (10, 1, True)])
+    def test_bound_only_for_attacks_that_cost_more(self, trained_moons,
+                                                   monkeypatch, steps,
+                                                   restarts, bounded):
+        import trhreg.attacks
+
+        bounds = []
+        real = trhreg.attacks.margin_lower_bound
+
+        def counting(*args):
+            bounds.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(trhreg.attacks, "margin_lower_bound", counting)
+        counts = self.attacked_rows(monkeypatch)
+        net, ds = trained_moons
+        cfg = AttackConfig(delta=0.05, steps=steps, restarts=restarts)
+        rng = Rng(74).child("e")
+        assert eval_robust_accuracy(net, ds, cfg, rng) == reference_eval(net, ds, cfg, rng)
+        assert len(bounds) == int(bounded)
+        assert (counts[0] < len(ds.labels)) == bounded
+
+
+class TestRowSubsetAttack:
+    @staticmethod
+    def subset(m, size, seed=80):
+        return np.sort(np.random.default_rng(seed + size).choice(m, size=size,
+                                                                 replace=False))
+
+    @pytest.mark.parametrize("size", [1, 2, 71, 72])
+    @pytest.mark.parametrize("name", ["linf", "linf-clamp", "kl"])
+    def test_sign_steps_equal_the_full_call_bitwise(self, trained_moons, name, size):
+        net, ds = trained_moons
+        cfg = EVAL_CONFIGS[name]
+        rows = self.subset(len(ds.labels), size)
+        full = pgd(net, ds.inputs, ds.labels, cfg, Rng(81).child(name))
+        sub = pgd(net, ds.inputs, ds.labels, cfg, Rng(81).child(name), rows=rows)
+        assert sub.shape == (size, 2)
+        assert np.array_equal(sub, full[rows])
+
+    @pytest.mark.parametrize("size", [1, 2, 71, 72])
+    def test_l2_steps_equal_the_full_call_to_rounding(self, trained_moons, size):
+        # the BLAS kernel that computes a row can change with the batch's
+        # row count, and a normalized step passes the float32 rounding on
+        net, ds = trained_moons
+        cfg = EVAL_CONFIGS["l2"]
+        rows = self.subset(len(ds.labels), size)
+        full = pgd(net, ds.inputs, ds.labels, cfg, Rng(82).child("l2"))
+        sub = pgd(net, ds.inputs, ds.labels, cfg, Rng(82).child("l2"), rows=rows)
+        np.testing.assert_allclose(sub, full[rows], rtol=0, atol=1e-6 * cfg.delta)
+        assert np.array_equal(predictions(net, sub), predictions(net, full[rows]))
+
+    @pytest.mark.parametrize("name", ["linf", "l2", "kl"])
+    def test_all_rows_is_the_full_call(self, trained_moons, name):
+        net, ds = trained_moons
+        cfg = EVAL_CONFIGS[name]
+        full = pgd(net, ds.inputs, ds.labels, cfg, Rng(83).child(name))
+        every = pgd(net, ds.inputs, ds.labels, cfg, Rng(83).child(name),
+                    rows=np.arange(len(ds.labels)))
+        assert np.array_equal(every, full)

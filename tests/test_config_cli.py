@@ -381,8 +381,8 @@ class TestClosedStdout:
     the run with its own exit code and no traceback."""
 
     @staticmethod
-    def run_with_closed_stdout(args):
-        env = dict(os.environ)
+    def run_with_closed_stdout(args, **extra_env):
+        env = dict(os.environ, **extra_env)
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
         read_end, write_end = os.pipe()
@@ -408,6 +408,20 @@ class TestClosedStdout:
         assert proc.returncode == cli.EXIT_BROKEN_PIPE
         assert proc.stderr == ""
         assert (tmp_path / "run" / "eval.csv").exists()
+
+    def test_sweep_keeps_every_printed_trial(self, tmp_path):
+        # unbuffered, the first trial's line is the write that fails; its
+        # row is in sweep.csv already
+        cfg = write_config(tmp_path)
+        out = tmp_path / "sw"
+        proc = self.run_with_closed_stdout(
+            ["sweep", "--config", cfg, "--out", str(out), "--param", "lambda",
+             "--values", "0.0,0.1"], PYTHONUNBUFFERED="1")
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE
+        assert proc.stderr == ""
+        rows = _lines(out / "sweep.csv")
+        assert rows[0] == "value,clean_acc,robust_acc"
+        assert [row.split(",")[0] for row in rows[1:]] == ["0.0"]
 
 
 class TestCliDivergenceOutsideTraining:
