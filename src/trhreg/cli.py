@@ -3,7 +3,9 @@
 Subcommands: train, eval, trace, spectrum, sweep, verify.  Every run is
 driven by a flat `key = value` config file (see :mod:`trhreg.config`) plus
 a few overrides.  Outputs are self-describing CSVs and `TRHNET v1`
-checkpoints.
+checkpoints.  The training subcommands import :mod:`trhreg.trainer` and
+``verify`` imports :mod:`trhreg.verify` inside their functions, so ``eval``
+runs no training, curvature, bound or verification code.
 
 Exit codes: 0 success, 1 config error, 2 divergence (in training or in
 an oracle), 3 verification failure, 4 a finite-difference oracle hit a
@@ -18,18 +20,18 @@ the rest of the output is dropped and nothing is printed.
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib.util
 import os
 import sys
 from dataclasses import replace
 
 from .attacks import clean_accuracy, eval_robust_accuracy
-from .config import ConfigError, ExperimentConfig
-from .layer_traces import NonSmoothInput
-from .network import TrainingDivergence, load_checkpoint, save_checkpoint
-from .numerics import OracleError, Rng, pin_allocator
-from .pacbayes import OutOfRegimeError
-from .trainer import MeasureConfig, MetricsLog, train
-from .verify import format_report, run_verification
+from .config import ConfigError, ExperimentConfig, MeasureConfig
+from .network import (MetricsLog, TrainingDivergence, load_checkpoint,
+                      save_checkpoint)
+from .numerics import (NonSmoothInput, OracleError, OutOfRegimeError, Rng,
+                       pin_allocator)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -39,6 +41,30 @@ EXIT_ORACLE = 4
 EXIT_NON_SMOOTH = 5
 EXIT_OUT_OF_REGIME = 6
 EXIT_BROKEN_PIPE = 141
+
+
+def _register_unexecuted(name: str) -> None:
+    """Put the package module `name` in ``sys.modules`` without running
+    it: its code runs at its first attribute access (``LazyLoader``)."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+
+
+# The modules only some subcommands run (eval runs none of them) are
+# imported inside those subcommands.  They are still registered here,
+# unexecuted, so that `import trhreg.cli` shows every module the CLI can
+# run: bench/tracer.py rebinds traced functions across the modules it finds
+# in sys.modules right after that import.
+for _name in ("trh", "layer_traces", "hessian_oracle", "pacbayes", "trainer",
+              "verify"):
+    _register_unexecuted(_name)
 
 
 def _load_config(args, lines=None) -> ExperimentConfig:
@@ -75,6 +101,8 @@ def _preamble(cfg: ExperimentConfig) -> dict:
 
 
 def _run_training(cfg: ExperimentConfig, measure: MeasureConfig | None = None):
+    from .trainer import train
+
     ds = cfg.build_dataset()
     net = cfg.build_network(ds)
     attack = cfg.effective_attack(ds)
@@ -219,6 +247,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import format_report, run_verification
+
     results, passed = run_verification(level=args.level, seed=args.seed)
     print(format_report(results))
     print(f"{'PASS' if passed else 'FAIL'} total checks={len(results)}")
@@ -309,5 +339,15 @@ def main(argv=None) -> int:
         return EXIT_OUT_OF_REGIME
 
 
+def entry() -> int:
+    """The process entry (``python -m trhreg``, the ``trhreg`` script):
+    :func:`main`, then ``gc.freeze()``, so that interpreter exit does not
+    walk and clear the reference cycles numpy and the package made at
+    import.  Output is still flushed at exit."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -17,6 +17,12 @@ dataset.n, the two-moons size, so a csv dataset must give it.
 attack.clamp_min and attack.clamp_max come together, the lower not above
 the upper.  Attack radii are stated in raw input units; with
 dataset.normalize = true the radius is rescaled by 1/std before attacking.
+
+The value types of the trh, train and pacbayes sections and of the CLI's
+measurement flags (:class:`TrHConfig`, :class:`TrainConfig`,
+:class:`PacBayesConfig`, :class:`MeasureConfig`) are defined here, not in
+the modules that run them, so that reading a config imports no training,
+curvature or bound code; those modules re-import them.
 """
 
 from __future__ import annotations
@@ -28,9 +34,132 @@ from .data import Dataset, load_csv, normalize_center, two_moons
 from .losses import RobustLossKind
 from .network import MlpNetwork, init_mlp
 from .numerics import Rng
-from .pacbayes import PacBayesConfig
-from .trainer import TrainConfig
-from .trh import TrHConfig
+
+
+# -- section types ----------------------------------------------------
+
+_SCHEDULES = ("constant", "linear", "multistep")
+
+
+@dataclass(frozen=True)
+class TrHConfig:
+    """Penalty strength and schedule for the curvature regularizer.
+
+    Under the bound reparameterization, ``lam`` equals half the prior
+    variance.  ``stop_grad_clean`` selects the frozen-clean-logits variant
+    of the TRADES trace (the default; the full variant adds the G term).
+    """
+
+    lam: float = 0.0
+    schedule: str = "constant"
+    stop_grad_clean: bool = True
+
+    def __post_init__(self):
+        if self.lam < 0:
+            raise ValueError("lam must be >= 0")
+        if self.schedule not in _SCHEDULES:
+            raise ValueError(f"unknown schedule {self.schedule!r}")
+
+
+_BASELINES = ("none", "swa", "awp")
+_LR_DECAYS = ("constant", "cosine", "multistep")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    epochs: int
+    base_lr: float
+    batch_size: int = 0            # 0 = full batch
+    momentum: float = 0.9
+    warmup_iters: int = 0
+    lr_decay: str = "cosine"
+    lr_milestones: tuple = (0.5, 0.75)  # fractions of total iterations
+    lr_drop: float = 0.1
+    gamma: float = 0.0
+    seed: int = 0
+    baseline: str = "none"
+    swa_alpha: float = 0.995
+    awp_delta: float = 0.005
+    eval_restarts: int = 1
+
+    def __post_init__(self):
+        if self.epochs < 1 or self.base_lr <= 0:
+            raise ValueError("need epochs >= 1 and base_lr > 0")
+        if not 0 <= self.momentum < 1:
+            raise ValueError("momentum must lie in [0, 1)")
+        if self.gamma < 0 or self.batch_size < 0 or self.warmup_iters < 0:
+            raise ValueError("gamma, batch_size, warmup_iters must be >= 0")
+        if self.lr_decay not in _LR_DECAYS:
+            raise ValueError(f"unknown lr decay {self.lr_decay!r}")
+        if self.baseline not in _BASELINES:
+            raise ValueError(f"unknown baseline {self.baseline!r}")
+        if not 0 < self.swa_alpha < 1:
+            raise ValueError("swa_alpha must lie in (0, 1)")
+        if self.awp_delta <= 0:
+            raise ValueError("awp_delta must be positive")
+
+
+@dataclass(frozen=True)
+class PacBayesConfig:
+    sigma0_sq: float
+    beta: float
+    tau: float = 0.05
+    m: int = 1
+    c_const: float = 0.0
+
+    def __post_init__(self):
+        if self.sigma0_sq <= 0 or self.beta <= 0:
+            raise ValueError("sigma0_sq and beta must be positive")
+        if not 0 < self.tau <= 1:
+            raise ValueError("tau must lie in (0, 1]")
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
+
+    @property
+    def gamma(self) -> float:
+        """Weight-decay coefficient implied by the bound."""
+        return 1.0 / (2.0 * self.beta * self.sigma0_sq)
+
+    @property
+    def lam(self) -> float:
+        """Curvature-penalty coefficient implied by the bound."""
+        return self.sigma0_sq / 2.0
+
+    def consistent_with(self, gamma: float, lam: float) -> bool:
+        """Whether (gamma, lam) are the bound's own, to 1e-12 relative
+        (absolute below 1)."""
+        return all(abs(given - own) <= 1e-12 * max(1.0, abs(own))
+                   for given, own in ((gamma, self.gamma), (lam, self.lam)))
+
+
+@dataclass(frozen=True)
+class MeasureConfig:
+    """What to measure along the run and how often.
+
+    mode "top": the closed-form top-layer trace of the training loss and the
+    per-layer closed-form CE traces; the whole-network estimate columns are
+    nan.  "full": adds a whole-network Rademacher estimate
+    (``hessian_oracle.hutchinson_trace``) with the same seeded probes at
+    every measurement (common random numbers keep the trajectory smooth).
+    "spectrum" produces per-layer and whole-network (trace, trace_sq) pairs
+    and eigenvalue statistics from ``hessian_oracle`` probe estimators.  The
+    measurement objective is the bare robust loss of the training kind with
+    adversarial inputs regenerated (and then frozen) at measurement time.
+    Attack starts and probes come from streams of ``trainer.PROBE_SEED``.
+    """
+
+    mode: str
+    every: int = 1
+    probes: int = 64
+
+    def __post_init__(self):
+        if self.mode not in ("top", "full", "spectrum"):
+            raise ValueError(f"unknown measure mode {self.mode!r}")
+        if self.every < 1 or self.probes < 1:
+            raise ValueError("every and probes must be >= 1")
+
+
+# -- the key file -----------------------------------------------------
 
 
 class ConfigError(ValueError):

@@ -64,13 +64,9 @@ import numpy as np
 from . import tape
 from .losses import softmax
 from .network import MlpNetwork, forward_nodes, lift, min_preact_magnitude
-from .numerics import SMOOTH_TOL
+from .numerics import SMOOTH_TOL, NonSmoothInput
 
 INEQUALITY_SLACK = 1e-9  # rounding allowance of check_layer_inequality
-
-
-class NonSmoothInput(RuntimeError):
-    """A pre-activation sits too close to a ReLU kink for exact formulas."""
 
 
 def _check_smooth(net: MlpNetwork, x: np.ndarray) -> None:

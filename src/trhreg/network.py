@@ -353,7 +353,7 @@ def input_gradient(net: MlpNetwork, X: np.ndarray, dlogits: np.ndarray,
     return delta @ net.layers[0].weights.T
 
 
-# -- checkpoint format -------------------------------------------------
+# -- output files: metrics CSVs and checkpoints ----------------------
 
 CHECKPOINT_MAGIC = "TRHNET v1"
 
@@ -374,6 +374,35 @@ def write_atomic(path, text: str) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+@dataclass
+class MetricsLog:
+    """Rows of named columns, written as CSV after ``# key = value``
+    preamble lines; integers print as integers, floats by ``repr``."""
+
+    columns: list
+    rows: list = field(default_factory=list)
+    preamble: dict = field(default_factory=dict)
+
+    def append(self, **kwargs):
+        self.rows.append({c: kwargs[c] for c in self.columns})
+
+    def to_csv(self) -> str:
+        lines = [f"# {k} = {v}" for k, v in self.preamble.items()]
+        lines.append(",".join(self.columns))
+        for row in self.rows:
+            lines.append(",".join(_fmt(row[c]) for c in self.columns))
+        return "\n".join(lines) + "\n"
+
+    def write_csv(self, path):
+        write_atomic(path, self.to_csv())
+
+
+def _fmt(v) -> str:
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
 
 
 def save_checkpoint(net: MlpNetwork, path) -> None:

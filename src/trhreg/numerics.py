@@ -23,6 +23,12 @@ Monte-Carlo and probe estimates report :func:`mean_se`.
 the many short-lived arrays a run allocates does not depend on which large
 block happened to be freed first.
 
+The errors the CLI turns into exit codes 4-6 are defined here:
+:class:`OracleError`, :class:`NonSmoothInput` (raised by
+``layer_traces``) and :class:`OutOfRegimeError` (raised by ``pacbayes``),
+so that the CLI can catch them without importing the modules that raise
+them.
+
 All arrays are float64 throughout the package, with one exception inside
 :func:`trhreg.attacks.pgd`: each step's forward and input-backward run on
 a float32 copy of the network, which never leaves that call.
@@ -87,6 +93,18 @@ class OracleError(RuntimeError):
     def __init__(self, message, index=None):
         super().__init__(message)
         self.index = index
+
+
+class NonSmoothInput(RuntimeError):
+    """A pre-activation sits too close to a ReLU kink for exact formulas."""
+
+
+class OutOfRegimeError(RuntimeError):
+    """Curvature too negative for the closed-form posterior variance."""
+
+    def __init__(self, message, indices=None):
+        super().__init__(message)
+        self.indices = indices if indices is not None else []
 
 
 class Rng:

@@ -28,18 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import AttackConfig, pgd
+from .config import PacBayesConfig
 from .losses import RobustLossKind
 from .network import MlpNetwork, flatten_weights, param_count, unflatten_weights
-from .numerics import Rng, mean_se
+from .numerics import OutOfRegimeError, Rng, mean_se
 from .trh import robust_loss_rows
-
-
-class OutOfRegimeError(RuntimeError):
-    """Curvature too negative for the closed-form posterior variance."""
-
-    def __init__(self, message, indices=None):
-        super().__init__(message)
-        self.indices = indices if indices is not None else []
 
 
 @dataclass
@@ -74,39 +67,6 @@ class GaussianPosterior:
         if np.ndim(self.sigma_sq) == 0:
             return np.full(self.dim, float(self.sigma_sq))
         return self.sigma_sq
-
-
-@dataclass(frozen=True)
-class PacBayesConfig:
-    sigma0_sq: float
-    beta: float
-    tau: float = 0.05
-    m: int = 1
-    c_const: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma0_sq <= 0 or self.beta <= 0:
-            raise ValueError("sigma0_sq and beta must be positive")
-        if not 0 < self.tau <= 1:
-            raise ValueError("tau must lie in (0, 1]")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-
-    @property
-    def gamma(self) -> float:
-        """Weight-decay coefficient implied by the bound."""
-        return 1.0 / (2.0 * self.beta * self.sigma0_sq)
-
-    @property
-    def lam(self) -> float:
-        """Curvature-penalty coefficient implied by the bound."""
-        return self.sigma0_sq / 2.0
-
-    def consistent_with(self, gamma: float, lam: float) -> bool:
-        """Whether (gamma, lam) are the bound's own, to 1e-12 relative
-        (absolute below 1)."""
-        return all(abs(given - own) <= 1e-12 * max(1.0, abs(own))
-                   for given, own in ((gamma, self.gamma), (lam, self.lam)))
 
 
 def gaussian_kl(post: GaussianPosterior, sigma0_sq: float) -> float:

@@ -22,27 +22,25 @@ weights to the unperturbed ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .attacks import AttackConfig, clean_accuracy, eval_robust_accuracy, pgd
+from .config import MeasureConfig, TrainConfig, TrHConfig
 from .data import Dataset
 from .hessian_oracle import (eigen_stats, frozen_objective_fns,
                              hutchinson_trace, hutchinson_trace_pair,
                              hvp_from_grad, quad_form_from_values,
                              weight_indices)
 from .losses import RobustLossKind
-from .network import (MlpNetwork, TrainingDivergence, backprop,
+from .network import (MetricsLog, MlpNetwork, TrainingDivergence, backprop,
                       flat_gradient, flatten_weights, param_count,
-                      unflatten_weights, write_atomic)
+                      unflatten_weights)
 from .numerics import Rng
 from .layer_traces import full_ce_trace_rows_nodes, layer_trace_rows
-from .trh import TrHConfig, analytic_trh_rows, objective_nodes
+from .trh import analytic_trh_rows, objective_nodes
 from . import tape
-
-_BASELINES = ("none", "swa", "awp")
-_LR_DECAYS = ("constant", "cosine", "multistep")
 
 # A step whose objective exceeds this stops the run as diverged.
 DIVERGENCE_THRESHOLD = 1e6
@@ -50,40 +48,6 @@ DIVERGENCE_THRESHOLD = 1e6
 # Seed of the measurement streams (adversarial points and probes), the same
 # at every measurement of every run.
 PROBE_SEED = 2024
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int
-    base_lr: float
-    batch_size: int = 0            # 0 = full batch
-    momentum: float = 0.9
-    warmup_iters: int = 0
-    lr_decay: str = "cosine"
-    lr_milestones: tuple = (0.5, 0.75)  # fractions of total iterations
-    lr_drop: float = 0.1
-    gamma: float = 0.0
-    seed: int = 0
-    baseline: str = "none"
-    swa_alpha: float = 0.995
-    awp_delta: float = 0.005
-    eval_restarts: int = 1
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.base_lr <= 0:
-            raise ValueError("need epochs >= 1 and base_lr > 0")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.gamma < 0 or self.batch_size < 0 or self.warmup_iters < 0:
-            raise ValueError("gamma, batch_size, warmup_iters must be >= 0")
-        if self.lr_decay not in _LR_DECAYS:
-            raise ValueError(f"unknown lr decay {self.lr_decay!r}")
-        if self.baseline not in _BASELINES:
-            raise ValueError(f"unknown baseline {self.baseline!r}")
-        if not 0 < self.swa_alpha < 1:
-            raise ValueError("swa_alpha must lie in (0, 1)")
-        if self.awp_delta <= 0:
-            raise ValueError("awp_delta must be positive")
 
 
 def lambda_at(schedule: str, t: int, total: int, lam_max: float) -> float:
@@ -160,60 +124,7 @@ def _apply_perturbation(net: MlpNetwork, xi) -> MlpNetwork:
     return out
 
 
-@dataclass
-class MetricsLog:
-    columns: list
-    rows: list = field(default_factory=list)
-    preamble: dict = field(default_factory=dict)
-
-    def append(self, **kwargs):
-        self.rows.append({c: kwargs[c] for c in self.columns})
-
-    def to_csv(self) -> str:
-        lines = [f"# {k} = {v}" for k, v in self.preamble.items()]
-        lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(_fmt(row[c]) for c in self.columns))
-        return "\n".join(lines) + "\n"
-
-    def write_csv(self, path):
-        write_atomic(path, self.to_csv())
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 METRICS_COLUMNS = ["epoch", "train_loss", "clean_acc", "pgd_acc", "lambda_eff", "lr"]
-
-
-@dataclass(frozen=True)
-class MeasureConfig:
-    """What to measure along the run and how often.
-
-    mode "top": the closed-form top-layer trace of the training loss and the
-    per-layer closed-form CE traces; the whole-network estimate columns are
-    nan.  "full": adds a whole-network Rademacher estimate
-    (``hessian_oracle.hutchinson_trace``) with the same seeded probes at
-    every measurement (common random numbers keep the trajectory smooth).
-    "spectrum" produces per-layer and whole-network (trace, trace_sq) pairs
-    and eigenvalue statistics from ``hessian_oracle`` probe estimators.  The
-    measurement objective is the bare robust loss of the training kind with
-    adversarial inputs regenerated (and then frozen) at measurement time.
-    Attack starts and probes come from streams of ``PROBE_SEED``.
-    """
-
-    mode: str
-    every: int = 1
-    probes: int = 64
-
-    def __post_init__(self):
-        if self.mode not in ("top", "full", "spectrum"):
-            raise ValueError(f"unknown measure mode {self.mode!r}")
-        if self.every < 1 or self.probes < 1:
-            raise ValueError("every and probes must be >= 1")
 
 
 @dataclass

@@ -44,36 +44,14 @@ that matches the loss kind once per batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import tape
+from .config import TrHConfig  # noqa: F401  (its home before config)
 from .losses import RobustLossKind
 from .network import ForwardTrace, MlpNetwork, forward, forward_nodes, lift
-
-_SCHEDULES = ("constant", "linear", "multistep")
-
-
-@dataclass(frozen=True)
-class TrHConfig:
-    """Penalty strength and schedule for the curvature regularizer.
-
-    Under the bound reparameterization, ``lam`` equals half the prior
-    variance.  ``stop_grad_clean`` selects the frozen-clean-logits variant
-    of the TRADES trace (the default; the full variant adds the G term).
-    """
-
-    lam: float = 0.0
-    schedule: str = "constant"
-    stop_grad_clean: bool = True
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.schedule not in _SCHEDULES:
-            raise ValueError(f"unknown schedule {self.schedule!r}")
 
 
 class _Side(NamedTuple):

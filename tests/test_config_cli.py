@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from trhreg import cli
+from trhreg import cli, verify
 from trhreg.cli import main
 from trhreg.config import ConfigError, ExperimentConfig, parse_kv
 from trhreg.layer_traces import NonSmoothInput
@@ -370,7 +370,8 @@ class TestCliNamedErrors:
         def raise_error(**kwargs):
             raise error
 
-        monkeypatch.setattr(cli, "run_verification", raise_error)
+        # cmd_verify imports run_verification when it runs
+        monkeypatch.setattr(verify, "run_verification", raise_error)
         assert main(["verify", "--level", "quick"]) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and words in err and str(error) in err
