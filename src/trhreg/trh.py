@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tape
-from .config import TrHConfig  # noqa: F401  (its home before config)
+from .config import TrHConfig  # noqa: F401  (re-exported)
 from .losses import RobustLossKind
 from .network import ForwardTrace, MlpNetwork, forward, forward_nodes, lift
 
