@@ -10,14 +10,12 @@ side.  The same cross-validation runs at scale inside `trhreg verify`.
 Run: python demos/oracle_tour.py
 """
 
-import numpy as np
-
 from trhreg.hessian_oracle import (exact_trace, frozen_objective_fns,
                                    weight_indices)
 from trhreg.losses import RobustLossKind
-from trhreg.network import flatten_weights, forward
+from trhreg.network import flatten_weights
 from trhreg.numerics import pin_allocator
-from trhreg.layer_traces import check_layer_inequality, trh_ce_layer
+from trhreg.layer_traces import check_layer_inequality, layer_trace_rows
 from trhreg.trh import analytic_trh_rows
 from trhreg.verify import sample_smooth_instance
 
@@ -57,13 +55,12 @@ print("Layer-wise CE traces and the consecutive-level bound")
 print("=" * 72)
 net, x, _, y = sample_smooth_instance(7)
 w0 = flatten_weights(net)
+closed = layer_trace_rows(net, x)[0]
 for layer in range(net.depth):
     _, grad_fn = frozen_objective_fns(net, x, x, y, RobustLossKind("at"),
                                       layer=layer)
     oracle = exact_trace(grad_fn, w0, weight_indices(net, layer=layer))
-    closed = trh_ce_layer(net, x[0], layer)
-    print(f"  layer {layer}: closed={closed:.8f}  oracle={oracle:.8f}")
-for level in range(net.depth):
-    r = check_layer_inequality(net, x[0], level)
+    print(f"  layer {layer}: closed={closed[layer]:.8f}  oracle={oracle:.8f}")
+for level, r in enumerate(check_layer_inequality(net, x[0])):
     print(f"  level {level}: max-entry bound {r.lhs:.6f} <= {r.rhs:.6f}"
           f"  ({'holds' if r.holds else 'VIOLATED'})")

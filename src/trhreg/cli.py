@@ -104,6 +104,9 @@ def _run_training(cfg: ExperimentConfig, measure: MeasureConfig | None = None):
     from .trainer import train
 
     ds = cfg.build_dataset()
+    if cfg.train.batch_size > len(ds):
+        raise ConfigError(f"batch size {cfg.train.batch_size} exceeds dataset "
+                          f"size {len(ds)}", key="train.batch_size")
     net = cfg.build_network(ds)
     attack = cfg.effective_attack(ds)
     return train(net, ds, cfg.loss, cfg.trh, attack, cfg.train,

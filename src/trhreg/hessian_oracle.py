@@ -40,7 +40,7 @@ import numpy as np
 from . import tape
 from . import trh as trh_module
 from .network import (MlpNetwork, flat_index_slices, flatten_weights,
-                      forward_nodes, gradient_vector, lift, unflatten_weights)
+                      forward, gradient_vector, lift, unflatten_weights)
 from .numerics import (HESS_STEP, OracleError, Rng, hessian_diag_subset,
                        mean_se, rademacher_vector, stackable)
 
@@ -184,20 +184,23 @@ def frozen_objective_fns(net: MlpNetwork, X, X_adv, y, kind,
 
     With `layer` = i the functions are layer-local, for stencils and probes
     that move only weight layer i (weights and bias).  The clean and
-    adversarial inputs of layer i are computed once, at the weights of
-    `net`; a call runs the net from layer i up, with only layer i's
-    parameters as tape leaves, so its backward stops at layer i and makes
-    no weight gradient above it.  Values and the gradient entries of layer
-    i equal the whole-network route's to the bit; the other gradient
-    entries are 0.  A weight vector that differs from the net's outside
-    layer i raises ``ValueError``, and so does a nonzero `lam` or `gamma`.
+    adversarial inputs of layer i are read once from
+    ``network.forward(net, .).layer_inputs[i]``, at the weights of `net`
+    (AT reads no clean batch, so its clean batch is not run); a call runs
+    the net from layer i up, with only layer i's parameters as tape
+    leaves, so its backward stops at layer i and makes no weight gradient
+    above it.  Values and the gradient entries of layer i equal the
+    whole-network route's to the bit (the numpy forward runs the tape
+    forward's float ops); the other gradient entries are 0.  A weight
+    vector that differs from the net's outside layer i raises
+    ``ValueError``, and so does a nonzero `lam` or `gamma`.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     X_adv = np.atleast_2d(np.asarray(X_adv, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     frozen = trh_module.capture_frozen(net, X, X_adv, y, kind)
     rows = len(X_adv) + (0 if kind.variant == "at" else len(X))
-    top, start, leaves, inputs = net, 0, None, (X, X_adv)
+    top, start, leaves = net, 0, None
     if layer is not None:
         if lam or gamma:
             raise ValueError("a layer-local objective takes no lam or gamma")
@@ -208,15 +211,9 @@ def frozen_objective_fns(net: MlpNetwork, X, X_adv, y, kind,
         start, stop = ws.start, (ws if bs is None else bs).stop
         w0 = flatten_weights(net)
         if layer:
-            below = lift(net, wrap=tape.constant)[:layer]
-
-            def layer_input(a):
-                # the tape forward's ops, run on the layers below i only
-                return tape.relu(forward_nodes(below, a)[1][-1]).value
-
-            # at reads no clean batch
-            inputs = (X if kind.variant == "at" else layer_input(X),
-                      layer_input(X_adv))
+            X_adv = forward(net, X_adv).layer_inputs[layer]
+            if kind.variant != "at":  # at reads no clean batch
+                X = forward(net, X).layer_inputs[layer]
     chunk = max(1, _STACK_ACTIVATIONS // (rows * sum(l.d_out for l in top.layers)))
 
     def chunked(fn):
@@ -234,7 +231,7 @@ def frozen_objective_fns(net: MlpNetwork, X, X_adv, y, kind,
         return stackable(call)
 
     def objective(lifted):
-        return trh_module.objective_nodes(lifted, *inputs, y, kind, lam, gamma,
+        return trh_module.objective_nodes(lifted, X, X_adv, y, kind, lam, gamma,
                                           stop_grad_clean, frozen)
 
     def value(candidate):

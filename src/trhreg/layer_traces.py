@@ -36,23 +36,23 @@ Both quantities read it:
 
 * :func:`layer_trace_nodes` -- per-example trace rows per weight matrix
   as tape nodes, each class sum a reduction over the leading axis;
-* :func:`check_layer_inequality` -- the bound at one example, on
-  constant weights.
+* :func:`check_layer_inequality` -- the bound at every level of one
+  example, on constant weights.
 
-Everything else here that reports the trace calls :func:`layer_trace_nodes`:
+Two callers report the trace through :func:`layer_trace_nodes`:
 
 * :func:`full_ce_trace_rows_nodes` -- the sum over layers on lifted
   weights, the trainable whole-network regularizer;
 * :func:`layer_trace_rows` -- the routine on constant weights, numpy
-  values for measurement;
-* :func:`trh_ce_layer` -- one example and one layer, behind the
-  smoothness guard the oracles need.
+  values for measurement and for the oracle comparisons of ``verify``.
 
 At the logits level there is no ReLU above the weights, so its active set
 is every index.  Biases are excluded throughout (traces are over
-weight-matrix entries only).  Inputs within ``SMOOTH_TOL`` of a ReLU kink
-are rejected for the oracle-facing entry points because the
-second-derivative convention (ReLU'' = 0) only holds away from kinks.
+weight-matrix entries only).  :func:`check_layer_inequality` rejects
+inputs within ``SMOOTH_TOL`` of a ReLU kink, because the
+second-derivative convention (ReLU'' = 0) only holds away from kinks;
+the trace rows are for bulk measurement and check nothing, so a caller
+comparing them with an oracle samples smooth inputs itself.
 """
 
 from __future__ import annotations
@@ -67,12 +67,6 @@ from .network import MlpNetwork, forward_nodes, lift, min_preact_magnitude
 from .numerics import SMOOTH_TOL, NonSmoothInput
 
 INEQUALITY_SLACK = 1e-9  # rounding allowance of check_layer_inequality
-
-
-def _check_smooth(net: MlpNetwork, x: np.ndarray) -> None:
-    if min_preact_magnitude(net, x) < SMOOTH_TOL:
-        raise NonSmoothInput(
-            f"pre-activation within {SMOOTH_TOL} of a ReLU kink; resample the input")
 
 
 def _jacobian_stacks(lifted, preacts):
@@ -110,37 +104,39 @@ class LayerInequality:
     holds: bool
 
 
-def check_layer_inequality(net: MlpNetwork, x: np.ndarray,
-                           level: int) -> LayerInequality:
-    """Consecutive-level bound: max H(level) <= max H(level+1) * ||W||_1^2.
+def check_layer_inequality(net: MlpNetwork, x: np.ndarray) -> list[LayerInequality]:
+    """Consecutive-level bound at every level ``i < L``:
+    max H(level i) <= max H(level i+1) * ||W_i||_1^2.
 
     ``H[k, d] = (d logits_k / d level_d)^2 h_k`` over every unit of the
     level, active or not.  The Jacobian of level ``i < L`` is ``W_i @ jac``
     with ``jac`` the stack :func:`_jacobian_stacks` carries at weight layer
     ``i``; that of the logits level is the identity.  One input vector,
-    behind the smoothness guard.
+    behind the smoothness guard; an all-zero input is rejected for the
+    whole call (it is degenerate for a bias-free net).  Returns one
+    :class:`LayerInequality` per level, level 0 first, from one pass of
+    the recursion.
     """
-    if not 0 <= level < net.depth:
-        raise ValueError(f"level must be in [0, {net.depth})")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("check_layer_inequality takes a single input vector")
-    _check_smooth(net, x)
-    if level == 0 and np.all(x == 0):
+    if min_preact_magnitude(net, x) < SMOOTH_TOL:
+        raise NonSmoothInput(
+            f"pre-activation within {SMOOTH_TOL} of a ReLU kink; resample the input")
+    if np.all(x == 0):
         raise NonSmoothInput("zero input is degenerate for a bias-free net")
     lifted = lift(net, tape.constant)
     _, preacts = forward_nodes(lifted, x[None, :])
     s = softmax(preacts[-1].value[0])
     h = (s * (1.0 - s))[:, None, None]
-    peak = {net.depth: float(h.max())}  # identity Jacobian: H = diag(h)
+    peak = [0.0] * net.depth + [float(h.max())]  # identity Jacobian: H = diag(h)
     for i, jac in _jacobian_stacks(lifted, preacts):
-        if i <= level + 1:
-            peak[i] = float(((lifted[i][0] @ jac).value ** 2 * h).max())
-        if i == level:
-            break
-    lhs = peak[level]
-    rhs = peak[level + 1] * l1_operator_norm(net.layers[level].weights) ** 2
-    return LayerInequality(lhs=lhs, rhs=rhs, holds=lhs <= rhs + INEQUALITY_SLACK)
+        peak[i] = float(((lifted[i][0] @ jac).value ** 2 * h).max())
+    out = []
+    for level, layer in enumerate(net.layers):
+        lhs, rhs = peak[level], peak[level + 1] * l1_operator_norm(layer.weights) ** 2
+        out.append(LayerInequality(lhs=lhs, rhs=rhs, holds=lhs <= rhs + INEQUALITY_SLACK))
+    return out
 
 
 # -- the one trace routine and its callers ------------------------------
@@ -158,8 +154,6 @@ def layer_trace_nodes(lifted, X: np.ndarray) -> list:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     layer_inputs, preacts = forward_nodes(lifted, X)
     s = tape.exp(tape.log_softmax(preacts[-1]))
-    k = s.shape[1]
-    s = tape.reshape(tape.transpose(s), (k, 1, -1))
     rows = [None] * len(lifted)
     for i, jac in _jacobian_stacks(lifted, preacts):
         below = layer_inputs[i]
@@ -169,21 +163,24 @@ def layer_trace_nodes(lifted, X: np.ndarray) -> list:
 
 def _summed_quadratic_form(s: tape.Node, jac: tape.Node) -> tape.Node:
     """``sum_d J_d^T Phi J_d = sum_d (sum_c s_c J_cd^2 - u_d^2)`` per row,
-    with ``u_d = sum_c s_c J_cd``, ``s`` of shape ``(K, 1, m)`` and ``jac``
+    with ``u_d = sum_c s_c J_cd``, ``s`` the ``(m, K)`` softmax and ``jac``
     a ``(K, D, m)`` stack.
 
     One node with a hand-written VJP: ``2 s (J - u)`` for ``jac`` and
-    ``sum_d J_cd (J_cd - 2 u_d)`` for ``s``.  On constants it keeps no
-    graph.  Only the constant logits-level ``jac`` broadcasts over rows, so
-    a live ``jac`` needs no unbroadcasting.
+    ``sum_d J_cd (J_cd - 2 u_d)`` for ``s``, the latter returned as
+    ``(m, K)``.  ``s`` is read through a contiguous class-major
+    ``(K, 1, m)`` copy.  On constants it keeps no graph.  Only the
+    constant logits-level ``jac`` broadcasts over rows, so a live ``jac``
+    needs no unbroadcasting.
     """
     j = jac.value
-    weighted = s.value * j
+    sk = np.ascontiguousarray(s.value.T)[:, None, :]
+    weighted = sk * j
     u = weighted.sum(axis=0)
     value = ((weighted * j).sum(axis=0) - u * u).sum(axis=0)
     return tape.Node(value, (
-        (s, lambda g: (j * (j - 2.0 * u)).sum(axis=1, keepdims=True) * g),
-        (jac, lambda g: (j - u) * (2.0 * s.value * g))))
+        (s, lambda g: ((j * (j - 2.0 * u)).sum(axis=1) * g).T),
+        (jac, lambda g: (j - u) * (2.0 * sk * g))))
 
 
 def full_ce_trace_rows_nodes(lifted, X: np.ndarray) -> tape.Node:
@@ -209,12 +206,3 @@ def layer_trace_rows(net: MlpNetwork, X: np.ndarray) -> np.ndarray:
         np.stack([r.value for r in layer_trace_nodes(lifted, X[i:i + _ROWS_PER_PASS])],
                  axis=1)
         for i in range(0, len(X), _ROWS_PER_PASS)])
-
-
-def trh_ce_layer(net: MlpNetwork, x: np.ndarray, layer: int) -> float:
-    """Exact CE Hessian trace over the entries of weight matrix `layer`."""
-    if not 0 <= layer < net.depth:
-        raise ValueError(f"layer must be in [0, {net.depth})")
-    x = np.asarray(x, dtype=np.float64)
-    _check_smooth(net, x)
-    return float(layer_trace_rows(net, x)[0, layer])

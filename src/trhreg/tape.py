@@ -6,11 +6,10 @@ leaf.  The op set is deliberately small -- just enough to express the
 training objectives in this package (dense layers, ReLU, softmax algebra
 and the closed-form curvature terms) -- and everything is batched: node
 payloads are scalars, ``(m,)`` vectors, ``(m, k)`` matrices or stacks of
-them.  Every op works on any rank: matrix products and :func:`transpose`
-act on the last two axes, row-wise reductions (:func:`row_sum`,
-:func:`log_softmax`) on the last one, so a leading axis can carry a stack
-of independent copies of a whole expression (see
-:func:`trhreg.network.backprop`).
+them.  Every op works on any rank: matrix products act on the last two
+axes, row-wise reductions (:func:`row_sum`, :func:`log_softmax`) on the
+last one, so a leading axis can carry a stack of independent copies of a
+whole expression (see :func:`trhreg.network.backprop`).
 
 Broadcasting between operands follows numpy; adjoints are summed back over
 broadcast axes.  There is no graph reuse across calls: build, evaluate,
@@ -180,15 +179,6 @@ def nsum(a: Node, axis=None, keepdims=False) -> Node:
     return Node(a.value.sum(axis=axis, keepdims=keepdims), ((a, vjp),))
 
 
-def reshape(a: Node, shape) -> Node:
-    return Node(a.value.reshape(shape), ((a, lambda g: g.reshape(a.shape)),))
-
-
-def transpose(a: Node) -> Node:
-    """Swap the last two axes."""
-    return Node(a.value.swapaxes(-1, -2), ((a, lambda g: g.swapaxes(-1, -2)),))
-
-
 def mean(a: Node, axis=None) -> Node:
     """Mean over one axis (an int) or over all of them (None)."""
     if axis is None:
@@ -232,8 +222,8 @@ def backward(out: Node) -> None:
     rather than accumulates.  A node's first contribution replaces the
     marker as it is and later ones are added as ``grad + c``, never in
     place, because a VJP may return the very array it was handed
-    (``_unbroadcast``, ``reshape``) and one array may then be the grad of
-    several nodes.  Once an interior node's VJPs have run, its grad is set
+    (``_unbroadcast`` does) and one array may then be the grad of several
+    nodes.  Once an interior node's VJPs have run, its grad is set
     to None: the sweep holds only the adjoints it will still read, and on
     return only leaves keep a grad.
     """

@@ -35,8 +35,7 @@ from .data import two_moons
 from .losses import RobustLossKind, softmax
 from .network import (flatten_weights, forward, init_mlp, lift,
                       min_preact_magnitude)
-from .numerics import (SMOOTH_TOL, Rng, finite_diff_gradient,
-                       rademacher_vector)
+from .numerics import SMOOTH_TOL, Rng, finite_diff_gradient
 
 KINDS = (RobustLossKind("at"),
          RobustLossKind("trades", 6.0),
@@ -161,11 +160,12 @@ def check_layer_traces(instances: int, inequality_instances: int,
         inst_seed = seed * 2000 + i
         net, x, _, y = sample_smooth_instance(inst_seed)
         w0 = flatten_weights(net)
+        closed = lt.layer_trace_rows(net, x)[0]
         for layer in range(net.depth):
             _, grad_fn = ho.frozen_objective_fns(net, x, x, y, ce, layer=layer)
             idx = ho.weight_indices(net, layer=layer)
             oracle = ho.exact_trace(grad_fn, w0, idx)
-            analytic = lt.trh_ce_layer(net, x[0], layer)
+            analytic = float(closed[layer])
             rel = abs(oracle - analytic) / max(1e-8, abs(oracle))
             out.append(CheckResult(
                 "layer_traces", f"layer{layer}:inst{i}", rel <= 1e-5,
@@ -174,8 +174,7 @@ def check_layer_traces(instances: int, inequality_instances: int,
     for i in range(inequality_instances):
         inst_seed = seed * 3000 + i
         net, x, _, _ = sample_smooth_instance(inst_seed)
-        for level in range(net.depth):
-            r = lt.check_layer_inequality(net, x[0], level)
+        for level, r in enumerate(lt.check_layer_inequality(net, x[0])):
             out.append(CheckResult(
                 "layer_traces", f"bound:level{level}:inst{i}", r.holds,
                 f"lhs={r.lhs:.6e} rhs={r.rhs:.6e}", inst_seed))

@@ -36,6 +36,10 @@ train.lr_decay = constant
 train.seed = 0
 """
 
+# more rows per batch than the dataset holds
+BIG_BATCH_CONFIG = BASE_CONFIG.replace("dataset.n = 80", "dataset.n = 50") + (
+    "train.batch_size = 80\n")
+
 
 class TestParser:
     def test_comments_and_whitespace(self):
@@ -135,6 +139,13 @@ class TestCliTrain:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.txt")]) == 1
+
+    def test_batch_size_above_dataset_size_names_the_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BIG_BATCH_CONFIG, "big_batch.txt")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "'train.batch_size'" in err
+        assert "batch size 80 exceeds dataset size 50" in err
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG.replace(
@@ -306,6 +317,16 @@ class TestCliSweep:
                  .splitlines() if not ln.startswith("#")]
         assert lines[0] == "value,clean_acc,robust_acc"
         assert lines[2] == lines[3]
+
+    def test_batch_size_above_dataset_size_fails_each_trial(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BIG_BATCH_CONFIG, "big_batch.txt")
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--param", "lambda", "--values", "0.1,0.2"]) == 0
+        rows = [ln for ln in (out / "sweep.csv").read_text().splitlines()
+                if not ln.startswith("#")]
+        assert rows[1:] == ["0.1,nan,nan", "0.2,nan,nan"]
+        assert "train.batch_size" in capsys.readouterr().err
 
     def test_needs_two_values(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -9,11 +9,12 @@ from trhreg.network import (DenseLayer, MlpNetwork, flatten_weights, forward,
                             forward_nodes, gradient_vector, init_mlp, lift,
                             unflatten_weights)
 from trhreg.numerics import Rng, finite_diff_gradient
-from trhreg.layer_traces import (NonSmoothInput, _jacobian_stacks,
+from trhreg.layer_traces import (INEQUALITY_SLACK, NonSmoothInput,
+                                 _jacobian_stacks,
                                  _summed_quadratic_form,
                                  check_layer_inequality,
                                  full_ce_trace_rows_nodes, l1_operator_norm,
-                                 layer_trace_rows, trh_ce_layer)
+                                 layer_trace_rows)
 from trhreg.trh import trh_at
 from trhreg.verify import sample_smooth_instance
 
@@ -68,7 +69,7 @@ class TestLayerHTensor:
         h = _h(net, x[0])
         top = stacks[net.depth - 1] ** 2 * h[:, None]
         assert top.sum() == pytest.approx(h.sum(), rel=1e-12)
-        r = check_layer_inequality(net, x[0], net.depth - 1)
+        r = check_layer_inequality(net, x[0])[net.depth - 1]
         w_norm = l1_operator_norm(net.layers[-1].weights)
         assert r.rhs == h.max() * w_norm ** 2
 
@@ -102,7 +103,7 @@ class TestLayerHTensor:
         # the stack one layer down holds the same Jacobian behind the gates
         gated = fd_jac * (tr.preacts[level - 1] > 0)
         assert np.abs(stacks[level - 1] - gated).max() <= 1e-6 * np.abs(fd_jac).max()
-        assert check_layer_inequality(net, x[0], level).lhs == pytest.approx(
+        assert check_layer_inequality(net, x[0])[level].lhs == pytest.approx(
             expected.max(), rel=1e-6)
 
     def test_all_entries_nonnegative(self):
@@ -112,26 +113,28 @@ class TestLayerHTensor:
             h = _h(net, x[0])
             for level, jac in levels.items():
                 assert np.all(jac ** 2 * h[:, None] >= 0)
-            for level in range(net.depth):
-                r = check_layer_inequality(net, x[0], level)
+            for r in check_layer_inequality(net, x[0]):
                 assert r.lhs >= 0 and r.rhs >= 0
 
     def test_zero_input_rejected_for_bias_free_net(self):
         net = init_mlp([3, 2], Rng(1).child("i"), hidden_bias=False)
         with pytest.raises(NonSmoothInput, match="zero input is degenerate"):
-            check_layer_inequality(net, np.zeros(3), 0)
+            check_layer_inequality(net, np.zeros(3))
 
     def test_kink_rejected(self):
         net = init_mlp([2, 3, 2], Rng(2).child("i"), hidden_bias=False)
         net.layers[0].weights[:, 0] = 0.0  # first hidden pre-activation == 0
         with pytest.raises(NonSmoothInput, match="ReLU kink"):
-            check_layer_inequality(net, np.array([0.5, 0.5]), 1)
+            check_layer_inequality(net, np.array([0.5, 0.5]))
 
 
 class TestTrhCeLayer:
+    """The exact CE Hessian trace of each weight layer at one example: one
+    row of :func:`layer_trace_rows`."""
+
     def test_top_layer_reduces_to_adversarial_ce_formula(self):
         net, x, _, _ = sample_smooth_instance(205)
-        top = trh_ce_layer(net, x[0], net.depth - 1)
+        top = layer_trace_rows(net, x[0])[0, net.depth - 1]
         assert top == pytest.approx(trh_at(forward(net, x[0])), rel=1e-12)
 
     def test_inactive_hidden_layer_gives_zero(self):
@@ -139,23 +142,24 @@ class TestTrhCeLayer:
         net = MlpNetwork([DenseLayer(w0, bias=np.full(4, -10.0)),
                           DenseLayer(Rng(3).child("w2").normal(size=(4, 2)))])
         x = np.array([0.1, 0.2])  # all hidden pre-activations ~ -10: inactive
-        assert trh_ce_layer(net, x, 0) == 0.0
+        assert layer_trace_rows(net, x)[0, 0] == 0.0
 
     def test_every_layer_matches_oracle(self):
         for seed in (206, 207, 208):
             net, x, _, y = sample_smooth_instance(seed)
             _, grad_fn = frozen_objective_fns(net, x, x, y, RobustLossKind("at"))
             w0 = flatten_weights(net)
+            rows = layer_trace_rows(net, x)
             for layer in range(net.depth):
                 oracle = exact_trace(grad_fn, w0, weight_indices(net, layer=layer))
-                assert trh_ce_layer(net, x[0], layer) == pytest.approx(
+                assert rows[0, layer] == pytest.approx(
                     oracle, rel=1e-5), (seed, layer)
 
     def test_layer_sum_equals_full_weight_trace(self):
         net, x, _, y = sample_smooth_instance(209)
         _, grad_fn = frozen_objective_fns(net, x, x, y, RobustLossKind("at"))
         oracle = exact_trace(grad_fn, flatten_weights(net), weight_indices(net))
-        layer_sum = sum(trh_ce_layer(net, x[0], layer) for layer in range(net.depth))
+        layer_sum = float(layer_trace_rows(net, x)[0].sum())
         assert layer_sum == pytest.approx(oracle, rel=1e-5)
 
 
@@ -180,21 +184,20 @@ class TestLayerInequality:
     def test_identity_weights_tight(self):
         net = MlpNetwork([DenseLayer(np.eye(2)), DenseLayer(np.eye(2))])
         x = np.array([1.0, 2.0])  # all units active, identity chain
-        r = check_layer_inequality(net, x, 0)
+        r = check_layer_inequality(net, x)[0]
         assert r.holds
         assert r.lhs == pytest.approx(r.rhs, rel=1e-12)
 
     def test_zero_weights_hold_trivially(self):
         net = MlpNetwork([DenseLayer(np.zeros((2, 3)), np.ones(3)),
                           DenseLayer(np.zeros((3, 2)))])
-        r = check_layer_inequality(net, np.array([0.7, -0.4]), 0)
+        r = check_layer_inequality(net, np.array([0.7, -0.4]))[0]
         assert r.holds and r.lhs == 0.0 and r.rhs == 0.0
 
     def test_random_sweep(self):
         for seed in range(210, 230):
             net, x, _, _ = sample_smooth_instance(seed)
-            for level in range(net.depth):
-                r = check_layer_inequality(net, x[0], level)
+            for level, r in enumerate(check_layer_inequality(net, x[0])):
                 assert r.holds, (seed, level, r)
 
     def test_sides_match_per_example_reference(self):
@@ -202,17 +205,31 @@ class TestLayerInequality:
         cases.append(_ten_class_instance())
         for net, X in cases:
             for x in X:
-                for level in range(net.depth):
-                    r = check_layer_inequality(net, x, level)
+                for level, r in enumerate(check_layer_inequality(net, x)):
                     w_norm = l1_operator_norm(net.layers[level].weights)
                     assert r.lhs == pytest.approx(_peak_h(net, x, level), rel=1e-12)
                     assert r.rhs == pytest.approx(
                         _peak_h(net, x, level + 1) * w_norm ** 2, rel=1e-12)
 
+    def test_one_result_per_level_from_the_recursion(self):
+        for seed in range(210, 230):
+            net, x, _, _ = sample_smooth_instance(seed)
+            levels, _ = _level_jacobians(net, x[0])
+            h = _h(net, x[0])[:, None]
+            peak = [float((levels[i] ** 2 * h).max()) for i in range(net.depth)]
+            peak.append(float(h.max()))
+            results = check_layer_inequality(net, x[0])
+            assert len(results) == net.depth
+            for level, r in enumerate(results):
+                w_norm = l1_operator_norm(net.layers[level].weights)
+                assert r.lhs == peak[level], (seed, level)
+                assert r.rhs == peak[level + 1] * w_norm ** 2, (seed, level)
+                assert r.holds == (r.lhs <= r.rhs + INEQUALITY_SLACK)
+
     def test_one_input_vector(self):
         net, x, _, _ = sample_smooth_instance(212)
         with pytest.raises(ValueError, match="single input vector"):
-            check_layer_inequality(net, x[:1], 0)
+            check_layer_inequality(net, x[:1])
 
 
 class TestBatchedAndDifferentiable:
@@ -223,7 +240,7 @@ class TestBatchedAndDifferentiable:
         assert rows.shape == (3, net.depth)
         for layer in range(net.depth):
             assert rows[0, layer] == pytest.approx(
-                trh_ce_layer(net, x[0], layer), rel=1e-12)
+                layer_trace_rows(net, x[0])[0, layer], rel=1e-12)
 
     def test_node_value_and_gradient(self):
         net, x, _, _ = sample_smooth_instance(232)
@@ -249,10 +266,6 @@ class TestLogitsJacobian:
         net, x, _, _ = sample_smooth_instance(233)
         with pytest.raises(ValueError):
             logits_jacobian(net, x[0], net.depth + 1)
-        with pytest.raises(ValueError):
-            check_layer_inequality(net, x[0], net.depth)
-        with pytest.raises(ValueError):
-            trh_ce_layer(net, x[0], net.depth)
 
 
 def _ten_class_instance(m=3):
@@ -317,7 +330,10 @@ class TestClassBatchedRoutine:
 
 def _composite_quadratic_form(s, jac):
     """Reference: the summed quadratic form as a chain of elementary tape
-    ops on the class-major ``(K, D, m)`` stack."""
+    ops on the class-major ``(K, D, m)`` stack.  The ``(m, K)`` softmax
+    goes class-major, ``(K, 1, m)``, through a one-hot product and a sum."""
+    k = s.shape[1]
+    s = tape.nsum(s * tape.constant(np.eye(k)[:, None, None, :]), axis=-1)
     weighted = s * jac
     u = tape.nsum(weighted, axis=0)
     return tape.nsum(tape.nsum(weighted * jac, axis=0) - u * u, axis=0)
@@ -325,7 +341,7 @@ def _composite_quadratic_form(s, jac):
 
 def _random_stack(seed, k=10, d=6, m=5):
     rng = Rng(250).child(seed)
-    s = softmax(rng.child("z").normal(size=(m, k)) * 2.0).T.reshape(k, 1, m)
+    s = softmax(rng.child("z").normal(size=(m, k)) * 2.0)
     return s, rng.child("j").normal(size=(k, d, m))
 
 
@@ -335,13 +351,13 @@ class TestFusedQuadraticForm:
         s, jac = _random_stack(seed)
         fused = _summed_quadratic_form(tape.constant(s), tape.constant(jac)).value
         ref = _composite_quadratic_form(tape.constant(s), tape.constant(jac)).value
-        assert fused.shape == ref.shape == (s.shape[2],)
+        assert fused.shape == ref.shape == (len(s),)
         assert np.all(np.abs(fused - ref) <= 1e-13 * np.abs(ref))
 
     @pytest.mark.parametrize("wrt", ["s", "jac"])
     def test_gradcheck(self, wrt):
         s, jac = _random_stack(3, k=4, d=3, m=2)
-        c = tape.constant(Rng(251).child(wrt).normal(size=s.shape[2]))
+        c = tape.constant(Rng(251).child(wrt).normal(size=len(s)))
 
         def value(x, form=_summed_quadratic_form):
             args = {"s": tape.constant(s), "jac": tape.constant(jac)}

@@ -1,0 +1,168 @@
+#!/usr/bin/env python3
+"""Check that two checkouts of trhreg give byte-identical outputs.
+
+Usage:
+
+    python tools/compare_outputs.py PARENT_ROOT CHANGE_ROOT [--only TEXT]
+
+Writes the seed-1 benchmark inputs once (the `mart`, `blobs`, `probe` and
+`pgd10` configs of ``bench/workloads.make_inputs`` in this repository),
+then runs every command of the list below in both checkouts, each with
+``PYTHONPATH=<root>/src``, one BLAS thread and its own output directory:
+
+* per config: ``train``; ``trace --measure full --every 7 --probes 8``;
+  ``trace --measure top --every 3``; ``spectrum --every 7 --probes 4``;
+  ``eval --restarts 1`` and ``--restarts 20`` on the ``train`` checkpoint;
+* ``verify --level full --seed 0``, every check result of that run with
+  its detail string, and ``verify --level quick`` at seeds 0, 778 and
+  1564;
+* ``demos/oracle_tour.py``.
+
+A command is IDENTICAL when exit code, stdout, stderr and every file it
+wrote match byte for byte, after each checkout's output directory is
+replaced by a placeholder.  `--only` keeps the commands whose name
+contains TEXT.  Prints one line per command and exits 1 on any
+difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = {"mart": "moons-mart-measure", "blobs": "blobs-k10",
+             "pgd10": "moons-pgd10"}  # config tag -> benchmark workload
+SEED = 1
+RUNS = {"train": ["train"],
+        "trace-full": ["trace", "--measure", "full", "--every", "7", "--probes", "8"],
+        "trace-top": ["trace", "--measure", "top", "--every", "3"],
+        "spectrum": ["spectrum", "--every", "7", "--probes", "4"]}
+RESTARTS = ("1", "20")
+VERIFY_QUICK_SEEDS = ("0", "778", "1564")
+# verify prints only failing checks; this prints every check of the full run
+VERIFY_DETAILS = """
+from trhreg.verify import run_verification
+for r in run_verification("full", 0)[0]:
+    print(r.group, r.name, r.passed, r.seed, r.detail)
+"""
+
+
+def write_inputs(dirname):
+    """{tag: config path} of the seed-1 benchmark inputs, written to `dirname`."""
+    sys.path[:0] = [os.path.join(ROOT, "bench"), os.path.join(ROOT, "src")]
+    import workloads
+
+    paths = {}
+    for tag, workload in WORKLOADS.items():
+        main, probe = workloads.make_inputs(workload, dirname, SEED)
+        paths[tag] = main.config
+    paths["probe"] = probe.config  # every workload writes the same probe
+    return paths
+
+
+def commands(configs):
+    """[(name, argv after the interpreter)] in run order.  In an argv,
+    "{out}" stands for the command's output directory, "{side}" for the
+    checkout's work directory and "{root}" for the checkout."""
+    cli = ["-m", "trhreg"]
+    out = []
+    for tag, cfg in configs.items():
+        for run, args in RUNS.items():
+            out.append((f"{run}:{tag}", cli + args + ["--config", cfg, "--out", "{out}"]))
+        checkpoint = os.path.join("{side}", f"train:{tag}", "checkpoint.txt")
+        for restarts in RESTARTS:
+            out.append((f"eval-r{restarts}:{tag}", cli + [
+                "eval", "--config", cfg, "--checkpoint", checkpoint,
+                "--restarts", restarts, "--out", "{out}"]))
+    out.append(("verify-full:s0", cli + ["verify", "--level", "full", "--seed", "0"]))
+    out.append(("verify-details:full-s0", ["-c", VERIFY_DETAILS]))
+    for seed in VERIFY_QUICK_SEEDS:
+        out.append((f"verify-quick:s{seed}",
+                    cli + ["verify", "--level", "quick", "--seed", seed]))
+    out.append(("demo:oracle_tour", [os.path.join("{root}", "demos", "oracle_tour.py")]))
+    return out
+
+
+def _env(root):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def _start(root, side, name, argv):
+    out = os.path.join(side, name)
+    os.makedirs(out)
+    fill = {"{out}": out, "{side}": side, "{root}": root}
+    argv = [sys.executable] + [_fill(a, fill) for a in argv]
+    proc = subprocess.Popen(argv, cwd=out, env=_env(root),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    return proc, out
+
+
+def _fill(arg, fill):
+    for key, value in fill.items():
+        arg = arg.replace(key, value)
+    return arg
+
+
+def _outputs(proc, out, side):
+    """{item: normalized bytes}: exit code, stdout, stderr and every file."""
+    stdout, stderr = proc.communicate()
+    marker = side.encode()
+    got = {"exit code": str(proc.returncode).encode(),
+           "stdout": stdout.replace(marker, b"<side>"),
+           "stderr": stderr.replace(marker, b"<side>")}
+    for dirpath, _, names in os.walk(out):
+        for fname in names:
+            path = os.path.join(dirpath, fname)
+            with open(path, "rb") as fh:
+                got[os.path.relpath(path, out)] = fh.read().replace(marker, b"<side>")
+    return got
+
+
+def compare(parent, change, only=None) -> int:
+    """Run the command list in both checkouts; the number of DIFF lines."""
+    diffs = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        configs = write_inputs(tmp)
+        sides = {}
+        for label in ("parent", "change"):
+            sides[label] = os.path.join(tmp, label)
+            os.makedirs(sides[label])
+        for name, argv in commands(configs):
+            if only and only not in name:
+                continue
+            # both checkouts run at once, one BLAS thread each
+            procs = [_start(root, sides[label], name, argv)
+                     for label, root in (("parent", parent), ("change", change))]
+            a, b = (_outputs(proc, out, sides[label])
+                    for (proc, out), label in zip(procs, ("parent", "change")))
+            bad = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+            diffs += bool(bad)
+            print(f"{'DIFF' if bad else 'IDENTICAL':9s} {name}"
+                  + (f"  ({', '.join(bad)})" if bad else ""), flush=True)
+    return diffs
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent_root")
+    p.add_argument("change_root")
+    p.add_argument("--only", default=None,
+                   help="run only the commands whose name contains this text")
+    args = p.parse_args(argv)
+    roots = [os.path.abspath(r) for r in (args.parent_root, args.change_root)]
+    for root in roots:
+        if not os.path.isdir(os.path.join(root, "src", "trhreg")):
+            p.error(f"{root} is not a trhreg checkout (no src/trhreg)")
+    return 1 if compare(*roots, only=args.only) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
