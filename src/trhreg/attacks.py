@@ -21,6 +21,19 @@ the heap rather than page-faulted in again on every step.  Every step is
 row-wise, so a call on a subset of rows (``rows=``) does the work of those
 rows only.
 
+A row's step depends on nothing but its iterate, its clean point, its
+label and its clean probabilities, so once a step leaves a row's iterate
+unchanged bit for bit, every later step would too: the row has reached a
+fixed point (in practice an l-inf iterate that the sign steps push
+against the ball's corner, or a zero input gradient).  A call on at least
+``_SETTLE_MIN_ROWS`` rows stops stepping such rows, and returns early once
+none is left; on the benchmark's 10-step attack of 500 two-moons rows
+that skips about 30 % of the row-steps (37 % at 20 steps).  Below the
+floor the per-step compare and gather cost more than they save (the
+1-row attacks of ``verify``, the restarts of ``eval`` on the 17-71 rows
+that the bound leaves), so every row steps to the end.  The rows still
+stepping then form a smaller batch, with the caveat on batch sizes below.
+
 ``eval_robust_accuracy`` counts a point as correct only if every restart
 leaves it correctly classified, which makes accuracy monotone
 non-increasing in the number of restarts by construction.  It attacks only
@@ -32,7 +45,8 @@ that a restart breaks is not attacked by later restarts.  The random start
 is drawn for every row and indexed, so each attacked row starts where an
 attack on all rows would start it.  The BLAS kernel that computes a row
 can change with the number of rows in the batch, so an attacked row's
-products may differ from the full call's in the last float32 bits.  A sign
+products may differ from the full call's in the last float32 bits (as
+may a row's products once other rows have settled in `pgd`).  A sign
 step absorbs that unless a gradient component or a hidden pre-activation
 is within rounding of zero; a normalized l2 step passes it on, a few 1e-8
 of ``delta`` after ten steps.  The accuracy is the same unless a point
@@ -68,6 +82,10 @@ _ROUNDING_ALLOWANCE = 1e-6
 # not compute it: on the 1-step and 3-step training attacks of the
 # benchmark's MART and blobs-k10 runs it cost more than the rows it saved
 _BOUND_MIN_STEPS = 4
+# a `pgd` call on fewer rows than this steps every row to the end: on
+# small batches the per-step compare and gather cost more than the skipped
+# rows save (module docstring, "fixed point")
+_SETTLE_MIN_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -155,6 +173,9 @@ def pgd(net: MlpNetwork, x, y, cfg: AttackConfig, rng: Rng,
     `rows` (an index into the rows of 2-d `x`), only those rows are
     attacked and returned: the random start is still drawn for every row
     and then indexed, so a row gets the start a full call would give it.
+    On at least ``_SETTLE_MIN_ROWS`` rows, a row that a step leaves in
+    place is not stepped again (it is at a fixed point), and the call
+    returns once every row has settled.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -186,7 +207,12 @@ def pgd(net: MlpNetwork, x, y, cfg: AttackConfig, rng: Rng,
         x_adv = np.clip(x_adv, cfg.clamp[0], cfg.clamp[1])
 
     alpha = cfg.effective_step
-    for _ in range(cfg.steps):
+    settle = len(X) >= _SETTLE_MIN_ROWS
+    # `out` holds the start, and each row's final iterate once it settles;
+    # `live` indexes the rows still stepping, which x_adv, X, y and s_clean
+    # then hold
+    out, live = x_adv, np.arange(len(X))
+    for k in range(cfg.steps):
         tr = forward(net32, x_adv.astype(np.float32))
         dlogits = _dlogits(tr.logits, y, cfg, s_clean)
         g = input_gradient(net32, tr.layer_inputs[0],
@@ -196,9 +222,22 @@ def pgd(net: MlpNetwork, x, y, cfg: AttackConfig, rng: Rng,
         else:
             gn = np.linalg.norm(g, axis=1, keepdims=True)
             step = np.where(gn > 0, alpha * g / np.where(gn > 0, gn, 1.0), 0.0)
-        x_adv = project(x_adv + step, X, cfg.norm, cfg.delta)
+        x_new = project(x_adv + step, X, cfg.norm, cfg.delta)
         if cfg.clamp is not None:
-            x_adv = np.clip(x_adv, cfg.clamp[0], cfg.clamp[1])
+            x_new = np.clip(x_new, cfg.clamp[0], cfg.clamp[1])
+        if settle and k < cfg.steps - 1:
+            moved = np.any(x_new != x_adv, axis=1)
+            if not moved.all():
+                out[live[~moved]] = x_new[~moved]
+                live, x_new, X, y = live[moved], x_new[moved], X[moved], y[moved]
+                if s_clean is not None:
+                    s_clean = s_clean[moved]
+        x_adv = x_new
+        if live.size == 0:
+            break
+    if live.size < len(out):
+        out[live] = x_adv
+        x_adv = out
     return x_adv[0] if single else x_adv
 
 

@@ -12,6 +12,15 @@ curvature penalty follows a constant / linear ramp / three-phase multistep
 schedule.  Batches are drawn by per-epoch Fisher-Yates shuffling with the
 remainder dropped; batch_size 0 means full batch.
 
+Each epoch logs ``pgd_acc``, the accuracy under the CE attack with
+``train.eval_restarts`` restarts at the epoch's final (or averaged)
+weights.  In a full-batch run with a CE training attack, no SWA and one
+evaluation restart, the next epoch's step makes exactly that attack on
+every row, so the epoch makes it once, reads ``pgd_acc`` off it and hands
+it to the step: one attack per epoch instead of two, with training
+unchanged bit for bit.  Every other run evaluates with
+``attacks.eval_robust_accuracy`` on a stream of its own.
+
 Weight averaging keeps an exponential average updated every iteration and
 evaluates with it.  The weight-perturbation baseline takes one ascent step
 in weight space, scaled per layer to ``delta * ||W||`` (Frobenius norm,
@@ -26,7 +35,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attacks import AttackConfig, clean_accuracy, eval_robust_accuracy, pgd
+from .attacks import (AttackConfig, clean_accuracy, eval_robust_accuracy, pgd,
+                      predictions)
 from .config import MeasureConfig, TrainConfig, TrHConfig
 from .data import Dataset
 from .hessian_oracle import (eigen_stats, frozen_objective_fns,
@@ -153,6 +163,17 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
     ``full_reg_coeff > 0`` adds the differentiable whole-network CE-trace
     penalty (used by the toy-problem "Full" arm) on top of whatever
     ``trh_cfg.lam`` specifies; the two regularizers are independent.
+
+    ``pgd_acc``: when the run is full batch, ``attack_cfg.inner_loss`` is
+    CE, ``cfg.baseline`` is not SWA and ``cfg.eval_restarts`` is 1, the
+    end of epoch e attacks ``X[p]`` with ``p`` the permutation of
+    ``rng.child("shuffle", e + 1)`` and the stream
+    ``rng.child("attack", e + 1, 0)``: the call epoch e + 1's step would
+    make.  ``pgd_acc`` is the accuracy on that attack, which the step then
+    uses; after the last epoch it feeds ``pgd_acc`` only.  The interval
+    bound of `eval_robust_accuracy` is not needed, since it only spares
+    rows that no attack breaks.  Otherwise ``pgd_acc`` is
+    ``eval_robust_accuracy`` with the stream ``rng.child("eval", e)``.
     """
     if full_reg_coeff < 0:
         raise ValueError("full_reg_coeff must be >= 0")
@@ -169,6 +190,11 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
     trace_rows: list = []
     spectrum_rows: list = []
     eval_attack = replace(attack_cfg, restarts=cfg.eval_restarts, inner_loss="ce")
+    # a full-batch step attacks every row with the evaluation's attack, so
+    # the epoch's pgd_acc is read off the next step's attack (docstring)
+    reuse_attack = (bs == m and cfg.baseline != "swa"
+                    and attack_cfg.inner_loss == "ce" and cfg.eval_restarts == 1)
+    next_adv = None  # the attack of the next epoch's step, when reused
 
     velocity = np.zeros(param_count(net))
     swa_avg = flatten_weights(net) if cfg.baseline == "swa" else None
@@ -186,7 +212,10 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
             y_b = dataset.labels[idx]
             lam_eff = lambda_at(trh_cfg.schedule, t, total_iters, trh_cfg.lam)
             lr = lr_at(cfg, t, total_iters)
-            x_adv = pgd(net, x_b, y_b, attack_cfg, rng.child("attack", epoch, b))
+            if next_adv is not None:
+                x_adv, next_adv = next_adv, None
+            else:
+                x_adv = pgd(net, x_b, y_b, attack_cfg, rng.child("attack", epoch, b))
 
             def objective(lifted):
                 node = objective_nodes(lifted, x_b, x_adv, y_b, kind,
@@ -220,12 +249,20 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
             t += 1
 
         eval_net = unflatten_weights(net, swa_avg) if swa_avg is not None else net
+        if reuse_attack:
+            next_perm = rng.child("shuffle", epoch + 1).permutation(m)
+            next_adv = pgd(net, dataset.inputs[next_perm], dataset.labels[next_perm],
+                           attack_cfg, rng.child("attack", epoch + 1, 0))
+            pgd_acc = float(np.mean(predictions(net, next_adv)
+                                    == dataset.labels[next_perm]))
+        else:
+            pgd_acc = eval_robust_accuracy(eval_net, dataset, eval_attack,
+                                           rng.child("eval", epoch))
         metrics.append(
             epoch=epoch,
             train_loss=float(np.mean(epoch_losses)) if epoch_losses else float("nan"),
             clean_acc=clean_accuracy(eval_net, dataset),
-            pgd_acc=eval_robust_accuracy(eval_net, dataset, eval_attack,
-                                         rng.child("eval", epoch)),
+            pgd_acc=pgd_acc,
             lambda_eff=lam_eff,
             lr=lr)
 

@@ -10,9 +10,9 @@ import pytest
 
 import trhreg
 from loss_references import cross_entropy_rows
-from trhreg.attacks import (_ROUNDING_ALLOWANCE, AttackConfig, clean_accuracy,
-                            eval_robust_accuracy, margin_lower_bound, pgd,
-                            predictions, project)
+from trhreg.attacks import (_ROUNDING_ALLOWANCE, _SETTLE_MIN_ROWS, AttackConfig,
+                            clean_accuracy, eval_robust_accuracy,
+                            margin_lower_bound, pgd, predictions, project)
 from trhreg.data import Dataset, two_moons
 from trhreg.losses import softmax
 from trhreg.network import (DenseLayer, MlpNetwork, forward, init_mlp,
@@ -652,3 +652,88 @@ class TestRowSubsetAttack:
         every = pgd(net, ds.inputs, ds.labels, cfg, Rng(83).child(name),
                     rows=np.arange(len(ds.labels)))
         assert np.array_equal(every, full)
+
+
+class TestSettledRows:
+    """A `pgd` call on at least ``_SETTLE_MIN_ROWS`` rows stops stepping a
+    row once a step leaves it in place; what it returns is the plain
+    loop's result."""
+
+    @staticmethod
+    def problem(trained_moons, m):
+        net, _ = trained_moons
+        ds = two_moons(m, noise_std=0.1, seed=90 + m)
+        return net, ds.inputs, ds.labels
+
+    @pytest.mark.parametrize("m", [_SETTLE_MIN_ROWS + 40, _SETTLE_MIN_ROWS - 28])
+    @pytest.mark.parametrize("cfg", [
+        AttackConfig(delta=0.05, steps=10),
+        AttackConfig(delta=0.05, steps=10, norm="l2"),
+        AttackConfig(delta=0.05, steps=10, inner_loss="kl"),
+        AttackConfig(delta=0.08, steps=10, norm="l2", inner_loss="kl"),
+        AttackConfig(delta=0.1, steps=10, clamp=(-0.5, 0.5)),
+        AttackConfig(delta=0.05, steps=20, random_start=False),
+    ], ids=["linf", "l2", "linf-kl", "l2-kl", "linf-clamp", "fixed-start"])
+    def test_equals_the_plain_loop_bitwise(self, trained_moons, m, cfg):
+        net, X, y = self.problem(trained_moons, m)
+        got = pgd(net, X, y, cfg, Rng(91).child("a"))
+        assert np.array_equal(got, reference_pgd(net, X, y, cfg, Rng(91).child("a")))
+
+    @pytest.mark.parametrize("size", [_SETTLE_MIN_ROWS + 1, _SETTLE_MIN_ROWS - 1])
+    def test_row_subset_equals_the_plain_loop(self, trained_moons, size):
+        net, X, y = self.problem(trained_moons, 300)
+        cfg = AttackConfig(delta=0.05, steps=10)
+        rows = np.sort(np.random.default_rng(92).choice(300, size=size, replace=False))
+        got = pgd(net, X, y, cfg, Rng(92).child("a"), rows=rows)
+        want = reference_pgd(net, X, y, cfg, Rng(92).child("a"))[rows]
+        assert np.array_equal(got, want)
+
+    def test_single_example_equals_the_plain_loop(self, trained_moons):
+        net, X, y = self.problem(trained_moons, 5)
+        cfg = AttackConfig(delta=0.05, steps=10)
+        got = pgd(net, X[0], y[0], cfg, Rng(93).child("a"))
+        assert got.shape == (2,)
+        assert np.array_equal(got, reference_pgd(net, X[0], y[0], cfg, Rng(93).child("a")))
+
+    @staticmethod
+    def forward_rows(monkeypatch):
+        """Patch the attack's forward; returns the list each call's row
+        count is appended to."""
+        import trhreg.attacks
+
+        sizes = []
+        real = trhreg.attacks.forward
+
+        def counting(net, x):
+            sizes.append(len(x))
+            return real(net, x)
+
+        monkeypatch.setattr(trhreg.attacks, "forward", counting)
+        return sizes
+
+    def test_forward_batches_shrink_above_the_floor(self, trained_moons, monkeypatch):
+        net, X, y = self.problem(trained_moons, _SETTLE_MIN_ROWS + 40)
+        sizes = self.forward_rows(monkeypatch)
+        pgd(net, X, y, AttackConfig(delta=0.05, steps=10), Rng(94).child("a"))
+        # every row of this net settles before the tenth step
+        assert len(sizes) < 10 and sizes[0] == len(y)
+        assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+        assert sizes[-1] < len(y) // 2
+
+    def test_every_row_steps_below_the_floor(self, trained_moons, monkeypatch):
+        net, X, y = self.problem(trained_moons, _SETTLE_MIN_ROWS - 1)
+        sizes = self.forward_rows(monkeypatch)
+        pgd(net, X, y, AttackConfig(delta=0.05, steps=10), Rng(94).child("a"))
+        assert sizes == [len(y)] * 10
+
+    def test_returns_once_every_row_settles(self, monkeypatch):
+        # a zero first layer gives a zero input gradient: no row moves
+        net = init_mlp([2, 8, 2], Rng(95).child("i"))
+        net.layers[0].weights[:] = 0.0
+        ds = two_moons(_SETTLE_MIN_ROWS, noise_std=0.1, seed=95)
+        cfg = AttackConfig(delta=0.05, steps=6)
+        sizes = self.forward_rows(monkeypatch)
+        got = pgd(net, ds.inputs, ds.labels, cfg, Rng(96).child("a"))
+        assert sizes == [len(ds.labels)]
+        assert np.array_equal(got, reference_pgd(net, ds.inputs, ds.labels, cfg,
+                                                 Rng(96).child("a")))

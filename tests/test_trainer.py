@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trhreg.attacks import AttackConfig
+from trhreg.attacks import AttackConfig, pgd, predictions
 from trhreg.data import two_moons
 from trhreg.losses import RobustLossKind
 from trhreg.network import flatten_weights, forward, init_mlp
@@ -260,6 +260,77 @@ class TestTrainLoop:
             TrainConfig(epochs=1, base_lr=0.1, momentum=1.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, base_lr=0.1, baseline="sam")
+
+
+def reuse_run(epochs=4, kind=RobustLossKind("at"), inner="ce", **kw):
+    """A full-batch AT run whose attack moves the accuracy: 80 moons, a
+    3-step attack at delta 0.1 whose short steps leave the random start
+    mattering, a constant rate."""
+    ds = two_moons(80, noise_std=0.1, seed=2)
+    net = init_mlp([2, 10, 2], Rng(5).child("init"))
+    attack = AttackConfig(delta=0.1, steps=3, step_size=0.05, inner_loss=inner)
+    cfg = TrainConfig(epochs=epochs, base_lr=0.1, lr_decay="constant", seed=5, **kw)
+    return train(net, ds, kind, TrHConfig(lam=0.1), attack, cfg), ds, attack
+
+
+class TestFullBatchAttackReuse:
+    """A full-batch CE run with one evaluation restart reads each epoch's
+    pgd_acc off the attack that the next epoch's step makes."""
+
+    def test_pgd_acc_is_the_next_steps_attack(self):
+        epochs = 4
+        res, ds, attack = reuse_run(epochs)
+        m = len(ds.labels)
+        rng = Rng(5)
+        for e, row in enumerate(res.metrics.rows):
+            # the constant rate makes a shorter run stop at this epoch's weights
+            net_e = reuse_run(e + 1)[0].raw_net
+            p = rng.child("shuffle", e + 1).permutation(m)
+            x_adv = pgd(net_e, ds.inputs[p], ds.labels[p], attack,
+                        rng.child("attack", e + 1, 0))
+            want = float(np.mean(predictions(net_e, x_adv) == ds.labels[p]))
+            assert row["pgd_acc"] == want
+        assert len({row["pgd_acc"] for row in res.metrics.rows}) > 1
+        assert any(row["pgd_acc"] < row["clean_acc"] for row in res.metrics.rows)
+
+    def test_evaluation_never_perturbs_training(self):
+        # eval_restarts = 2 takes the eval_robust_accuracy path
+        reused, _, _ = reuse_run(eval_restarts=1)
+        separate, _, _ = reuse_run(eval_restarts=2)
+        assert np.array_equal(flatten_weights(reused.raw_net),
+                              flatten_weights(separate.raw_net))
+        for a, b in zip(reused.metrics.rows, separate.metrics.rows):
+            for key in ("train_loss", "clean_acc", "lambda_eff", "lr"):
+                assert a[key] == b[key]
+
+    @pytest.mark.parametrize("case, evals", [
+        ("full batch", 0), ("minibatch", 4), ("swa", 4), ("trades", 4),
+        ("two restarts", 4)])
+    def test_which_runs_reuse(self, monkeypatch, case, evals):
+        import trhreg.trainer
+
+        calls = {"pgd": 0, "eval": 0}
+        real_pgd, real_eval = trhreg.trainer.pgd, trhreg.trainer.eval_robust_accuracy
+
+        def counting_pgd(*args, **kwargs):
+            calls["pgd"] += 1
+            return real_pgd(*args, **kwargs)
+
+        def counting_eval(*args, **kwargs):
+            calls["eval"] += 1
+            return real_eval(*args, **kwargs)
+
+        monkeypatch.setattr(trhreg.trainer, "pgd", counting_pgd)
+        monkeypatch.setattr(trhreg.trainer, "eval_robust_accuracy", counting_eval)
+        kw = {"minibatch": {"batch_size": 40}, "swa": {"baseline": "swa"},
+              "trades": {"kind": RobustLossKind("trades", 6.0), "inner": "kl"},
+              "two restarts": {"eval_restarts": 2}}.get(case, {})
+        res, _, _ = reuse_run(4, **kw)
+        assert len(res.metrics.rows) == 4 and not res.diverged
+        assert calls["eval"] == evals
+        # the training steps' attacks, plus the reused run's one more
+        steps = 8 if case == "minibatch" else 4
+        assert calls["pgd"] == steps + (evals == 0)
 
 
 class TestNonFiniteGradient:

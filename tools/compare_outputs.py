@@ -22,12 +22,15 @@ A command is IDENTICAL when exit code, stdout, stderr and every file it
 wrote match byte for byte, after each checkout's output directory is
 replaced by a placeholder.  `--only` keeps the commands whose name
 contains TEXT.  Prints one line per command and exits 1 on any
-difference.
+difference.  Under a DIFF line, each CSV that differs gets one line per
+column that moved, with the number of rows in which it moved and the
+largest absolute difference.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import subprocess
 import sys
@@ -147,7 +150,39 @@ def compare(parent, change, only=None) -> int:
             diffs += bool(bad)
             print(f"{'DIFF' if bad else 'IDENTICAL':9s} {name}"
                   + (f"  ({', '.join(bad)})" if bad else ""), flush=True)
+            for item in bad:
+                if item.endswith(".csv") and item in a and item in b:
+                    for line in csv_changes(a[item], b[item]):
+                        print(f"          {item}: {line}", flush=True)
     return diffs
+
+
+def _table(data: bytes):
+    """(header, rows) of a CSV that may open with ``#`` comment lines."""
+    lines = [l for l in data.decode().splitlines() if l and not l.startswith("#")]
+    rows = list(csv.reader(lines))
+    return (rows[0], rows[1:]) if rows else ([], [])
+
+
+def csv_changes(a: bytes, b: bytes) -> list:
+    """One line per column that differs between two CSVs: the number of
+    rows in which it differs and the largest absolute difference."""
+    (head_a, rows_a), (head_b, rows_b) = _table(a), _table(b)
+    if head_a != head_b or len(rows_a) != len(rows_b):
+        return [f"columns or row count differ ({len(head_a)} x {len(rows_a)} "
+                f"against {len(head_b)} x {len(rows_b)})"]
+    out = []
+    for j, column in enumerate(head_a):
+        pairs = [(ra[j], rb[j]) for ra, rb in zip(rows_a, rows_b) if ra[j] != rb[j]]
+        if not pairs:
+            continue
+        try:
+            largest = f"{max(abs(float(x) - float(y)) for x, y in pairs):.6g}"
+        except ValueError:
+            largest = "n/a"
+        out.append(f"{column} differs in {len(pairs)} of {len(rows_a)} rows, "
+                   f"largest |difference| {largest}")
+    return out
 
 
 def main(argv=None) -> int:
