@@ -25,14 +25,11 @@ A row's step depends on nothing but its iterate, its clean point, its
 label and its clean probabilities, so once a step leaves a row's iterate
 unchanged bit for bit, every later step would too: the row has reached a
 fixed point (in practice an l-inf iterate that the sign steps push
-against the ball's corner, or a zero input gradient).  A call on at least
-``_SETTLE_MIN_ROWS`` rows stops stepping such rows, and returns early once
-none is left; on the benchmark's 10-step attack of 500 two-moons rows
-that skips about 30 % of the row-steps (37 % at 20 steps).  Below the
-floor the per-step compare and gather cost more than they save (the
-1-row attacks of ``verify``, the restarts of ``eval`` on the 17-71 rows
-that the bound leaves), so every row steps to the end.  The rows still
-stepping then form a smaller batch, with the caveat on batch sizes below.
+against the ball's corner, or a zero input gradient).  A call stops
+stepping such rows, and returns early once none is left; on the
+benchmark's 10-step attack of 500 two-moons rows that skips about 30 % of
+the row-steps (37 % at 20 steps).  The rows still stepping then form a
+smaller batch, with the caveat on batch sizes below.
 
 ``eval_robust_accuracy`` counts a point as correct only if every restart
 leaves it correctly classified, which makes accuracy monotone
@@ -82,10 +79,6 @@ _ROUNDING_ALLOWANCE = 1e-6
 # not compute it: on the 1-step and 3-step training attacks of the
 # benchmark's MART and blobs-k10 runs it cost more than the rows it saved
 _BOUND_MIN_STEPS = 4
-# a `pgd` call on fewer rows than this steps every row to the end: on
-# small batches the per-step compare and gather cost more than the skipped
-# rows save (module docstring, "fixed point")
-_SETTLE_MIN_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -173,9 +166,8 @@ def pgd(net: MlpNetwork, x, y, cfg: AttackConfig, rng: Rng,
     `rows` (an index into the rows of 2-d `x`), only those rows are
     attacked and returned: the random start is still drawn for every row
     and then indexed, so a row gets the start a full call would give it.
-    On at least ``_SETTLE_MIN_ROWS`` rows, a row that a step leaves in
-    place is not stepped again (it is at a fixed point), and the call
-    returns once every row has settled.
+    A row that a step leaves in place is not stepped again (it is at a
+    fixed point), and the call returns once every row has settled.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -207,7 +199,6 @@ def pgd(net: MlpNetwork, x, y, cfg: AttackConfig, rng: Rng,
         x_adv = np.clip(x_adv, cfg.clamp[0], cfg.clamp[1])
 
     alpha = cfg.effective_step
-    settle = len(X) >= _SETTLE_MIN_ROWS
     # `out` holds the start, and each row's final iterate once it settles;
     # `live` indexes the rows still stepping, which x_adv, X, y and s_clean
     # then hold
@@ -225,7 +216,7 @@ def pgd(net: MlpNetwork, x, y, cfg: AttackConfig, rng: Rng,
         x_new = project(x_adv + step, X, cfg.norm, cfg.delta)
         if cfg.clamp is not None:
             x_new = np.clip(x_new, cfg.clamp[0], cfg.clamp[1])
-        if settle and k < cfg.steps - 1:
+        if k < cfg.steps - 1:
             moved = np.any(x_new != x_adv, axis=1)
             if not moved.all():
                 out[live[~moved]] = x_new[~moved]

@@ -4,9 +4,9 @@
 Usage:
 
     python tools/ab_bench.py PARENT_ROOT CHANGE_ROOT --workload W --pairs N
-                             [--seconds S] [--seed K]
+                             [--seconds S]
 
-Each pair runs ``bench/run.py --workload W --seed K --seconds S --trace 0``
+Each pair runs ``bench/run.py --workload W --seed 1 --seconds S --trace 0``
 once in each checkout, one run after the other, from that checkout's root
 and with that checkout's own ``bench/``.  Pair 1 runs the parent first,
 pair 2 the change first, and so on, so that neither side always runs
@@ -38,13 +38,14 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+SEED = 1  # the benchmark's seed
 
 
-def run_bench(root, workload, seed, seconds):
+def run_bench(root, workload, seconds):
     """One benchmark run in `root`: (ok, {metric: value})."""
     proc = subprocess.run(
         [sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -99,7 +100,6 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seconds", type=float, default=30.0)
-    p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
     roots = dict(zip(SIDES, (os.path.abspath(r) for r in
                              (args.parent_root, args.change_root))))
@@ -110,14 +110,13 @@ def main(argv=None) -> int:
         p.error("--pairs must be at least 1")
 
     print(f"# ab_bench workload={args.workload} pairs={args.pairs} "
-          f"seconds={args.seconds} seed={args.seed}", flush=True)
+          f"seconds={args.seconds}", flush=True)
     values = {side: [] for side in SIDES}
     ok = True
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
-            run_ok, metrics = run_bench(roots[side], args.workload, args.seed,
-                                        args.seconds)
+            run_ok, metrics = run_bench(roots[side], args.workload, args.seconds)
             ok &= run_ok
             values[side].append(metrics)
         print(f"# pair {i + 1} first={order[0]} " + " ".join(
