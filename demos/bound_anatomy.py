@@ -69,7 +69,7 @@ print(f"   closed form beats the grid: {v_sph <= grid + 1e-9}; "
       f"richer family wins: {v_diag <= v_sph}\n")
 
 # -- 3. the surrogate and the reparameterization ------------------------
-cfg = PacBayesConfig(sigma0_sq=sigma0_sq, beta=beta, m=len(dataset))
+cfg = PacBayesConfig(sigma0_sq=sigma0_sq, beta=beta)
 trh_mean = float(np.mean(analytic_trh_rows(net, dataset.inputs, x_adv,
                                            dataset.labels, kind)))
 surrogate = (risk + float(theta @ theta) / (2 * beta * sigma0_sq)

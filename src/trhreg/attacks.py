@@ -76,8 +76,9 @@ _INNER = ("ce", "kl")
 _ROUNDING_ALLOWANCE = 1e-6
 # the bound costs about two attack steps on every row, so an evaluation
 # whose attack makes fewer steps than this in all (steps x restarts) does
-# not compute it: on the 1-step and 3-step training attacks of the
-# benchmark's MART and blobs-k10 runs it cost more than the rows it saved
+# not compute it.  In the benchmark that skips it in the per-epoch
+# evaluations of blobs-k10 (3 steps) and of the probe (2 steps), and in
+# `eval --restarts 1` of configs with 1 to 3 steps
 _BOUND_MIN_STEPS = 4
 
 
@@ -206,8 +207,7 @@ def pgd(net: MlpNetwork, x, y, cfg: AttackConfig, rng: Rng,
     for k in range(cfg.steps):
         tr = forward(net32, x_adv.astype(np.float32))
         dlogits = _dlogits(tr.logits, y, cfg, s_clean)
-        g = input_gradient(net32, tr.layer_inputs[0],
-                           dlogits.astype(np.float32), trace=tr).astype(np.float64)
+        g = input_gradient(net32, tr, dlogits.astype(np.float32)).astype(np.float64)
         if cfg.norm == "linf":
             step = alpha * np.sign(g)  # sign(0) = 0: zero-grad rows stay put
         else:

@@ -10,10 +10,9 @@ values and cross-field inconsistencies raise :class:`ConfigError` with the
 offending key and line.
 
 Cross-field rules: any `pacbayes.*` key gives the bound section, which then
-needs pacbayes.sigma0_sq and pacbayes.beta; when those are given alongside
-explicit train.gamma / trh.lambda, they must satisfy gamma = 1/(2 beta
-sigma0_sq) and lambda = sigma0_sq/2 within 1e-12.  pacbayes.m defaults to
-dataset.n, the two-moons size, so a csv dataset must give it.
+needs pacbayes.sigma0_sq and pacbayes.beta, both positive; when those are
+given alongside explicit train.gamma / trh.lambda, they must satisfy
+gamma = 1/(2 beta sigma0_sq) and lambda = sigma0_sq/2 within 1e-12.
 attack.clamp_min and attack.clamp_max come together, the lower not above
 the upper.  Attack radii are stated in raw input units; with
 dataset.normalize = true the radius is rescaled by 1/std before attacking.
@@ -103,17 +102,11 @@ class TrainConfig:
 class PacBayesConfig:
     sigma0_sq: float
     beta: float
-    tau: float = 0.05
-    m: int = 1
     c_const: float = 0.0
 
     def __post_init__(self):
         if self.sigma0_sq <= 0 or self.beta <= 0:
             raise ValueError("sigma0_sq and beta must be positive")
-        if not 0 < self.tau <= 1:
-            raise ValueError("tau must lie in (0, 1]")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
 
     @property
     def gamma(self) -> float:
@@ -221,6 +214,16 @@ def _at_least(cast, low):
     return checked
 
 
+def _positive(cast):
+    """`cast`, then reject a value that is not above zero."""
+    def checked(text: str):
+        value = cast(text)
+        if not value > 0:
+            raise ValueError(f"must be positive, got {value}")
+        return value
+    return checked
+
+
 def _widths(text: str) -> list:
     widths = _ints(text)
     if any(w < 1 for w in widths):
@@ -269,10 +272,8 @@ _KEYS = {
     "train.swa_alpha": (float, "0.995"),
     "train.awp_delta": (float, "0.005"),
     "train.eval_restarts": (int, "1"),
-    "pacbayes.sigma0_sq": (float, _REQUIRED),
-    "pacbayes.beta": (float, _REQUIRED),
-    "pacbayes.tau": (float, "0.05"),
-    "pacbayes.m": (int, None),  # unset: dataset.n (two-moons only)
+    "pacbayes.sigma0_sq": (_positive(float), _REQUIRED),
+    "pacbayes.beta": (_positive(float), _REQUIRED),
     "pacbayes.c_const": (float, "0.0"),
     "out.dir": (str, None),
 }
@@ -314,7 +315,9 @@ class _Reader:
 
         A rejected value is reported against its key: the first given key
         that the constructor rejects with the section's other keys at their
-        defaults (keys without a default keep their given value)."""
+        defaults.  Keys without a default keep their given value there, so
+        the constructor cannot tell which of them is wrong: their casts
+        check them instead."""
         keys = {}
         for key in _KEYS:
             arg = _ARG.get(key, key.partition(".")[2])
@@ -387,12 +390,7 @@ class ExperimentConfig:
 
         pacbayes = None
         if any(key.startswith("pacbayes.") for key in kv):
-            n = r.get("dataset.n")
-            pacbayes = r.build(lambda m, **kw: PacBayesConfig(
-                m=max(1, n) if m is None else m, **kw), "pacbayes")
-            if kind == "csv" and not r.has("pacbayes.m"):
-                r.err("pacbayes.m", "pacbayes.m required for csv datasets "
-                      "(dataset.n is the two-moons size)")
+            pacbayes = r.build(PacBayesConfig, "pacbayes")
             if r.has("train.gamma") and not pacbayes.consistent_with(
                     train.gamma, pacbayes.lam):
                 r.err("train.gamma",

@@ -29,8 +29,7 @@ class Dataset:
     inputs: np.ndarray       # (m, d)
     labels: np.ndarray       # (m,) int class indices
     num_classes: int
-    center: float | None = None  # set by normalize_center
-    scale: float | None = None
+    scale: float | None = None  # set by normalize_center
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -120,4 +119,4 @@ def normalize_center(ds: Dataset) -> Dataset:
     if std < STD_FLOOR:
         std = 1.0  # degenerate constant data: leave values centered only
     return Dataset((ds.inputs - mean) / std, ds.labels, ds.num_classes,
-                   center=mean, scale=std)
+                   scale=std)

@@ -334,18 +334,16 @@ def gradient_vector(net: MlpNetwork, objective, leaves=None):
     return value, flat_gradient(grads)
 
 
-def input_gradient(net: MlpNetwork, X: np.ndarray, dlogits: np.ndarray,
-                   trace: ForwardTrace | None = None) -> np.ndarray:
+def input_gradient(net: MlpNetwork, trace: ForwardTrace,
+                   dlogits: np.ndarray) -> np.ndarray:
     """Gradient of a loss w.r.t. the input, given d(loss)/d(logits).
 
-    Closed-form reverse pass used by the attack loops; X and dlogits are
-    ``(m, d)`` and ``(m, K)``.  Without ``trace`` the pass first runs
-    :func:`forward` at X; handed the trace an attack step already computed,
-    it runs none, so the step costs one forward and one input-backward.
-    On a network of float32 layers, float32 dlogits give a float32 result.
+    Closed-form reverse pass used by the attack loops, at the inputs of
+    `trace` (the :func:`forward` an attack step already ran, so the step
+    costs one forward and one input-backward); dlogits is ``(m, K)`` and
+    the result ``(m, d)``.  On a network of float32 layers, float32
+    dlogits give a float32 result.
     """
-    if trace is None:
-        trace = forward(net, X)
     delta = _float_array(dlogits)
     for i in range(net.depth - 1, 0, -1):
         delta = delta @ net.layers[i].weights.T

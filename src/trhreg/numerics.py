@@ -184,8 +184,6 @@ def _central_differences(f, w, indices, h: float, own_entry: bool = False):
     :class:`OracleError` naming the first index, in the order of
     `indices`, with a non-finite evaluation.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
     w = np.asarray(w, dtype=np.float64)
     block = max(1, _STENCIL_ENTRIES // (2 * max(1, w.size)))
     out = [np.empty(0)]
@@ -210,15 +208,16 @@ def _central_differences(f, w, indices, h: float, own_entry: bool = False):
     return np.concatenate(out)
 
 
-def finite_diff_gradient(f, w: np.ndarray, h: float = GRAD_STEP) -> np.ndarray:
+def finite_diff_gradient(f, w: np.ndarray) -> np.ndarray:
     """Central-difference gradient of a scalar function of a weight vector.
 
-    Entry i is ``(f(w + h e_i) - f(w - h e_i)) / (2h)``, the 2n stencil
-    points evaluated as one stack when f is :func:`stackable`.  Exact to
-    rounding on polynomials of degree <= 2.  Raises :class:`OracleError`
-    with the first index whose evaluation comes back non-finite.
+    Entry i is ``(f(w + h e_i) - f(w - h e_i)) / (2h)`` at the fixed step
+    ``h = GRAD_STEP``, the 2n stencil points evaluated as one stack when f
+    is :func:`stackable`.  Exact to rounding on polynomials of degree <= 2.
+    Raises :class:`OracleError` with the first index whose evaluation comes
+    back non-finite.
     """
-    return _central_differences(f, w, np.arange(np.size(w)), h)
+    return _central_differences(f, w, np.arange(np.size(w)), GRAD_STEP)
 
 
 def hessian_diag_subset(grad, w: np.ndarray, indices=None) -> np.ndarray:

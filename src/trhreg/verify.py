@@ -248,7 +248,7 @@ def check_pacbayes(curvature_vectors: int = 20, seed: int = 0) -> list[CheckResu
     # reparameterization identity between surrogate and training objective
     ds = two_moons(24, noise_std=0.1, seed=seed + 3)
     net = init_mlp([2, 6, 2], rng.child("net"))
-    cfg = pb.PacBayesConfig(sigma0_sq=0.02, beta=200.0, m=len(ds))
+    cfg = pb.PacBayesConfig(sigma0_sq=0.02, beta=200.0)
     atk = AttackConfig(delta=0.05, steps=3)
     kind = RobustLossKind("at")
     x_adv = pgd(net, ds.inputs, ds.labels, atk, Rng(seed).child("repar-attack"))

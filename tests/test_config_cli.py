@@ -58,9 +58,16 @@ class TestParser:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_kv("a.b = 1\na.b = 2\n")
 
-    def test_unknown_key_reports_key_and_line(self):
-        with pytest.raises(ConfigError, match=r"bogus\.key"):
-            ExperimentConfig.from_text("bogus.key = 3\n")
+    def test_unknown_key_reports_key_and_line(self, tmp_path, capsys):
+        # the bound keys that no module read are unknown, as any typo is
+        for key in ("bogus.key", "pacbayes.tau", "pacbayes.m"):
+            text = f"dataset.n = 80\n{key} = 3\n"
+            with pytest.raises(ConfigError, match="unknown key") as info:
+                ExperimentConfig.from_text(text)
+            assert (info.value.key, info.value.line) == (key, 2)
+            cfg = write_config(tmp_path, text)
+            assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+            assert f"unknown key (key {key!r}, line 2)" in capsys.readouterr().err
 
     def test_bad_value_reports_key(self):
         with pytest.raises(ConfigError, match=r"train\.epochs"):
@@ -521,8 +528,7 @@ BAD_VALUES = [
     ("attack.steps = 0", "attack.steps"),
     ("trh.schedule = bogus", "trh.schedule"),
     ("loss.penalty = -1", "loss.penalty"),
-    ("pacbayes.sigma0_sq = 0.2\npacbayes.beta = 10\npacbayes.tau = 2",
-     "pacbayes.tau"),
+    ("pacbayes.sigma0_sq = 0.2\npacbayes.beta = 0", "pacbayes.beta"),
     ("trh.full_coeff = -5", "trh.full_coeff"),
 ]
 _KEY_IDS = [key for _, key in BAD_VALUES]
@@ -561,39 +567,6 @@ class TestKeyNaming:
     def test_required_bound_key_named(self):
         with pytest.raises(ConfigError, match=r"pacbayes\.sigma0_sq"):
             ExperimentConfig.from_text("pacbayes.beta = 10\n")
-
-
-class TestBoundSampleSize:
-    """pacbayes.m defaults to dataset.n, which sizes two-moons data only."""
-
-    BOUND = "pacbayes.sigma0_sq = 0.2\npacbayes.beta = 10\n"
-
-    @staticmethod
-    def csv_config(tmp_path, extra=""):
-        path = tmp_path / "d.csv"
-        path.write_text("0.0,1.0,0\n1.0,0.0,1\n0.5,0.5,0\n")
-        return (f"dataset.kind = csv\ndataset.path = {path}\n"
-                f"{TestBoundSampleSize.BOUND}{extra}")
-
-    def test_two_moons_default_is_dataset_n(self):
-        cfg = ExperimentConfig.from_text(BASE_CONFIG + self.BOUND)
-        assert cfg.pacbayes.m == 80
-        assert ExperimentConfig.from_text(self.BOUND).pacbayes.m == 500
-
-    def test_csv_without_m_rejected(self, tmp_path):
-        with pytest.raises(ConfigError) as info:
-            ExperimentConfig.from_text(self.csv_config(tmp_path))
-        assert info.value.key == "pacbayes.m"
-
-    def test_csv_with_explicit_m(self, tmp_path):
-        cfg = ExperimentConfig.from_text(self.csv_config(tmp_path, "pacbayes.m = 3\n"))
-        assert cfg.pacbayes.m == 3
-
-    def test_cli_exits_one_naming_m(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, self.csv_config(tmp_path))
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "(key 'pacbayes.m')" in err
 
 
 class TestSingleRoute:
@@ -657,9 +630,7 @@ class TestSingleRoute:
 # values that a later stage used to take or reject without naming the key
 UNCHECKED_VALUES = [
     ("attack.clamp_min = 1\nattack.clamp_max = -1", "attack.clamp_min"),
-    ("pacbayes.tau = abc", "pacbayes.tau"),
-    ("pacbayes.m = zz\npacbayes.sigma0_sq = 0.2\npacbayes.beta = 10",
-     "pacbayes.m"),
+    ("pacbayes.c_const = abc", "pacbayes.c_const"),
     ("dataset.n = 0", "dataset.n"),
     ("dataset.noise_std = -1", "dataset.noise_std"),
     ("net.hidden = 0", "net.hidden"),
@@ -687,7 +658,6 @@ class TestValueChecks:
         assert not (tmp_path / "o" / "metrics.csv").exists()
 
     @pytest.mark.parametrize("given,missing", [
-        ("pacbayes.tau = 0.1", "pacbayes.sigma0_sq"),
         ("pacbayes.c_const = 1", "pacbayes.sigma0_sq"),
         ("pacbayes.sigma0_sq = 0.2", "pacbayes.beta"),
     ])
@@ -695,6 +665,14 @@ class TestValueChecks:
         with pytest.raises(ConfigError) as info:
             ExperimentConfig.from_text(_with(given))
         assert info.value.key == missing
+
+    def test_csv_bound_section_loads(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("0.0,1.0,0\n1.0,0.0,1\n0.5,0.5,0\n")
+        cfg = ExperimentConfig.from_text(
+            f"dataset.kind = csv\ndataset.path = {path}\n"
+            "pacbayes.sigma0_sq = 0.2\npacbayes.beta = 10\n")
+        assert (cfg.pacbayes.sigma0_sq, cfg.pacbayes.beta) == (0.2, 10.0)
 
     def test_equal_clamp_bounds_and_no_bound_keys_still_load(self):
         cfg = ExperimentConfig.from_text(

@@ -104,7 +104,7 @@ class TestNormalizeCenter:
         norm = normalize_center(ds)
         assert abs(norm.inputs.mean()) <= 1e-9
         assert abs(norm.inputs.std() - 1.0) <= 1e-9
-        assert norm.scale is not None and norm.center is not None
+        assert norm.scale is not None
 
     def test_idempotent(self):
         ds = two_moons(100, seed=4)

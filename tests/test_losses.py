@@ -26,9 +26,9 @@ class TestSoftmaxDerivs:
 
         for row in range(4):
             fd_phi = finite_diff_gradient(
-                lambda g, r=row: float(softmax(g)[r]), g0.copy(), h=1e-6)
+                lambda g, r=row: float(softmax(g)[r]), g0.copy())
             fd_psi = finite_diff_gradient(
-                lambda g, r=row: float(log_softmax(g)[r]), g0.copy(), h=1e-6)
+                lambda g, r=row: float(log_softmax(g)[r]), g0.copy())
             d = softmax_derivs(g0)
             assert np.linalg.norm(d.phi[row] - fd_phi) / np.linalg.norm(fd_phi) <= 1e-7
             assert np.linalg.norm(d.psi[row] - fd_psi) / np.linalg.norm(fd_psi) <= 1e-7

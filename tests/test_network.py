@@ -168,7 +168,7 @@ class TestInputGradient:
             s[np.arange(2), y] -= 1.0
             return s
 
-        g = input_gradient(net, X, dlogits_at(X))
+        g = input_gradient(net, forward(net, X), dlogits_at(X))
 
         def ce_sum(flat):
             Xq = flat.reshape(2, 3)
@@ -195,9 +195,9 @@ class TestSinglePrecision:
         tr = forward(net32, X)
         assert tr.layer_inputs[0] is X
         assert all(a.dtype == np.float32 for a in tr.layer_inputs + tr.preacts)
-        g = input_gradient(net32, X, np.ones((5, 2), dtype=np.float32), trace=tr)
+        g = input_gradient(net32, tr, np.ones((5, 2), dtype=np.float32))
         assert g.dtype == np.float32
-        want = input_gradient(net, X.astype(np.float64), np.ones((5, 2)))
+        want = input_gradient(net, forward(net, X.astype(np.float64)), np.ones((5, 2)))
         assert np.allclose(g, want, rtol=1e-5, atol=1e-6)
 
     def test_other_dtypes_become_float64(self):
@@ -206,7 +206,8 @@ class TestSinglePrecision:
         net = small_net(seed=8)
         tr = forward(net, [[1, 0, 2]])
         assert tr.logits.dtype == np.float64
-        g = input_gradient(net, np.zeros((1, 3)), np.ones((1, 2), dtype=np.float32))
+        g = input_gradient(net, forward(net, np.zeros((1, 3))),
+                           np.ones((1, 2), dtype=np.float32))
         assert g.dtype == np.float64
 
 

@@ -166,7 +166,7 @@ class TestExpectedLossMc:
 class TestBoundSurrogate:
     def test_vanishing_penalties_reduce_to_risk(self):
         ds, net, kind, attack = tiny_problem(seed=5)
-        cfg = PacBayesConfig(sigma0_sq=1e-9, beta=1e15, m=len(ds))
+        cfg = PacBayesConfig(sigma0_sq=1e-9, beta=1e15)
         x_adv = pgd(net, ds.inputs, ds.labels, attack, Rng(6).child("b"))
         risk = float(np.mean(robust_loss_rows(net, ds.inputs, x_adv,
                                               ds.labels, kind)))
@@ -176,7 +176,7 @@ class TestBoundSurrogate:
 
     def test_reparameterization_identity(self):
         ds, net, kind, attack = tiny_problem(seed=7)
-        cfg = PacBayesConfig(sigma0_sq=0.02, beta=250.0, m=len(ds))
+        cfg = PacBayesConfig(sigma0_sq=0.02, beta=250.0)
         rng_attack = Rng(8).child("atk")
         x_adv = pgd(net, ds.inputs, ds.labels, attack, rng_attack)
         trh_mean = float(np.mean(analytic_trh_rows(net, ds.inputs, x_adv,
@@ -217,7 +217,7 @@ class TestBoundSurrogate:
         with pytest.raises(ValueError):
             PacBayesConfig(sigma0_sq=-1.0, beta=1.0)
         with pytest.raises(ValueError):
-            PacBayesConfig(sigma0_sq=1.0, beta=1.0, tau=2.0)
+            PacBayesConfig(sigma0_sq=1.0, beta=0.0)
         cfg = PacBayesConfig(sigma0_sq=0.1, beta=5.0)
         assert cfg.gamma == pytest.approx(1.0)
         assert cfg.lam == pytest.approx(0.05)

@@ -1,18 +1,31 @@
-"""Every public name of the package has a caller outside the tests.
+"""Every public name of the package, and every field of its settings and
+data types, has a reader outside the tests.
 
 A top-level function or class of ``src/trhreg``, or a public method of a
 public class, that only tests reach is surface kept for its own sake.
 This parses the package, the demos and the benchmark with ``ast`` and
 requires each such ``def``/``class`` to be referenced -- as a name, an
 attribute or an imported name -- somewhere in ``src/`` (outside its own
-definition), ``demos/`` or ``bench/``.
+definition), ``demos/`` or ``bench/``.  Likewise a field of a config
+section or of ``Dataset`` that no code reads is a setting that changes
+nothing: each must be read as an attribute in ``src/`` (outside
+``__post_init__``, which only checks it), ``demos/`` or ``bench/``.
 """
 
 import ast
+import dataclasses
 import os
+
+from trhreg.attacks import AttackConfig
+from trhreg.config import MeasureConfig, PacBayesConfig, TrainConfig, TrHConfig
+from trhreg.data import Dataset
+from trhreg.losses import RobustLossKind
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "trhreg")
+SOURCES = [PACKAGE] + [os.path.join(ROOT, d) for d in ("demos", "bench")]
+FIELD_TYPES = [RobustLossKind, AttackConfig, TrHConfig, TrainConfig,
+               PacBayesConfig, MeasureConfig, Dataset]
 
 
 def _python_files(directory):
@@ -87,3 +100,26 @@ def test_every_public_name_has_a_caller_outside_tests():
     unused = sorted(qualified for qualified, name in _public_definitions()
                     if name not in refs)
     assert not unused, f"public names reached only from tests: {unused}"
+
+
+def _attributes_read():
+    """Attribute names loaded anywhere in the sources, outside the bodies
+    of ``__post_init__`` methods."""
+    read = set()
+    for directory in SOURCES:
+        for path in _python_files(directory):
+            tree = _parse(path)
+            checks = {id(node) for fn in ast.walk(tree)
+                      if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                      for node in ast.walk(fn)}
+            read |= {node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Load) and id(node) not in checks}
+    return read
+
+
+def test_every_settings_field_is_read_outside_tests():
+    read = _attributes_read()
+    unread = [f"{cls.__name__}.{field.name}" for cls in FIELD_TYPES
+              for field in dataclasses.fields(cls) if field.name not in read]
+    assert not unread, f"fields read only by tests: {unread}"

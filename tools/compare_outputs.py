@@ -7,12 +7,19 @@ Usage:
 
 Writes the seed-1 benchmark inputs once (the `mart`, `blobs`, `probe` and
 `pgd10` configs of ``bench/workloads.make_inputs`` in this repository),
-then runs every command of the list below in both checkouts, each with
-``PYTHONPATH=<root>/src``, one BLAS thread and its own output directory:
+plus two configs derived from `probe` that reach the training options the
+benchmark leaves off (`probe-swa`: SWA, cosine lr with warmup, a linear
+lambda schedule; `probe-awp`: AWP, multistep lr, a multistep lambda
+schedule and a clamp box).  It then runs every command of the list below
+in both checkouts, each with ``PYTHONPATH=<root>/src``, one BLAS thread
+and its own output directory:
 
-* per config: ``train``; ``trace --measure full --every 7 --probes 8``;
-  ``trace --measure top --every 3``; ``spectrum --every 7 --probes 4``;
-  ``eval --restarts 1`` and ``--restarts 20`` on the ``train`` checkpoint;
+* per benchmark config: ``train``; ``trace --measure full --every 7
+  --probes 8``; ``trace --measure top --every 3``; ``spectrum --every 7
+  --probes 4``;
+* per config: ``eval --restarts 1`` and ``--restarts 20`` on the
+  ``train`` checkpoint (a derived config runs only these and ``train``);
+* ``sweep --param lambda --values 0.05,0.1`` on `probe`;
 * ``verify --level full --seed 0``, every check result of that run with
   its detail string, and ``verify --level quick`` at seeds 0, 778 and
   1564;
@@ -45,6 +52,14 @@ RUNS = {"train": ["train"],
         "trace-top": ["trace", "--measure", "top", "--every", "3"],
         "spectrum": ["spectrum", "--every", "7", "--probes", "4"]}
 RESTARTS = ("1", "20")
+# tag -> keys that replace the probe config's (a config names each key once)
+DERIVED = {
+    "probe-swa": {"train.baseline": "swa", "train.lr_decay": "cosine",
+                  "train.warmup_iters": "3", "trh.schedule": "linear"},
+    "probe-awp": {"train.baseline": "awp", "train.lr_decay": "multistep",
+                  "trh.schedule": "multistep", "attack.clamp_min": "-1.5",
+                  "attack.clamp_max": "1.5"},
+}
 VERIFY_QUICK_SEEDS = ("0", "778", "1564")
 # verify prints only failing checks; this prints every check of the full run
 VERIFY_DETAILS = """
@@ -64,6 +79,14 @@ def write_inputs(dirname):
         main, probe = workloads.make_inputs(workload, dirname, SEED)
         paths[tag] = main.config
     paths["probe"] = probe.config  # every workload writes the same probe
+    with open(probe.config, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    for tag, changes in DERIVED.items():
+        paths[tag] = os.path.join(dirname, f"{tag}.txt")
+        with open(paths[tag], "w", encoding="utf-8") as fh:
+            fh.writelines(f"{line}\n" for line in lines
+                          if line.partition("=")[0].strip() not in changes)
+            fh.writelines(f"{key} = {value}\n" for key, value in changes.items())
     return paths
 
 
@@ -75,12 +98,17 @@ def commands(configs):
     out = []
     for tag, cfg in configs.items():
         for run, args in RUNS.items():
+            if tag in DERIVED and run != "train":
+                continue
             out.append((f"{run}:{tag}", cli + args + ["--config", cfg, "--out", "{out}"]))
         checkpoint = os.path.join("{side}", f"train:{tag}", "checkpoint.txt")
         for restarts in RESTARTS:
             out.append((f"eval-r{restarts}:{tag}", cli + [
                 "eval", "--config", cfg, "--checkpoint", checkpoint,
                 "--restarts", restarts, "--out", "{out}"]))
+    out.append(("sweep:probe", cli + [
+        "sweep", "--config", configs["probe"], "--out", "{out}",
+        "--param", "lambda", "--values", "0.05,0.1"]))
     out.append(("verify-full:s0", cli + ["verify", "--level", "full", "--seed", "0"]))
     out.append(("verify-details:full-s0", ["-c", VERIFY_DETAILS]))
     for seed in VERIFY_QUICK_SEEDS:
