@@ -10,10 +10,11 @@ side.  The same cross-validation runs at scale inside `trhreg verify`.
 Run: python demos/oracle_tour.py
 """
 
-from trhreg.hessian_oracle import (exact_trace, frozen_objective_fns,
-                                   weight_indices)
+import numpy as np
+
+from trhreg.hessian_oracle import exact_trace, frozen_objective_fns
 from trhreg.losses import RobustLossKind
-from trhreg.network import flatten_weights
+from trhreg.network import layer_params
 from trhreg.numerics import pin_allocator
 from trhreg.layer_traces import check_layer_inequality, layer_trace_rows
 from trhreg.trh import analytic_trh_rows
@@ -36,13 +37,11 @@ for seed in (1, 2, 3):
     net, x, x_adv, y = sample_smooth_instance(seed)
     dims = [net.input_dim] + [l.d_out for l in net.layers]
     print(f"\nnetwork {dims}, label {int(y[0])}")
-    w0 = flatten_weights(net)
+    top = net.depth - 1
     for name, kind, stop_grad in FORMULAS:
         _, grad_fn = frozen_objective_fns(net, x, x_adv, y, kind,
-                                          stop_grad_clean=stop_grad,
-                                          layer=net.depth - 1)
-        oracle = exact_trace(grad_fn, w0,
-                             weight_indices(net, layer=net.depth - 1))
+                                          stop_grad_clean=stop_grad, layer=top)
+        oracle = exact_trace(grad_fn, layer_params(net, top))
         closed = float(analytic_trh_rows(net, x, x_adv, y, kind,
                                          stop_grad_clean=stop_grad)[0])
         rel = abs(oracle - closed) / max(1e-12, abs(oracle))
@@ -54,12 +53,13 @@ print("=" * 72)
 print("Layer-wise CE traces and the consecutive-level bound")
 print("=" * 72)
 net, x, _, y = sample_smooth_instance(7)
-w0 = flatten_weights(net)
 closed = layer_trace_rows(net, x)[0]
 for layer in range(net.depth):
     _, grad_fn = frozen_objective_fns(net, x, x, y, RobustLossKind("at"),
                                       layer=layer)
-    oracle = exact_trace(grad_fn, w0, weight_indices(net, layer=layer))
+    # the layer's weights lead its parameter vector
+    oracle = exact_trace(grad_fn, layer_params(net, layer),
+                         np.arange(net.layers[layer].weights.size))
     print(f"  layer {layer}: closed={closed[layer]:.8f}  oracle={oracle:.8f}")
 for level, r in enumerate(check_layer_inequality(net, x[0])):
     print(f"  level {level}: max-entry bound {r.lhs:.6f} <= {r.rhs:.6f}"

@@ -7,9 +7,9 @@ checkpoints.  The training subcommands import :mod:`trhreg.trainer` and
 ``verify`` imports :mod:`trhreg.verify` inside their functions, so ``eval``
 runs no training, curvature, bound or verification code.
 
-Exit codes: 0 success, 1 config error, 2 divergence (in training or in
-an oracle), 3 verification failure, 4 a finite-difference oracle hit a
-non-finite evaluation, 5 an input too close to a ReLU kink for an exact
+Exit codes: 0 success, 1 config or usage error, 2 divergence (in training
+or in an oracle), 3 verification failure, 4 a finite-difference oracle hit
+a non-finite evaluation, 5 an input too close to a ReLU kink for an exact
 formula, 6 curvature out of the closed-form posterior's regime.  Codes 2
 and 4-6 print one line naming the error.  141 (128 + SIGPIPE, what a shell
 reports for a writer that a closed pipe killed): standard output was closed
@@ -210,13 +210,17 @@ _SWEEPABLE = {
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(cfg)
     if args.param not in _SWEEPABLE:
         raise ConfigError(f"unsupported sweep parameter {args.param!r}; "
                           f"choose from {sorted(_SWEEPABLE)}")
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"--values must be comma-separated numbers, "
+                          f"got {args.values!r}") from None
     if len(values) < 2:
         raise ConfigError("sweep needs at least 2 values")
+    out = _outdir(cfg)
     log = MetricsLog(columns=["value", "clean_acc", "robust_acc"],
                      preamble=_preamble(cfg))
     failures = 0
@@ -256,6 +260,14 @@ def cmd_verify(args) -> int:
     print(format_report(results))
     print(f"{'PASS' if passed else 'FAIL'} total checks={len(results)}")
     return EXIT_OK if passed else EXIT_VERIFY
+
+
+def _seed(text: str) -> int:
+    """argparse type of ``verify --seed``: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,15 +317,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the oracle cross-validation suites")
     sp.add_argument("--level", choices=["quick", "full"], default="quick")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.set_defaults(func=cmd_verify)
     return p
 
 
 def main(argv=None) -> int:
     pin_allocator()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed its usage; --help exits 0
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit

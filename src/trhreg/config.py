@@ -239,7 +239,7 @@ _KEYS = {
     "dataset.kind": (str, "two_moons"),
     "dataset.n": (_at_least(int, 2), "500"),
     "dataset.noise_std": (_at_least(float, 0.0), "0.1"),
-    "dataset.seed": (int, "1"),
+    "dataset.seed": (_at_least(int, 0), "1"),
     "dataset.path": (str, None),
     "dataset.normalize": (_bool, "false"),
     "net.hidden": (_widths, "100,100"),
@@ -267,7 +267,7 @@ _KEYS = {
     "train.lr_milestones": (_floats, "0.5,0.75"),
     "train.lr_drop": (float, "0.1"),
     "train.gamma": (float, "0.0"),
-    "train.seed": (int, "0"),
+    "train.seed": (_at_least(int, 0), "0"),
     "train.baseline": (str, "none"),
     "train.swa_alpha": (float, "0.995"),
     "train.awp_delta": (float, "0.005"),

@@ -10,9 +10,9 @@ from the closed forms in :mod:`trhreg.trh` and :mod:`trhreg.layer_traces`:
   every closed-form trace in the package;
 * ``hutchinson_trace`` averages Rademacher quadratic forms ``v^T H v``;
   ``hutchinson_trace_pair`` takes ``v . Hv`` and ``||H v||^2`` from the
-  same Hessian-vector products, unbiased for Tr(H) and Tr(H^2), and can
-  restrict its probes to a diagonal block.  For a diagonal Hessian a single
-  probe is already exact since the probe entries square to one;
+  same Hessian-vector products, unbiased for Tr(H) and Tr(H^2).  For a
+  diagonal Hessian a single probe is already exact since the probe entries
+  square to one;
 * ``frozen_objective_fns`` gives the value and gradient that
   ``quad_form_from_values`` and ``hvp_from_grad`` difference.  Both are one
   :func:`trhreg.trh.objective_nodes` closure, run on constant weights for a
@@ -21,15 +21,15 @@ from the closed forms in :mod:`trhreg.trh` and :mod:`trhreg.layer_traces`:
   stack on a stacked network in one pass (one backward for all P
   gradients), so a per-coordinate stencil costs one call rather than 2k;
   the probe estimators step one point at a time.
-  With ``layer`` = i both functions are layer-local: for stencils and
-  probes supported on weight layer i they run the net from layer i up and
-  differentiate layer i alone, with the same bits on that layer.
+  With ``layer`` = i both are functions of layer i's own parameters
+  (:func:`trhreg.network.layer_params`), run the net from layer i up and
+  differentiate layer i alone, with the whole-network bits on that block.
 
 Eigenvalue mean/std follow from (Tr H, Tr H^2, n) without materializing any
 Hessian.  Quadratic forms use second differences of objective values at a
 wider step (second differences are noisier than first), Hessian-vector
 products use central differences of gradients.  Both step every weight the
-probe moves at once (a block probe moves one layer, a full probe all of
+probe moves at once (a layer probe moves one layer, a full probe all of
 them), so ReLU kinks inside the stencil enter the estimate.
 """
 
@@ -39,10 +39,10 @@ import numpy as np
 
 from . import tape
 from . import trh as trh_module
-from .network import (MlpNetwork, flat_index_slices, flatten_weights,
-                      forward, gradient_vector, lift, unflatten_weights)
+from .network import (MlpNetwork, flatten_weights, forward, gradient_vector,
+                      layer_params, lift, unflatten_weights)
 from .numerics import (HESS_STEP, OracleError, Rng, hessian_diag_subset,
-                       mean_se, rademacher_vector, stackable)
+                       mean_se, rademacher_vector)
 
 QUAD_STEP = 1e-3  # second differences of values need a wider stencil
 
@@ -56,11 +56,9 @@ def exact_trace(grad_fn, w0: np.ndarray, indices=None) -> float:
     result carries the O(h^2) truncation of the stencil, and a ReLU kink
     inside the stencil spoils it.  `indices` selects the diagonal entries
     (default: all).  Intended for desk-scale subsets: the stencil holds two
-    gradient evaluations per entry, made in one stacked call when `grad_fn`
-    is stackable (as :func:`frozen_objective_fns` gradients are) and one
-    call each otherwise.  For `indices` within one weight layer, the
-    layer-local gradient of :func:`frozen_objective_fns` (``layer=i``) gives
-    the same sum to the bit and runs only the layers from i up.
+    gradient evaluations per entry, handed to `grad_fn` as one stack.  For
+    weight layer i, pass the layer-local gradient (``layer=i``) and
+    :func:`~trhreg.network.layer_params`, whose weights lead the vector.
     """
     return float(hessian_diag_subset(grad_fn, w0, indices).sum())
 
@@ -81,35 +79,23 @@ def hutchinson_trace(quad_form, dim: int, probes: int, rng: Rng):
     return mean_se(vals)
 
 
-def hutchinson_trace_pair(hvp, dim: int, probes: int, rng: Rng, indices=None):
+def hutchinson_trace_pair(hvp, dim: int, probes: int, rng: Rng):
     """Rademacher estimates of Tr(H) and Tr(H^2) from the same
     Hessian-vector products.
 
     Each probe v gives ``v . Hv`` and ``||H v||^2``; returns
-    ``((trace, se), (trace_sq, se_sq))``.  With `indices`, probes and
-    products are restricted to the subset, estimating Tr(B) and Tr(B^2)
-    for the diagonal block B.
+    ``((trace, se), (trace_sq, se_sq))``.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
     tvals = np.empty(probes)
     sqvals = np.empty(probes)
     for p in range(probes):
-        v = _probe(dim, rng, indices)
+        v = rademacher_vector(dim, rng)
         hv = hvp(v)
         tvals[p] = float(np.dot(v, hv))
-        if indices is not None:
-            hv = hv[indices]
         sqvals[p] = float(np.dot(hv, hv))
     return mean_se(tvals), mean_se(sqvals)
-
-
-def _probe(dim: int, rng: Rng, indices) -> np.ndarray:
-    if indices is None:
-        return rademacher_vector(dim, rng)
-    v = np.zeros(dim)
-    v[np.asarray(indices, dtype=np.int64)] = rademacher_vector(len(indices), rng)
-    return v
 
 
 def quad_form_from_values(value_fn, w0: np.ndarray):
@@ -175,24 +161,24 @@ def frozen_objective_fns(net: MlpNetwork, X, X_adv, y, kind,
     differences recover the Hessian the closed forms describe.  The
     adversarial batch is a constant by convention.
 
-    Both functions are :func:`~trhreg.numerics.stackable`: handed one
-    weight vector ``(n,)`` they return a float and an ``(n,)`` gradient;
-    handed a stack ``(P, n)``, one value ``(P,)`` and one gradient row
-    ``(P, n)`` per weight vector, equal to the bit to per-row calls.  A
-    stack is evaluated on a stacked network (:func:`unflatten_weights`),
-    in chunks that hold at most ``_STACK_ACTIVATIONS`` activation entries.
+    Handed one weight vector ``(n,)`` both functions return a float and an
+    ``(n,)`` gradient; handed a stack ``(P, n)``, one value ``(P,)`` and
+    one gradient row ``(P, n)`` per vector, equal to the bit to per-row
+    calls.  A stack is evaluated on a stacked network
+    (:func:`unflatten_weights`), in chunks that hold at most
+    ``_STACK_ACTIVATIONS`` activation entries.
 
-    With `layer` = i the functions are layer-local, for stencils and probes
-    that move only weight layer i (weights and bias).  The clean and
-    adversarial inputs of layer i are read once from
+    With `layer` = i the functions are layer-local: a vector is layer i's
+    own s_i parameters (:func:`~trhreg.network.layer_params`), and the
+    layers above keep the weights of `net`.  The clean and adversarial
+    inputs of layer i are read once from
     ``network.forward(net, .).layer_inputs[i]``, at the weights of `net`
     (AT reads no clean batch, so its clean batch is not run); a call runs
     the net from layer i up, with only layer i's parameters as tape
     leaves, so its backward stops at layer i and makes no weight gradient
-    above it.  Values and the gradient entries of layer i equal the
-    whole-network route's to the bit (the numpy forward runs the tape
-    forward's float ops); the other gradient entries are 0.  A weight
-    vector that differs from the net's outside layer i raises
+    above it.  Values and gradients equal the whole-network route's on
+    layer i's block to the bit (the numpy forward runs the tape forward's
+    float ops).  A vector whose last axis is not s_i raises
     ``ValueError``, and so does a nonzero `lam` or `gamma`.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -200,16 +186,15 @@ def frozen_objective_fns(net: MlpNetwork, X, X_adv, y, kind,
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     frozen = trh_module.capture_frozen(net, X, X_adv, y, kind)
     rows = len(X_adv) + (0 if kind.variant == "at" else len(X))
-    top, start, leaves = net, 0, None
+    top, size, leaves = net, None, None
     if layer is not None:
         if lam or gamma:
             raise ValueError("a layer-local objective takes no lam or gamma")
         if not 0 <= layer < net.depth:
             raise ValueError(f"layer {layer} out of range for {net.depth} layers")
         top, leaves = MlpNetwork(net.layers[layer:]), (0,)
-        ws, bs = flat_index_slices(net)[layer]
-        start, stop = ws.start, (ws if bs is None else bs).stop
-        w0 = flatten_weights(net)
+        size = layer_params(net, layer).size
+        above = flatten_weights(top)[size:]
         if layer:
             X_adv = forward(net, X_adv).layer_inputs[layer]
             if kind.variant != "at":  # at reads no clean batch
@@ -219,16 +204,17 @@ def frozen_objective_fns(net: MlpNetwork, X, X_adv, y, kind,
     def chunked(fn):
         def call(w):
             w = np.asarray(w, dtype=np.float64)
-            if layer is not None and (np.any(w[..., :start] != w0[:start])
-                                      or np.any(w[..., stop:] != w0[stop:])):
-                raise ValueError(f"weight vector differs from the net's "
-                                 f"outside layer {layer}")
-            w = w[..., start:]
+            if layer is not None:
+                if w.shape[-1] != size:
+                    raise ValueError(f"layer {layer} has {size} parameters, "
+                                     f"got a vector of shape {w.shape}")
+                w = np.concatenate(
+                    [w, np.broadcast_to(above, w.shape[:-1] + above.shape)], axis=-1)
             if w.ndim == 1:
                 return fn(unflatten_weights(top, w))
             return np.concatenate([fn(unflatten_weights(top, w[i:i + chunk]))
                                    for i in range(0, len(w), chunk)])
-        return stackable(call)
+        return call
 
     def objective(lifted):
         return trh_module.objective_nodes(lifted, X, X_adv, y, kind, lam, gamma,
@@ -239,23 +225,6 @@ def frozen_objective_fns(net: MlpNetwork, X, X_adv, y, kind,
         return float(out) if out.ndim == 0 else out
 
     def grad(candidate):
-        g = gradient_vector(candidate, objective, leaves)[1]
-        if start:
-            g = np.concatenate([np.zeros(g.shape[:-1] + (start,)), g], axis=-1)
-        return g
+        return gradient_vector(candidate, objective, leaves)[1][..., :size]
 
     return chunked(value), chunked(grad)
-
-
-def weight_indices(net: MlpNetwork, layer: int | None = None,
-                   include_bias: bool = False) -> np.ndarray:
-    """Flat-vector indices of weight entries (optionally one layer only)."""
-    slices = flat_index_slices(net)
-    chunks = []
-    for i, (ws, bs) in enumerate(slices):
-        if layer is not None and i != layer:
-            continue
-        chunks.append(np.arange(ws.start, ws.stop))
-        if include_bias and bs is not None:
-            chunks.append(np.arange(bs.start, bs.stop))
-    return np.concatenate(chunks)

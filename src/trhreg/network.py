@@ -229,19 +229,11 @@ def unflatten_weights(net: MlpNetwork, w: np.ndarray) -> MlpNetwork:
     return MlpNetwork(layers)
 
 
-def flat_index_slices(net: MlpNetwork):
-    """Per-layer (weight_slice, bias_slice_or_None) into the flat vector."""
-    out = []
-    pos = 0
-    for l in net.layers:
-        ws = slice(pos, pos + l.weights.size)
-        pos += l.weights.size
-        bs = None
-        if l.bias is not None:
-            bs = slice(pos, pos + l.bias.size)
-            pos += l.bias.size
-        out.append((ws, bs))
-    return out
+def layer_params(net: MlpNetwork, i: int) -> np.ndarray:
+    """Layer i's block of :func:`flatten_weights`: its weights row-major,
+    then its bias (when present)."""
+    l = net.layers[i]
+    return np.concatenate([l.weights.ravel()] + ([] if l.bias is None else [l.bias]))
 
 
 # -- differentiation ---------------------------------------------------

@@ -12,10 +12,9 @@ estimators) is built on the two ingredients in this module:
   derivatives, 1e-4 for second differences), which balance truncation
   against rounding error in 64-bit arithmetic: one routine for the
   gradient, one for the Hessian diagonal (every entry, or an index subset).
-  Both build their stencil as a stack of weight vectors, one row per
-  point, and hand it to the function in one call if the function is marked
-  :func:`stackable`, row by row otherwise; either way the result is the
-  same to the bit.
+  Both build their stencil as a ``(P, n)`` stack of weight vectors, one row
+  per point, and hand it to the function in one call: the function takes a
+  stack and returns one result per row.
 
 Monte-Carlo and probe estimates report :func:`mean_se`.
 
@@ -163,13 +162,6 @@ def rademacher_vector(n: int, rng: Rng) -> np.ndarray:
     return rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
 
 
-def stackable(fn):
-    """Mark `fn` as taking a ``(P, n)`` stack of weight vectors as well as
-    one ``(n,)`` vector, returning one result per row; returns `fn`."""
-    fn.stackable = True
-    return fn
-
-
 # Weight entries of one stencil block: bounds the stack a stencil builds.
 _STENCIL_ENTRIES = 1 << 20
 
@@ -179,8 +171,8 @@ def _central_differences(f, w, indices, h: float, own_entry: bool = False):
     with `own_entry` (f vector-valued) just entry i of each difference.
 
     The stencil is a stack of displaced copies of w, evaluated in blocks of
-    at most ``_STENCIL_ENTRIES`` weight entries: one call per block for a
-    :func:`stackable` f, one call per point otherwise.  Raises
+    at most ``_STENCIL_ENTRIES`` weight entries, one call of f per block:
+    f takes a ``(P, n)`` stack and returns one result per row.  Raises
     :class:`OracleError` naming the first index, in the order of
     `indices`, with a non-finite evaluation.
     """
@@ -192,10 +184,7 @@ def _central_differences(f, w, indices, h: float, own_entry: bool = False):
         rows, cols = np.arange(2 * idx.size), np.tile(idx, 2)
         stencil = np.tile(w, (rows.size, 1))
         stencil[rows, cols] += np.repeat([h, -h], idx.size)
-        if getattr(f, "stackable", False):
-            values = np.asarray(f(stencil))
-        else:
-            values = np.array([f(point) for point in stencil])
+        values = np.asarray(f(stencil))
         if own_entry:
             values = values[rows, cols]
         fp, fm = values[:idx.size], values[idx.size:]
@@ -212,10 +201,10 @@ def finite_diff_gradient(f, w: np.ndarray) -> np.ndarray:
     """Central-difference gradient of a scalar function of a weight vector.
 
     Entry i is ``(f(w + h e_i) - f(w - h e_i)) / (2h)`` at the fixed step
-    ``h = GRAD_STEP``, the 2n stencil points evaluated as one stack when f
-    is :func:`stackable`.  Exact to rounding on polynomials of degree <= 2.
-    Raises :class:`OracleError` with the first index whose evaluation comes
-    back non-finite.
+    ``h = GRAD_STEP``, the 2n stencil points handed to f as a ``(P, n)``
+    stack, from which f returns one value per row.  Exact to rounding on
+    polynomials of degree <= 2.  Raises :class:`OracleError` with the first
+    index whose evaluation comes back non-finite.
     """
     return _central_differences(f, w, np.arange(np.size(w)), GRAD_STEP)
 
@@ -224,10 +213,10 @@ def hessian_diag_subset(grad, w: np.ndarray, indices=None) -> np.ndarray:
     """Hessian diagonal at `indices` (default: every index) from central
     differences of an analytic gradient at step ``HESS_STEP``: entry j is
     ``(grad(w + h e_i)_i - grad(w - h e_i)_i) / (2h)`` for ``i = indices[j]``,
-    the stencil evaluated as one stack when `grad` is :func:`stackable`.
-    Its sum is the Hessian-trace oracle used throughout the package.  Raises
-    :class:`OracleError` with the first index whose gradient entry is
-    non-finite."""
+    the stencil handed to `grad` as a ``(P, n)`` stack, from which it
+    returns one gradient row per point.  Its sum is the Hessian-trace oracle
+    used throughout the package.  Raises :class:`OracleError` with the
+    first index whose gradient entry is non-finite."""
     w = np.asarray(w, dtype=np.float64)
     indices = (np.arange(w.size) if indices is None
                else np.asarray(indices, dtype=np.int64))

@@ -41,12 +41,11 @@ from .config import MeasureConfig, TrainConfig, TrHConfig
 from .data import Dataset
 from .hessian_oracle import (eigen_stats, frozen_objective_fns,
                              hutchinson_trace, hutchinson_trace_pair,
-                             hvp_from_grad, quad_form_from_values,
-                             weight_indices)
+                             hvp_from_grad, quad_form_from_values)
 from .losses import RobustLossKind
 from .network import (MetricsLog, MlpNetwork, TrainingDivergence, backprop,
-                      flat_gradient, flatten_weights, param_count,
-                      unflatten_weights)
+                      flat_gradient, flatten_weights, layer_params,
+                      param_count, unflatten_weights)
 from .numerics import Rng
 from .layer_traces import full_ce_trace_rows_nodes, layer_trace_rows
 from .trh import analytic_trh_rows, objective_nodes
@@ -325,7 +324,7 @@ def spectrum_records(net: MlpNetwork, x, x_adv, y, kind: RobustLossKind,
     the whole network.  Hessian-vector products are central differences of
     the bare robust objective's gradient
     (:func:`~trhreg.hessian_oracle.frozen_objective_fns`).  The probes of a
-    layer move that layer alone, so they run on its layer-local gradient
+    layer are probes of its own parameters, on its layer-local gradient
     (``layer``), which differentiates only that layer.  The whole-network
     trace is the sum of the layer traces (trace is block-additive), while
     its trace_sq gets its own full-support probes, on the whole-network
@@ -339,12 +338,11 @@ def spectrum_records(net: MlpNetwork, x, x_adv, y, kind: RobustLossKind,
     dim = param_count(net)
     records, total = [], 0.0
     for li in range(1, net.depth + 1):
-        idx = weight_indices(net, li - 1, include_bias=True)
+        w0 = layer_params(net, li - 1)
         _, grad_fn = frozen_objective_fns(net, x, x_adv, y, kind, layer=li - 1)
         (trace, _), (trace_sq, _) = hutchinson_trace_pair(
-            hvp_from_grad(grad_fn, flatten_weights(net)), dim, probes,
-            rng.child("layer", li), idx)
-        records.append(record(li, trace, trace_sq, idx.size))
+            hvp_from_grad(grad_fn, w0), w0.size, probes, rng.child("layer", li))
+        records.append(record(li, trace, trace_sq, w0.size))
         total += trace
     _, grad_fn = frozen_objective_fns(net, x, x_adv, y, kind)
     trace_sq, _ = hutchinson_trace_pair(hvp_from_grad(grad_fn, flatten_weights(net)),

@@ -33,7 +33,7 @@ from . import trh as trh_module
 from .attacks import AttackConfig, pgd
 from .data import two_moons
 from .losses import RobustLossKind, softmax
-from .network import (flatten_weights, forward, init_mlp, lift,
+from .network import (flatten_weights, forward, init_mlp, layer_params, lift,
                       min_preact_magnitude)
 from .numerics import SMOOTH_TOL, Rng, finite_diff_gradient
 
@@ -133,14 +133,12 @@ def check_trh_formulas(instances: int, seed: int = 0) -> list[CheckResult]:
     for i in range(instances):
         inst_seed = seed * 1000 + i
         net, x, x_adv, y = sample_smooth_instance(inst_seed)
-        w0 = flatten_weights(net)
-        top = ho.weight_indices(net, layer=net.depth - 1)
+        top = net.depth - 1
         for variant, stop_grad in variants:
             kind = next(k for k in KINDS if k.variant == variant)
             _, grad_fn = ho.frozen_objective_fns(
-                net, x, x_adv, y, kind, stop_grad_clean=stop_grad,
-                layer=net.depth - 1)
-            oracle = ho.exact_trace(grad_fn, w0, top)
+                net, x, x_adv, y, kind, stop_grad_clean=stop_grad, layer=top)
+            oracle = ho.exact_trace(grad_fn, layer_params(net, top))
             analytic = float(trh_module.analytic_trh_rows(
                 net, x, x_adv, y, kind, stop_grad_clean=stop_grad)[0])
             rel = abs(oracle - analytic) / max(1e-8, abs(oracle))
@@ -159,12 +157,11 @@ def check_layer_traces(instances: int, inequality_instances: int,
     for i in range(instances):
         inst_seed = seed * 2000 + i
         net, x, _, y = sample_smooth_instance(inst_seed)
-        w0 = flatten_weights(net)
         closed = lt.layer_trace_rows(net, x)[0]
         for layer in range(net.depth):
             _, grad_fn = ho.frozen_objective_fns(net, x, x, y, ce, layer=layer)
-            idx = ho.weight_indices(net, layer=layer)
-            oracle = ho.exact_trace(grad_fn, w0, idx)
+            oracle = ho.exact_trace(grad_fn, layer_params(net, layer),
+                                    np.arange(net.layers[layer].weights.size))
             analytic = float(closed[layer])
             rel = abs(oracle - analytic) / max(1e-8, abs(oracle))
             out.append(CheckResult(

@@ -1,0 +1,28 @@
+"""Test-side helpers for the finite-difference oracles: a per-point
+function in the stack form the stencils call, and flat-vector index sets of
+one weight layer."""
+
+import numpy as np
+
+from trhreg.network import layer_params
+
+
+def rowwise(f):
+    """`f` of one point as a function of a ``(P, n)`` stack, the form the
+    stencils of :mod:`trhreg.numerics` call: one call of `f` per row."""
+    return lambda W: np.array([f(w) for w in W])
+
+
+def layer_block(net, layer):
+    """Indices of weight layer `layer`'s parameter vector
+    (:func:`~trhreg.network.layer_params`) in the flat weight vector."""
+    start = sum(layer_params(net, i).size for i in range(layer))
+    return np.arange(start, start + layer_params(net, layer).size)
+
+
+def weight_indices(net, layer=None):
+    """Flat-vector indices of the weights of weight layer `layer` (default:
+    every layer), biases left out: a layer's weights lead its block."""
+    layers = range(net.depth) if layer is None else [layer]
+    return np.concatenate([layer_block(net, i)[:net.layers[i].weights.size]
+                           for i in layers])

@@ -345,6 +345,14 @@ class TestCliSweep:
         assert main(["sweep", "--config", cfg, "--param", "nope",
                      "--values", "0.1,0.2"]) == 1
 
+    def test_unreadable_value_names_the_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"),
+                     "--param", "lambda", "--values", "0.1,abc"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --values ") and "'0.1,abc'" in err
+        assert not (tmp_path / "sw").exists()
+
 
 class TestCliVerify:
     def test_quick_passes(self, capsys):
@@ -380,6 +388,32 @@ class TestCliVerify:
         out = capsys.readouterr().out
         assert "FAIL group=trh_formulas" in out
         assert "seed=" in out  # failing checks carry a reproduction seed
+
+
+class TestCliUsageErrors:
+    """A command line argparse rejects exits 1, the config-error code, after
+    argparse's usage message; 2 is kept for divergence."""
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--measure", "bogus"],
+        ["verify", "--level", "medium"],
+        ["train"],
+        ["verify", "--seed", "-1"],
+    ], ids=["bad-choice", "bad-level", "no-config", "negative-verify-seed"])
+    def test_exits_one_after_usage(self, capsys, argv):
+        assert main(argv) == 1
+        assert "usage: trhreg" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["verify", "--help"]) == 0
+        assert "usage: trhreg verify" in capsys.readouterr().out
+
+    def test_negative_seed_flag_names_the_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", cfg, "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "(key 'train.seed')" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCliNamedErrors:
@@ -635,6 +669,8 @@ UNCHECKED_VALUES = [
     ("dataset.noise_std = -1", "dataset.noise_std"),
     ("net.hidden = 0", "net.hidden"),
     ("net.hidden = 8,0", "net.hidden"),
+    ("dataset.seed = -3", "dataset.seed"),
+    ("train.seed = -1", "train.seed"),
 ]
 _UNCHECKED_IDS = [line.partition("\n")[0] for line, _ in UNCHECKED_VALUES]
 
@@ -655,7 +691,7 @@ class TestValueChecks:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"(key {key!r}, line " in err
-        assert not (tmp_path / "o" / "metrics.csv").exists()
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("given,missing", [
         ("pacbayes.c_const = 1", "pacbayes.sigma0_sq"),

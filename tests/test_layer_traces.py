@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from oracle_helpers import rowwise, weight_indices
 from trhreg import tape
-from trhreg.hessian_oracle import (exact_trace, frozen_objective_fns,
-                                   weight_indices)
+from trhreg.hessian_oracle import exact_trace, frozen_objective_fns
 from trhreg.losses import RobustLossKind, softmax
 from trhreg.network import (DenseLayer, MlpNetwork, flatten_weights, forward,
                             forward_nodes, gradient_vector, init_mlp, lift,
@@ -93,7 +93,7 @@ class TestLayerHTensor:
         fd_jac = np.empty((k, act0.size))
         for c in range(k):
             fd_jac[c] = finite_diff_gradient(
-                lambda a, cc=c: float(forward_from_level(a)[cc]), act0.copy())
+                rowwise(lambda a, cc=c: float(forward_from_level(a)[cc])), act0.copy())
         h = _h(net, x[0])
         expected = fd_jac ** 2 * h[:, None]
         levels, stacks = _level_jacobians(net, x[0])
@@ -257,7 +257,7 @@ class TestBatchedAndDifferentiable:
             cand = unflatten_weights(net, w)
             return float(np.mean(layer_trace_rows(cand, X).sum(axis=1)))
 
-        fd = finite_diff_gradient(value_fn, flatten_weights(net))
+        fd = finite_diff_gradient(rowwise(value_fn), flatten_weights(net))
         assert np.linalg.norm(grad - fd) / max(1e-10, np.linalg.norm(fd)) <= 1e-6
 
 
@@ -315,7 +315,7 @@ class TestClassBatchedRoutine:
             cand = unflatten_weights(net, w)
             return float(np.mean(layer_trace_rows(cand, X).sum(axis=1)))
 
-        fd = finite_diff_gradient(value_fn, flatten_weights(net))
+        fd = finite_diff_gradient(rowwise(value_fn), flatten_weights(net))
         assert np.linalg.norm(grad - fd) / max(1e-10, np.linalg.norm(fd)) <= 1e-6
 
     def test_constant_weights_record_no_graph(self):
@@ -367,8 +367,8 @@ class TestFusedQuadraticForm:
         x0 = s if wrt == "s" else jac
         x = tape.leaf(x0)
         tape.backward(value(x))
-        fd = finite_diff_gradient(
-            lambda flat: float(value(tape.constant(flat.reshape(x0.shape))).value),
+        fd = finite_diff_gradient(rowwise(
+            lambda flat: float(value(tape.constant(flat.reshape(x0.shape))).value)),
             x0.ravel().copy())
         assert np.linalg.norm(x.grad.ravel() - fd) <= 1e-7 * np.linalg.norm(fd)
         ref = tape.leaf(x0)

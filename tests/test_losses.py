@@ -3,6 +3,7 @@ import pytest
 
 from loss_references import (alp_pair_loss, cross_entropy, kl_div,
                              log_softmax, mart_losses, softmax_derivs)
+from oracle_helpers import rowwise
 from trhreg.losses import RobustLossKind, softmax
 from trhreg.network import forward, init_mlp
 from trhreg.numerics import Rng, finite_diff_gradient
@@ -26,9 +27,9 @@ class TestSoftmaxDerivs:
 
         for row in range(4):
             fd_phi = finite_diff_gradient(
-                lambda g, r=row: float(softmax(g)[r]), g0.copy())
+                rowwise(lambda g, r=row: float(softmax(g)[r])), g0.copy())
             fd_psi = finite_diff_gradient(
-                lambda g, r=row: float(log_softmax(g)[r]), g0.copy())
+                rowwise(lambda g, r=row: float(log_softmax(g)[r])), g0.copy())
             d = softmax_derivs(g0)
             assert np.linalg.norm(d.phi[row] - fd_phi) / np.linalg.norm(fd_phi) <= 1e-7
             assert np.linalg.norm(d.psi[row] - fd_psi) / np.linalg.norm(fd_psi) <= 1e-7

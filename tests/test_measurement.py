@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from loss_references import cross_entropy_rows
+from oracle_helpers import layer_block
 from trhreg import tape
 from trhreg.attacks import AttackConfig, pgd
 from trhreg.data import two_moons
@@ -16,8 +17,8 @@ from trhreg.hessian_oracle import (eigen_stats, frozen_objective_fns,
                                    hutchinson_trace, hvp_from_grad,
                                    quad_form_from_values)
 from trhreg.losses import RobustLossKind
-from trhreg.network import (flat_index_slices, flatten_weights, forward,
-                            init_mlp, lift, unflatten_weights)
+from trhreg.network import (flatten_weights, forward, init_mlp, lift,
+                            unflatten_weights)
 from trhreg.numerics import Rng, rademacher_vector
 from trhreg.trainer import (PROBE_SEED, MeasureConfig, measure_trace_row,
                             spectrum_records)
@@ -101,10 +102,8 @@ def _reference_spectrum(net, x, x_adv, y, kind, epoch, probes, rng):
     dim = w0.size
     records = []
     trace_total = 0.0
-    for li, (ws, bs) in enumerate(flat_index_slices(net), start=1):
-        idx = np.arange(ws.start, ws.stop)
-        if bs is not None:
-            idx = np.concatenate([idx, np.arange(bs.start, bs.stop)])
+    for li in range(1, net.depth + 1):
+        idx = layer_block(net, li - 1)
         tvals = np.empty(probes)
         sqvals = np.empty(probes)
         layer_rng = rng.child("layer", li)
@@ -112,7 +111,8 @@ def _reference_spectrum(net, x, x_adv, y, kind, epoch, probes, rng):
             v = np.zeros(dim)
             v[idx] = rademacher_vector(idx.size, layer_rng)
             hv = hvp(v)
-            tvals[p] = float(np.dot(v, hv))
+            # a layer's v . Hv sums over its own entries
+            tvals[p] = float(np.dot(v[idx], hv[idx]))
             sqvals[p] = float(np.dot(hv[idx], hv[idx]))
         trace = float(tvals.mean())
         trace_total += trace

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from oracle_helpers import rowwise
 import trhreg.network
 from trhreg import tape
 from trhreg.losses import softmax
@@ -153,7 +154,7 @@ class TestBackprop:
             cand = unflatten_weights(net, w)
             return float(np.mean(forward(cand, X).logits ** 2))
 
-        fd = finite_diff_gradient(value, flatten_weights(net))
+        fd = finite_diff_gradient(rowwise(value), flatten_weights(net))
         assert np.linalg.norm(g - fd) / np.linalg.norm(fd) <= 1e-7
 
 
@@ -176,7 +177,7 @@ class TestInputGradient:
             ls = tr.logits - np.log(np.exp(tr.logits).sum(axis=1, keepdims=True))
             return float(-ls[np.arange(2), y].sum())
 
-        fd = finite_diff_gradient(ce_sum, X.ravel().copy()).reshape(2, 3)
+        fd = finite_diff_gradient(rowwise(ce_sum), X.ravel().copy()).reshape(2, 3)
         assert np.linalg.norm(g - fd) / np.linalg.norm(fd) <= 1e-7
 
 

@@ -1,22 +1,23 @@
 """Stacked evaluation: P weight vectors in one pass, equal to the bit to one
 pass per vector, and the finite-difference stencils built on it equal to
-the bit to the per-point loops they replace."""
+the bit to the per-point loops they replace, kept here as references."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from oracle_helpers import layer_block, rowwise
 from trhreg import hessian_oracle, numerics, tape
 from trhreg import pacbayes as pb
 from trhreg import trh as trh_module
 from trhreg.hessian_oracle import frozen_objective_fns
 from trhreg.losses import RobustLossKind
 from trhreg.network import (TrainingDivergence, flatten_weights, forward,
-                            forward_nodes, gradient_vector, init_mlp, lift,
-                            unflatten_weights)
+                            forward_nodes, gradient_vector, init_mlp,
+                            layer_params, lift, unflatten_weights)
 from trhreg.numerics import (OracleError, Rng, finite_diff_gradient,
-                             hessian_diag_subset, stackable)
+                             hessian_diag_subset)
 from trhreg.trh import objective_nodes
 
 KINDS = (RobustLossKind("at"), RobustLossKind("trades", 6.0),
@@ -182,11 +183,9 @@ LOCAL_NET_IDS = ["0h"] + NET_IDS
 
 
 def _layer_stack(net, layer, p):
-    """p weight vectors that move only weight layer `layer`."""
-    W = np.tile(flatten_weights(net), (p, 1))
-    idx = hessian_oracle.weight_indices(net, layer, include_bias=True)
-    W[:, idx] += 0.05 * Rng(6).child("layer", layer).normal(size=(p, idx.size))
-    return W, idx
+    """p parameter vectors of weight layer `layer`, near its own."""
+    w0 = layer_params(net, layer)
+    return w0 + 0.05 * Rng(6).child("layer", layer).normal(size=(p, w0.size))
 
 
 @pytest.mark.parametrize("hidden,bias", LOCAL_NETS, ids=LOCAL_NET_IDS)
@@ -201,24 +200,25 @@ def test_layer_local_fns_equal_whole_network_block(kind, hidden, bias):
         for layer in range(net.depth):
             value_fn, grad_fn = frozen_objective_fns(
                 net, x, x_adv, y, kind, stop_grad_clean=stop_grad, layer=layer)
-            W, idx = _layer_stack(net, layer, 4)
-            outside = np.setdiff1d(np.arange(w0.size), idx)
-            for w in (w0, W[0], W):
-                assert np.array_equal(value_fn(w), whole_value(w))
-                grads = grad_fn(w)
-                assert grads.shape == w.shape
-                assert np.array_equal(grads[..., idx], whole_grad(w)[..., idx])
-                assert not np.any(grads[..., outside])
-            assert isinstance(value_fn(w0), float)
-            assert (hessian_oracle.exact_trace(grad_fn, w0, idx)
+            idx = layer_block(net, layer)
+            u0, U = layer_params(net, layer), _layer_stack(net, layer, 4)
+            assert np.array_equal(u0, w0[idx])
+            W = np.tile(w0, (4, 1))
+            W[:, idx] = U  # the same points as whole-network vectors
+            for u, w in ((u0, w0), (U[0], W[0]), (U, W)):
+                assert np.array_equal(value_fn(u), whole_value(w))
+                grads = grad_fn(u)
+                assert grads.shape == u.shape
+                assert np.array_equal(grads, whole_grad(w)[..., idx])
+            assert isinstance(value_fn(u0), float)
+            assert (hessian_oracle.exact_trace(grad_fn, u0)
                     == hessian_oracle.exact_trace(whole_grad, w0, idx))
-            local = hessian_oracle.hvp_from_grad(grad_fn, w0)
+            local = hessian_oracle.hvp_from_grad(grad_fn, u0)
             whole = hessian_oracle.hvp_from_grad(whole_grad, w0)
-            v = np.zeros(w0.size)
-            v[idx] = numerics.rademacher_vector(idx.size, Rng(7).child(layer))
-            hv, ref = local(v), whole(v)
-            assert np.array_equal(hv[idx], ref[idx])
-            assert float(np.dot(v, hv)) == float(np.dot(v, ref))
+            v = numerics.rademacher_vector(idx.size, Rng(7).child(layer))
+            padded = np.zeros(w0.size)
+            padded[idx] = v
+            assert np.array_equal(local(v), whole(padded)[idx])
 
 
 @pytest.mark.parametrize("chunk", [1, 2])
@@ -234,7 +234,7 @@ def test_layer_local_stack_larger_than_one_chunk(monkeypatch, chunk):
                       chunk * 2 * len(x) * units)
             split = frozen_objective_fns(net, x, x_adv, y, kind,
                                          stop_grad_clean=False, layer=layer)
-        W, _ = _layer_stack(net, layer, 5)
+        W = _layer_stack(net, layer, 5)
         for one_fn, split_fn in zip(one_chunk, split):
             assert np.array_equal(split_fn(W), one_fn(W))
 
@@ -242,21 +242,24 @@ def test_layer_local_stack_larger_than_one_chunk(monkeypatch, chunk):
 def test_layer_local_rejects_what_it_cannot_compute():
     net, x, x_adv, y = _instance([5, 4], True)
     kind = RobustLossKind("mart", 5.0)
-    value_fn, grad_fn = frozen_objective_fns(net, x, x_adv, y, kind, layer=1)
-    W, idx = _layer_stack(net, 1, 3)
-    for other in (0, 2):
-        moved, _ = _layer_stack(net, other, 3)
-        for fn in (value_fn, grad_fn):
-            with pytest.raises(ValueError, match="outside layer 1"):
-                fn(moved[0])
-            with pytest.raises(ValueError, match="outside layer 1"):
-                fn(np.vstack([W[:2], moved[2:]]))  # one bad row in a stack
     for bad in (dict(lam=0.25), dict(gamma=0.01)):
         with pytest.raises(ValueError, match="lam or gamma"):
             frozen_objective_fns(net, x, x_adv, y, kind, layer=1, **bad)
     for layer in (-1, net.depth):
         with pytest.raises(ValueError, match="out of range"):
             frozen_objective_fns(net, x, x_adv, y, kind, layer=layer)
+
+
+def test_layer_local_rejects_a_vector_of_another_size():
+    net, x, x_adv, y = _instance([5, 4], True)
+    fns = frozen_objective_fns(net, x, x_adv, y, RobustLossKind("mart", 5.0),
+                               layer=1)
+    size = layer_params(net, 1).size
+    assert size == 5 * 4 + 4
+    for w in (flatten_weights(net), np.zeros(size - 1), np.zeros((3, size + 1))):
+        for fn in fns:
+            with pytest.raises(ValueError, match=f"layer 1 has {size} parameters"):
+                fn(w)
 
 
 def test_top_layer_probe_runs_no_hidden_layer(monkeypatch):
@@ -268,10 +271,9 @@ def test_top_layer_probe_runs_no_hidden_layer(monkeypatch):
                                              stop_grad_clean=False, layer=top)
     hvp = hessian_oracle.hvp_from_grad(
         frozen_objective_fns(net, x, x_adv, y, kind, layer=top)[1],
-        flatten_weights(net))
-    W, idx = _layer_stack(net, top, 3)
-    v = np.zeros(W.shape[1])
-    v[idx] = 1.0
+        layer_params(net, top))
+    W = _layer_stack(net, top, 3)
+    v = np.ones(W.shape[1])
 
     weights = []  # weight shape of every tape dense layer
     depths = []  # depth of every network a numpy forward pass runs
@@ -286,6 +288,7 @@ def test_top_layer_probe_runs_no_hidden_layer(monkeypatch):
         return numpy_forward(net, x)
 
     whole_grad = frozen_objective_fns(net, x, x_adv, y, kind)[1]
+    w0 = flatten_weights(net)
     monkeypatch.setattr(tape, "dense", counting_dense)
     monkeypatch.setattr(trh_module, "forward", counting_forward)
     for w in (W[0], W):
@@ -298,7 +301,7 @@ def test_top_layer_probe_runs_no_hidden_layer(monkeypatch):
     assert depths == []
     # the whole-network route runs every layer
     weights.clear()
-    whole_grad(W[0])
+    whole_grad(w0)
     assert len(weights) == 2 * net.depth
 
 
@@ -317,11 +320,6 @@ def test_stencils_equal_per_point_loops(monkeypatch, hidden, bias):
     expected_diag = _hessian_diag_loop(grad_fn, w0, idx)
     assert np.array_equal(finite_diff_gradient(value_fn, w0), expected_grad)
     assert np.array_equal(hessian_diag_subset(grad_fn, w0, idx), expected_diag)
-    # a function not marked stackable is called row by row
-    assert np.array_equal(finite_diff_gradient(lambda w: value_fn(w), w0),
-                          expected_grad)
-    assert np.array_equal(hessian_diag_subset(lambda w: grad_fn(w), w0, idx),
-                          expected_diag)
     # a stencil split into blocks of two coordinates
     monkeypatch.setattr(numerics, "_STENCIL_ENTRIES", 4 * w0.size)
     assert np.array_equal(finite_diff_gradient(value_fn, w0), expected_grad)
@@ -341,8 +339,9 @@ def test_gradient_errors_match_on_both_paths():
                         (W * W).sum(axis=-1))
 
     w0 = np.array([0.0, 0.5, 0.0, 0.5])
-    stacked = _raised(lambda: finite_diff_gradient(stackable(values), w0))
-    per_point = _raised(lambda: finite_diff_gradient(lambda w: float(values(w)), w0))
+    stacked = _raised(lambda: finite_diff_gradient(values, w0))
+    per_point = _raised(lambda: finite_diff_gradient(
+        rowwise(lambda w: float(values(w))), w0))
     assert stacked == per_point == (OracleError, 1)
 
 
@@ -355,8 +354,8 @@ def test_hessian_errors_match_on_both_paths():
 
     w0 = np.full(5, 0.5)
     indices = [0, 4, 2]  # 4 comes first in the order asked for
-    stacked = _raised(lambda: hessian_diag_subset(stackable(grads), w0, indices))
-    per_point = _raised(lambda: hessian_diag_subset(lambda w: grads(w), w0, indices))
+    stacked = _raised(lambda: hessian_diag_subset(grads, w0, indices))
+    per_point = _raised(lambda: hessian_diag_subset(rowwise(grads), w0, indices))
     assert stacked == per_point == (OracleError, 4)
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracle_helpers import rowwise
 from trhreg import tape
 from trhreg.data import two_moons
 from trhreg.layer_traces import full_ce_trace_rows_nodes
@@ -26,7 +27,7 @@ def gradcheck(build, x0, rtol=1e-7):
         node = tape.leaf(flat.reshape(x0.shape))
         return float(build(node).value)
 
-    numeric = finite_diff_gradient(value, x0.ravel().copy())
+    numeric = finite_diff_gradient(rowwise(value), x0.ravel().copy())
     err = np.linalg.norm(analytic - numeric) / max(1e-10, np.linalg.norm(numeric))
     assert err <= rtol, f"gradcheck failed: rel err {err:.3e}"
 

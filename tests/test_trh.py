@@ -5,10 +5,10 @@ import pytest
 
 from loss_references import (alp_pair_loss, cross_entropy, kl_div,
                              mart_losses, softmax_derivs)
+from oracle_helpers import weight_indices
 from trhreg import tape
 from trhreg.attacks import AttackConfig, pgd
-from trhreg.hessian_oracle import (exact_trace, frozen_objective_fns,
-                                   weight_indices)
+from trhreg.hessian_oracle import exact_trace, frozen_objective_fns
 from trhreg.losses import RobustLossKind, softmax
 from trhreg.network import (DenseLayer, MlpNetwork, flatten_weights, forward,
                             gradient_vector, init_mlp, lift)

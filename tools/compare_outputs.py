@@ -7,18 +7,21 @@ Usage:
 
 Writes the seed-1 benchmark inputs once (the `mart`, `blobs`, `probe` and
 `pgd10` configs of ``bench/workloads.make_inputs`` in this repository),
-plus two configs derived from `probe` that reach the training options the
-benchmark leaves off (`probe-swa`: SWA, cosine lr with warmup, a linear
-lambda schedule; `probe-awp`: AWP, multistep lr, a multistep lambda
-schedule and a clamp box).  It then runs every command of the list below
-in both checkouts, each with ``PYTHONPATH=<root>/src``, one BLAS thread
-and its own output directory:
+plus configs derived from `probe`: two that reach the training options
+the benchmark leaves off (`probe-swa`: SWA, cosine lr with warmup, a
+linear lambda schedule; `probe-awp`: AWP, multistep lr, a multistep
+lambda schedule and a clamp box), and two that reach the losses it
+leaves off (`probe-alp`: ALP, penalty 0.5; `probe-trades`: TRADES,
+penalty 6, stop-gradient clean logits).  It then runs every command of
+the list below in both checkouts, each with ``PYTHONPATH=<root>/src``,
+one BLAS thread and its own output directory:
 
-* per benchmark config: ``train``; ``trace --measure full --every 7
-  --probes 8``; ``trace --measure top --every 3``; ``spectrum --every 7
+* per benchmark or loss config: ``train``; ``trace --measure full --every
+  7 --probes 8``; ``trace --measure top --every 3``; ``spectrum --every 7
   --probes 4``;
 * per config: ``eval --restarts 1`` and ``--restarts 20`` on the
-  ``train`` checkpoint (a derived config runs only these and ``train``);
+  ``train`` checkpoint (a training-option config runs only these and
+  ``train``);
 * ``sweep --param lambda --values 0.05,0.1`` on `probe`;
 * ``verify --level full --seed 0``, every check result of that run with
   its detail string, and ``verify --level quick`` at seeds 0, 778 and
@@ -52,13 +55,19 @@ RUNS = {"train": ["train"],
         "trace-top": ["trace", "--measure", "top", "--every", "3"],
         "spectrum": ["spectrum", "--every", "7", "--probes", "4"]}
 RESTARTS = ("1", "20")
-# tag -> keys that replace the probe config's (a config names each key once)
-DERIVED = {
+# tag -> keys that replace the probe config's (a config names each key once);
+# a training-option config runs train and eval only
+TRAIN_OPTIONS = {
     "probe-swa": {"train.baseline": "swa", "train.lr_decay": "cosine",
                   "train.warmup_iters": "3", "trh.schedule": "linear"},
     "probe-awp": {"train.baseline": "awp", "train.lr_decay": "multistep",
                   "trh.schedule": "multistep", "attack.clamp_min": "-1.5",
                   "attack.clamp_max": "1.5"},
+}
+LOSSES = {
+    "probe-alp": {"loss.kind": "alp", "loss.penalty": "0.5"},
+    "probe-trades": {"loss.kind": "trades", "loss.penalty": "6",
+                     "trh.stop_grad_clean": "true"},
 }
 VERIFY_QUICK_SEEDS = ("0", "778", "1564")
 # verify prints only failing checks; this prints every check of the full run
@@ -81,7 +90,7 @@ def write_inputs(dirname):
     paths["probe"] = probe.config  # every workload writes the same probe
     with open(probe.config, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    for tag, changes in DERIVED.items():
+    for tag, changes in {**TRAIN_OPTIONS, **LOSSES}.items():
         paths[tag] = os.path.join(dirname, f"{tag}.txt")
         with open(paths[tag], "w", encoding="utf-8") as fh:
             fh.writelines(f"{line}\n" for line in lines
@@ -98,7 +107,7 @@ def commands(configs):
     out = []
     for tag, cfg in configs.items():
         for run, args in RUNS.items():
-            if tag in DERIVED and run != "train":
+            if tag in TRAIN_OPTIONS and run != "train":
                 continue
             out.append((f"{run}:{tag}", cli + args + ["--config", cfg, "--out", "{out}"]))
         checkpoint = os.path.join("{side}", f"train:{tag}", "checkpoint.txt")
