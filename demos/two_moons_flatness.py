@@ -20,12 +20,12 @@ Run: python demos/two_moons_flatness.py            (~30 s)
 import numpy as np
 
 from trhreg.attacks import AttackConfig
+from trhreg.config import TrHConfig
 from trhreg.data import two_moons
 from trhreg.losses import RobustLossKind
 from trhreg.network import init_mlp
 from trhreg.numerics import Rng, pin_allocator
 from trhreg.trainer import MeasureConfig, TrainConfig, train
-from trhreg.trh import TrHConfig
 
 pin_allocator()
 
@@ -49,13 +49,12 @@ for arm, knobs in arms.items():
     net = init_mlp([2, 100, 100, 2], Rng(SEED).child("init"))
     cfg = TrainConfig(epochs=EPOCHS, base_lr=0.1, momentum=0.9,
                       lr_decay="constant", seed=SEED)
-    result = train(net, dataset, kind, TrHConfig(lam=knobs["lam"]),
-                   attack, cfg, full_reg_coeff=knobs["full_coeff"],
+    result = train(net, dataset, kind, TrHConfig(**knobs), attack, cfg,
                    measure=measure)
     trajectories[arm] = {r["epoch"]: r["trh_full_estimate"]
-                         for r in result.trace_rows}
+                         for r in result.measurements}
     last = result.metrics.rows[-1]
-    plateau = [r["trh_full_estimate"] for r in result.trace_rows
+    plateau = [r["trh_full_estimate"] for r in result.measurements
                if r["epoch"] >= 60]
     summary[arm] = (last["clean_acc"], last["pgd_acc"], float(np.mean(plateau)))
 

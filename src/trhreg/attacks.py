@@ -21,6 +21,14 @@ the heap rather than page-faulted in again on every step.  Every step is
 row-wise, so a call on a subset of rows (``rows=``) does the work of those
 rows only.
 
+Floating-point flags: OpenBLAS's float32 kernel for a one-row product
+computes on bytes past the end of an operand, so it can raise the
+"invalid" flag on finite operands and a finite product, by chance (about
+one ``verify --level quick`` process in 500).  The float32 products run
+with the invalid and overflow flags ignored; a step whose direction is
+not finite raises :class:`~trhreg.network.TrainingDivergence` instead (an
+overflow that a ReLU zeroes leaves the direction as float64 would).
+
 A row's step depends on nothing but its iterate, its clean point, its
 label and its clean probabilities, so once a step leaves a row's iterate
 unchanged bit for bit, every later step would too: the row has reached a
@@ -66,7 +74,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .losses import softmax
-from .network import DenseLayer, MlpNetwork, forward, input_gradient
+from .network import (DenseLayer, MlpNetwork, TrainingDivergence, forward,
+                      input_gradient)
 from .numerics import Rng
 
 _NORMS = ("linf", "l2")
@@ -168,7 +177,8 @@ def pgd(net: MlpNetwork, x, y, cfg: AttackConfig, rng: Rng,
     attacked and returned: the random start is still drawn for every row
     and then indexed, so a row gets the start a full call would give it.
     A row that a step leaves in place is not stepped again (it is at a
-    fixed point), and the call returns once every row has settled.
+    fixed point), and the call returns once every row has settled.  A
+    step direction that is not finite raises ``TrainingDivergence``.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -190,7 +200,8 @@ def pgd(net: MlpNetwork, x, y, cfg: AttackConfig, rng: Rng,
     net32 = _single_precision(net)
     s_clean = None
     if cfg.inner_loss == "kl":
-        s_clean = softmax(forward(net32, X.astype(np.float32)).logits)
+        with np.errstate(invalid="ignore", over="ignore"):  # docstring, "flags"
+            s_clean = softmax(forward(net32, X.astype(np.float32)).logits)
 
     if start is not None:
         x_adv = project(X + start, X, cfg.norm, cfg.delta)
@@ -205,9 +216,13 @@ def pgd(net: MlpNetwork, x, y, cfg: AttackConfig, rng: Rng,
     # then hold
     out, live = x_adv, np.arange(len(X))
     for k in range(cfg.steps):
-        tr = forward(net32, x_adv.astype(np.float32))
-        dlogits = _dlogits(tr.logits, y, cfg, s_clean)
-        g = input_gradient(net32, tr, dlogits.astype(np.float32)).astype(np.float64)
+        with np.errstate(invalid="ignore", over="ignore"):  # docstring, "flags"
+            tr = forward(net32, x_adv.astype(np.float32))
+            dlogits = _dlogits(tr.logits, y, cfg, s_clean)
+            g = input_gradient(net32, tr, dlogits.astype(np.float32))
+        if not np.isfinite(g).all():
+            raise TrainingDivergence(f"attack step {k}: input gradient is not finite")
+        g = g.astype(np.float64)
         if cfg.norm == "linf":
             step = alpha * np.sign(g)  # sign(0) = 0: zero-grad rows stay put
         else:

@@ -7,14 +7,15 @@ checkpoints.  The training subcommands import :mod:`trhreg.trainer` and
 ``verify`` imports :mod:`trhreg.verify` inside their functions, so ``eval``
 runs no training, curvature, bound or verification code.
 
-Exit codes: 0 success, 1 config or usage error, 2 divergence (in training
-or in an oracle), 3 verification failure, 4 a finite-difference oracle hit
-a non-finite evaluation, 5 an input too close to a ReLU kink for an exact
-formula, 6 curvature out of the closed-form posterior's regime.  Codes 2
-and 4-6 print one line naming the error.  141 (128 + SIGPIPE, what a shell
-reports for a writer that a closed pipe killed): standard output was closed
-before the run finished writing it, as in ``trhreg verify | head -1``;
-the rest of the output is dropped and nothing is printed.
+Exit codes: 0 success, 1 config or usage error (an unreadable input path
+too), 2 divergence (in training or in an oracle), 3 verification failure,
+4 a finite-difference oracle hit a non-finite evaluation, 5 an input too
+close to a ReLU kink for an exact formula, 6 curvature out of the
+closed-form posterior's regime.  Codes 2 and 4-6 print one line naming
+the error.  141 (128 + SIGPIPE, what a shell reports for a writer that a
+closed pipe killed): standard output was closed before the run finished
+writing it, as in ``trhreg verify | head -1``; the rest of the output is
+dropped and nothing is printed.
 """
 
 from __future__ import annotations
@@ -109,8 +110,7 @@ def _run_training(cfg: ExperimentConfig, measure: MeasureConfig | None = None):
                           f"size {len(ds)}", key="train.batch_size")
     net = cfg.build_network(ds)
     attack = cfg.effective_attack(ds)
-    return train(net, ds, cfg.loss, cfg.trh, attack, cfg.train,
-                 measure=measure, full_reg_coeff=cfg.full_coeff)
+    return train(net, ds, cfg.loss, cfg.trh, attack, cfg.train, measure=measure)
 
 
 def _train_and_write(args, mode: str | None = None):
@@ -128,16 +128,19 @@ def _train_and_write(args, mode: str | None = None):
     return cfg, out, result
 
 
-def _write_measurements(cfg, out, result, name, columns, rows, what) -> int:
-    """Write the measurement rows to `name` and report; the exit code."""
-    log = MetricsLog(columns=columns, preamble=_preamble(cfg))
-    for row in rows:
-        log.append(**row)
+def _train_and_measure(args, mode: str, name: str, what: str) -> int:
+    """trace and spectrum: train measuring in `mode`, write the records
+    to `name` and report; the exit code."""
+    from .trainer import measurement_columns
+
+    cfg, out, result = _train_and_write(args, mode)
+    log = MetricsLog(columns=measurement_columns(mode, result.net.depth),
+                     rows=result.measurements, preamble=_preamble(cfg))
     log.write_csv(os.path.join(out, name))
     if result.diverged:
         print(f"diverged at epoch {result.diverged_epoch}", file=sys.stderr)
         return EXIT_DIVERGED
-    print(f"wrote {out}/{name} ({len(rows)} {what})")
+    print(f"wrote {out}/{name} ({len(result.measurements)} {what})")
     return EXIT_OK
 
 
@@ -186,18 +189,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    cfg, out, result = _train_and_write(args, args.measure)
-    return _write_measurements(cfg, out, result, "trace.csv",
-                               result.trace_columns, result.trace_rows,
-                               "measurements")
+    return _train_and_measure(args, args.measure, "trace.csv", "measurements")
 
 
 def cmd_spectrum(args) -> int:
-    cfg, out, result = _train_and_write(args, "spectrum")
-    return _write_measurements(cfg, out, result, "spectrum.csv",
-                               ["epoch", "layer", "trace", "trace_sq",
-                                "eig_mean", "eig_std"], result.spectrum_rows,
-                               "rows")
+    return _train_and_measure(args, "spectrum", "spectrum.csv", "rows")
 
 
 _SWEEPABLE = {
@@ -338,8 +334,9 @@ def main(argv=None) -> int:
         # SIGPIPE")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (ValueError, FileNotFoundError) as exc:
-        # ConfigError, malformed CSV/checkpoint files, bad combinations
+    except (ValueError, OSError) as exc:
+        # ConfigError, malformed CSV/checkpoint files, bad combinations,
+        # an input path that cannot be read or an out.dir that cannot be made
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TrainingDivergence as exc:

@@ -15,7 +15,9 @@ given alongside explicit train.gamma / trh.lambda, they must satisfy
 gamma = 1/(2 beta sigma0_sq) and lambda = sigma0_sq/2 within 1e-12.
 attack.clamp_min and attack.clamp_max come together, the lower not above
 the upper.  Attack radii are stated in raw input units; with
-dataset.normalize = true the radius is rescaled by 1/std before attacking.
+dataset.normalize = true the radius and step are rescaled by 1/std
+(:meth:`ExperimentConfig.effective_attack`), but not the clamp box, which
+bounds the normalized inputs the attack sees.
 
 The value types of the trh, train and pacbayes sections and of the CLI's
 measurement flags (:class:`TrHConfig`, :class:`TrainConfig`,
@@ -47,15 +49,19 @@ class TrHConfig:
     Under the bound reparameterization, ``lam`` equals half the prior
     variance.  ``stop_grad_clean`` selects the frozen-clean-logits variant
     of the TRADES trace (the default; the full variant adds the G term).
+    ``full_coeff`` weighs the whole-network CE-trace penalty added to it.
     """
 
     lam: float = 0.0
     schedule: str = "constant"
     stop_grad_clean: bool = True
+    full_coeff: float = 0.0
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
+        if self.full_coeff < 0:
+            raise ValueError("full_coeff must be >= 0")
         if self.schedule not in _SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
 
@@ -280,7 +286,7 @@ _KEYS = {
 
 # Section keys whose constructor argument is not the key's last part
 # (None: the key is read on its own, not passed to the constructor).
-_ARG = {"loss.kind": "variant", "trh.lambda": "lam", "trh.full_coeff": None,
+_ARG = {"loss.kind": "variant", "trh.lambda": "lam",
         "attack.clamp_min": None, "attack.clamp_max": None}
 
 
@@ -354,7 +360,6 @@ class ExperimentConfig:
     loss: RobustLossKind
     attack: AttackConfig
     trh: TrHConfig
-    full_coeff: float
     train: TrainConfig
     pacbayes: PacBayesConfig | None
     out_dir: str | None
@@ -383,9 +388,6 @@ class ExperimentConfig:
                          inner_loss="kl" if loss.variant == "trades" else "ce",
                          clamp=None if clamp_min is None else (clamp_min, clamp_max))
         trh = r.build(TrHConfig, "trh")
-        full_coeff = r.get("trh.full_coeff")
-        if full_coeff < 0:
-            r.err("trh.full_coeff", "full_coeff must be >= 0")
         train = r.build(TrainConfig, "train")
 
         pacbayes = None
@@ -408,8 +410,7 @@ class ExperimentConfig:
                    dataset_path=r.get("dataset.path"),
                    dataset_normalize=r.get("dataset.normalize"),
                    hidden=r.get("net.hidden"), hidden_bias=r.get("net.hidden_bias"),
-                   loss=loss, attack=attack, trh=trh,
-                   full_coeff=full_coeff, train=train,
+                   loss=loss, attack=attack, trh=trh, train=train,
                    pacbayes=pacbayes, out_dir=r.get("out.dir"))
 
     @classmethod
@@ -430,7 +431,7 @@ class ExperimentConfig:
         return ds
 
     def effective_attack(self, ds: Dataset) -> AttackConfig:
-        """Attack with its raw-unit radius rescaled into data units."""
+        """Attack with its raw-unit radius and step rescaled to data units."""
         if ds.scale is not None and ds.scale != 1.0:
             return self.attack.scaled(1.0 / ds.scale)
         return self.attack

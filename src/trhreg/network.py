@@ -33,7 +33,7 @@ from .numerics import Rng
 
 
 class TrainingDivergence(RuntimeError):
-    """Objective evaluated to a non-finite value."""
+    """An objective, or an attack step's direction, is not finite."""
 
 
 _FLOAT32 = np.dtype(np.float32)

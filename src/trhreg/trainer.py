@@ -105,8 +105,8 @@ def awp_step(net: MlpNetwork, X, x_adv, y, kind: RobustLossKind,
              delta_awp: float):
     """Most-offending weight perturbation, one ascent step per layer.
 
-    Returns per-layer ``(xi_W, xi_b)`` with ``||xi_W|| = delta * ||W||``
-    (zero for zero-gradient or zero-norm layers); biases are not perturbed.
+    Returns one ``xi_W`` per layer with ``||xi_W|| = delta * ||W||`` (zero
+    for zero-gradient or zero-norm layers); biases are not perturbed.
     """
     if delta_awp <= 0:
         raise ValueError("delta_awp must be positive")
@@ -116,24 +116,23 @@ def awp_step(net: MlpNetwork, X, x_adv, y, kind: RobustLossKind,
     for layer, (g_w, _) in zip(net.layers, grads):
         w_norm = float(np.linalg.norm(layer.weights))
         g_norm = float(np.linalg.norm(g_w))
-        if w_norm == 0.0 or g_norm == 0.0:
-            xi = np.zeros_like(layer.weights)
-        else:
-            xi = (delta_awp * w_norm / g_norm) * g_w
-        out.append((xi, None if layer.bias is None else np.zeros_like(layer.bias)))
-    return out
-
-
-def _apply_perturbation(net: MlpNetwork, xi) -> MlpNetwork:
-    out = net.copy()
-    for layer, (xi_w, xi_b) in zip(out.layers, xi):
-        layer.weights += xi_w
-        if xi_b is not None and layer.bias is not None:
-            layer.bias += xi_b
+        out.append((delta_awp * w_norm / g_norm) * g_w if w_norm and g_norm
+                   else np.zeros_like(layer.weights))
     return out
 
 
 METRICS_COLUMNS = ["epoch", "train_loss", "clean_acc", "pgd_acc", "lambda_eff", "lr"]
+SPECTRUM_COLUMNS = ["epoch", "layer", "trace", "trace_sq", "eig_mean", "eig_std"]
+
+
+def measurement_columns(mode: str, depth: int) -> list:
+    """The columns of the records :func:`measure_trace_row` returns in
+    `mode` on a net of `depth` layers."""
+    if mode == "spectrum":
+        return list(SPECTRUM_COLUMNS)
+    return (["epoch", "trh_top_analytic", "trh_full_estimate", "trh_full_stderr"]
+            + [f"trh_layer_{i}" for i in range(1, depth + 1)]
+            + ["train_loss", "robust_acc"])
 
 
 @dataclass
@@ -141,27 +140,21 @@ class TrainResult:
     net: MlpNetwork            # evaluation network (averaged when SWA)
     raw_net: MlpNetwork
     metrics: MetricsLog
-    trace_rows: list
-    spectrum_rows: list
-    diverged: bool
+    measurements: list         # the records of every measurement, in order
     diverged_epoch: int | None
 
     @property
-    def trace_columns(self):
-        if not self.trace_rows:
-            return []
-        return list(self.trace_rows[0].keys())
+    def diverged(self) -> bool:
+        return self.diverged_epoch is not None
 
 
 def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
           trh_cfg: TrHConfig, attack_cfg: AttackConfig, cfg: TrainConfig,
-          measure: MeasureConfig | None = None,
-          full_reg_coeff: float = 0.0) -> TrainResult:
+          measure: MeasureConfig | None = None) -> TrainResult:
     """Run the regularized training loop; deterministic given the seed.
 
-    ``full_reg_coeff > 0`` adds the differentiable whole-network CE-trace
-    penalty (used by the toy-problem "Full" arm) on top of whatever
-    ``trh_cfg.lam`` specifies; the two regularizers are independent.
+    ``trh_cfg.full_coeff > 0`` adds the whole-network CE-trace penalty (the
+    toy "Full" arm) on top of the ``lam`` term; the two are independent.
 
     ``pgd_acc``: when the run is full batch, ``attack_cfg.inner_loss`` is
     CE, ``cfg.baseline`` is not SWA and ``cfg.eval_restarts`` is 1, the
@@ -174,8 +167,6 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
     rows that no attack breaks.  Otherwise ``pgd_acc`` is
     ``eval_robust_accuracy`` with the stream ``rng.child("eval", e)``.
     """
-    if full_reg_coeff < 0:
-        raise ValueError("full_reg_coeff must be >= 0")
     rng = Rng(cfg.seed)
     net = net.copy()
     m = len(dataset)
@@ -186,8 +177,7 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
     total_iters = cfg.epochs * iters_per_epoch
 
     metrics = MetricsLog(columns=list(METRICS_COLUMNS))
-    trace_rows: list = []
-    spectrum_rows: list = []
+    measurements: list = []
     eval_attack = replace(attack_cfg, restarts=cfg.eval_restarts, inner_loss="ce")
     # a full-batch step attacks every row with the evaluation's attack, so
     # the epoch's pgd_acc is read off the next step's attack (docstring)
@@ -197,7 +187,6 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
 
     velocity = np.zeros(param_count(net))
     swa_avg = flatten_weights(net) if cfg.baseline == "swa" else None
-    diverged = False
     diverged_epoch = None
     t = 0
 
@@ -211,33 +200,36 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
             y_b = dataset.labels[idx]
             lam_eff = lambda_at(trh_cfg.schedule, t, total_iters, trh_cfg.lam)
             lr = lr_at(cfg, t, total_iters)
-            if next_adv is not None:
-                x_adv, next_adv = next_adv, None
-            else:
-                x_adv = pgd(net, x_b, y_b, attack_cfg, rng.child("attack", epoch, b))
 
             def objective(lifted):
                 node = objective_nodes(lifted, x_b, x_adv, y_b, kind,
                                        lam_eff, cfg.gamma,
                                        stop_grad_clean=trh_cfg.stop_grad_clean)
-                if full_reg_coeff:
-                    node = node + full_reg_coeff * tape.mean(
+                if trh_cfg.full_coeff:
+                    node = node + trh_cfg.full_coeff * tape.mean(
                         full_ce_trace_rows_nodes(lifted, x_adv))
                 return node
 
-            try:
+            try:  # a non-finite attack direction diverges too
+                if next_adv is not None:
+                    x_adv, next_adv = next_adv, None
+                else:
+                    x_adv = pgd(net, x_b, y_b, attack_cfg,
+                                rng.child("attack", epoch, b))
                 step_net = net
                 if cfg.baseline == "awp":
-                    xi = awp_step(net, x_b, x_adv, y_b, kind, cfg.awp_delta)
-                    step_net = _apply_perturbation(net, xi)
+                    step_net = net.copy()
+                    for layer, xi in zip(step_net.layers, awp_step(
+                            net, x_b, x_adv, y_b, kind, cfg.awp_delta)):
+                        layer.weights += xi
                 value, grads = backprop(step_net, objective)
             except TrainingDivergence:
-                diverged, diverged_epoch = True, epoch
+                diverged_epoch = epoch
                 break
             flat_grad = flat_gradient(grads)
             # stop before a non-finite gradient turns the weights into nan
             if value > DIVERGENCE_THRESHOLD or not np.all(np.isfinite(flat_grad)):
-                diverged, diverged_epoch = True, epoch
+                diverged_epoch = epoch
                 break
             epoch_losses.append(value)
             velocity = cfg.momentum * velocity + flat_grad
@@ -248,15 +240,19 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
             t += 1
 
         eval_net = unflatten_weights(net, swa_avg) if swa_avg is not None else net
-        if reuse_attack:
-            next_perm = rng.child("shuffle", epoch + 1).permutation(m)
-            next_adv = pgd(net, dataset.inputs[next_perm], dataset.labels[next_perm],
-                           attack_cfg, rng.child("attack", epoch + 1, 0))
-            pgd_acc = float(np.mean(predictions(net, next_adv)
-                                    == dataset.labels[next_perm]))
-        else:
-            pgd_acc = eval_robust_accuracy(eval_net, dataset, eval_attack,
-                                           rng.child("eval", epoch))
+        try:  # finite weights can still give a non-finite attack direction
+            if reuse_attack:
+                next_perm = rng.child("shuffle", epoch + 1).permutation(m)
+                next_adv = pgd(net, dataset.inputs[next_perm],
+                               dataset.labels[next_perm], attack_cfg,
+                               rng.child("attack", epoch + 1, 0))
+                pgd_acc = float(np.mean(predictions(net, next_adv)
+                                        == dataset.labels[next_perm]))
+            else:
+                pgd_acc = eval_robust_accuracy(eval_net, dataset, eval_attack,
+                                               rng.child("eval", epoch))
+        except TrainingDivergence:
+            pgd_acc, diverged_epoch = float("nan"), epoch
         metrics.append(
             epoch=epoch,
             train_loss=float(np.mean(epoch_losses)) if epoch_losses else float("nan"),
@@ -265,55 +261,46 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
             lambda_eff=lam_eff,
             lr=lr)
 
-        if measure is not None and not diverged and (
-                epoch % measure.every == 0 or epoch == cfg.epochs - 1):
-            row = measure_trace_row(eval_net, dataset, kind, attack_cfg,
-                                    epoch, measure, metrics.rows[-1])
-            if measure.mode == "spectrum":
-                spectrum_rows.extend(row)
-            else:
-                trace_rows.append(row)
-        if diverged:
+        if diverged_epoch is not None:
             break
+        if measure is not None and (
+                epoch % measure.every == 0 or epoch == cfg.epochs - 1):
+            measurements.extend(measure_trace_row(
+                eval_net, dataset, kind, attack_cfg, epoch, measure,
+                metrics.rows[-1]))
 
     eval_net = unflatten_weights(net, swa_avg) if swa_avg is not None else net
     return TrainResult(net=eval_net, raw_net=net, metrics=metrics,
-                       trace_rows=trace_rows, spectrum_rows=spectrum_rows,
-                       diverged=diverged, diverged_epoch=diverged_epoch)
+                       measurements=measurements, diverged_epoch=diverged_epoch)
 
 
 def measure_trace_row(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
                       attack_cfg: AttackConfig, epoch: int,
-                      measure: MeasureConfig, metrics_row):
-    """One measurement record (or spectrum records) at the current weights."""
+                      measure: MeasureConfig, metrics_row) -> list:
+    """The records of one measurement at the current weights: one trace
+    record, or the spectrum records, each with the columns of
+    :func:`measurement_columns`."""
     meas_rng = Rng(PROBE_SEED).child("measure", epoch)
-    x_adv = pgd(net, dataset.inputs, dataset.labels, attack_cfg,
-                meas_rng.child("attack"))
     x, y = dataset.inputs, dataset.labels
+    x_adv = pgd(net, x, y, attack_cfg, meas_rng.child("attack"))
 
     if measure.mode == "spectrum":
         return spectrum_records(net, x, x_adv, y, kind, epoch,
                                 measure.probes, meas_rng.child("spectrum"))
 
-    row = {"epoch": epoch,
-           "trh_top_analytic": float(np.mean(analytic_trh_rows(net, x, x_adv, y, kind)))}
+    full = (float("nan"), float("nan"))
     if measure.mode == "full":
         # the bare robust objective (no penalty terms); a fresh stream each
         # time: the same probes at every measurement
         value_fn, _ = frozen_objective_fns(net, x, x_adv, y, kind)
-        row["trh_full_estimate"], row["trh_full_stderr"] = hutchinson_trace(
+        full = hutchinson_trace(
             quad_form_from_values(value_fn, flatten_weights(net)),
             param_count(net), measure.probes,
             Rng(PROBE_SEED).child("trace-probes"))
-    else:
-        row["trh_full_estimate"] = float("nan")
-        row["trh_full_stderr"] = float("nan")
-    layer_means = layer_trace_rows(net, x_adv).mean(axis=0)
-    for i, v in enumerate(layer_means, start=1):
-        row[f"trh_layer_{i}"] = float(v)
-    row["train_loss"] = metrics_row["train_loss"]
-    row["robust_acc"] = metrics_row["pgd_acc"]
-    return row
+    values = [epoch, float(np.mean(analytic_trh_rows(net, x, x_adv, y, kind))),
+              *full, *map(float, layer_trace_rows(net, x_adv).mean(axis=0)),
+              metrics_row["train_loss"], metrics_row["pgd_acc"]]
+    return [dict(zip(measurement_columns(measure.mode, net.depth), values))]
 
 
 def spectrum_records(net: MlpNetwork, x, x_adv, y, kind: RobustLossKind,
@@ -331,9 +318,8 @@ def spectrum_records(net: MlpNetwork, x, x_adv, y, kind: RobustLossKind,
     product, because squares are not.
     """
     def record(layer, trace, trace_sq, n):
-        mean, std = eigen_stats(trace, trace_sq, n)
-        return {"epoch": epoch, "layer": layer, "trace": trace,
-                "trace_sq": trace_sq, "eig_mean": mean, "eig_std": std}
+        values = (epoch, layer, trace, trace_sq, *eigen_stats(trace, trace_sq, n))
+        return dict(zip(SPECTRUM_COLUMNS, values))
 
     dim = param_count(net)
     records, total = [], 0.0

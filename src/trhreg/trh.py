@@ -49,7 +49,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tape
-from .config import TrHConfig  # noqa: F401  (re-exported)
 from .losses import RobustLossKind
 from .network import ForwardTrace, MlpNetwork, forward, forward_nodes, lift
 

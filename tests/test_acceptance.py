@@ -14,12 +14,12 @@ import pytest
 from trhreg import verify
 from trhreg.attacks import AttackConfig, clean_accuracy, eval_robust_accuracy, pgd
 from trhreg.cli import main
+from trhreg.config import TrHConfig
 from trhreg.data import two_moons
 from trhreg.losses import RobustLossKind
 from trhreg.network import DenseLayer, MlpNetwork, init_mlp
 from trhreg.numerics import Rng
 from trhreg.trainer import MeasureConfig, TrainConfig, spectrum_records, train
-from trhreg.trh import TrHConfig
 
 pytestmark = pytest.mark.acceptance
 
@@ -107,9 +107,10 @@ def toy_runs():
             net = init_mlp([2, 100, 100, 2], Rng(seed).child("init"))
             cfg = TrainConfig(epochs=100, base_lr=0.1, momentum=0.9,
                               lr_decay="constant", seed=seed)
-            result = train(net, ds, kind, TrHConfig(lam=lam), attack, cfg,
-                           full_reg_coeff=full_coeff, measure=measure)
-            plateau = [r["trh_full_estimate"] for r in result.trace_rows
+            result = train(net, ds, kind,
+                           TrHConfig(lam=lam, full_coeff=full_coeff), attack,
+                           cfg, measure=measure)
+            plateau = [r["trh_full_estimate"] for r in result.measurements
                        if r["epoch"] >= PLATEAU_START]
             entry = {
                 "clean": result.metrics.rows[-1]["clean_acc"],

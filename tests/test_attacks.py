@@ -15,8 +15,8 @@ from trhreg.attacks import (_ROUNDING_ALLOWANCE, AttackConfig,
                             margin_lower_bound, pgd, predictions, project)
 from trhreg.data import Dataset, two_moons
 from trhreg.losses import softmax
-from trhreg.network import (DenseLayer, MlpNetwork, forward, init_mlp,
-                            input_gradient)
+from trhreg.network import (DenseLayer, MlpNetwork, TrainingDivergence,
+                            forward, init_mlp, input_gradient)
 from trhreg.numerics import Rng
 
 
@@ -393,6 +393,16 @@ class TestSinglePrecisionSteps:
                 assert layer.bias.dtype == np.float64
                 assert np.array_equal(layer.bias, old.bias)
 
+    @pytest.mark.parametrize("inner", ["ce", "kl"])
+    def test_nan_weight_raises_named_error(self, inner):
+        # the float32 products run with their flags ignored, so a
+        # non-finite direction is caught by value, not by a warning
+        net, X, y = TestPgdBuffers.problem([3, 16, 12, 4], 60)
+        net.layers[1].weights[0, 0] = np.nan
+        cfg = AttackConfig(delta=0.3, steps=3, inner_loss=inner)
+        with pytest.raises(TrainingDivergence, match="attack step 0"):
+            pgd(net, X, y, cfg, Rng(43).child("a"))
+
 
 class TestAttackConfigChecks:
     def test_inverted_clamp_box_rejected(self):
@@ -411,8 +421,8 @@ def trained_moons():
     """A 2-16-16-2 net adversarially trained on two moons; about 80 % of
     its points are certified at delta 0.05."""
     from trhreg.losses import RobustLossKind
+    from trhreg.config import TrHConfig
     from trhreg.trainer import TrainConfig, train
-    from trhreg.trh import TrHConfig
 
     ds = two_moons(200, noise_std=0.1, seed=7)
     net = init_mlp([2, 16, 16, 2], Rng(7).child("init"))

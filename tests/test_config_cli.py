@@ -313,6 +313,22 @@ class TestCliTraceSpectrum:
             assert layers[0][0] == pytest.approx(total, rel=1e-6)
             assert all(layers[i][3] >= 0 for i in layers)
 
+    @pytest.mark.parametrize("argv, name, header", [
+        (["trace", "--measure", "top"], "trace.csv",
+         "epoch,trh_top_analytic,trh_full_estimate,trh_full_stderr,"
+         "trh_layer_1,trh_layer_2,trh_layer_3,train_loss,robust_acc"),
+        (["spectrum"], "spectrum.csv", "epoch,layer,trace,trace_sq,eig_mean,eig_std"),
+    ], ids=["trace", "spectrum"])
+    def test_divergence_before_first_measurement_writes_header(
+            self, tmp_path, capsys, argv, name, header):
+        # the second step of epoch 0 diverges, before any measurement
+        text = BASE_CONFIG.replace("train.base_lr = 0.1", "train.base_lr = 100000")
+        cfg = write_config(tmp_path, text + "train.batch_size = 20\n")
+        out = tmp_path / "run"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "diverged at epoch 0\n"
+        assert _lines(out / name) == [header]
+
 
 class TestCliSweep:
     def test_duplicate_values_identical_rows(self, tmp_path):
@@ -525,6 +541,30 @@ class TestCliDivergenceOutsideTraining:
         assert err.startswith("diverged at epoch 1; last-good checkpoint")
         assert err.count("\n") == 1
         assert load_checkpoint(out / "checkpoint.txt").input_dim == 2
+
+
+class TestCliDirectoryInput:
+    """An input path that names a directory is a config error: exit 1 and
+    one line, not a traceback."""
+
+    @pytest.mark.parametrize("given", ["config", "dataset", "checkpoint"])
+    def test_exits_one_with_one_line(self, tmp_path, capsys, given):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        out = str(tmp_path / "o")
+        if given == "config":
+            argv = ["train", "--config", str(folder)]
+        elif given == "dataset":
+            text = BASE_CONFIG.replace("dataset.kind = two_moons",
+                                       f"dataset.kind = csv\ndataset.path = {folder}")
+            argv = ["train", "--config", write_config(tmp_path, text)]
+        else:
+            argv = ["eval", "--config", write_config(tmp_path),
+                    "--checkpoint", str(folder)]
+        assert main(argv + ["--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestCliTraceModes:

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from trhreg.attacks import AttackConfig, clean_accuracy
+from trhreg.config import TrHConfig
 from trhreg.data import CsvFormatError, Dataset, load_csv, normalize_center, two_moons
 from trhreg.losses import RobustLossKind
 from trhreg.network import init_mlp
 from trhreg.numerics import Rng
 from trhreg.trainer import TrainConfig, train
-from trhreg.trh import TrHConfig
 
 
 class TestTwoMoons:

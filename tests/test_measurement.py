@@ -21,7 +21,7 @@ from trhreg.network import (flatten_weights, forward, init_mlp, lift,
                             unflatten_weights)
 from trhreg.numerics import Rng, rademacher_vector
 from trhreg.trainer import (PROBE_SEED, MeasureConfig, measure_trace_row,
-                            spectrum_records)
+                            measurement_columns, spectrum_records)
 from trhreg.trh import capture_frozen, objective_nodes
 
 ATTACK = AttackConfig(delta=0.05, steps=2)
@@ -61,8 +61,8 @@ class TestFullEstimate:
         ds, net = _setup()
         measure = MeasureConfig(mode="full", probes=6)
         for epoch in (0, 3):
-            row = measure_trace_row(net, ds, kind, ATTACK, epoch, measure,
-                                    {"train_loss": 0.0, "pgd_acc": 0.0})
+            [row] = measure_trace_row(net, ds, kind, ATTACK, epoch, measure,
+                                      {"train_loss": 0.0, "pgd_acc": 0.0})
             x_adv = _measured_adv(net, ds, epoch)
             w0 = flatten_weights(net)
             if variant == "at":
@@ -87,11 +87,25 @@ class TestFullEstimate:
 
     def test_other_modes_leave_estimate_nan(self):
         ds, net = _setup()
-        row = measure_trace_row(net, ds, RobustLossKind("at"), ATTACK, 0,
-                                MeasureConfig(mode="top"),
-                                {"train_loss": 0.0, "pgd_acc": 0.0})
+        [row] = measure_trace_row(net, ds, RobustLossKind("at"), ATTACK, 0,
+                                  MeasureConfig(mode="top"),
+                                  {"train_loss": 0.0, "pgd_acc": 0.0})
         assert np.isnan(row["trh_full_estimate"])
         assert np.isnan(row["trh_full_stderr"])
+
+
+class TestMeasurementColumns:
+    @pytest.mark.parametrize("mode", ["top", "full", "spectrum"])
+    @pytest.mark.parametrize("hidden", [[6], [6, 5]], ids=["depth2", "depth3"])
+    def test_are_the_keys_of_every_record(self, mode, hidden):
+        ds = two_moons(40, noise_std=0.1, seed=3)
+        net = init_mlp([2, *hidden, 2], Rng(3).child("init"))
+        records = measure_trace_row(net, ds, RobustLossKind("at"), ATTACK, 0,
+                                    MeasureConfig(mode=mode, probes=4),
+                                    {"train_loss": 0.0, "pgd_acc": 0.0})
+        assert len(records) == (net.depth + 1 if mode == "spectrum" else 1)
+        for record in records:
+            assert list(record) == measurement_columns(mode, net.depth)
 
 
 def _reference_spectrum(net, x, x_adv, y, kind, epoch, probes, rng):

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from trhreg.attacks import AttackConfig, pgd, predictions
+from trhreg.config import TrHConfig
 from trhreg.data import two_moons
 from trhreg.losses import RobustLossKind
 from trhreg.network import flatten_weights, forward, init_mlp
 from trhreg.numerics import Rng
 from trhreg.trainer import (MeasureConfig, TrainConfig, awp_step, lambda_at,
                             lr_at, swa_update, train)
-from trhreg.trh import TrHConfig, robust_loss_rows
+from trhreg.trh import robust_loss_rows
 from trhreg.verify import sample_smooth_instance
 
 
@@ -95,14 +96,14 @@ class TestAwp:
     def test_projection_contract_exact(self):
         net, x, x_adv, y = sample_smooth_instance(401)
         xi = awp_step(net, x, x_adv, y, RobustLossKind("at"), delta_awp=0.01)
-        for layer, (xi_w, _) in zip(net.layers, xi):
+        for layer, xi_w in zip(net.layers, xi):
             ratio = np.linalg.norm(xi_w) / np.linalg.norm(layer.weights)
             assert ratio == pytest.approx(0.01, rel=1e-12) or ratio == 0.0
 
     def test_vanishing_budget_vanishing_perturbation(self):
         net, x, x_adv, y = sample_smooth_instance(402)
         xi = awp_step(net, x, x_adv, y, RobustLossKind("at"), delta_awp=1e-9)
-        for xi_w, _ in xi:
+        for xi_w in xi:
             assert np.linalg.norm(xi_w) <= 1e-9 * 100
 
     def test_ascent_increases_loss_on_most_instances(self):
@@ -113,7 +114,7 @@ class TestAwp:
             net, x, x_adv, y = sample_smooth_instance(500 + i)
             xi = awp_step(net, x, x_adv, y, kind, delta_awp=0.005)
             perturbed = net.copy()
-            for layer, (xi_w, _) in zip(perturbed.layers, xi):
+            for layer, xi_w in zip(perturbed.layers, xi):
                 layer.weights += xi_w
             before = float(np.mean(robust_loss_rows(net, x, x_adv, y, kind)))
             after = float(np.mean(robust_loss_rows(perturbed, x, x_adv, y, kind)))
@@ -170,19 +171,26 @@ class TestTrainLoop:
         assert len(res.metrics.rows) == 3
         assert not res.diverged
 
-    def test_negative_full_reg_coeff_rejected(self):
+    def test_negative_full_coeff_rejected(self):
         # a negative coefficient would reward curvature
-        ds = two_moons(20, noise_std=0.1, seed=1)
-        net = init_mlp([2, 4, 2], Rng(0).child("init"))
-        with pytest.raises(ValueError, match="full_reg_coeff"):
-            train(net, ds, RobustLossKind("at"), TrHConfig(),
-                  AttackConfig(delta=0.02, steps=1),
-                  TrainConfig(epochs=1, base_lr=0.1), full_reg_coeff=-5.0)
+        with pytest.raises(ValueError, match="full_coeff"):
+            TrHConfig(full_coeff=-1.0)
+        assert TrHConfig(full_coeff=0.0).full_coeff == 0.0
 
     def test_divergence_aborts_with_flag(self):
         res, _ = toy_run(epochs=5, base_lr=1e9)
         assert res.diverged
         assert res.diverged_epoch is not None
+        assert all(np.isfinite(flatten_weights(res.net)))
+
+    def test_non_finite_epoch_end_attack_stops_the_run(self):
+        # one full-batch step at this rate leaves float64-finite weights on
+        # which the float32 attack overflows: the run stops at that epoch
+        # with a nan robust accuracy instead of carrying a nan attack on
+        res, _ = toy_run(epochs=3, base_lr=1e25)
+        assert res.diverged_epoch == 0
+        [row] = res.metrics.rows
+        assert np.isnan(row["pgd_acc"]) and np.isfinite(row["clean_acc"])
         assert all(np.isfinite(flatten_weights(res.net)))
 
     def test_minibatch_iteration_count(self):
@@ -202,9 +210,9 @@ class TestTrainLoop:
         res = train(net, ds, RobustLossKind("at"), TrHConfig(),
                     AttackConfig(delta=0.02, steps=1), cfg,
                     measure=MeasureConfig(mode="top", every=2))
-        epochs = [r["epoch"] for r in res.trace_rows]
+        epochs = [r["epoch"] for r in res.measurements]
         assert epochs == [0, 2, 3]  # every 2 plus the final epoch
-        assert all("trh_top_analytic" in r for r in res.trace_rows)
+        assert all("trh_top_analytic" in r for r in res.measurements)
 
     def test_full_estimate_agrees_with_exact_trace_on_tiny_net(self):
         # the probe estimate and the gradient-difference oracle measure the
@@ -246,7 +254,7 @@ class TestTrainLoop:
                     AttackConfig(delta=0.02, steps=1), cfg,
                     measure=MeasureConfig(mode="spectrum", every=1, probes=8))
         by_epoch = {}
-        for row in res.spectrum_rows:
+        for row in res.measurements:
             by_epoch.setdefault(row["epoch"], {})[row["layer"]] = row
         for epoch, rows in by_epoch.items():
             layer_sum = sum(rows[i]["trace"] for i in rows if i > 0)

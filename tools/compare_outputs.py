@@ -10,15 +10,17 @@ Writes the seed-1 benchmark inputs once (the `mart`, `blobs`, `probe` and
 plus configs derived from `probe`: two that reach the training options
 the benchmark leaves off (`probe-swa`: SWA, cosine lr with warmup, a
 linear lambda schedule; `probe-awp`: AWP, multistep lr, a multistep
-lambda schedule and a clamp box), and two that reach the losses it
-leaves off (`probe-alp`: ALP, penalty 0.5; `probe-trades`: TRADES,
-penalty 6, stop-gradient clean logits).  It then runs every command of
-the list below in both checkouts, each with ``PYTHONPATH=<root>/src``,
-one BLAS thread and its own output directory:
+lambda schedule and a clamp box), two that reach the losses it leaves
+off (`probe-alp`: ALP, penalty 0.5; `probe-trades`: TRADES, penalty 6,
+stop-gradient clean logits), and one whose training diverges in epoch 0,
+before its first measurement (`probe-diverge`: base_lr 100000; train,
+trace and spectrum exit 2).  It then runs every command of the list
+below in both checkouts, each with ``PYTHONPATH=<root>/src``, one BLAS
+thread and its own output directory:
 
-* per benchmark or loss config: ``train``; ``trace --measure full --every
-  7 --probes 8``; ``trace --measure top --every 3``; ``spectrum --every 7
-  --probes 4``;
+* per benchmark, loss or diverging config: ``train``; ``trace --measure
+  full --every 7 --probes 8``; ``trace --measure top --every 3``;
+  ``spectrum --every 7 --probes 4``;
 * per config: ``eval --restarts 1`` and ``--restarts 20`` on the
   ``train`` checkpoint (a training-option config runs only these and
   ``train``);
@@ -69,6 +71,7 @@ LOSSES = {
     "probe-trades": {"loss.kind": "trades", "loss.penalty": "6",
                      "trh.stop_grad_clean": "true"},
 }
+DIVERGING = {"probe-diverge": {"train.base_lr": "100000"}}
 VERIFY_QUICK_SEEDS = ("0", "778", "1564")
 # verify prints only failing checks; this prints every check of the full run
 VERIFY_DETAILS = """
@@ -90,7 +93,7 @@ def write_inputs(dirname):
     paths["probe"] = probe.config  # every workload writes the same probe
     with open(probe.config, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    for tag, changes in {**TRAIN_OPTIONS, **LOSSES}.items():
+    for tag, changes in {**TRAIN_OPTIONS, **LOSSES, **DIVERGING}.items():
         paths[tag] = os.path.join(dirname, f"{tag}.txt")
         with open(paths[tag], "w", encoding="utf-8") as fh:
             fh.writelines(f"{line}\n" for line in lines
