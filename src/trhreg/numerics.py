@@ -7,7 +7,8 @@ estimators) is built on the two ingredients in this module:
   ``SeedSequence`` spawning machinery.  Identical seeds give identical
   streams on every platform, and ``child(...)`` derives independent
   sub-streams from hashable path components, so per-trial / per-example
-  streams never overlap.
+  streams never overlap.  A stream's generator is built at its first
+  draw.
 * central finite differences at fixed step sizes (1e-5 for first
   derivatives, 1e-4 for second differences), which balance truncation
   against rounding error in 64-bit arithmetic: one routine for the
@@ -36,6 +37,7 @@ a float32 copy of the network, which never leaves that call.
 from __future__ import annotations
 
 import ctypes
+import functools
 import platform
 
 import numpy as np
@@ -110,22 +112,29 @@ class Rng:
     """Deterministic, splittable random stream.
 
     Wraps ``numpy.random.Generator`` over the Philox counter-based bit
-    generator.  Sub-streams are derived with :meth:`child`, which feeds the
-    path through ``SeedSequence`` spawn keys; distinct paths give
-    statistically independent streams with period far beyond 2**32 draws.
+    generator.  Sub-streams are derived with :meth:`child`, which appends
+    the path to the stream's ``SeedSequence`` spawn key; distinct paths
+    give statistically independent streams with period far beyond 2**32
+    draws.  A stream is the pair ``(seed, spawn key)``: its generator,
+    ``Generator(Philox(SeedSequence(entropy=seed, spawn_key=key)))``, is
+    built at its first draw, so a stream that only spawns children never
+    builds one.
     """
 
-    def __init__(self, seed: int, _seq: np.random.SeedSequence | None = None):
+    def __init__(self, seed: int, _key: tuple = ()):
         self.seed = int(seed)
-        self._seq = _seq if _seq is not None else np.random.SeedSequence(self.seed)
-        self._gen = np.random.Generator(np.random.Philox(self._seq))
+        if self.seed < 0:
+            raise ValueError("rng seed must be non-negative")
+        self._key = _key
 
     def child(self, *path) -> "Rng":
         """Independent sub-stream addressed by a tuple of ints/strings."""
-        key = tuple(_path_component(p) for p in path)
-        seq = np.random.SeedSequence(entropy=self._seq.entropy,
-                                     spawn_key=self._seq.spawn_key + key)
-        return Rng(self.seed, _seq=seq)
+        return Rng(self.seed, self._key + tuple(_path_component(p) for p in path))
+
+    @functools.cached_property
+    def _gen(self) -> np.random.Generator:
+        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self._key)
+        return np.random.Generator(np.random.Philox(seq))
 
     # thin pass-throughs
     def uniform(self, low=0.0, high=1.0, size=None):

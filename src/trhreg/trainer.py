@@ -166,6 +166,12 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
     bound of `eval_robust_accuracy` is not needed, since it only spares
     rows that no attack breaks.  Otherwise ``pgd_acc`` is
     ``eval_robust_accuracy`` with the stream ``rng.child("eval", e)``.
+
+    Divergence stops the run and returns the last good weights.  A failing
+    step keeps the weights before that step.  A failing epoch-end attack
+    (``pgd_acc`` nan) keeps the weights the epoch started from, and their
+    SWA average; that epoch's metrics row is still read off the weights
+    that failed.
     """
     rng = Rng(cfg.seed)
     net = net.copy()
@@ -191,6 +197,7 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
     t = 0
 
     for epoch in range(cfg.epochs):
+        start_net, start_swa = net, swa_avg  # last good, if the attack fails
         perm = rng.child("shuffle", epoch).permutation(m)
         epoch_losses = []
         lam_eff = lr = 0.0
@@ -253,6 +260,7 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
                                                rng.child("eval", epoch))
         except TrainingDivergence:
             pgd_acc, diverged_epoch = float("nan"), epoch
+            net, swa_avg = start_net, start_swa
         metrics.append(
             epoch=epoch,
             train_loss=float(np.mean(epoch_losses)) if epoch_losses else float("nan"),

@@ -64,15 +64,11 @@ def _kinked_or_faint(net, x, tr) -> bool:
             or float(np.dot(tr.features[0], tr.features[0])) < 0.05)
 
 
-def sample_smooth_instance(seed: int):
-    """Random net + input + adversarial input, away from every ReLU kink.
-
-    Also enforces a healthy feature norm and (for the margin-boosted loss)
-    a unique runner-up class, so finite differences stay trustworthy.
-    Returns ``(net, x, x_adv, y)`` with batch dimension 1.  The clean point
-    is checked before it is attacked; the attack's stream is addressed by
-    path, so the order of the checks does not change what is returned.
-    """
+def _smooth_clean_points(seed: int):
+    """Yield ``(r, net, x, y)`` for each attempt of `seed` whose clean
+    point `x` is away from every ReLU kink and has a healthy feature norm;
+    `r` is the attempt's stream.  Raises ``RuntimeError`` after
+    ``_TRIES`` attempts."""
     rng = Rng(seed).child("instance")
     for attempt in range(_TRIES):
         r = rng.child(attempt)
@@ -83,9 +79,25 @@ def sample_smooth_instance(seed: int):
         net = init_mlp([d_in] + widths + [k], r.child("init"))
         x = r.child("x").normal(size=(1, d_in))
         y = np.array([int(r.integers(0, k))])
-        if _kinked_or_faint(net, x, forward(net, x)):
-            continue
-        cfg = AttackConfig(delta=0.1, steps=5)
+        if not _kinked_or_faint(net, x, forward(net, x)):
+            yield r, net, x, y
+    raise RuntimeError(f"no smooth instance found for seed {seed}")
+
+
+def sample_smooth_instance(seed: int):
+    """Random net + input + adversarial input, away from every ReLU kink.
+
+    Walks the attempts of :func:`_smooth_clean_points` and attacks each
+    clean point with the attempt's stream ``r.child("attack")``; it keeps
+    the first whose adversarial point is also smooth, with a healthy
+    feature norm and (for the margin-boosted loss) a unique runner-up
+    class, so finite differences stay trustworthy.  Returns
+    ``(net, x, x_adv, y)`` with batch dimension 1.  Checks that read only
+    the clean point (the layer-trace groups) take the first clean point
+    and run no attack.
+    """
+    cfg = AttackConfig(delta=0.1, steps=5)
+    for r, net, x, y in _smooth_clean_points(seed):
         x_adv = pgd(net, x, y, cfg, r.child("attack"))
         tr_adv = forward(net, x_adv)
         if _kinked_or_faint(net, x_adv, tr_adv):
@@ -96,7 +108,6 @@ def sample_smooth_instance(seed: int):
         if masked.size >= 2 and top2[1] - top2[0] < 1e-4:
             continue  # runner-up class nearly tied: argmax unstable
         return net, x, x_adv, y
-    raise RuntimeError(f"no smooth instance found for seed {seed}")
 
 
 # -- group runners ------------------------------------------------------
@@ -156,7 +167,7 @@ def check_layer_traces(instances: int, inequality_instances: int,
     ce = RobustLossKind("at")  # adversarial CE at x_adv == x is plain CE
     for i in range(instances):
         inst_seed = seed * 2000 + i
-        net, x, _, y = sample_smooth_instance(inst_seed)
+        _, net, x, y = next(_smooth_clean_points(inst_seed))
         closed = lt.layer_trace_rows(net, x)[0]
         for layer in range(net.depth):
             _, grad_fn = ho.frozen_objective_fns(net, x, x, y, ce, layer=layer)
@@ -170,7 +181,7 @@ def check_layer_traces(instances: int, inequality_instances: int,
                 inst_seed))
     for i in range(inequality_instances):
         inst_seed = seed * 3000 + i
-        net, x, _, _ = sample_smooth_instance(inst_seed)
+        _, net, x, _ = next(_smooth_clean_points(inst_seed))
         for level, r in enumerate(lt.check_layer_inequality(net, x[0])):
             out.append(CheckResult(
                 "layer_traces", f"bound:level{level}:inst{i}", r.holds,

@@ -50,3 +50,26 @@ def test_repo_against_itself_exits_zero():
     assert lines[1].startswith("# pair 1 first=parent")
     metrics = {line.split()[0] for line in lines[3:]}
     assert {"setup_s", "train_s", "peak_rss_mb"} <= metrics
+
+
+def test_stmt_mode_against_itself_exits_zero():
+    proc = subprocess.run(
+        [sys.executable, TOOL, ROOT, ROOT, "--pairs", "1",
+         "--setup", "from trhreg.numerics import Rng",
+         "--stmt", "Rng(0).child('a').normal(size=3)"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("# ab_bench stmt=")
+    assert lines[1].startswith("# pair 1 first=parent stmt_s=")
+    assert lines[3].split()[0] == "stmt_s"
+    assert len(lines) == 4
+
+
+def test_stmt_mode_failing_statement_exits_one():
+    proc = subprocess.run(
+        [sys.executable, TOOL, ROOT, ROOT, "--pairs", "1",
+         "--stmt", "raise ValueError('no')"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "ValueError: no" in proc.stderr

@@ -161,13 +161,21 @@ def reference_pgd(net, x, y, cfg, rng):
     """pgd stepped the plain way, in single precision: a forward on a
     float32 copy of the net, the float64 softmax, a fresh
     input_gradient(net32, forward(net32, x_adv32), dlogits32) on a forward
-    of its own, then the float64 step rule."""
+    of its own, then the float64 step rule.  OpenBLAS's one-row float32
+    kernel can raise a spurious "invalid" flag on finite operands, so, as
+    in `pgd`, the float32 products run under
+    ``np.errstate(invalid="ignore", over="ignore")`` and their results are
+    asserted finite."""
     x = np.asarray(x, dtype=np.float64)
     X = np.atleast_2d(x)
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     net32 = single_precision(net)
-    s_clean = (softmax(forward(net32, X.astype(np.float32)).logits.astype(np.float64))
-               if cfg.inner_loss == "kl" else None)
+    s_clean = None
+    if cfg.inner_loss == "kl":
+        with np.errstate(invalid="ignore", over="ignore"):
+            logits32 = forward(net32, X.astype(np.float32)).logits
+        assert np.all(np.isfinite(logits32))
+        s_clean = softmax(logits32.astype(np.float64))
     if cfg.random_start and cfg.delta > 0:
         if cfg.norm == "linf":
             start = rng.uniform(-cfg.delta, cfg.delta, size=X.shape)
@@ -185,14 +193,20 @@ def reference_pgd(net, x, y, cfg, rng):
     alpha = cfg.effective_step
     for _ in range(cfg.steps):
         x32 = x_adv.astype(np.float32)
-        s = softmax(forward(net32, x32).logits.astype(np.float64))
+        with np.errstate(invalid="ignore", over="ignore"):
+            logits32 = forward(net32, x32).logits
+        assert np.all(np.isfinite(logits32))
+        s = softmax(logits32.astype(np.float64))
         if cfg.inner_loss == "ce":
             dlogits = s.copy()
             dlogits[np.arange(len(y)), y] -= 1.0
         else:
             dlogits = s - s_clean
-        g = input_gradient(net32, forward(net32, x32),
-                           dlogits.astype(np.float32)).astype(np.float64)
+        with np.errstate(invalid="ignore", over="ignore"):
+            g = input_gradient(net32, forward(net32, x32),
+                               dlogits.astype(np.float32))
+        assert np.all(np.isfinite(g))
+        g = g.astype(np.float64)
         if cfg.norm == "linf":
             step = alpha * np.sign(g)
         else:
@@ -344,16 +358,21 @@ class TestSinglePrecisionSteps:
     @staticmethod
     def directions(net, X, y):
         """(g32, g64): the CE input gradient by the attack's float32 route
-        and by the float64 one."""
+        and by the float64 one; the float32 products as in
+        `reference_pgd`."""
         tr = forward(net, X)
         d64 = softmax(tr.logits)
         d64[np.arange(len(y)), y] -= 1.0
         g64 = input_gradient(net, tr, d64)
         net32 = single_precision(net)
-        tr32 = forward(net32, X.astype(np.float32))
+        with np.errstate(invalid="ignore", over="ignore"):
+            tr32 = forward(net32, X.astype(np.float32))
+        assert np.all(np.isfinite(tr32.logits))
         d32 = softmax(tr32.logits.astype(np.float64))
         d32[np.arange(len(y)), y] -= 1.0
-        g32 = input_gradient(net32, tr32, d32.astype(np.float32))
+        with np.errstate(invalid="ignore", over="ignore"):
+            g32 = input_gradient(net32, tr32, d32.astype(np.float32))
+        assert np.all(np.isfinite(g32))
         assert g32.dtype == np.float32 and g64.dtype == np.float64
         return g32.astype(np.float64), g64
 

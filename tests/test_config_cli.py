@@ -542,6 +542,27 @@ class TestCliDivergenceOutsideTraining:
         assert err.count("\n") == 1
         assert load_checkpoint(out / "checkpoint.txt").input_dim == 2
 
+    def test_failed_epoch_end_attack_keeps_the_epoch_start_weights(
+            self, tmp_path, capsys):
+        # epoch 0's one full-batch step leaves weights of order 1e14, on
+        # which the epoch-end attack is not finite: the last good weights
+        # are the initial ones
+        text = BASE_CONFIG.replace("train.base_lr = 0.1", "train.base_lr = 1e15")
+        out = tmp_path / "run"
+        assert main(["train", "--config", write_config(tmp_path, text),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("diverged at epoch 0; last-good checkpoint")
+        exp = ExperimentConfig.from_text(text)
+        init = exp.build_network(exp.build_dataset())
+        saved = load_checkpoint(out / "checkpoint.txt")
+        assert len(saved.layers) == len(init.layers)
+        for layer, ref in zip(saved.layers, init.layers):
+            assert np.array_equal(layer.weights, ref.weights)
+            assert (layer.bias is None) == (ref.bias is None)
+            if ref.bias is not None:
+                assert np.array_equal(layer.bias, ref.bias)
+
 
 class TestCliDirectoryInput:
     """An input path that names a directory is a config error: exit 1 and

@@ -102,6 +102,52 @@ class TestRng:
         with pytest.raises(ValueError):
             Rng(0).child(-1)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError):
+            Rng(-1)
+
+    def test_streams_pinned(self):
+        # values of these streams before generators were built lazily
+        assert [float(v) for v in Rng(0).normal(size=3)] == [
+            -0.2059740286292238, -0.12884495093462758, -0.28978987549091256]
+        assert [float(v) for v in Rng(3).child("instance", 17).uniform(size=3)] == [
+            0.5394879352327202, 0.20083279384756392, 0.7819093701625155]
+        assert [int(v) for v in Rng(1564).child("attack", 2, 0).integers(
+            0, 1000, size=4)] == [97, 858, 245, 592]
+        assert [int(v) for v in Rng(9).child("shuffle").child(4).permutation(6)] == [
+            5, 0, 3, 2, 4, 1]
+
+    @pytest.mark.parametrize("path, key", [
+        ((), ()), ((5,), (5,)), (("alpha",), (1569418667,)),
+        (("alpha", 3, "b"), (1569418667, 3, 3876335077))])
+    def test_draws_equal_a_direct_construction(self, path, key):
+        # a string component is its 32-bit FNV-1a hash
+        seq = np.random.SeedSequence(entropy=11, spawn_key=key)
+        direct = np.random.Generator(np.random.Philox(seq))
+        rng = Rng(11).child(*path) if path else Rng(11)
+        assert np.array_equal(rng.normal(size=5), direct.normal(size=5))
+        assert np.array_equal(rng.integers(0, 9, size=5), direct.integers(0, 9, size=5))
+        if path:  # a path given in two steps is the same stream
+            two = Rng(11).child(path[0]).child(*path[1:])
+            assert np.array_equal(two.normal(size=5),
+                                  Rng(11).child(*path).normal(size=5))
+
+    def test_generator_built_at_first_draw(self, monkeypatch):
+        built = []
+        real = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        root = Rng(4)
+        leaf = root.child("a").child(1, "b")
+        assert built == []  # a stream used only for child() builds none
+        leaf.uniform(size=2)
+        leaf.normal(size=2)
+        assert len(built) == 1
+
 
 class TestRademacher:
     def test_deterministic_pattern(self):

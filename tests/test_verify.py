@@ -1,6 +1,7 @@
 """The random instances of the verification suites."""
 
 import numpy as np
+import pytest
 
 from trhreg.attacks import AttackConfig, pgd
 from trhreg.losses import softmax
@@ -89,3 +90,53 @@ def test_clean_point_rejected_without_an_attack(monkeypatch):
     for s in full_level_seeds(0):
         sample_smooth_instance(s)
     assert len(attacks) < len(attempts)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("attacked")
+
+
+def test_layer_traces_run_no_attack(monkeypatch):
+    """Both loops of the layer-trace group read only the clean point, so
+    they attack nothing; the gradient group still attacks."""
+    import trhreg.verify
+
+    monkeypatch.setattr(trhreg.verify, "pgd", _refuse)
+    results = trhreg.verify.check_layer_traces(3, 3, seed=2)
+    assert results and all(r.passed for r in results)
+    with pytest.raises(AssertionError, match="attacked"):
+        trhreg.verify.check_gradients(1, seed=0)
+
+
+
+def test_layer_trace_instances_are_first_smooth_clean_points():
+    """The layer-trace groups take the first attempt whose clean point is
+    smooth; over the full level's layer-trace seeds some of those are
+    attempts that `sample_smooth_instance` rejects on the attack (7 of
+    these 150 seeds)."""
+    from trhreg.verify import _smooth_clean_points
+
+    sizes = LEVELS["full"]
+    seeds = ([4000 + i for i in range(sizes["layer_traces"])]
+             + [6000 + i for i in range(sizes["inequality"])])
+    moved = 0
+    for s in seeds:
+        _, net, x, y = next(_smooth_clean_points(s))
+        rng = Rng(s).child("instance")
+        for attempt in range(200):
+            r = rng.child(attempt)
+            d_in = int(r.integers(2, 7))
+            k = int(r.integers(2, 6))
+            widths = [int(r.integers(2, 9)) for _ in range(int(r.integers(1, 3)))]
+            ref_net = init_mlp([d_in] + widths + [k], r.child("init"))
+            ref_x = r.child("x").normal(size=(1, d_in))
+            ref_y = np.array([int(r.integers(0, k))])
+            tr = forward(ref_net, ref_x)
+            if (min_preact_magnitude(ref_net, ref_x) >= SMOOTH_TOL
+                    and float(np.dot(tr.features[0], tr.features[0])) >= 0.05):
+                break
+        assert np.array_equal(x, ref_x) and np.array_equal(y, ref_y)
+        for layer, ref in zip(net.layers, ref_net.layers):
+            assert np.array_equal(layer.weights, ref.weights)
+        moved += not np.array_equal(x, sample_smooth_instance(s)[1])
+    assert moved == 7

@@ -5,26 +5,39 @@ Usage:
 
     python tools/ab_bench.py PARENT_ROOT CHANGE_ROOT --workload W --pairs N
                              [--seconds S]
+    python tools/ab_bench.py PARENT_ROOT CHANGE_ROOT --stmt CODE
+                             [--setup CODE] --pairs N
 
-Each pair runs ``bench/run.py --workload W --seed 1 --seconds S --trace 0``
-once in each checkout, one run after the other, from that checkout's root
-and with that checkout's own ``bench/``.  Pair 1 runs the parent first,
-pair 2 the change first, and so on, so that neither side always runs
-second on a machine whose speed drifts.  The tool only reads ``bench/``.
+With ``--workload``, each pair runs ``bench/run.py --workload W --seed 1
+--seconds S --trace 0`` once in each checkout, one run after the other,
+from that checkout's root and with that checkout's own ``bench/``; the
+mode only reads ``bench/``.  Each run's last line is the benchmark's JSON
+result; its end-to-end metrics are the run's values.
 
-Each run's last line is the benchmark's JSON result; its end-to-end
-metrics are the run's values.  Per metric the tool prints:
+With ``--stmt``, each pair runs one fresh ``python -c`` process per
+checkout, from that checkout's root with ``PYTHONPATH=<root>/src`` and one
+BLAS thread.  The process calls ``trhreg.numerics.pin_allocator``, runs
+`--setup` once, runs `--stmt` once as a warm-up, then times one more run
+of it; that time is the run's one metric, ``stmt_s``.  For example:
+
+    python tools/ab_bench.py OLD NEW --pairs 10 \\
+        --setup "from trhreg.verify import run_verification" \\
+        --stmt "run_verification('full', 0)"
+
+In both modes pair 1 runs the parent first, pair 2 the change first, and
+so on, so that neither side always runs second on a machine whose speed
+drifts.  Per metric the tool prints:
 
 * the median and the interquartile range (Q3 - Q1, from
   ``statistics.quantiles(n=4)``; 0 with fewer than two pairs) of the
   parent's and of the change's run values, and their ratio;
-* the pairs the change won (lower is better for every end-to-end metric
-  of the benchmark), out of the pairs that were not tied;
+* the pairs the change won (lower is better for every metric), out of
+  the pairs that were not tied;
 * a two-sided sign-test p-value for those wins.
 
 Every run's values are printed first, one ``# pair`` line per pair.  The
-exit code is 1 when a run exits non-zero or reports an incorrect or
-failed operation, else 0.
+exit code is 1 when a run exits non-zero or (workload mode) reports an
+incorrect or failed operation, else 0.
 """
 
 from __future__ import annotations
@@ -59,6 +72,39 @@ def run_bench(root, workload, seconds):
                          f"{result['correct']}, failed {result['failed']}\n"
                          f"{proc.stderr[-2000:]}")
     return ok, {name: m["value"] for name, m in result["metrics"].items()}
+
+
+# the program of one --stmt run; argv: setup, stmt
+STMT_PROGRAM = """
+import json, sys, time
+from trhreg.numerics import pin_allocator
+pin_allocator()
+exec(sys.argv[1])
+stmt = compile(sys.argv[2], "<stmt>", "exec")
+exec(stmt)
+t0 = time.perf_counter()
+exec(stmt)
+print(json.dumps({"stmt_s": time.perf_counter() - t0}))
+"""
+
+
+def run_stmt(root, setup, stmt):
+    """One timed run of `stmt` in a fresh process in `root`:
+    (ok, {"stmt_s": seconds})."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run([sys.executable, "-c", STMT_PROGRAM, setup, stmt],
+                          cwd=root, env=env, capture_output=True, text=True)
+    try:
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        result = None
+    if proc.returncode != 0 or result is None:
+        sys.stderr.write(f"{root}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
+        return False, {}
+    return True, result
 
 
 def iqr(values):
@@ -97,26 +143,36 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent_root")
     p.add_argument("change_root")
-    p.add_argument("--workload", required=True)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload")
+    mode.add_argument("--stmt")
+    p.add_argument("--setup", default="pass")
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seconds", type=float, default=30.0)
     args = p.parse_args(argv)
     roots = dict(zip(SIDES, (os.path.abspath(r) for r in
                              (args.parent_root, args.change_root))))
+    needed = ("bench", "run.py") if args.workload else ("src", "trhreg")
     for root in roots.values():
-        if not os.path.isfile(os.path.join(root, "bench", "run.py")):
-            p.error(f"{root} has no bench/run.py")
+        if not os.path.exists(os.path.join(root, *needed)):
+            p.error(f"{root} has no {'/'.join(needed)}")
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
 
-    print(f"# ab_bench workload={args.workload} pairs={args.pairs} "
-          f"seconds={args.seconds}", flush=True)
+    if args.workload:
+        print(f"# ab_bench workload={args.workload} pairs={args.pairs} "
+              f"seconds={args.seconds}", flush=True)
+        run = lambda root: run_bench(root, args.workload, args.seconds)
+    else:
+        print(f"# ab_bench stmt={args.stmt!r} setup={args.setup!r} "
+              f"pairs={args.pairs}", flush=True)
+        run = lambda root: run_stmt(root, args.setup, args.stmt)
     values = {side: [] for side in SIDES}
     ok = True
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
-            run_ok, metrics = run_bench(roots[side], args.workload, args.seconds)
+            run_ok, metrics = run(roots[side])
             ok &= run_ok
             values[side].append(metrics)
         print(f"# pair {i + 1} first={order[0]} " + " ".join(
