@@ -135,9 +135,10 @@ class PacBayesConfig:
 class MeasureConfig:
     """What to measure along the run and how often.
 
-    mode "top": the closed-form top-layer trace of the training loss and the
-    per-layer closed-form CE traces; the whole-network estimate columns are
-    nan.  "full": adds a whole-network Rademacher estimate
+    mode "top": the closed-form top-layer trace of the robust loss with the
+    clean side frozen (not the training loss's when ``trh.stop_grad_clean``
+    is false) and the per-layer CE traces; the estimate columns are nan.
+    "full": adds that objective's whole-network Rademacher estimate
     (``hessian_oracle.hutchinson_trace``) with the same seeded probes at
     every measurement (common random numbers keep the trajectory smooth).
     "spectrum" produces per-layer and whole-network (trace, trace_sq) pairs

@@ -1,45 +1,37 @@
 """Closed-form top-layer Hessian traces and the regularized training objective.
 
-For a network ``g = W_top^T z`` with penultimate feature ``z``, the trace of
-the Hessian of the robust loss over the entries of ``W_top`` has an exact
-expression built from softmax derivatives.  The base cases:
+For a network ``g = W_top^T z`` with penultimate feature ``z``, the logits
+are linear in ``W_top``, so the trace of a robust loss's Hessian over the
+entries of ``W_top`` is one contraction (the Gauss-Newton split)::
 
-* adversarial cross entropy:              ``||z'||^2 * 1^T h'``
-* clean/adversarial KL, clean side frozen: ``||z'||^2 * 1^T h'``
-  (for any constant left argument), so the TRADES trace is the weighted sum
-  of clean and adversarial cross-entropy shapes.
+    ||z||^2 tr A + 2 (z . z') tr B + ||z'||^2 tr C
 
-When the clean logits are *not* frozen inside the KL term there is an extra
-contribution ``G``; the expression implemented here was re-derived from the
-identity ``d Phi[i,k]/d g[k] = Phi[i,k] (1 - 2 s[k])`` and validated against
-the finite-difference oracle (see tests), which is the acceptance authority
-for every formula in this module.  The same applies to the pairing trace of
-the logit-pairing loss and to the margin trace of the margin-boosted loss,
-whose textbook write-ups are easy to get wrong in the cross terms.
+with A, B and C the clean-clean, clean-adversarial and
+adversarial-adversarial blocks of the loss's Hessian over the logits.  Their
+traces are sums of three primitives of a softmax ``p`` with Jacobian
+``Phi(p)``: ``tr Phi(p)``, ``||Phi(p)||_F^2`` and ``tr sum_k r_k grad^2
+p_k``.  Each writes ``1 - p_k`` as the sum of the other classes'
+probabilities, so none cancels as ``p`` saturates.  With ``s`` and ``s'``
+the clean and adversarial softmax and ``beta`` the penalty, the blocks are:
 
-The weighted-KL trace keeps its ``(1 - s_y)`` factor: the weight is a
-constant under the frozen-clean convention, but a constant factor still
-scales the trace.  The margin terms use ``1 - s'_kappa`` as the sum of the
-other classes' probabilities, which stays accurate (and its log finite)
-when the runner-up class takes almost all the mass.
+* at: ``C = Phi(s')``;
+* trades: ``A = Phi(s)``, ``C = beta Phi(s')``; live clean logits add G:
+  ``beta (Phi(s) + sum_k (log s_k - log s'_k) grad^2 s_k)`` to A and
+  ``B = -beta Phi(s)``;
+* alp: ``C = Phi(s') + 2 beta (Phi(s')^2 + sum_k (s'_k - s_k) grad^2 s'_k)``;
+* mart: ``A = Phi(s)``, ``C = (1 + beta (1 - s_y)) Phi(s') - Phi(q)``, q
+  the softmax over the classes other than the runner-up ``kappa``; one
+  masked log-softmax gives q and the margin loss's ``log(1 - s'_kappa)``.
 
-Adversarial inputs are always treated as constants when differentiating
-(the inner maximizer is held fixed at the current weights).
+Adversarial inputs are constants when differentiating.  The finite-difference
+oracle (tests, ``verify``) is the acceptance authority for every formula.
 
-Which function computes what: :func:`top_trace_rows` is the one body of
-the closed forms (per-example traces of all four losses, as tape nodes of
-the clean and adversarial features and logits) and ``_loss_rows`` the one
-body of the per-example robust loss.  :func:`objective_nodes` combines both
-(plus the weight decay) into the objective.  On lifted weights it is the
-objective for gradients; on constant weights it is the objective's value
-and keeps no graph, so values and gradients share one forward route.
-:func:`capture_frozen` and :func:`robust_loss_rows` take their sides from
-the same tape forward on constants.  ``trh_at``, ``trh_trades``,
-``trh_trades_full``, ``trh_alp`` and ``trh_mart`` evaluate
-:func:`top_trace_rows` on constants from :class:`ForwardTrace` inputs, for
-one example (1-d traces, float result) or a batch (``(m,)`` result);
-:func:`analytic_trh_rows` runs the numpy forward pair and calls the one
-that matches the loss kind once per batch.
+:func:`top_trace_rows` and ``_loss_rows`` are the one body of the traces
+and of the per-example loss, on tape nodes of the clean and adversarial
+sides.  :func:`objective_nodes` combines them (plus the weight decay), on
+lifted weights for gradients and on constant weights for values.  The
+wrappers ``trh_at`` ... ``trh_mart`` and :func:`analytic_trh_rows` evaluate
+the traces on constants.
 """
 
 from __future__ import annotations
@@ -96,78 +88,93 @@ def _runner_up(s_adv: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.argmax(masked, axis=1)
 
 
-def _sq_norm_and_hsum(side: _Side):
-    """Per-row ``||z||^2`` and ``1^T h``."""
-    return tape.row_sum(side.z * side.z), 1.0 - tape.row_sum(side.s * side.s)
+def _margin(adv: _Side, kappa: np.ndarray, Y: tape.Node):
+    """``(log(1 - s'_kappa), log q)``: one log-softmax, ``kappa`` masked out;
+    the label (one-hot ``Y``) is not kappa, so the first is ``log(s'_y / q_y)``."""
+    mask = tape.constant(-1e300 * _one_hot(kappa, Y.shape[-1]))  # exp 0, finite
+    logq = tape.log_softmax(adv.logs + mask)
+    return tape.row_sum((adv.logs - logq) * Y), logq
 
 
-def _trades_g_rows(clean: _Side, adv: _Side, r2, hsum) -> tape.Node:
-    """Extra TRADES trace when the clean logits stay live inside the KL:
+# -- the closed forms: three softmax primitives and one contraction -------
 
-        G = ||z||^2 ( sum_k s_k (1 - 2 s_k) (psi_k - psi'_k) + 1^T h )
-            - 2 (z . z') 1^T h
 
-    where the ``s (1 - 2 s)`` weight (not h) comes from the corrected
-    Jacobian-of-Jacobian identity pinned by
-    ``tests/test_losses.py::TestSoftmaxDerivs::test_second_derivative_identity``.
-    """
-    z, logs, s = clean
-    logdiff = logs - adv.logs
-    klr = tape.row_sum(s * logdiff, keepdims=True)
-    psidiff = logdiff - klr
-    lead = tape.row_sum(s * (1.0 - 2.0 * s) * psidiff)
-    dot_zzp = tape.row_sum(z * adv.z)
-    return r2 * (lead + hsum) - dot_zzp * (2.0 * hsum)
+def _others(p: tape.Node) -> tape.Node:
+    """``p @ (1 - I)``: per class, the sum over the other classes."""
+    return p @ tape.constant(1.0 - np.eye(p.shape[-1]))
+
+
+def _tr_phi(p, o) -> tape.Node:
+    """``tr Phi(p) = sum_k p_k (1 - p_k)``, with ``o = _others(p)``."""
+    return tape.row_sum(p * o)
+
+
+def _sq_frob_phi(p, o, sq_o) -> tape.Node:
+    """``||Phi(p)||_F^2``, column k holding ``p_k (1 - p_k)`` and ``-p_k p_i``."""
+    return tape.row_sum(p * p * (o * o + sq_o))
+
+
+def _tr_hess(r, p, o, sq_o) -> tape.Node:
+    """``tr sum_k r_k grad^2 p_k``, the second derivatives over the logits:
+    ``tr grad^2 p_k = 2 p_k (sum_{i != k} p_i^2 - p_k (1 - p_k))``."""
+    return 2.0 * tape.row_sum(r * p * (sq_o - p * o))
+
+
+def _trades_g_blocks(clean: _Side, adv: _Side):
+    """``(tr A, tr B)`` of G, the live clean logits' part of the TRADES KL
+    per unit penalty; ``-tr B`` is ``tr Phi(s)``."""
+    s, o = clean.s, _others(clean.s)
+    tr_phi = _tr_phi(s, o)
+    return tr_phi + _tr_hess(clean.logs - adv.logs, s, o, _others(s * s)), -tr_phi
+
+
+def _block_traces(clean: _Side | None, adv: _Side, y, kind: RobustLossKind,
+                  stop_grad_clean: bool = True, kappa=None):
+    """Per-example ``(tr A, tr B, tr C)`` (module docstring); None is zero."""
+    beta, s_adv = kind.penalty, adv.s
+    o_adv = _others(s_adv)
+    tr_adv = _tr_phi(s_adv, o_adv)
+    if kind.variant == "at":
+        return None, None, tr_adv
+    if kind.variant == "alp":
+        sq_o = _others(s_adv * s_adv)
+        return None, None, tr_adv + 2.0 * beta * (
+            _sq_frob_phi(s_adv, o_adv, sq_o)
+            + _tr_hess(s_adv - clean.s, s_adv, o_adv, sq_o))
+    if kind.variant == "trades" and not stop_grad_clean:
+        g_a, g_b = _trades_g_blocks(clean, adv)
+        return beta * g_a - g_b, beta * g_b, beta * tr_adv  # -g_b: tr Phi(s)
+    s, o = clean.s, _others(clean.s)
+    tr_clean = _tr_phi(s, o)
+    if kind.variant == "trades":
+        return tr_clean, None, beta * tr_adv
+    if kind.variant == "mart":
+        y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+        kappa = _runner_up(s_adv.value, y) if kappa is None else kappa
+        Y = tape.constant(_one_hot(y, s.shape[-1]))
+        q = tape.exp(_margin(adv, kappa, Y)[1])
+        w = tape.row_sum(o * Y)  # 1 - s_y
+        return tr_clean, None, (1.0 + beta * w) * tr_adv - _tr_phi(q, _others(q))
+    raise ValueError(f"unknown loss variant {kind.variant!r}")
+
+
+def _contract(clean: _Side | None, adv: _Side, tr_a, tr_b, tr_c) -> tape.Node:
+    """``||z||^2 tr A + 2 (z . z') tr B + ||z'||^2 tr C``; a None A or B is 0."""
+    rows = tape.row_sum(adv.z * adv.z) * tr_c
+    if tr_a is not None:
+        rows = rows + tape.row_sum(clean.z * clean.z) * tr_a
+    if tr_b is not None:
+        rows = rows + 2.0 * tape.row_sum(clean.z * adv.z) * tr_b
+    return rows
 
 
 def top_trace_rows(clean: _Side | None, adv: _Side, y, kind: RobustLossKind,
                    stop_grad_clean: bool = True, kappa=None) -> tape.Node:
-    """Per-example closed-form top-layer traces, shape (m,).
-
-    * at: ``||z'||^2 1^T h'``.
-    * trades: clean-CE trace plus ``penalty`` times the adversarial one,
-      plus ``penalty * G`` when ``stop_grad_clean`` is False.
-    * alp: adversarial-CE trace plus ``penalty`` times the pairing trace
-      ``2 ||z'||^2 sum_k (||Phi'_col_k||^2 - (1 - 2 s'_k) (s - s')^T Phi'_col_k)``.
-    * mart: clean-CE trace, plus the margin-term trace on the runner-up
-      class ``kappa`` of the adversarial point (computed from ``adv`` when
-      None), plus ``penalty`` times the weighted-KL trace.
-
-    ``clean`` is unused (and may be None) for at; ``y`` is used by mart only.
-    """
-    r2_adv, hsum_adv = _sq_norm_and_hsum(adv)
-    s_adv = adv.s
-    if kind.variant == "at":
-        return r2_adv * hsum_adv
-    s = clean.s
-    if kind.variant == "trades":
-        r2, hsum = _sq_norm_and_hsum(clean)
-        rows = r2 * hsum + kind.penalty * (r2_adv * hsum_adv)
-        if not stop_grad_clean:
-            rows = rows + kind.penalty * _trades_g_rows(clean, adv, r2, hsum)
-        return rows
-    if kind.variant == "alp":
-        sq_adv = s_adv * s_adv
-        s2_adv = tape.row_sum(sq_adv, keepdims=True)
-        col_norms = tape.row_sum(sq_adv * (1.0 - 2.0 * s_adv)) + \
-            tape.row_sum(sq_adv * s2_adv)
-        c = tape.row_sum(s * s_adv, keepdims=True) - s2_adv
-        cross = tape.row_sum((1.0 - 2.0 * s_adv) * s_adv * ((s - s_adv) - c))
-        return r2_adv * hsum_adv + kind.penalty * (2.0 * r2_adv * (col_norms - cross))
-    if kind.variant == "mart":
-        y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-        k = s_adv.shape[-1]
-        E = _one_hot(_runner_up(s_adv.value, y) if kappa is None else kappa, k)
-        r2, hsum = _sq_norm_and_hsum(clean)
-        u = tape.row_sum(s_adv * tape.constant(E), keepdims=True)  # s'_kappa
-        other = s_adv * tape.constant(1.0 - E)
-        rest = tape.row_sum(other, keepdims=True)  # 1 - s'_kappa
-        ratio = u * (tape.constant(E) - other / rest)  # Phi'[kappa, :] / rest
-        margin_tr = tape.row_sum(ratio * (1.0 - 2.0 * s_adv) + ratio * ratio)
-        s_y = tape.row_sum(s * tape.constant(_one_hot(y, k)))
-        return r2 * hsum + r2_adv * margin_tr \
-            + kind.penalty * ((1.0 - s_y) * (r2_adv * hsum_adv))
-    raise ValueError(f"unknown loss variant {kind.variant!r}")
+    """Per-example closed-form top-layer traces, shape (m,): the loss kind's
+    block traces, contracted.  ``clean`` is unused (and may be None) for at;
+    ``y`` and ``kappa`` (from ``adv`` when None) are used by mart only."""
+    return _contract(clean, adv, *_block_traces(clean, adv, y, kind,
+                                                stop_grad_clean, kappa))
 
 
 # -- the closed forms on constants ---------------------------------------
@@ -195,16 +202,13 @@ def trh_trades(trace_clean: ForwardTrace, trace_adv: ForwardTrace,
 
 def trh_trades_full(trace_clean: ForwardTrace, trace_adv: ForwardTrace,
                     lambda_t: float):
-    """Top-layer TRADES trace with gradient kept on the clean logits.
-
-    Returns ``(value, G)``, G the extra trace from differentiating through
-    the clean logits (see :func:`_trades_g_rows`); both are floats for 1-d
-    traces and ``(m,)`` arrays for a batch.
-    """
+    """Top-layer TRADES trace with gradient kept on the clean logits, and G,
+    the extra trace from differentiating through them (:func:`_trades_g_blocks`):
+    ``(value, G)``, floats for 1-d traces and ``(m,)`` arrays for a batch."""
     kind = RobustLossKind("trades", lambda_t)
     value = _on_constants(trace_clean, trace_adv, None, kind, stop_grad_clean=False)
     clean, adv = _constant_side(trace_clean), _constant_side(trace_adv)
-    g_term = _trades_g_rows(clean, adv, *_sq_norm_and_hsum(clean)).value
+    g_term = _contract(clean, adv, *_trades_g_blocks(clean, adv), 0.0).value
     if np.ndim(trace_adv.logits) == 1:
         g_term = float(g_term[0])
     return value, g_term
@@ -233,15 +237,12 @@ def analytic_trh_rows(net: MlpNetwork, X, X_adv, y, kind: RobustLossKind,
     if kind.variant == "at":
         return trh_at(trace_adv)
     trace_clean = forward(net, np.atleast_2d(X))
-    if kind.variant == "trades":
-        if stop_grad_clean:
-            return trh_trades(trace_clean, trace_adv, kind.penalty)
-        return trh_trades_full(trace_clean, trace_adv, kind.penalty)[0]
-    if kind.variant == "alp":
-        return trh_alp(trace_clean, trace_adv, kind.penalty)
     if kind.variant == "mart":
         return trh_mart(trace_clean, trace_adv, y, kind.penalty)
-    raise ValueError(f"unknown loss variant {kind.variant!r}")
+    if kind.variant == "trades" and not stop_grad_clean:
+        return trh_trades_full(trace_clean, trace_adv, kind.penalty)[0]
+    wrapper = trh_trades if kind.variant == "trades" else trh_alp
+    return wrapper(trace_clean, trace_adv, kind.penalty)
 
 
 # -- the robust loss and the batched objective on the tape ----------------
@@ -283,8 +284,7 @@ def _loss_rows(clean: _Side | None, adv: _Side, y: np.ndarray,
     constant) read their constants from `frozen`.
     """
     logs_adv, s_adv = adv.logs, adv.s
-    k = s_adv.shape[-1]
-    Y = tape.constant(_one_hot(y, k))
+    Y = tape.constant(_one_hot(y, s_adv.shape[-1]))
     if kind.variant == "at":
         return -tape.row_sum(logs_adv * Y)
     if kind.variant == "alp":
@@ -299,10 +299,8 @@ def _loss_rows(clean: _Side | None, adv: _Side, y: np.ndarray,
     if kind.variant == "trades":
         return ce_clean + kind.penalty * kl_rows
     if kind.variant == "mart":
-        # -log(1 - s'_kappa), with 1 - s'_kappa summed over the other classes
-        not_kappa = tape.constant(1.0 - _one_hot(frozen["kappa_star"], k))
-        margin = -tape.log(tape.row_sum(s_adv * not_kappa))
-        return ce_clean + margin + kind.penalty * (
+        log_rest = _margin(adv, frozen["kappa_star"], Y)[0]  # log(1 - s'_kappa)
+        return ce_clean - log_rest + kind.penalty * (
             tape.constant(frozen["wkl_weight"]) * kl_rows)
     raise ValueError(f"unknown loss variant {kind.variant!r}")
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,29 @@ attack.steps = 1
 trh.lambda = 0.1
 train.epochs = 5
 train.base_lr = 0.1
+train.lr_decay = constant
+train.seed = 0
+"""
+
+# the example config of the README
+README_CONFIG = """
+dataset.kind = two_moons
+dataset.n = 500
+dataset.noise_std = 0.1
+dataset.seed = 1
+
+net.hidden = 100,100
+
+loss.kind = at
+attack.norm = linf
+attack.delta = 0.02
+attack.steps = 1
+
+trh.lambda = 0.5
+trh.schedule = constant
+train.epochs = 100
+train.base_lr = 0.1
+train.momentum = 0.9
 train.lr_decay = constant
 train.seed = 0
 """
@@ -161,6 +185,23 @@ class TestCliTrain:
         assert main(["train", "--config", cfg, "--out", out]) == 2
         # last-good checkpoint still written
         assert (tmp_path / "divrun" / "checkpoint.txt").exists()
+
+    def test_mart_with_a_saturated_runner_up_trains(self, tmp_path, capsys):
+        # the README config as MART at seed 19: by epoch 3 the runner-up's
+        # adversarial logit gap has median about 300 and reaches about
+        # 1000, past the 745 at which 1 - s'_kappa summed as probabilities
+        # underflows to 0 and its log is -inf
+        text = README_CONFIG.replace("loss.kind = at", "loss.kind = mart\nloss.penalty = 5")
+        text = text.replace("dataset.seed = 1", "dataset.seed = 19")
+        text = text.replace("train.seed = 0", "train.seed = 19")
+        text = text.replace("train.epochs = 100", "train.epochs = 10")
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", write_config(tmp_path, text),
+                         "--out", str(out)]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert _lines(out / "metrics.csv")[-1].startswith("9,")
 
     def test_trades_penalty_logged_in_header(self, tmp_path):
         text = BASE_CONFIG.replace("loss.kind = at",

@@ -163,8 +163,7 @@ class TestTrhMart:
         # at K = 2 the runner-up is the other class, so the margin term
         # -log(1 - s'_other) = -log(s'_y) is a second adversarial CE: with
         # clean == adversarial and no penalty the MART trace is twice the
-        # CE trace, for either label (at unsaturated logits, where
-        # 1 - sum(s^2) does not cancel)
+        # CE trace, for either label
         x = np.array([2.0, 0.3])
         for scale in (0.2, 0.5, 2.0):
             net = MlpNetwork([DenseLayer(np.array([[1.0, -1.0], [0.0, 0.0]]) * scale)])
@@ -395,14 +394,10 @@ class TestMartBinaryIdentity:
             assert trh_mart(tc, ta, y, 0.0) == pytest.approx(
                 trh_at(tc) + trh_at(ta), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("y", [
-        pytest.param(0, marks=pytest.mark.xfail(
-            strict=True,
-            reason="trh_at forms 1^T h as 1 - sum(s^2), which cancels at "
-                   "logits (16, -16): relative error 3e-4 against the "
-                   "margin trace, which is accurate for this label")),
-        1])
+    @pytest.mark.parametrize("y", [0, 1])
     def test_saturated_logits(self, y):
+        # logits (16, -16): every 1 - p_k is summed over the other classes,
+        # so 1^T h does not cancel and the identity holds for either label
         net = MlpNetwork([DenseLayer(np.array([[8.0, -8.0], [0.0, 0.0]]))])
         tr = forward(net, np.array([2.0, 0.3]))  # logits (16, -16)
         assert trh_mart(tr, tr, y, 0.0) == pytest.approx(
