@@ -26,7 +26,8 @@ Jacobian; summing only the diagonal of ``Phi`` would give
 top layer (where J is the identity and the trace reduces to
 ``||z||^2 * 1^T h``) but drops the softmax cross terms below it.  The
 finite-difference oracle pins the exact version down; the per-column
-quadratic form simplifies to ``sum_k s_k J_kd^2 - (sum_k s_k J_kd)^2``.
+quadratic form is ``sum_k s_k (J_kd - u_d)^2`` with ``u_d = sum_k s_k
+J_kd``, whose terms are nonnegative, so it does not cancel as s saturates.
 
 One recursion, :func:`_jacobian_stacks`, carries the logit Jacobians of
 all K classes down the network as one class-major ``(K, D, m)`` stack (the
@@ -35,16 +36,13 @@ K backward passes of a loss-Hessian factor, as in BackPACK, Dangel et al.
 Both quantities read it:
 
 * :func:`layer_trace_nodes` -- per-example trace rows per weight matrix
-  as tape nodes, each class sum a reduction over the leading axis;
+  as tape nodes, each class sum a reduction over the leading axis; read by
+  :func:`full_ce_trace_rows_nodes` (the sum over layers, the whole-network
+  regularizer of ``trh.objective_nodes``, on its forward) and by
+  :func:`layer_trace_rows` (on constant weights: numpy values for
+  measurement and for the oracle comparisons of ``verify``);
 * :func:`check_layer_inequality` -- the bound at every level of one
   example, on constant weights.
-
-Two callers report the trace through :func:`layer_trace_nodes`:
-
-* :func:`full_ce_trace_rows_nodes` -- the sum over layers on lifted
-  weights, the trainable whole-network regularizer;
-* :func:`layer_trace_rows` -- the routine on constant weights, numpy
-  values for measurement and for the oracle comparisons of ``verify``.
 
 At the logits level there is no ReLU above the weights, so its active set
 is every index.  Biases are excluded throughout (traces are over
@@ -142,8 +140,9 @@ def check_layer_inequality(net: MlpNetwork, x: np.ndarray) -> list[LayerInequali
 # -- the one trace routine and its callers ------------------------------
 
 
-def layer_trace_nodes(lifted, X: np.ndarray) -> list:
-    """Per-example CE trace of every weight matrix: one ``(m,)`` node per layer.
+def layer_trace_nodes(lifted, layer_inputs, preacts, s) -> list:
+    """Per-example CE trace of every weight matrix: one ``(m,)`` node per
+    layer, on a tape forward of `lifted` and ``s``, its softmax.
 
     ``jac[c, d, n]`` is d logits_c / d (pre-activation d of the level above
     the current weights) at example n.  All K classes go down together as
@@ -151,9 +150,6 @@ def layer_trace_nodes(lifted, X: np.ndarray) -> list:
     gates are held at their forward values (the ReLU'' = 0 convention);
     everything else is a live function of the lifted parameters.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    layer_inputs, preacts = forward_nodes(lifted, X)
-    s = tape.exp(tape.log_softmax(preacts[-1]))
     rows = [None] * len(lifted)
     for i, jac in _jacobian_stacks(lifted, preacts):
         below = layer_inputs[i]
@@ -162,31 +158,30 @@ def layer_trace_nodes(lifted, X: np.ndarray) -> list:
 
 
 def _summed_quadratic_form(s: tape.Node, jac: tape.Node) -> tape.Node:
-    """``sum_d J_d^T Phi J_d = sum_d (sum_c s_c J_cd^2 - u_d^2)`` per row,
-    with ``u_d = sum_c s_c J_cd``, ``s`` the ``(m, K)`` softmax and ``jac``
-    a ``(K, D, m)`` stack.
+    """``sum_d J_d^T Phi J_d = sum_d sum_c s_c (J_cd - u_d)^2`` per row, with
+    ``u_d = sum_c s_c J_cd``, ``s`` the ``(m, K)`` softmax and ``jac`` a
+    ``(K, D, m)`` stack.
 
-    One node with a hand-written VJP: ``2 s (J - u)`` for ``jac`` and
-    ``sum_d J_cd (J_cd - 2 u_d)`` for ``s``, the latter returned as
-    ``(m, K)``.  ``s`` is read through a contiguous class-major
-    ``(K, 1, m)`` copy.  On constants it keeps no graph.  Only the
-    constant logits-level ``jac`` broadcasts over rows, so a live ``jac``
-    needs no unbroadcasting.
+    One node with a hand-written VJP, exact where ``sum_c s_c = 1``:
+    ``2 s (J - u)`` for ``jac`` and ``sum_d (J_cd - u_d)^2`` for ``s``, the
+    latter returned as ``(m, K)``.  ``s`` is read through a contiguous
+    class-major ``(K, 1, m)`` copy.  On constants it keeps no graph.  Only
+    the constant logits-level ``jac`` broadcasts over rows, so a live
+    ``jac`` needs no unbroadcasting.
     """
     j = jac.value
     sk = np.ascontiguousarray(s.value.T)[:, None, :]
-    weighted = sk * j
-    u = weighted.sum(axis=0)
-    value = ((weighted * j).sum(axis=0) - u * u).sum(axis=0)
-    return tape.Node(value, (
-        (s, lambda g: ((j * (j - 2.0 * u)).sum(axis=1) * g).T),
-        (jac, lambda g: (j - u) * (2.0 * sk * g))))
+    dev = j - (sk * j).sum(axis=0)
+    sq = dev * dev
+    return tape.Node((sk * sq).sum(axis=0).sum(axis=0), (
+        (s, lambda g: (sq.sum(axis=1) * g).T),
+        (jac, lambda g: dev * (2.0 * sk * g))))
 
 
-def full_ce_trace_rows_nodes(lifted, X: np.ndarray) -> tape.Node:
+def full_ce_trace_rows_nodes(lifted, layer_inputs, preacts, s) -> tape.Node:
     """Per-example CE trace over all weight matrices, shape (m,): the
     trainable whole-network curvature regularizer."""
-    rows = layer_trace_nodes(lifted, X)
+    rows = layer_trace_nodes(lifted, layer_inputs, preacts, s)
     return sum(rows[1:], rows[0])
 
 
@@ -201,8 +196,10 @@ def layer_trace_rows(net: MlpNetwork, X: np.ndarray) -> np.ndarray:
     for bulk measurement, not oracle duty.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    lifted = lift(net, tape.constant)
-    return np.concatenate([
-        np.stack([r.value for r in layer_trace_nodes(lifted, X[i:i + _ROWS_PER_PASS])],
-                 axis=1)
-        for i in range(0, len(X), _ROWS_PER_PASS)])
+    lifted, out = lift(net, tape.constant), []
+    for i in range(0, len(X), _ROWS_PER_PASS):
+        layer_inputs, preacts = forward_nodes(lifted, X[i:i + _ROWS_PER_PASS])
+        rows = layer_trace_nodes(lifted, layer_inputs, preacts,
+                                 tape.exp(tape.log_softmax(preacts[-1])))
+        out.append(np.stack([r.value for r in rows], axis=1))
+    return np.concatenate(out)

@@ -47,9 +47,8 @@ from .network import (MetricsLog, MlpNetwork, TrainingDivergence, backprop,
                       flat_gradient, flatten_weights, layer_params,
                       param_count, unflatten_weights)
 from .numerics import Rng
-from .layer_traces import full_ce_trace_rows_nodes, layer_trace_rows
+from .layer_traces import layer_trace_rows
 from .trh import analytic_trh_rows, objective_nodes
-from . import tape
 
 # A step whose objective exceeds this stops the run as diverged.
 DIVERGENCE_THRESHOLD = 1e6
@@ -153,8 +152,8 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
           measure: MeasureConfig | None = None) -> TrainResult:
     """Run the regularized training loop; deterministic given the seed.
 
-    ``trh_cfg.full_coeff > 0`` adds the whole-network CE-trace penalty (the
-    toy "Full" arm) on top of the ``lam`` term; the two are independent.
+    A step differentiates :func:`~trhreg.trh.objective_nodes`, whose
+    ``full_coeff`` term (the toy "Full" arm) is independent of ``lam``'s.
 
     ``pgd_acc``: when the run is full batch, ``attack_cfg.inner_loss`` is
     CE, ``cfg.baseline`` is not SWA and ``cfg.eval_restarts`` is 1, the
@@ -208,15 +207,6 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
             lam_eff = lambda_at(trh_cfg.schedule, t, total_iters, trh_cfg.lam)
             lr = lr_at(cfg, t, total_iters)
 
-            def objective(lifted):
-                node = objective_nodes(lifted, x_b, x_adv, y_b, kind,
-                                       lam_eff, cfg.gamma,
-                                       stop_grad_clean=trh_cfg.stop_grad_clean)
-                if trh_cfg.full_coeff:
-                    node = node + trh_cfg.full_coeff * tape.mean(
-                        full_ce_trace_rows_nodes(lifted, x_adv))
-                return node
-
             try:  # a non-finite attack direction diverges too
                 if next_adv is not None:
                     x_adv, next_adv = next_adv, None
@@ -229,7 +219,9 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
                     for layer, xi in zip(step_net.layers, awp_step(
                             net, x_b, x_adv, y_b, kind, cfg.awp_delta)):
                         layer.weights += xi
-                value, grads = backprop(step_net, objective)
+                value, grads = backprop(step_net, lambda lifted: objective_nodes(
+                    lifted, x_b, x_adv, y_b, kind, lam_eff, cfg.gamma,
+                    trh_cfg.stop_grad_clean, full_coeff=trh_cfg.full_coeff))
             except TrainingDivergence:
                 diverged_epoch = epoch
                 break

@@ -28,10 +28,10 @@ oracle (tests, ``verify``) is the acceptance authority for every formula.
 
 :func:`top_trace_rows` and ``_loss_rows`` are the one body of the traces
 and of the per-example loss, on tape nodes of the clean and adversarial
-sides.  :func:`objective_nodes` combines them (plus the weight decay), on
-lifted weights for gradients and on constant weights for values.  The
-wrappers ``trh_at`` ... ``trh_mart`` and :func:`analytic_trh_rows` evaluate
-the traces on constants.
+sides.  :func:`objective_nodes`, the one training objective, adds the
+weight decay and the whole-network trace, on lifted weights for gradients
+and on constant weights for values.  The wrappers ``trh_at`` ...
+``trh_mart`` and :func:`analytic_trh_rows` evaluate the traces on constants.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tape
+from .layer_traces import full_ce_trace_rows_nodes
 from .losses import RobustLossKind
 from .network import ForwardTrace, MlpNetwork, forward, forward_nodes, lift
 
@@ -51,11 +52,12 @@ class _Side(NamedTuple):
     z: tape.Node     # penultimate features, (m, d)
     logs: tape.Node  # log-softmax of the logits, (m, K)
     s: tape.Node     # softmax, (m, K)
+    forward: tuple = ()  # (layer inputs, pre-activations) of a tape forward
 
 
-def _side(features: tape.Node, logits: tape.Node) -> _Side:
+def _side(features: tape.Node, logits: tape.Node, forward: tuple = ()) -> _Side:
     logs = tape.log_softmax(logits)
-    return _Side(features, logs, tape.exp(logs))
+    return _Side(features, logs, tape.exp(logs), forward)
 
 
 def _constant_side(trace: ForwardTrace | None) -> _Side | None:
@@ -70,7 +72,7 @@ def _sides(lifted, X, X_adv, kind: RobustLossKind):
     parameters, leaves or constants; clean is None for at."""
     def side(inputs):
         layer_inputs, preacts = forward_nodes(lifted, inputs)
-        return _side(layer_inputs[-1], preacts[-1])
+        return _side(layer_inputs[-1], preacts[-1], (layer_inputs, preacts))
     adv = side(X_adv)
     return (None if kind.variant == "at" else side(X)), adv
 
@@ -88,12 +90,13 @@ def _runner_up(s_adv: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.argmax(masked, axis=1)
 
 
-def _margin(adv: _Side, kappa: np.ndarray, Y: tape.Node):
-    """``(log(1 - s'_kappa), log q)``: one log-softmax, ``kappa`` masked out;
-    the label (one-hot ``Y``) is not kappa, so the first is ``log(s'_y / q_y)``."""
-    mask = tape.constant(-1e300 * _one_hot(kappa, Y.shape[-1]))  # exp 0, finite
-    logq = tape.log_softmax(adv.logs + mask)
-    return tape.row_sum((adv.logs - logq) * Y), logq
+def _margin(adv: _Side, kappa: np.ndarray, y: np.ndarray):
+    """``(log(1 - s'_kappa), log q)``: one log-softmax, ``kappa`` masked out
+    (-1e300: exp 0, finite); the label ``y`` is not kappa, so the first is
+    ``log(s'_y / q_y)``."""
+    k = adv.s.shape[-1]
+    logq = tape.log_softmax(adv.logs + tape.constant(-1e300 * _one_hot(kappa, k)))
+    return tape.row_sum((adv.logs - logq) * tape.constant(_one_hot(y, k))), logq
 
 
 # -- the closed forms: three softmax primitives and one contraction -------
@@ -129,7 +132,7 @@ def _trades_g_blocks(clean: _Side, adv: _Side):
 
 
 def _block_traces(clean: _Side | None, adv: _Side, y, kind: RobustLossKind,
-                  stop_grad_clean: bool = True, kappa=None):
+                  stop_grad_clean: bool = True, margin=None):
     """Per-example ``(tr A, tr B, tr C)`` (module docstring); None is zero."""
     beta, s_adv = kind.penalty, adv.s
     o_adv = _others(s_adv)
@@ -150,9 +153,10 @@ def _block_traces(clean: _Side | None, adv: _Side, y, kind: RobustLossKind,
         return tr_clean, None, beta * tr_adv
     if kind.variant == "mart":
         y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-        kappa = _runner_up(s_adv.value, y) if kappa is None else kappa
         Y = tape.constant(_one_hot(y, s.shape[-1]))
-        q = tape.exp(_margin(adv, kappa, Y)[1])
+        if margin is None:
+            margin = _margin(adv, _runner_up(s_adv.value, y), y)
+        q = tape.exp(margin[1])
         w = tape.row_sum(o * Y)  # 1 - s_y
         return tr_clean, None, (1.0 + beta * w) * tr_adv - _tr_phi(q, _others(q))
     raise ValueError(f"unknown loss variant {kind.variant!r}")
@@ -169,12 +173,12 @@ def _contract(clean: _Side | None, adv: _Side, tr_a, tr_b, tr_c) -> tape.Node:
 
 
 def top_trace_rows(clean: _Side | None, adv: _Side, y, kind: RobustLossKind,
-                   stop_grad_clean: bool = True, kappa=None) -> tape.Node:
+                   stop_grad_clean: bool = True, margin=None) -> tape.Node:
     """Per-example closed-form top-layer traces, shape (m,): the loss kind's
     block traces, contracted.  ``clean`` is unused (and may be None) for at;
-    ``y`` and ``kappa`` (from ``adv`` when None) are used by mart only."""
+    ``y`` and ``margin`` (from ``adv`` when None) are used by mart only."""
     return _contract(clean, adv, *_block_traces(clean, adv, y, kind,
-                                                stop_grad_clean, kappa))
+                                                stop_grad_clean, margin))
 
 
 # -- the closed forms on constants ---------------------------------------
@@ -277,11 +281,11 @@ def capture_frozen(net: MlpNetwork, X: np.ndarray, X_adv: np.ndarray,
 
 def _loss_rows(clean: _Side | None, adv: _Side, y: np.ndarray,
                kind: RobustLossKind, stop_grad_clean: bool,
-               frozen: dict) -> tape.Node:
+               frozen: dict, margin=None) -> tape.Node:
     """Per-example robust loss, shape (m,).
 
     The stop-gradient choices (clean side of KL / pairing / weighted-KL held
-    constant) read their constants from `frozen`.
+    constant) read their constants from `frozen`, mart's ``margin`` too.
     """
     logs_adv, s_adv = adv.logs, adv.s
     Y = tape.constant(_one_hot(y, s_adv.shape[-1]))
@@ -290,7 +294,7 @@ def _loss_rows(clean: _Side | None, adv: _Side, y: np.ndarray,
     if kind.variant == "alp":
         diff = tape.constant(frozen["s_clean"]) - s_adv
         return -tape.row_sum(logs_adv * Y) + kind.penalty * tape.row_sum(diff * diff)
-    _, logs, s = clean
+    logs, s = clean.logs, clean.s
     ce_clean = -tape.row_sum(logs * Y)
     if kind.variant == "trades" and not stop_grad_clean:
         return ce_clean + kind.penalty * tape.row_sum(s * (logs - logs_adv))
@@ -299,16 +303,19 @@ def _loss_rows(clean: _Side | None, adv: _Side, y: np.ndarray,
     if kind.variant == "trades":
         return ce_clean + kind.penalty * kl_rows
     if kind.variant == "mart":
-        log_rest = _margin(adv, frozen["kappa_star"], Y)[0]  # log(1 - s'_kappa)
-        return ce_clean - log_rest + kind.penalty * (
+        if margin is None:
+            margin = _margin(adv, frozen["kappa_star"], y)
+        return ce_clean - margin[0] + kind.penalty * (
             tape.constant(frozen["wkl_weight"]) * kl_rows)
     raise ValueError(f"unknown loss variant {kind.variant!r}")
 
 
 def objective_nodes(lifted, X, X_adv, y, kind: RobustLossKind,
                     lam: float, gamma: float, stop_grad_clean: bool = True,
-                    frozen: dict | None = None) -> tape.Node:
-    """Scalar tape node: mean robust loss + lam * mean trace + gamma ||theta||^2.
+                    frozen: dict | None = None, full_coeff: float = 0.0) -> tape.Node:
+    """Scalar tape node: mean robust loss + lam * mean trace + gamma
+    ||theta||^2 + full_coeff * mean whole-network CE trace at X_adv, all on
+    one tape forward per side (and, for mart, one margin).
 
     One value per copy, shape ``(P,)``, on a stacked network (mean and norm
     taken per copy).  On leaves it is the training objective; on constants
@@ -326,16 +333,20 @@ def objective_nodes(lifted, X, X_adv, y, kind: RobustLossKind,
     clean, adv = _sides(lifted, X, X_adv, kind)
     if frozen is None:
         frozen = _frozen(clean, adv, y, kind)
-    rows = _loss_rows(clean, adv, y, kind, stop_grad_clean, frozen)
+    margin = (_margin(adv, frozen["kappa_star"], y) if kind.variant == "mart"
+              else None)
+    rows = _loss_rows(clean, adv, y, kind, stop_grad_clean, frozen, margin)
     if lam > 0:
-        rows = rows + lam * top_trace_rows(clean, adv, y, kind, stop_grad_clean,
-                                           frozen.get("kappa_star"))
+        rows = rows + lam * top_trace_rows(clean, adv, y, kind, stop_grad_clean, margin)
     out = tape.mean(rows, axis=-1)
     if gamma != 0.0:
         axes = (1, 2) if lifted[0][0].value.ndim == 3 else None  # per copy
         out = out + gamma * sum(tape.nsum(w * w, axes) if b is None else
                                 tape.nsum(w * w, axes) + tape.nsum(b * b, axes)
                                 for w, b in lifted)
+    if full_coeff:  # plain networks only: the layer traces take no stack
+        out = out + full_coeff * tape.mean(
+            full_ce_trace_rows_nodes(lifted, *adv.forward, adv.s))
     return out
 
 

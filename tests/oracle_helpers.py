@@ -1,10 +1,13 @@
 """Test-side helpers for the finite-difference oracles: a per-point
-function in the stack form the stencils call, and flat-vector index sets of
-one weight layer."""
+function in the stack form the stencils call, flat-vector index sets of
+one weight layer, and the whole-network trace of a batch on its own tape
+forward."""
 
 import numpy as np
 
-from trhreg.network import layer_params
+from trhreg import tape
+from trhreg.layer_traces import full_ce_trace_rows_nodes
+from trhreg.network import forward_nodes, layer_params
 
 
 def rowwise(f):
@@ -26,3 +29,12 @@ def weight_indices(net, layer=None):
     layers = range(net.depth) if layer is None else [layer]
     return np.concatenate([layer_block(net, i)[:net.layers[i].weights.size]
                            for i in layers])
+
+
+def whole_network_rows(lifted, X):
+    """:func:`~trhreg.layer_traces.full_ce_trace_rows_nodes` on a tape
+    forward of `X` and its softmax, built as ``trh.objective_nodes`` builds
+    its adversarial side."""
+    layer_inputs, preacts = forward_nodes(lifted, X)
+    s = tape.exp(tape.log_softmax(preacts[-1]))
+    return full_ce_trace_rows_nodes(lifted, layer_inputs, preacts, s)

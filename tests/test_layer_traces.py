@@ -1,7 +1,11 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
-from oracle_helpers import rowwise, weight_indices
+from oracle_helpers import rowwise, weight_indices, whole_network_rows
+# the saturated logits and the tolerance of the top-layer primitives' check
+from test_trh_blocks import ATOL, RTOL, saturated_logits
 from trhreg import tape
 from trhreg.hessian_oracle import exact_trace, frozen_objective_fns
 from trhreg.losses import RobustLossKind, softmax
@@ -13,7 +17,7 @@ from trhreg.layer_traces import (INEQUALITY_SLACK, NonSmoothInput,
                                  _jacobian_stacks,
                                  _summed_quadratic_form,
                                  check_layer_inequality,
-                                 full_ce_trace_rows_nodes, l1_operator_norm,
+                                 l1_operator_norm,
                                  layer_trace_rows)
 from trhreg.trh import trh_at
 from trhreg.verify import sample_smooth_instance
@@ -247,7 +251,7 @@ class TestBatchedAndDifferentiable:
         X = np.vstack([x[0], x[0] * 0.9])
 
         def objective(lifted):
-            return tape.mean(full_ce_trace_rows_nodes(lifted, X))
+            return tape.mean(whole_network_rows(lifted, X))
 
         value, grad = gradient_vector(net, objective)
         assert value == pytest.approx(
@@ -305,7 +309,7 @@ class TestClassBatchedRoutine:
         net, X = _ten_class_instance()
 
         def objective(lifted):
-            return tape.mean(full_ce_trace_rows_nodes(lifted, X))
+            return tape.mean(whole_network_rows(lifted, X))
 
         value, grad = gradient_vector(net, objective)
         assert value == pytest.approx(
@@ -320,23 +324,27 @@ class TestClassBatchedRoutine:
 
     def test_constant_weights_record_no_graph(self):
         from trhreg.layer_traces import layer_trace_nodes
-        from trhreg.network import lift
         net, X = _ten_class_instance()
-        for node in layer_trace_nodes(lift(net, tape.constant), X):
+
+        def rows(lifted):
+            layer_inputs, preacts = forward_nodes(lifted, X)
+            s = tape.exp(tape.log_softmax(preacts[-1]))
+            return layer_trace_nodes(lifted, layer_inputs, preacts, s)
+
+        for node in rows(lift(net, tape.constant)):
             assert node._edges == () and not node.live
-        live = layer_trace_nodes(lift(net), X)
-        assert all(node.live for node in live)
+        assert all(node.live for node in rows(lift(net)))
 
 
 def _composite_quadratic_form(s, jac):
-    """Reference: the summed quadratic form as a chain of elementary tape
-    ops on the class-major ``(K, D, m)`` stack.  The ``(m, K)`` softmax
-    goes class-major, ``(K, 1, m)``, through a one-hot product and a sum."""
+    """Reference: the centered summed quadratic form ``sum_d sum_c s_c
+    (J_cd - u_d)^2`` as a chain of elementary tape ops on the class-major
+    ``(K, D, m)`` stack.  The ``(m, K)`` softmax goes class-major,
+    ``(K, 1, m)``, through a one-hot product and a sum."""
     k = s.shape[1]
     s = tape.nsum(s * tape.constant(np.eye(k)[:, None, None, :]), axis=-1)
-    weighted = s * jac
-    u = tape.nsum(weighted, axis=0)
-    return tape.nsum(tape.nsum(weighted * jac, axis=0) - u * u, axis=0)
+    dev = jac - tape.nsum(s * jac, axis=0)
+    return tape.nsum(tape.nsum(s * dev * dev, axis=0), axis=0)
 
 
 def _random_stack(seed, k=10, d=6, m=5):
@@ -382,3 +390,64 @@ class TestFusedQuadraticForm:
         assert [p for p, _ in out._edges] == [s_node, jac_node]
         out = _summed_quadratic_form(tape.constant(s), tape.constant(jac))
         assert out._edges == () and not out.live
+
+
+# -- saturated softmax: the layer traces against a decimal evaluation ----
+
+def _saturated_instance(gap, k):
+    """A 2-5-4-k net with an active unit on every hidden level and one input
+    whose logits are ``saturated_logits(gap, k)``, up to rounding: the top
+    weights move along the input's features."""
+    for attempt in range(50):
+        rng = Rng(260).child(k, attempt)
+        net = init_mlp([2, 5, 4, k], rng.child("net"))
+        for layer in net.layers[:-1]:
+            layer.bias[:] = 0.3 * rng.child("b", layer.d_out).normal(size=layer.d_out)
+        x = rng.child("x").normal(size=(1, 2))
+        tr = forward(net, x)
+        if all((p > 0).any() for p in tr.preacts[:-1]):
+            z, top = tr.features[0], net.layers[-1].weights
+            top += np.outer(z, saturated_logits(gap, k) - z @ top) / (z @ z)
+            return net, x
+    raise RuntimeError("no instance with every hidden level active")
+
+
+def decimal_layer_traces(net, x, gap):
+    """Each weight matrix's CE trace ``||level_i||^2 sum_d J_d^T Phi J_d``,
+    ``Phi = diag(p) - p p^T``, from its definition in decimal with 80 +
+    gap / 2.3 digits, on the float64 forward's levels, gates and logits and
+    the float64 weights; the Jacobians go down one exact product a layer."""
+    tr = forward(net, x)
+    with localcontext() as ctx:
+        ctx.prec = 80 + int(gap / 2.3)
+        logits = [Decimal(v) for v in tr.logits[0]]
+        e = [(g - max(logits)).exp() for g in logits]
+        p = [v / sum(e) for v in e]
+        k = len(p)
+        phi = [[p[c] * (int(c == c2) - p[c2]) for c2 in range(k)] for c in range(k)]
+        jac = [[Decimal(int(c == d)) for d in range(k)] for c in range(k)]
+        out = [0.0] * net.depth
+        for i in range(net.depth - 1, -1, -1):
+            quad = sum(jac[c][d] * phi[c][c2] * jac[c2][d] for d in range(len(jac[0]))
+                       for c in range(k) for c2 in range(k))
+            out[i] = float(sum(Decimal(v) ** 2 for v in tr.layer_inputs[i][0]) * quad)
+            if i:
+                w, gate = net.layers[i].weights, tr.preacts[i - 1][0] > 0
+                jac = [[sum(Decimal(w[d, j]) * row[j] for j in range(w.shape[1]))
+                        if gate[d] else Decimal(0) for d in range(w.shape[0])]
+                       for row in jac]
+        return out
+
+
+class TestSaturatedLayerTraces:
+    """The centered quadratic form keeps every digit as the softmax
+    saturates, where ``sum_c s_c J_cd^2 - u_d^2`` cancels to nothing."""
+
+    @pytest.mark.parametrize("k", [3, 10])
+    @pytest.mark.parametrize("gap", [0, 16, 32, 87, 400])
+    def test_rows_match_decimal(self, gap, k):
+        net, x = _saturated_instance(gap, k)
+        truth = decimal_layer_traces(net, x, gap)
+        assert all(ref > 0 for ref in truth)  # every layer has an active unit
+        for layer, (value, ref) in enumerate(zip(layer_trace_rows(net, x)[0], truth)):
+            assert abs(value - ref) <= RTOL * abs(ref) + ATOL, (layer, value, ref)

@@ -5,10 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracle_helpers import rowwise
+from oracle_helpers import rowwise, whole_network_rows
 from trhreg import tape
 from trhreg.data import two_moons
-from trhreg.layer_traces import full_ce_trace_rows_nodes
 from trhreg.losses import RobustLossKind
 from trhreg.network import (backprop, flatten_weights, forward_nodes, init_mlp,
                             lift, unflatten_weights)
@@ -272,7 +271,7 @@ class TestLazyBackwardMatchesZerosBackward:
         net = init_mlp([5, 8, 8, 10], rng.child("net"))
         X = rng.child("x").normal(size=(12, 5))
         lazy, ref = _grads_both_ways(monkeypatch, net, lambda lifted: tape.mean(
-            full_ce_trace_rows_nodes(lifted, X)))
+            whole_network_rows(lifted, X)))
         _assert_same_grads(lazy, ref)
 
 

@@ -177,6 +177,25 @@ class TestTrainLoop:
             TrHConfig(full_coeff=-1.0)
         assert TrHConfig(full_coeff=0.0).full_coeff == 0.0
 
+    def test_a_step_runs_one_forward_per_side(self, monkeypatch):
+        # the whole-network term rides on the objective's adversarial forward
+        from trhreg import layer_traces, network, trh
+        calls = []
+        original = network.forward_nodes
+
+        def forward_nodes(lifted, X):
+            calls.append(len(X))
+            return original(lifted, X)
+
+        for module in (network, trh, layer_traces):
+            monkeypatch.setattr(module, "forward_nodes", forward_nodes)
+        ds = two_moons(40, seed=2)
+        cfg = TrainConfig(epochs=2, base_lr=0.05, lr_decay="constant", seed=0)
+        train(init_mlp([2, 6, 2], Rng(1).child("i")), ds,
+              RobustLossKind("trades", 6.0), TrHConfig(lam=0.1, full_coeff=0.05),
+              AttackConfig(delta=0.02, steps=1), cfg)
+        assert calls == [40] * 4  # two full-batch steps, clean and adversarial
+
     def test_divergence_aborts_with_flag(self):
         res, _ = toy_run(epochs=5, base_lr=1e9)
         assert res.diverged

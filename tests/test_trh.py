@@ -5,15 +5,15 @@ import pytest
 
 from loss_references import (alp_pair_loss, cross_entropy, kl_div,
                              mart_losses, softmax_derivs)
-from oracle_helpers import weight_indices
-from trhreg import tape
+from oracle_helpers import rowwise, weight_indices, whole_network_rows
+from trhreg import layer_traces, network, tape, trh
 from trhreg.attacks import AttackConfig, pgd
 from trhreg.hessian_oracle import exact_trace, frozen_objective_fns
 from trhreg.losses import RobustLossKind, softmax
 from trhreg.network import (DenseLayer, MlpNetwork, flatten_weights, forward,
-                            gradient_vector, init_mlp, lift)
-from trhreg.numerics import Rng
-from trhreg.trh import (analytic_trh_rows, objective_nodes,
+                            gradient_vector, init_mlp, lift, unflatten_weights)
+from trhreg.numerics import Rng, finite_diff_gradient
+from trhreg.trh import (analytic_trh_rows, capture_frozen, objective_nodes,
                         robust_loss_rows, trh_alp, trh_at, trh_mart,
                         trh_trades, trh_trades_full)
 from trhreg.verify import sample_smooth_instance
@@ -228,6 +228,75 @@ class TestObjectiveNodes:
                                              stop_grad_clean=sgc)
                 expected = float(np.mean(bare + lam * trh_rows))
                 assert float(node.value) == pytest.approx(expected, rel=1e-12), kind
+
+
+# name: (loss kind, stop_grad_clean), every loss and both TRADES settings
+OBJECTIVE_CASES = {
+    "at": (RobustLossKind("at"), True),
+    "trades": (RobustLossKind("trades", 6.0), True),
+    "trades_live": (RobustLossKind("trades", 6.0), False),
+    "alp": (RobustLossKind("alp", 0.5), True),
+    "mart": (RobustLossKind("mart", 5.0), True),
+}
+LAM, GAMMA, FULL = 0.3, 0.01, 0.2
+
+
+class TestWholeNetworkTerm:
+    """``full_coeff`` adds the whole-network CE trace inside the objective,
+    on the adversarial side's own tape forward and softmax."""
+
+    @pytest.mark.parametrize("case", OBJECTIVE_CASES)
+    def test_value_is_the_sum_of_its_terms(self, case):
+        kind, sgc = OBJECTIVE_CASES[case]
+        net, x, x_adv, y = sample_smooth_instance(127)
+        lifted = lift(net, wrap=tape.constant)
+
+        def value(full):
+            return float(objective_nodes(lifted, x, x_adv, y, kind, LAM, GAMMA,
+                                         sgc, full_coeff=full).value)
+
+        whole = float(tape.mean(whole_network_rows(lifted, x_adv)).value)
+        assert value(FULL) == pytest.approx(value(0.0) + FULL * whole, rel=1e-15)
+
+    @pytest.mark.parametrize("case", OBJECTIVE_CASES)
+    def test_gradient_matches_finite_differences(self, case):
+        kind, sgc = OBJECTIVE_CASES[case]
+        net, x, x_adv, y = sample_smooth_instance(127)
+        frozen = capture_frozen(net, x, x_adv, y, kind)
+
+        def objective(lifted):
+            return objective_nodes(lifted, x, x_adv, y, kind, LAM, GAMMA, sgc,
+                                   frozen, full_coeff=FULL)
+
+        _, grad = gradient_vector(net, objective)
+        fd = finite_diff_gradient(rowwise(lambda w: float(objective(
+            lift(unflatten_weights(net, w), wrap=tape.constant)).value)),
+            flatten_weights(net))
+        assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
+
+    @pytest.mark.parametrize("full", [0.0, FULL])
+    @pytest.mark.parametrize("case", OBJECTIVE_CASES)
+    def test_one_forward_per_side(self, monkeypatch, case, full):
+        kind, sgc = OBJECTIVE_CASES[case]
+        net, x, x_adv, y = sample_smooth_instance(127)
+        calls = dict.fromkeys(("forward_nodes", "log_softmax", "_margin"), 0)
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        forward_nodes = counted("forward_nodes", network.forward_nodes)
+        for module in (network, trh, layer_traces):
+            monkeypatch.setattr(module, "forward_nodes", forward_nodes)
+        monkeypatch.setattr(tape, "log_softmax", counted("log_softmax", tape.log_softmax))
+        monkeypatch.setattr(trh, "_margin", counted("_margin", trh._margin))
+        gradient_vector(net, lambda lifted: objective_nodes(
+            lifted, x, x_adv, y, kind, LAM, GAMMA, sgc, full_coeff=full))
+        sides, mart = (1 if kind.variant == "at" else 2), int(kind.variant == "mart")
+        assert calls == {"forward_nodes": sides, "log_softmax": sides + mart,
+                         "_margin": mart}
 
 
 class TestTrainingObjective:

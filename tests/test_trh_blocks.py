@@ -71,8 +71,7 @@ def float_primitives(logits, r, kappa, y):
     side = _side(tape.constant(np.ones((1, 1))), tape.constant(logits[None]))
     p = side.s
     o, sq_o = _others(p), _others(p * p)
-    Y = tape.constant(np.eye(len(logits))[None, y])
-    log_rest = _margin(side, np.array([kappa]), Y)[0]
+    log_rest = _margin(side, np.array([kappa]), np.array([y]))[0]
     return tuple(float(node.value[0]) for node in (
         _tr_phi(p, o), _sq_frob_phi(p, o, sq_o),
         _tr_hess(tape.constant(r[None]), p, o, sq_o), log_rest))

@@ -10,15 +10,17 @@ Writes the seed-1 benchmark inputs once (the `mart`, `blobs`, `probe` and
 plus configs derived from `probe`: two that reach the training options
 the benchmark leaves off (`probe-swa`: SWA, cosine lr with warmup, a
 linear lambda schedule; `probe-awp`: AWP, multistep lr, a multistep
-lambda schedule and a clamp box), two that reach the losses it leaves
-off (`probe-alp`: ALP, penalty 0.5; `probe-trades`: TRADES, penalty 6,
-stop-gradient clean logits), and two whose training diverges in epoch 0,
-before its first measurement, so train, trace and spectrum exit 2: in a
-step (`probe-diverge`: base_lr 100000), and in the epoch-end attack after
-one full-batch step at base_lr 1e20 (`probe-diverge-attack`; the run keeps
-the weights the epoch started from).  It then runs every command of the
-list below in both checkouts, each with ``PYTHONPATH=<root>/src``, one
-BLAS thread and its own output directory:
+lambda schedule and a clamp box), three that reach the losses and loss
+settings it leaves off (`probe-alp`: ALP, penalty 0.5; `probe-trades`:
+TRADES, penalty 6, stop-gradient clean logits; `probe-mart`: MART,
+penalty 5, with the probe's whole-network term), and two whose training
+diverges in epoch 0, before its first measurement, so train, trace and
+spectrum exit 2: in a step (`probe-diverge`: base_lr 100000), and in the
+epoch-end attack after one full-batch step at base_lr 1e20
+(`probe-diverge-attack`; the run keeps the weights the epoch started
+from).  It then runs every command of the list below in both checkouts,
+each with ``PYTHONPATH=<root>/src``, one BLAS thread and its own output
+directory:
 
 * per benchmark, loss or diverging config: ``train``; ``trace --measure
   full --every 7 --probes 8``; ``trace --measure top --every 3``;
@@ -72,6 +74,7 @@ LOSSES = {
     "probe-alp": {"loss.kind": "alp", "loss.penalty": "0.5"},
     "probe-trades": {"loss.kind": "trades", "loss.penalty": "6",
                      "trh.stop_grad_clean": "true"},
+    "probe-mart": {"loss.kind": "mart", "loss.penalty": "5"},
 }
 DIVERGING = {"probe-diverge": {"train.base_lr": "100000"},
              "probe-diverge-attack": {"train.batch_size": "0",
