@@ -22,8 +22,8 @@ from trhreg.losses import RobustLossKind
 from trhreg.network import flatten_weights, init_mlp, lift, param_count
 from trhreg.numerics import Rng, hessian_diag_subset, pin_allocator
 from trhreg.pacbayes import (GaussianPosterior, PacBayesConfig,
-                             expected_loss_mc, gaussian_kl, optimal_sigma_diag,
-                             optimal_sigma_spherical,
+                             bound_surrogate, expected_loss_mc, gaussian_kl,
+                             optimal_sigma_diag, optimal_sigma_spherical,
                              second_order_inner_objective)
 from trhreg.trh import analytic_trh_rows, objective_nodes, robust_loss_rows
 
@@ -72,8 +72,8 @@ print(f"   closed form beats the grid: {v_sph <= grid + 1e-9}; "
 cfg = PacBayesConfig(sigma0_sq=sigma0_sq, beta=beta)
 trh_mean = float(np.mean(analytic_trh_rows(net, dataset.inputs, x_adv,
                                            dataset.labels, kind)))
-surrogate = (risk + float(theta @ theta) / (2 * beta * sigma0_sq)
-             + (sigma0_sq / 2) * trh_mean)
+surrogate = bound_surrogate(net, dataset.inputs, x_adv, dataset.labels, kind,
+                            cfg, trh_mean)
 objective = float(objective_nodes(lift(net), dataset.inputs, x_adv,
                                   dataset.labels, kind, cfg.lam,
                                   cfg.gamma).value)

@@ -39,7 +39,9 @@ benchmark's 10-step attack of 500 two-moons rows that skips about 30 % of
 the row-steps (37 % at 20 steps).  The rows still stepping then form a
 smaller batch, with the caveat on batch sizes below.
 
-``eval_robust_accuracy`` counts a point as correct only if every restart
+``eval_robust_accuracy`` is the one definition of robust accuracy: the CE
+attack whatever ``cfg.inner_loss`` (a TRADES config trains against KL),
+with ``cfg.restarts`` restarts.  A point is correct only if every restart
 leaves it correctly classified, which makes accuracy monotone
 non-increasing in the number of restarts by construction.  It attacks only
 the points in doubt.  When the attack makes at least ``_BOUND_MIN_STEPS``
@@ -306,9 +308,10 @@ def margin_lower_bound(net: MlpNetwork, X, y, cfg: AttackConfig) -> np.ndarray:
 
 def eval_robust_accuracy(net: MlpNetwork, dataset, cfg: AttackConfig,
                          rng: Rng) -> float:
-    """Fraction of points correct under the worst case over all restarts.
+    """Fraction of points correct under every restart of the CE attack.
 
-    Restart r attacks with ``rng.child(r)``, as a `pgd` call on every row
+    The attack is `cfg` with the CE inner loss, whatever ``cfg.inner_loss``,
+    and ``cfg.restarts`` restarts.  Restart r attacks with ``rng.child(r)``, as a `pgd` call on every row
     would, but only the rows still in doubt: a row whose
     `margin_lower_bound` exceeds ``_ROUNDING_ALLOWANCE`` is correct at every
     point the attack can reach and is never attacked, and a row that a
@@ -320,6 +323,7 @@ def eval_robust_accuracy(net: MlpNetwork, dataset, cfg: AttackConfig,
     y = dataset.labels
     if len(y) == 0:
         raise ValueError("dataset must be nonempty")
+    cfg = replace(cfg, inner_loss="ce")
     correct = np.ones(len(y), dtype=bool)
     doubtful = np.arange(len(y))
     if cfg.steps * cfg.restarts >= _BOUND_MIN_STEPS:

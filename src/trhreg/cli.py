@@ -167,9 +167,7 @@ def cmd_eval(args) -> int:
     if net.num_classes < ds.num_classes:
         raise ConfigError(f"checkpoint has {net.num_classes} outputs but the "
                           f"dataset has {ds.num_classes} classes")
-    # evaluation attacks with CE whatever the training loss, as the
-    # trainer's per-epoch robust accuracy does
-    attack = replace(cfg.effective_attack(ds), inner_loss="ce")
+    attack = cfg.effective_attack(ds)
     if args.restarts is not None:
         attack = replace(attack, restarts=args.restarts)
     rng = Rng(cfg.train.seed).child("eval-cli")
@@ -258,12 +256,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
-def _seed(text: str) -> int:
-    """argparse type of ``verify --seed``: a non-negative integer."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return int(text)
+def _at_least(low: int):
+    """argparse type of an integer flag: an integer >= `low`, checked before
+    any file is read or directory made."""
+    def checked(text: str) -> int:
+        if not text.removeprefix("-").isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return checked
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", help="clean + multi-restart attack accuracy")
     add_common(sp)
     sp.add_argument("--checkpoint", required=True)
-    sp.add_argument("--restarts", type=int, default=None)
+    sp.add_argument("--restarts", type=_at_least(1), default=None)
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("trace", help="train while logging curvature traces")
@@ -294,14 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--measure", choices=["top", "full", "layers"],
                     type=lambda mode: "top" if mode == "layers" else mode,
                     default="full")
-    sp.add_argument("--every", type=int, default=1)
-    sp.add_argument("--probes", type=int, default=64)
+    sp.add_argument("--every", type=_at_least(1), default=1)
+    sp.add_argument("--probes", type=_at_least(1), default=64)
     sp.set_defaults(func=cmd_trace)
 
     sp = sub.add_parser("spectrum", help="per-layer eigenvalue statistics")
     add_common(sp)
-    sp.add_argument("--every", type=int, default=10)
-    sp.add_argument("--probes", type=int, default=32)
+    sp.add_argument("--every", type=_at_least(1), default=10)
+    sp.add_argument("--probes", type=_at_least(1), default=32)
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("sweep", help="grid over one hyper-parameter")
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the oracle cross-validation suites")
     sp.add_argument("--level", choices=["quick", "full"], default="quick")
-    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--seed", type=_at_least(0), default=0)
     sp.set_defaults(func=cmd_verify)
     return p
 

@@ -85,7 +85,6 @@ class TrainConfig:
     baseline: str = "none"
     swa_alpha: float = 0.995
     awp_delta: float = 0.005
-    eval_restarts: int = 1
 
     def __post_init__(self):
         if self.epochs < 1 or self.base_lr <= 0:
@@ -278,7 +277,6 @@ _KEYS = {
     "train.baseline": (str, "none"),
     "train.swa_alpha": (float, "0.995"),
     "train.awp_delta": (float, "0.005"),
-    "train.eval_restarts": (int, "1"),
     "pacbayes.sigma0_sq": (_positive(float), _REQUIRED),
     "pacbayes.beta": (_positive(float), _REQUIRED),
     "pacbayes.c_const": (float, "0.0"),

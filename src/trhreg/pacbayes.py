@@ -157,19 +157,16 @@ def expected_loss_mc(net: MlpNetwork, dataset, kind: RobustLossKind,
     return mean_se(vals)
 
 
-def bound_surrogate(net: MlpNetwork, dataset, kind: RobustLossKind,
-                    attack_cfg: AttackConfig, cfg: PacBayesConfig,
-                    trh_value: float, rng: Rng) -> float:
+def bound_surrogate(net: MlpNetwork, X, X_adv, y, kind: RobustLossKind,
+                    cfg: PacBayesConfig, trh_value: float) -> float:
     """The trainable upper-bound surrogate at the current weights.
 
     ``mean robust loss + ||theta||^2/(2 beta sigma0^2)
-    + (sigma0^2/2) * trh_value + c_const`` with adversarial examples drawn
-    at the current weights.  `trh_value` is supplied by the caller (top
-    layer closed form, or a whole-network oracle measurement).
+    + (sigma0^2/2) * trh_value + c_const``, with the robust loss at the
+    caller's points `X_adv` and `trh_value` from the caller too (top-layer
+    closed form, or a whole-network oracle measurement).
     """
-    x_adv = pgd(net, dataset.inputs, dataset.labels, attack_cfg, rng)
-    risk = float(np.mean(robust_loss_rows(net, dataset.inputs, x_adv,
-                                          dataset.labels, kind)))
+    risk = float(np.mean(robust_loss_rows(net, X, X_adv, y, kind)))
     theta = flatten_weights(net)
     return (risk + float(np.dot(theta, theta)) / (2.0 * cfg.beta * cfg.sigma0_sq)
             + (cfg.sigma0_sq / 2.0) * trh_value + cfg.c_const)

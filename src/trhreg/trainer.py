@@ -13,13 +13,13 @@ schedule.  Batches are drawn by per-epoch Fisher-Yates shuffling with the
 remainder dropped; batch_size 0 means full batch.
 
 Each epoch logs ``pgd_acc``, the accuracy under the CE attack with
-``train.eval_restarts`` restarts at the epoch's final (or averaged)
-weights.  In a full-batch run with a CE training attack, no SWA and one
-evaluation restart, the next epoch's step makes exactly that attack on
-every row, so the epoch makes it once, reads ``pgd_acc`` off it and hands
-it to the step: one attack per epoch instead of two, with training
-unchanged bit for bit.  Every other run evaluates with
-``attacks.eval_robust_accuracy`` on a stream of its own.
+``attack.restarts`` restarts at the epoch's final (or averaged) weights.
+In a full-batch run with a CE training attack, no SWA and one restart,
+the next epoch's step makes exactly that attack on every row, so the
+epoch makes it once, reads ``pgd_acc`` off it and hands it to the step:
+one attack per epoch instead of two, with training unchanged bit for bit.
+Every other run evaluates with ``attacks.eval_robust_accuracy`` on a
+stream of its own.
 
 Weight averaging keeps an exponential average updated every iteration and
 evaluates with it.  The weight-perturbation baseline takes one ascent step
@@ -31,7 +31,7 @@ weights to the unperturbed ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,7 +156,7 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
     ``full_coeff`` term (the toy "Full" arm) is independent of ``lam``'s.
 
     ``pgd_acc``: when the run is full batch, ``attack_cfg.inner_loss`` is
-    CE, ``cfg.baseline`` is not SWA and ``cfg.eval_restarts`` is 1, the
+    CE, ``cfg.baseline`` is not SWA and ``attack_cfg.restarts`` is 1, the
     end of epoch e attacks ``X[p]`` with ``p`` the permutation of
     ``rng.child("shuffle", e + 1)`` and the stream
     ``rng.child("attack", e + 1, 0)``: the call epoch e + 1's step would
@@ -183,11 +183,10 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
 
     metrics = MetricsLog(columns=list(METRICS_COLUMNS))
     measurements: list = []
-    eval_attack = replace(attack_cfg, restarts=cfg.eval_restarts, inner_loss="ce")
     # a full-batch step attacks every row with the evaluation's attack, so
     # the epoch's pgd_acc is read off the next step's attack (docstring)
     reuse_attack = (bs == m and cfg.baseline != "swa"
-                    and attack_cfg.inner_loss == "ce" and cfg.eval_restarts == 1)
+                    and attack_cfg.inner_loss == "ce" and attack_cfg.restarts == 1)
     next_adv = None  # the attack of the next epoch's step, when reused
 
     velocity = np.zeros(param_count(net))
@@ -248,7 +247,7 @@ def train(net: MlpNetwork, dataset: Dataset, kind: RobustLossKind,
                 pgd_acc = float(np.mean(predictions(net, next_adv)
                                         == dataset.labels[next_perm]))
             else:
-                pgd_acc = eval_robust_accuracy(eval_net, dataset, eval_attack,
+                pgd_acc = eval_robust_accuracy(eval_net, dataset, attack_cfg,
                                                rng.child("eval", epoch))
         except TrainingDivergence:
             pgd_acc, diverged_epoch = float("nan"), epoch

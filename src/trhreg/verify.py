@@ -262,9 +262,8 @@ def check_pacbayes(curvature_vectors: int = 20, seed: int = 0) -> list[CheckResu
     x_adv = pgd(net, ds.inputs, ds.labels, atk, Rng(seed).child("repar-attack"))
     trh_mean = float(np.mean(trh_module.analytic_trh_rows(
         net, ds.inputs, x_adv, ds.labels, kind)))
-    # the surrogate draws the same attack points from a fresh stream
-    surrogate = pb.bound_surrogate(net, ds, kind, atk, cfg, trh_mean,
-                                   Rng(seed).child("repar-attack"))
+    surrogate = pb.bound_surrogate(net, ds.inputs, x_adv, ds.labels, kind, cfg,
+                                   trh_mean)
     node = trh_module.objective_nodes(lift(net, wrap=tape.constant), ds.inputs,
                                       x_adv, ds.labels, kind, cfg.lam, cfg.gamma)
     objective = float(node.value)

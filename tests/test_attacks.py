@@ -548,10 +548,12 @@ class TestMarginLowerBound:
 
 
 def reference_eval(net, ds, cfg, rng):
-    """Robust accuracy the plain way: every restart attacks every row."""
+    """Robust accuracy the plain way: every restart attacks every row, with
+    the CE inner loss whatever `cfg`'s."""
     correct = np.ones(len(ds.labels), dtype=bool)
     for r in range(cfg.restarts):
-        x_adv = pgd(net, ds.inputs, ds.labels, cfg, rng.child(r))
+        x_adv = pgd(net, ds.inputs, ds.labels, replace(cfg, inner_loss="ce"),
+                    rng.child(r))
         correct &= predictions(net, x_adv) == ds.labels
     return float(np.mean(correct))
 
@@ -577,6 +579,20 @@ class TestPrunedEvaluation:
         cfg = replace(EVAL_CONFIGS[name], restarts=restarts)
         rng = Rng(71).child(name)
         assert eval_robust_accuracy(net, ds, cfg, rng) == reference_eval(net, ds, cfg, rng)
+
+    @pytest.mark.parametrize("which", ["trained", "random"])
+    def test_kl_config_evaluates_with_ce(self, trained_moons, which):
+        # robust accuracy has one definition: the CE attack, whatever loss
+        # the config trains against
+        if which == "trained":
+            net, ds = trained_moons
+        else:
+            net, ds = random_problem([2, 12, 12, 3], 150, 70, scale=0.8)
+        ce = AttackConfig(delta=0.08, steps=10)
+        kl = replace(ce, inner_loss="kl")
+        rng = Rng(74).child(which)
+        assert eval_robust_accuracy(net, ds, kl, rng) == eval_robust_accuracy(
+            net, ds, ce, rng)
 
     @staticmethod
     def attacked_rows(monkeypatch):

@@ -83,8 +83,10 @@ class TestParser:
             parse_kv("a.b = 1\na.b = 2\n")
 
     def test_unknown_key_reports_key_and_line(self, tmp_path, capsys):
-        # the bound keys that no module read are unknown, as any typo is
-        for key in ("bogus.key", "pacbayes.tau", "pacbayes.m"):
+        # the bound keys that no module read are unknown, as any typo is, and
+        # so is the removed train.eval_restarts (attack.restarts replaced it)
+        for key in ("bogus.key", "pacbayes.tau", "pacbayes.m",
+                    "train.eval_restarts"):
             text = f"dataset.n = 80\n{key} = 3\n"
             with pytest.raises(ConfigError, match="unknown key") as info:
                 ExperimentConfig.from_text(text)
@@ -92,6 +94,7 @@ class TestParser:
             cfg = write_config(tmp_path, text)
             assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
             assert f"unknown key (key {key!r}, line 2)" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_bad_value_reports_key(self):
         with pytest.raises(ConfigError, match=r"train\.epochs"):
@@ -451,15 +454,29 @@ class TestCliUsageErrors:
     """A command line argparse rejects exits 1, the config-error code, after
     argparse's usage message; 2 is kept for divergence."""
 
-    @pytest.mark.parametrize("argv", [
-        ["trace", "--measure", "bogus"],
-        ["verify", "--level", "medium"],
-        ["train"],
-        ["verify", "--seed", "-1"],
-    ], ids=["bad-choice", "bad-level", "no-config", "negative-verify-seed"])
-    def test_exits_one_after_usage(self, capsys, argv):
+    @pytest.mark.parametrize("argv, flag", [
+        (["trace", "--measure", "bogus"], None),
+        (["verify", "--level", "medium"], None),
+        (["train"], None),
+        (["verify", "--seed", "-1"], "--seed"),
+        (["eval", "--config", "c.txt", "--checkpoint", "k.txt", "--restarts", "0"],
+         "--restarts"),
+        (["trace", "--config", "c.txt", "--every", "0", "--out", "D"], "--every"),
+        (["trace", "--config", "c.txt", "--probes", "two"], "--probes"),
+        (["spectrum", "--config", "c.txt", "--probes", "0"], "--probes"),
+    ], ids=["bad-choice", "bad-level", "no-config", "negative-verify-seed",
+            "zero-restarts", "zero-every", "word-probes", "zero-probes"])
+    def test_exits_one_after_usage(self, tmp_path, monkeypatch, capsys, argv,
+                                   flag):
+        # an integer flag's error names the flag, before the (valid) config
+        # is read or an output directory made
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, name="c.txt")
         assert main(argv) == 1
-        assert "usage: trhreg" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage: trhreg" in err
+        assert flag is None or f"argument {flag}: expected an integer >= " in err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
 
     def test_help_exits_zero(self, capsys):
         assert main(["verify", "--help"]) == 0

@@ -170,22 +170,33 @@ class TestBoundSurrogate:
         x_adv = pgd(net, ds.inputs, ds.labels, attack, Rng(6).child("b"))
         risk = float(np.mean(robust_loss_rows(net, ds.inputs, x_adv,
                                               ds.labels, kind)))
-        val = bound_surrogate(net, ds, kind, attack, cfg, trh_value=5.0,
-                              rng=Rng(6).child("b"))
+        val = bound_surrogate(net, ds.inputs, x_adv, ds.labels, kind, cfg,
+                              trh_value=5.0)
         assert val == pytest.approx(risk, rel=1e-3)
+
+    @pytest.mark.parametrize("variant", ["at", "trades"])
+    def test_is_the_risk_at_the_given_points_plus_penalties(self, variant):
+        # any points, not only an attack's: the surrogate attacks nothing
+        ds, net, _, _ = tiny_problem(seed=11)
+        kind = RobustLossKind(variant, 6.0 if variant == "trades" else 0.0)
+        x_adv = ds.inputs + Rng(12).child("p").normal(size=ds.inputs.shape) * 0.1
+        cfg = PacBayesConfig(sigma0_sq=0.03, beta=50.0, c_const=0.7)
+        theta = flatten_weights(net)
+        want = (float(np.mean(robust_loss_rows(net, ds.inputs, x_adv, ds.labels,
+                                               kind)))
+                + float(theta @ theta) / (2 * cfg.beta * cfg.sigma0_sq)
+                + (cfg.sigma0_sq / 2) * 4.0 + cfg.c_const)
+        got = bound_surrogate(net, ds.inputs, x_adv, ds.labels, kind, cfg, 4.0)
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_reparameterization_identity(self):
         ds, net, kind, attack = tiny_problem(seed=7)
         cfg = PacBayesConfig(sigma0_sq=0.02, beta=250.0)
-        rng_attack = Rng(8).child("atk")
-        x_adv = pgd(net, ds.inputs, ds.labels, attack, rng_attack)
+        x_adv = pgd(net, ds.inputs, ds.labels, attack, Rng(8).child("atk"))
         trh_mean = float(np.mean(analytic_trh_rows(net, ds.inputs, x_adv,
                                                    ds.labels, kind)))
-        risk = float(np.mean(robust_loss_rows(net, ds.inputs, x_adv,
-                                              ds.labels, kind)))
-        theta = flatten_weights(net)
-        surrogate = (risk + float(theta @ theta) / (2 * cfg.beta * cfg.sigma0_sq)
-                     + (cfg.sigma0_sq / 2) * trh_mean)
+        surrogate = bound_surrogate(net, ds.inputs, x_adv, ds.labels, kind, cfg,
+                                    trh_mean)
         node = objective_nodes(lift(net), ds.inputs, x_adv, ds.labels, kind,
                                cfg.lam, cfg.gamma)
         assert abs(surrogate - float(node.value)) <= 1e-12 * max(1.0, abs(surrogate))

@@ -289,19 +289,21 @@ class TestTrainLoop:
             TrainConfig(epochs=1, base_lr=0.1, baseline="sam")
 
 
-def reuse_run(epochs=4, kind=RobustLossKind("at"), inner="ce", **kw):
+def reuse_run(epochs=4, kind=RobustLossKind("at"), inner="ce", restarts=1,
+              **kw):
     """A full-batch AT run whose attack moves the accuracy: 80 moons, a
     3-step attack at delta 0.1 whose short steps leave the random start
     mattering, a constant rate."""
     ds = two_moons(80, noise_std=0.1, seed=2)
     net = init_mlp([2, 10, 2], Rng(5).child("init"))
-    attack = AttackConfig(delta=0.1, steps=3, step_size=0.05, inner_loss=inner)
+    attack = AttackConfig(delta=0.1, steps=3, step_size=0.05, inner_loss=inner,
+                          restarts=restarts)
     cfg = TrainConfig(epochs=epochs, base_lr=0.1, lr_decay="constant", seed=5, **kw)
     return train(net, ds, kind, TrHConfig(lam=0.1), attack, cfg), ds, attack
 
 
 class TestFullBatchAttackReuse:
-    """A full-batch CE run with one evaluation restart reads each epoch's
+    """A full-batch CE run whose attack has one restart reads each epoch's
     pgd_acc off the attack that the next epoch's step makes."""
 
     def test_pgd_acc_is_the_next_steps_attack(self):
@@ -321,9 +323,10 @@ class TestFullBatchAttackReuse:
         assert any(row["pgd_acc"] < row["clean_acc"] for row in res.metrics.rows)
 
     def test_evaluation_never_perturbs_training(self):
-        # eval_restarts = 2 takes the eval_robust_accuracy path
-        reused, _, _ = reuse_run(eval_restarts=1)
-        separate, _, _ = reuse_run(eval_restarts=2)
+        # two restarts take the eval_robust_accuracy path; the training
+        # attack makes one run either way
+        reused, _, _ = reuse_run(restarts=1)
+        separate, _, _ = reuse_run(restarts=2)
         assert np.array_equal(flatten_weights(reused.raw_net),
                               flatten_weights(separate.raw_net))
         for a, b in zip(reused.metrics.rows, separate.metrics.rows):
@@ -351,7 +354,7 @@ class TestFullBatchAttackReuse:
         monkeypatch.setattr(trhreg.trainer, "eval_robust_accuracy", counting_eval)
         kw = {"minibatch": {"batch_size": 40}, "swa": {"baseline": "swa"},
               "trades": {"kind": RobustLossKind("trades", 6.0), "inner": "kl"},
-              "two restarts": {"eval_restarts": 2}}.get(case, {})
+              "two restarts": {"restarts": 2}}.get(case, {})
         res, _, _ = reuse_run(4, **kw)
         assert len(res.metrics.rows) == 4 and not res.diverged
         assert calls["eval"] == evals

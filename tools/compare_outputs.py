@@ -7,17 +7,19 @@ Usage:
 
 Writes the seed-1 benchmark inputs once (the `mart`, `blobs`, `probe` and
 `pgd10` configs of ``bench/workloads.make_inputs`` in this repository),
-plus configs derived from `probe`: two that reach the training options
+plus configs derived from `probe`: three that reach the training options
 the benchmark leaves off (`probe-swa`: SWA, cosine lr with warmup, a
 linear lambda schedule; `probe-awp`: AWP, multistep lr, a multistep
-lambda schedule and a clamp box), three that reach the losses and loss
-settings it leaves off (`probe-alp`: ALP, penalty 0.5; `probe-trades`:
-TRADES, penalty 6, stop-gradient clean logits; `probe-mart`: MART,
-penalty 5, with the probe's whole-network term), and two whose training
-diverges in epoch 0, before its first measurement, so train, trace and
-spectrum exit 2: in a step (`probe-diverge`: base_lr 100000), and in the
-epoch-end attack after one full-batch step at base_lr 1e20
-(`probe-diverge-attack`; the run keeps the weights the epoch started
+lambda schedule and a clamp box; `probe-restarts`: three attack restarts
+at delta 0.6, where the per-epoch ``pgd_acc`` depends on the restart
+count, as it does not at the probe's delta 0.3), three that reach the
+losses and loss settings it leaves off (`probe-alp`: ALP, penalty 0.5;
+`probe-trades`: TRADES, penalty 6, stop-gradient clean logits;
+`probe-mart`: MART, penalty 5, with the probe's whole-network term), and
+two whose training diverges in epoch 0, before its first measurement, so
+train, trace and spectrum exit 2: in a step (`probe-diverge`: base_lr
+100000), and in the epoch-end attack after one full-batch step at base_lr
+1e20 (`probe-diverge-attack`; the run keeps the weights the epoch started
 from).  It then runs every command of the list below in both checkouts,
 each with ``PYTHONPATH=<root>/src``, one BLAS thread and its own output
 directory:
@@ -32,7 +34,7 @@ directory:
 * ``verify --level full --seed 0``, every check result of that run with
   its detail string, and ``verify --level quick`` at seeds 0, 778 and
   1564;
-* ``demos/oracle_tour.py``.
+* ``demos/oracle_tour.py`` and ``demos/bound_anatomy.py``.
 
 A command is IDENTICAL when exit code, stdout, stderr and every file it
 wrote match byte for byte, after each checkout's output directory is
@@ -69,6 +71,7 @@ TRAIN_OPTIONS = {
     "probe-awp": {"train.baseline": "awp", "train.lr_decay": "multistep",
                   "trh.schedule": "multistep", "attack.clamp_min": "-1.5",
                   "attack.clamp_max": "1.5"},
+    "probe-restarts": {"attack.restarts": "3", "attack.delta": "0.6"},
 }
 LOSSES = {
     "probe-alp": {"loss.kind": "alp", "loss.penalty": "0.5"},
@@ -133,7 +136,8 @@ def commands(configs):
     for seed in VERIFY_QUICK_SEEDS:
         out.append((f"verify-quick:s{seed}",
                     cli + ["verify", "--level", "quick", "--seed", seed]))
-    out.append(("demo:oracle_tour", [os.path.join("{root}", "demos", "oracle_tour.py")]))
+    for demo in ("oracle_tour", "bound_anatomy"):
+        out.append((f"demo:{demo}", [os.path.join("{root}", "demos", f"{demo}.py")]))
     return out
 
 
