@@ -91,6 +91,8 @@ def load_csv(path) -> Dataset:
                 label = int(label_txt)
             except ValueError:
                 raise CsvFormatError(f"line {lineno}: non-integer label {label_txt!r}") from None
+            if label < 0:
+                raise CsvFormatError(f"line {lineno}: negative label {label}")
             if rows and len(feats) != len(rows[0]):
                 raise CsvFormatError(f"line {lineno}: inconsistent column count")
             rows.append(feats)
@@ -98,8 +100,6 @@ def load_csv(path) -> Dataset:
     if not rows:
         raise CsvFormatError("no data rows")
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.min() < 0:
-        raise CsvFormatError("labels must be non-negative")
     return Dataset(np.asarray(rows, dtype=np.float64), labels,
                    num_classes=int(labels.max()) + 1)
 

@@ -221,7 +221,7 @@ def frozen_objective_fns(net: MlpNetwork, X, X_adv, y, kind,
                                           stop_grad_clean, frozen)
 
     def value(candidate):
-        out = objective(lift(candidate, wrap=tape.constant)).value
+        out = objective(lift(candidate, wrap=tape.constant))
         return float(out) if out.ndim == 0 else out
 
     def grad(candidate):

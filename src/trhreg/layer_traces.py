@@ -84,7 +84,7 @@ def _jacobian_stacks(lifted, preacts):
     for i in range(len(lifted) - 1, -1, -1):
         yield i, jac
         if i > 0:
-            jac = (lifted[i][0] @ jac) * tape.constant((preacts[i - 1].value > 0).T)
+            jac = (lifted[i][0] @ jac) * tape.constant((tape.value(preacts[i - 1]) > 0).T)
 
 
 def l1_operator_norm(w: np.ndarray) -> float:
@@ -125,11 +125,11 @@ def check_layer_inequality(net: MlpNetwork, x: np.ndarray) -> list[LayerInequali
         raise NonSmoothInput("zero input is degenerate for a bias-free net")
     lifted = lift(net, tape.constant)
     _, preacts = forward_nodes(lifted, x[None, :])
-    s = softmax(preacts[-1].value[0])
+    s = softmax(preacts[-1][0])
     h = (s * (1.0 - s))[:, None, None]
     peak = [0.0] * net.depth + [float(h.max())]  # identity Jacobian: H = diag(h)
     for i, jac in _jacobian_stacks(lifted, preacts):
-        peak[i] = float(((lifted[i][0] @ jac).value ** 2 * h).max())
+        peak[i] = float(((lifted[i][0] @ jac) ** 2 * h).max())
     out = []
     for level, layer in enumerate(net.layers):
         lhs, rhs = peak[level], peak[level + 1] * l1_operator_norm(layer.weights) ** 2
@@ -148,7 +148,7 @@ def layer_trace_nodes(lifted, layer_inputs, preacts, s) -> list:
     the current weights) at example n.  All K classes go down together as
     one ``(K, D, m)`` stack, one batched matrix product per layer.  ReLU
     gates are held at their forward values (the ReLU'' = 0 convention);
-    everything else is a live function of the lifted parameters.
+    everything else is a function of the lifted parameters.
     """
     rows = [None] * len(lifted)
     for i, jac in _jacobian_stacks(lifted, preacts):
@@ -157,7 +157,7 @@ def layer_trace_nodes(lifted, layer_inputs, preacts, s) -> list:
     return rows
 
 
-def _summed_quadratic_form(s: tape.Node, jac: tape.Node) -> tape.Node:
+def _summed_quadratic_form(s, jac):
     """``sum_d J_d^T Phi J_d = sum_d sum_c s_c (J_cd - u_d)^2`` per row, with
     ``u_d = sum_c s_c J_cd``, ``s`` the ``(m, K)`` softmax and ``jac`` a
     ``(K, D, m)`` stack.
@@ -165,15 +165,15 @@ def _summed_quadratic_form(s: tape.Node, jac: tape.Node) -> tape.Node:
     One node with a hand-written VJP, exact where ``sum_c s_c = 1``:
     ``2 s (J - u)`` for ``jac`` and ``sum_d (J_cd - u_d)^2`` for ``s``, the
     latter returned as ``(m, K)``.  ``s`` is read through a contiguous
-    class-major ``(K, 1, m)`` copy.  On constants it keeps no graph.  Only
-    the constant logits-level ``jac`` broadcasts over rows, so a live
+    class-major ``(K, 1, m)`` copy.  On constants it is an array.  Only
+    the constant logits-level ``jac`` broadcasts over rows, so a node
     ``jac`` needs no unbroadcasting.
     """
-    j = jac.value
-    sk = np.ascontiguousarray(s.value.T)[:, None, :]
+    j = tape.value(jac)
+    sk = np.ascontiguousarray(tape.value(s).T)[:, None, :]
     dev = j - (sk * j).sum(axis=0)
     sq = dev * dev
-    return tape.Node((sk * sq).sum(axis=0).sum(axis=0), (
+    return tape.record((sk * sq).sum(axis=0).sum(axis=0), (
         (s, lambda g: (sq.sum(axis=1) * g).T),
         (jac, lambda g: dev * (2.0 * sk * g))))
 
@@ -191,7 +191,7 @@ _ROWS_PER_PASS = 128  # bounds the (K, D, m) stacks of a measurement pass
 def layer_trace_rows(net: MlpNetwork, X: np.ndarray) -> np.ndarray:
     """Per-example CE layer traces, shape (m, depth), as numpy values.
 
-    :func:`layer_trace_nodes` on constant weights, so no graph is kept, in
+    :func:`layer_trace_nodes` on constant weights, so plain numpy, in
     passes of at most ``_ROWS_PER_PASS`` rows.  No smoothness check: this is
     for bulk measurement, not oracle duty.
     """
@@ -201,5 +201,5 @@ def layer_trace_rows(net: MlpNetwork, X: np.ndarray) -> np.ndarray:
         layer_inputs, preacts = forward_nodes(lifted, X[i:i + _ROWS_PER_PASS])
         rows = layer_trace_nodes(lifted, layer_inputs, preacts,
                                  tape.exp(tape.log_softmax(preacts[-1])))
-        out.append(np.stack([r.value for r in rows], axis=1))
+        out.append(np.stack(rows, axis=1))
     return np.concatenate(out)

@@ -240,8 +240,8 @@ def layer_params(net: MlpNetwork, i: int) -> np.ndarray:
 
 
 def lift(net: MlpNetwork, wrap=tape.leaf, leaves=None):
-    """Wrap every parameter in a tape node, a leaf unless `wrap` is
-    ``tape.constant``: list of (W node, bias node|None).  With `leaves`, a
+    """Every parameter as a tape leaf, or as a constant array when `wrap`
+    is ``tape.constant``: list of (W, bias|None).  With `leaves`, a
     collection of layer indices, only those layers are wrapped by `wrap`
     and the others are constants."""
     def node(value, i):
@@ -280,7 +280,7 @@ def backprop(net: MlpNetwork, objective, leaves=None):
     Raises :class:`TrainingDivergence` if the loss is non-finite.  With
     `leaves` (layer indices, see :func:`lift`) the other layers are tape
     constants: the backward pass computes no gradient for them, and their
-    entries of ``grads`` are zero.
+    entries of ``grads`` are zero-filled.
 
     On a stacked network the objective returns one value per copy, shape
     ``(P,)``; their sum is backpropagated, so row p of every gradient is
@@ -292,19 +292,18 @@ def backprop(net: MlpNetwork, objective, leaves=None):
     """
     lifted = lift(net, leaves=leaves)
     out = objective(lifted)
-    value = float(out.value) if out.value.ndim == 0 else out.value
+    value = tape.value(out)
+    value = float(value) if np.ndim(value) == 0 else value
     if not np.all(np.isfinite(value)):
         raise TrainingDivergence(
             f"objective evaluated to {np.extract(~np.isfinite(value), value)[0]}")
-    tape.backward(out if out.value.ndim == 0 else tape.nsum(out))
-    grads = []
-    for w, b in lifted:
-        gw = w.grad if w.grad is not None else np.zeros(w.shape)
-        gb = None
-        if b is not None:
-            gb = b.grad if b.grad is not None else np.zeros(b.shape)
-        grads.append((gw, gb))
-    return value, grads
+    if type(out) is tape.Node:  # else no leaf reaches the objective
+        tape.backward(out if out.value.ndim == 0 else tape.nsum(out))
+
+    def grad(p):
+        return (p.grad if type(p) is tape.Node and p.grad is not None
+                else np.zeros(p.shape))
+    return value, [(grad(w), None if b is None else grad(b)) for w, b in lifted]
 
 
 def flat_gradient(grads) -> np.ndarray:

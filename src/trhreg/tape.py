@@ -24,10 +24,12 @@ hand-written VJP, not a chain of small ops, and so is a dense layer
 (:func:`dense`).  :func:`relu` keeps no gate array: its VJP reads the
 input's value when it runs.
 
-Only nodes that depend on a :func:`leaf` are *live*.  An operation records
-edges to its live operands alone, so a result computed purely from
-constants holds no graph: evaluating an expression on constants costs its
-numpy work and keeps no intermediate alive.
+Constants are arrays: a :func:`constant` is a plain float64 array, and
+only values that depend on a :func:`leaf` are nodes.  An op keeps the
+edges of its node operands (:func:`record`); an op whose operands are all
+constants returns the bare numpy result and records nothing, so evaluating
+an expression on constants costs its numpy work alone.  :func:`value`
+reads the array of either kind.
 """
 
 from __future__ import annotations
@@ -38,19 +40,15 @@ _FLOAT64 = np.dtype(np.float64)  # an identity test is cheaper than dtype ==
 
 
 class Node:
-    __slots__ = ("value", "grad", "_edges", "live")
+    __slots__ = ("value", "grad", "_edges")
+    __array_ufunc__ = None  # ``array op node`` calls the node's reflected op
 
     def __init__(self, value, edges=()):
         if type(value) is not np.ndarray or value.dtype is not _FLOAT64:
             value = np.asarray(value, dtype=np.float64)
         self.value = value
         self.grad = None
-        for parent, _ in edges:
-            if not parent.live:  # drop edges into constants
-                edges = tuple([e for e in edges if e[0].live])
-                break
-        self._edges = edges  # tuple of (live parent Node, vjp callable)
-        self.live = bool(edges)
+        self._edges = edges  # tuple of (parent Node, vjp callable)
 
     @property
     def shape(self):
@@ -59,10 +57,9 @@ class Node:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        other = wrap(other)
-        return Node(self.value + other.value,
-                    ((self, lambda g: _unbroadcast(g, self.shape)),
-                     (other, lambda g: _unbroadcast(g, other.shape))))
+        return record(self.value + value(other),
+                      ((self, lambda g: _unbroadcast(g, self.shape)),
+                       (other, lambda g: _unbroadcast(g, other.shape))))
 
     __radd__ = __add__
 
@@ -70,49 +67,50 @@ class Node:
         return Node(-self.value, ((self, lambda g: -g),))
 
     def __sub__(self, other):
-        return self + (-wrap(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return wrap(other) + (-self)
+        return other + (-self)
 
     def __mul__(self, other):
-        other = wrap(other)
-        a, b = self, other
-        return Node(a.value * b.value,
-                    ((a, lambda g: _unbroadcast(g * b.value, a.shape)),
-                     (b, lambda g: _unbroadcast(g * a.value, b.shape))))
+        a, b = self.value, value(other)
+        return record(a * b,
+                      ((self, lambda g: _unbroadcast(g * b, self.shape)),
+                       (other, lambda g: _unbroadcast(g * a, other.shape))))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = wrap(other)
-        a, b = self, other
-        return Node(a.value / b.value,
-                    ((a, lambda g: _unbroadcast(g / b.value, a.shape)),
-                     (b, lambda g: _unbroadcast(-g * (a.value / b.value) / b.value, b.shape))))
-
     def __matmul__(self, other):
-        other = wrap(other)
-        a, b = self, other
-        return Node(a.value @ b.value,
-                    ((a, lambda g: _unbroadcast(g @ b.value.swapaxes(-1, -2), a.shape)),
-                     (b, lambda g: _unbroadcast(a.value.swapaxes(-1, -2) @ g, b.shape))))
+        a, b = self.value, value(other)
+        return record(a @ b,
+                      ((self, lambda g: _unbroadcast(g @ b.swapaxes(-1, -2), self.shape)),
+                       (other, lambda g: _unbroadcast(a.swapaxes(-1, -2) @ g, other.shape))))
+
+    def __rmatmul__(self, other):  # other @ self, other a constant
+        return Node(other @ self.value, (
+            (self, lambda g: _unbroadcast(other.swapaxes(-1, -2) @ g, self.shape)),))
 
 
-def wrap(x) -> Node:
-    return x if isinstance(x, Node) else Node(x)
+def value(x):
+    """The array of a node, or `x` itself for a constant."""
+    return x.value if type(x) is Node else x
+
+
+def record(out, edges):
+    """The result of an op: a Node of `out` with the edges whose operand is
+    a Node, or `out` itself when no operand is."""
+    edges = tuple([e for e in edges if type(e[0]) is Node])
+    return Node(out, edges) if edges else out
 
 
 def leaf(value) -> Node:
     """A differentiable input (weight matrix, bias vector)."""
-    node = Node(value)
-    node.live = True
-    return node
-
-
-def constant(value) -> Node:
-    """A non-differentiable input; gradients stop here."""
     return Node(value)
+
+
+def constant(value) -> np.ndarray:
+    """A non-differentiable input, as a float64 array; gradients stop here."""
+    return np.asarray(value, dtype=np.float64)
 
 
 def _unbroadcast(grad, shape):
@@ -128,17 +126,16 @@ def _unbroadcast(grad, shape):
     return g
 
 
-def relu(a: Node) -> Node:
+def relu(a):
     """``max(a, 0)``, the numpy forward's own operation, so the two forwards
     agree to the bit (0.0, never -0.0, at a negative or zero input).
 
     The VJP ``g * (a > 0)`` computes its gate when it runs: the node keeps
-    no gate array, and a ReLU on constants does no gate work.  The
-    derivative at exactly 0 is 0."""
-    return Node(np.maximum(a.value, 0.0), ((a, lambda g: g * (a.value > 0)),))
+    no gate array.  The derivative at exactly 0 is 0."""
+    return record(np.maximum(value(a), 0.0), ((a, lambda g: g * (a.value > 0)),))
 
 
-def dense(x: Node, w: Node, b: Node | None = None) -> Node:
+def dense(x, w, b=None):
     """One dense layer, ``x @ w + b``, as a single node.
 
     The bias is added in place into the product, and the VJPs are those of
@@ -146,59 +143,54 @@ def dense(x: Node, w: Node, b: Node | None = None) -> Node:
     ``x @ w + b`` to the bit while the tape keeps one pre-activation array
     instead of two.
     """
-    value = x.value @ w.value
-    edges = ((x, lambda g: _unbroadcast(g @ w.value.swapaxes(-1, -2), x.shape)),
-             (w, lambda g: _unbroadcast(x.value.swapaxes(-1, -2) @ g, w.shape)))
+    xv, wv = value(x), value(w)
+    out = xv @ wv
+    edges = ((x, lambda g: _unbroadcast(g @ wv.swapaxes(-1, -2), x.shape)),
+             (w, lambda g: _unbroadcast(xv.swapaxes(-1, -2) @ g, w.shape)))
     if b is not None:
-        value += b.value
+        out += value(b)
         edges += ((b, lambda g: _unbroadcast(g, b.shape)),)
-    return Node(value, edges)
+    return record(out, edges)
 
 
-def exp(a: Node) -> Node:
-    out = np.exp(a.value)
-    return Node(out, ((a, lambda g: g * out),))
+def exp(a):
+    out = np.exp(value(a))
+    return record(out, ((a, lambda g: g * out),))
 
 
-def log(a: Node) -> Node:
-    return Node(np.log(a.value), ((a, lambda g: g / a.value),))
-
-
-def nsum(a: Node, axis=None, keepdims=False) -> Node:
+def nsum(a, axis=None):
     """Sum over one axis (an int), several (a tuple) or all of them (None)."""
-    kept = None  # the summed shape with the axes kept, for broadcasting g
-    if axis is not None:
-        kept = list(a.shape)
-        for ax in (axis if isinstance(axis, tuple) else (axis,)):
-            kept[ax] = 1
-
     def vjp(g):
+        if axis is not None:  # the summed shape with the axes kept
+            kept = list(a.shape)
+            for ax in (axis if isinstance(axis, tuple) else (axis,)):
+                kept[ax] = 1
+            g = g.reshape(kept)
         out = np.empty(a.shape)
-        out[...] = g if kept is None else g.reshape(kept)
+        out[...] = g
         return out
-    return Node(a.value.sum(axis=axis, keepdims=keepdims), ((a, vjp),))
+    return record(value(a).sum(axis=axis), ((a, vjp),))
 
 
-def mean(a: Node, axis=None) -> Node:
+def mean(a, axis=None):
     """Mean over one axis (an int) or over all of them (None)."""
     if axis is None:
-        n = a.value.size
-        return Node(a.value.mean(), ((a, lambda g: np.full(a.shape, g / n)),))
-    n = a.shape[axis]
+        return record(value(a).mean(),
+                      ((a, lambda g: np.full(a.shape, g / a.value.size)),))
 
     def vjp(g):
         out = np.empty(a.shape)
-        out[...] = np.expand_dims(g / n, axis)
+        out[...] = np.expand_dims(g / a.shape[axis], axis)
         return out
-    return Node(a.value.mean(axis=axis), ((a, vjp),))
+    return record(value(a).mean(axis=axis), ((a, vjp),))
 
 
-def row_sum(a: Node, keepdims=False) -> Node:
+def row_sum(a):
     """Sum over the last axis."""
-    return nsum(a, axis=-1, keepdims=keepdims)
+    return nsum(a, axis=-1)
 
 
-def log_softmax(logits: Node) -> Node:
+def log_softmax(logits):
     """Log-softmax over the last axis, stable via a constant max shift.
 
     One node for ``centered - log(sum(exp(centered)))`` with ``centered =
@@ -206,11 +198,12 @@ def log_softmax(logits: Node) -> Node:
     float operations of that expression's op-by-op adjoint in the same
     order, so values and gradients are those of the composite to the bit.
     """
-    centered = logits.value - logits.value.max(axis=-1, keepdims=True)
+    lv = value(logits)
+    centered = lv - lv.max(axis=-1, keepdims=True)
     e = np.exp(centered)
     total = e.sum(axis=-1, keepdims=True)
-    return Node(centered - np.log(total),
-                ((logits, lambda g: g + (-g.sum(axis=-1, keepdims=True)) / total * e),))
+    return record(centered - np.log(total),
+                  ((logits, lambda g: g + (-g.sum(axis=-1, keepdims=True)) / total * e),))
 
 
 def backward(out: Node) -> None:

@@ -47,7 +47,8 @@ from .network import ForwardTrace, MlpNetwork, forward, forward_nodes, lift
 
 
 class _Side(NamedTuple):
-    """One side (clean or adversarial) of a batch on the tape."""
+    """One side (clean or adversarial) of a batch on the tape: nodes on
+    lifted leaves, arrays on constants."""
 
     z: tape.Node     # penultimate features, (m, d)
     logs: tape.Node  # log-softmax of the logits, (m, K)
@@ -155,7 +156,7 @@ def _block_traces(clean: _Side | None, adv: _Side, y, kind: RobustLossKind,
         y = np.atleast_1d(np.asarray(y, dtype=np.int64))
         Y = tape.constant(_one_hot(y, s.shape[-1]))
         if margin is None:
-            margin = _margin(adv, _runner_up(s_adv.value, y), y)
+            margin = _margin(adv, _runner_up(tape.value(s_adv), y), y)
         q = tape.exp(margin[1])
         w = tape.row_sum(o * Y)  # 1 - s_y
         return tr_clean, None, (1.0 + beta * w) * tr_adv - _tr_phi(q, _others(q))
@@ -188,7 +189,7 @@ def _on_constants(trace_clean, trace_adv, y, kind: RobustLossKind,
                   stop_grad_clean: bool = True):
     """:func:`top_trace_rows` on constants: a float for 1-d traces."""
     rows = top_trace_rows(_constant_side(trace_clean), _constant_side(trace_adv),
-                          y, kind, stop_grad_clean).value
+                          y, kind, stop_grad_clean)
     return float(rows[0]) if np.ndim(trace_adv.logits) == 1 else rows
 
 
@@ -212,7 +213,7 @@ def trh_trades_full(trace_clean: ForwardTrace, trace_adv: ForwardTrace,
     kind = RobustLossKind("trades", lambda_t)
     value = _on_constants(trace_clean, trace_adv, None, kind, stop_grad_clean=False)
     clean, adv = _constant_side(trace_clean), _constant_side(trace_adv)
-    g_term = _contract(clean, adv, *_trades_g_blocks(clean, adv), 0.0).value
+    g_term = _contract(clean, adv, *_trades_g_blocks(clean, adv), 0.0)
     if np.ndim(trace_adv.logits) == 1:
         g_term = float(g_term[0])
     return value, g_term
@@ -257,10 +258,10 @@ def _frozen(clean: _Side | None, adv: _Side, y: np.ndarray,
     """Stop-gradient constants, read off the sides' current values."""
     if clean is None:
         return {}
-    s_clean = clean.s.value
-    frozen = {"s_clean": s_clean, "log_s_clean": clean.logs.value}
+    s_clean = tape.value(clean.s)
+    frozen = {"s_clean": s_clean, "log_s_clean": tape.value(clean.logs)}
     if kind.variant == "mart":
-        frozen["kappa_star"] = _runner_up(adv.s.value, y)
+        frozen["kappa_star"] = _runner_up(tape.value(adv.s), y)
         frozen["wkl_weight"] = 1.0 - s_clean[np.arange(len(y)), y]
     return frozen
 
@@ -292,21 +293,19 @@ def _loss_rows(clean: _Side | None, adv: _Side, y: np.ndarray,
     if kind.variant == "at":
         return -tape.row_sum(logs_adv * Y)
     if kind.variant == "alp":
-        diff = tape.constant(frozen["s_clean"]) - s_adv
+        diff = frozen["s_clean"] - s_adv
         return -tape.row_sum(logs_adv * Y) + kind.penalty * tape.row_sum(diff * diff)
     logs, s = clean.logs, clean.s
     ce_clean = -tape.row_sum(logs * Y)
     if kind.variant == "trades" and not stop_grad_clean:
         return ce_clean + kind.penalty * tape.row_sum(s * (logs - logs_adv))
-    kl_rows = tape.row_sum(tape.constant(frozen["s_clean"]) *
-                           (tape.constant(frozen["log_s_clean"]) - logs_adv))
+    kl_rows = tape.row_sum(frozen["s_clean"] * (frozen["log_s_clean"] - logs_adv))
     if kind.variant == "trades":
         return ce_clean + kind.penalty * kl_rows
     if kind.variant == "mart":
         if margin is None:
             margin = _margin(adv, frozen["kappa_star"], y)
-        return ce_clean - margin[0] + kind.penalty * (
-            tape.constant(frozen["wkl_weight"]) * kl_rows)
+        return ce_clean - margin[0] + kind.penalty * (frozen["wkl_weight"] * kl_rows)
     raise ValueError(f"unknown loss variant {kind.variant!r}")
 
 
@@ -319,8 +318,8 @@ def objective_nodes(lifted, X, X_adv, y, kind: RobustLossKind,
 
     One value per copy, shape ``(P,)``, on a stacked network (mean and norm
     taken per copy).  On leaves it is the training objective; on constants
-    (``lift(net, wrap=tape.constant)``) it is the objective's value, with
-    no graph kept.
+    (``lift(net, wrap=tape.constant)``) it is the objective's value, plain
+    numpy that builds no node.
 
     Freezing convention: the *loss* terms honor the stop-gradient choices
     (clean side of KL / pairing / weighted-KL held constant), while the
@@ -340,7 +339,7 @@ def objective_nodes(lifted, X, X_adv, y, kind: RobustLossKind,
         rows = rows + lam * top_trace_rows(clean, adv, y, kind, stop_grad_clean, margin)
     out = tape.mean(rows, axis=-1)
     if gamma != 0.0:
-        axes = (1, 2) if lifted[0][0].value.ndim == 3 else None  # per copy
+        axes = (1, 2) if tape.value(lifted[0][0]).ndim == 3 else None  # per copy
         out = out + gamma * sum(tape.nsum(w * w, axes) if b is None else
                                 tape.nsum(w * w, axes) + tape.nsum(b * b, axes)
                                 for w, b in lifted)
@@ -356,5 +355,4 @@ def robust_loss_rows(net: MlpNetwork, X, X_adv, y,
     rows evaluated on constants."""
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     clean, adv = _sides(lift(net, wrap=tape.constant), X, X_adv, kind)
-    return _loss_rows(clean, adv, y, kind, True,
-                      _frozen(clean, adv, y, kind)).value
+    return _loss_rows(clean, adv, y, kind, True, _frozen(clean, adv, y, kind))

@@ -264,9 +264,9 @@ def check_pacbayes(curvature_vectors: int = 20, seed: int = 0) -> list[CheckResu
         net, ds.inputs, x_adv, ds.labels, kind)))
     surrogate = pb.bound_surrogate(net, ds.inputs, x_adv, ds.labels, kind, cfg,
                                    trh_mean)
-    node = trh_module.objective_nodes(lift(net, wrap=tape.constant), ds.inputs,
-                                      x_adv, ds.labels, kind, cfg.lam, cfg.gamma)
-    objective = float(node.value)
+    objective = float(trh_module.objective_nodes(
+        lift(net, wrap=tape.constant), ds.inputs, x_adv, ds.labels, kind,
+        cfg.lam, cfg.gamma))
     err = abs(surrogate - objective) / max(1.0, abs(objective))
     out.append(CheckResult("pacbayes", "reparameterization-identity",
                            err <= 1e-12,

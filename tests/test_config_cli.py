@@ -675,7 +675,9 @@ class TestCliTraceModes:
 BOUND_CONFIG = BASE_CONFIG + ("pacbayes.sigma0_sq = 0.2\npacbayes.beta = 10\n"
                               "train.gamma = 0.25\n")
 
-# one rejected value per section (and the regularizer coefficient)
+# one rejected value per section (and the regularizer coefficient), then
+# one line per remaining check of a config value; a line with no key
+# (None) is named by its line alone
 BAD_VALUES = [
     ("train.momentum = 1.5", "train.momentum"),
     ("attack.steps = 0", "attack.steps"),
@@ -683,8 +685,17 @@ BAD_VALUES = [
     ("loss.penalty = -1", "loss.penalty"),
     ("pacbayes.sigma0_sq = 0.2\npacbayes.beta = 0", "pacbayes.beta"),
     ("trh.full_coeff = -5", "trh.full_coeff"),
+    ("= 5", None),
+    ("dataset.normalize = maybe", "dataset.normalize"),
+    ("dataset.kind = images", "dataset.kind"),
+    ("attack.clamp_min = -1", "attack.clamp_min"),
+    ("trh.lambda = -1", "trh.lambda"),
+    ("train.lr_decay = step", "train.lr_decay"),
+    ("train.swa_alpha = 1.5", "train.swa_alpha"),
+    ("train.awp_delta = 0", "train.awp_delta"),
+    ("train.warmup_iters = -1", "train.warmup_iters"),
 ]
-_KEY_IDS = [key for _, key in BAD_VALUES]
+_KEY_IDS = [key or line for line, key in BAD_VALUES]
 
 
 def _with(line):
@@ -704,7 +715,7 @@ class TestKeyNaming:
     def test_rejected_value_names_its_key_and_line(self, line, key):
         text = _with(line)
         lineno = 1 + [ln.partition("=")[0].strip()
-                      for ln in text.splitlines()].index(key)
+                      for ln in text.splitlines()].index(key or "")
         with pytest.raises(ConfigError) as info:
             ExperimentConfig.from_text(text)
         assert (info.value.key, info.value.line) == (key, lineno)
@@ -715,7 +726,7 @@ class TestKeyNaming:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "duplicate" not in err
-        assert f"(key {key!r}, line " in err
+        assert (f"(key {key!r}, line " if key else "(line ") in err
 
     def test_required_bound_key_named(self):
         with pytest.raises(ConfigError, match=r"pacbayes\.sigma0_sq"):

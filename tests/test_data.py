@@ -97,6 +97,17 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="line 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text,message", [
+        ("1.0\n", "line 1: need features plus a label"),
+        ("x1,x2,label\n", "no data rows"),
+        ("1.0,2.0,0\n3.0,4.0,-1\n", "line 2: negative label -1"),
+    ], ids=["one-field", "header-only", "negative-label"])
+    def test_bad_file_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match=message):
+            load_csv(path)
+
 
 class TestNormalizeCenter:
     def test_global_mean_zero_std_one(self):

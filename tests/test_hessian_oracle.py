@@ -136,6 +136,13 @@ class TestQuadFormAndHvp:
         v = np.array([1.0, -1.0])
         assert quad(v) == pytest.approx(float(v @ h_mat @ v), rel=1e-6)
 
+    def test_quad_form_nonfinite_value_reported(self):
+        # nan one QUAD_STEP beyond the centre, on the + side of the stencil
+        quad = quad_form_from_values(
+            lambda w: np.nan if w[0] > 0.5 else float(w @ w), np.array([0.5, 0.0]))
+        with pytest.raises(OracleError, match="non-finite value in quadratic form"):
+            quad(np.array([1.0, 0.0]))
+
     def test_hvp_from_grad_on_quadratic(self):
         h_mat = np.array([[2.0, 1.0], [1.0, 4.0]])
         grad_fn = lambda w: h_mat @ w + 1.0

@@ -190,18 +190,17 @@ class TestValuePath:
         w0 = flatten_weights(net)
         shifted = w0 + 1e-3 * rademacher_vector(w0.size, Rng(5).child("v"))
 
-        counts = []  # edges recorded by each node built
+        built = []  # one entry per Node constructed
         init = tape.Node.__init__
 
         def counting_init(self, value, edges=()):
             init(self, value, edges)
-            counts.append(len(self._edges))
+            built.append(self)
 
         monkeypatch.setattr(tape.Node, "__init__", counting_init)
         for w in (w0, shifted):
-            counts.clear()
+            built.clear()
             value = value_fn(w)
-            assert counts and sum(counts) == 0
-            counts.clear()
+            assert built == []  # the value route is plain numpy
             assert value == ref_fn(w)
-            assert sum(counts) > 0  # the tape objective does record its graph
+            assert built  # the tape objective on leaves does build its graph

@@ -278,8 +278,12 @@ class TestCheckpoint:
          "layer header at line 5 does not chain"),
         ("TRHNET v1 1\nlayer 0 2 2 1\n1.0 0.5\n0.0 1.0\n0.0 0.0\n",
          "layer header at line 2 .* final layer a bias"),
+        ("", "empty checkpoint file"),
+        ("TRHNET v1 x\n", "malformed header at line 1"),
+        ("TRHNET v1 1\nlayer 0 2 2 0\n1.0 0.5\n0.0\n",
+         "expected 2 values at line 4"),
     ], ids=["trailing-line", "bias-flag", "bad-number", "short-header",
-            "unchained-layer", "final-bias"])
+            "unchained-layer", "final-bias", "empty", "bad-depth", "short-row"])
     def test_malformed_checkpoint_names_its_line(self, tmp_path, text, message):
         path = tmp_path / "bad.txt"
         path.write_text(text)

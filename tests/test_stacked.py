@@ -116,8 +116,7 @@ def test_tape_forward_on_constants_equals_numpy_forward(hidden, bias):
         layer_inputs, preacts = forward_nodes(lift(candidate, wrap=tape.constant), x)
         hidden_pre = np.concatenate([p.ravel() for p in trace.preacts[:-1]])
         assert np.any(hidden_pre < 0) and np.any(hidden_pre == 0)
-        pairs = zip(trace.layer_inputs + trace.preacts,
-                    [n.value for n in layer_inputs + preacts])
+        pairs = zip(trace.layer_inputs + trace.preacts, layer_inputs + preacts)
         for ref, tape_value in pairs:
             assert np.array_equal(ref, tape_value)
             assert np.array_equal(np.signbit(ref), np.signbit(tape_value))

@@ -40,17 +40,9 @@ class TestElementwise:
         bias = R.child("b").normal(size=4)
         gradcheck(lambda n: tape.nsum((n + tape.constant(bias)) * (n + 1.0)), x0)
 
-    def test_mul_div_square(self):
-        x0 = np.abs(R.child("c").normal(size=(2, 5))) + 0.5
-        gradcheck(lambda n: tape.nsum(n * n / (1.0 + n)), x0)
-
     def test_neg_sub_scalars(self):
         x0 = R.child("d").normal(size=6)
         gradcheck(lambda n: tape.nsum(2.0 - (-n) * 3.0 - n), x0)
-
-    def test_exp_log(self):
-        x0 = np.abs(R.child("e").normal(size=(4,))) + 0.2
-        gradcheck(lambda n: tape.nsum(tape.log(n) + tape.exp(-(n * n))), x0)
 
     def test_relu_masks_gradient(self):
         x0 = np.array([[-1.0, 2.0, -0.5, 3.0]])
@@ -69,11 +61,6 @@ class TestMatmulReductions:
         b0 = R.child("h").normal(size=(4, 2))
         a = tape.constant(R.child("i").normal(size=(3, 4)))
         gradcheck(lambda n: tape.nsum((a @ n) * (a @ n)), b0)
-
-    def test_row_sum_keepdims_broadcast(self):
-        x0 = np.abs(R.child("j").normal(size=(3, 4))) + 0.1
-        w = tape.constant(R.child("jw").normal(size=(3, 4)))
-        gradcheck(lambda n: tape.nsum(w * n / tape.row_sum(n, keepdims=True)), x0)
 
     def test_mean(self):
         x0 = R.child("k").normal(size=(5, 2))
@@ -108,8 +95,8 @@ class TestAnyRank:
         x0 = R.child("si").normal(size=(3, 5))
         c = tape.constant(R.child("sj").normal(size=3))
         gradcheck(lambda n: tape.nsum(tape.mean(n * n, axis=-1) * c), x0)
-        node = tape.mean(tape.constant(x0), axis=-1)
-        assert np.array_equal(node.value, x0.mean(axis=-1))
+        out = tape.mean(tape.constant(x0), axis=-1)
+        assert type(out) is np.ndarray and np.array_equal(out, x0.mean(axis=-1))
 
     def test_sum_over_an_axis_tuple(self):
         x0 = R.child("sk").normal(size=(3, 2, 4))
@@ -135,15 +122,15 @@ class TestAnyRank:
             single = tape.leaf(x0[p])
             out = objective(single, None)
             tape.backward(out)
-            assert _same_bits(out.value, objective(tape.constant(x0), -1).value[p])
+            assert _same_bits(out.value, objective(tape.constant(x0), -1)[p])
             assert _same_bits(single.grad, stacked.grad[p])
 
 
 class TestLogSoftmax:
     def test_rows_sum_to_one_probabilities(self):
         logits = R.child("l").normal(size=(4, 6)) * 5
-        node = tape.exp(tape.log_softmax(tape.constant(logits)))
-        assert np.allclose(node.value.sum(axis=1), 1.0, atol=1e-12)
+        probs = tape.exp(tape.log_softmax(tape.constant(logits)))
+        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_gradcheck_cross_entropy(self):
         x0 = R.child("m").normal(size=(3, 5))
@@ -154,8 +141,7 @@ class TestLogSoftmax:
 
     def test_extreme_logits_stable(self):
         logits = np.array([[1000.0, 0.0], [-1000.0, 0.0]])
-        node = tape.log_softmax(tape.constant(logits))
-        assert np.all(np.isfinite(node.value))
+        assert np.all(np.isfinite(tape.log_softmax(tape.constant(logits))))
 
 
 class TestBackwardMechanics:
@@ -182,14 +168,17 @@ class TestBackwardMechanics:
 class TestConstantPropagation:
     def test_ops_on_constants_record_no_edges(self):
         a = tape.constant(np.ones((2, 3)))
-        out = tape.nsum(tape.exp(a * 2.0 + a) @ tape.constant(np.ones((3, 1))))
-        assert out._edges == () and not out.live
+        out = tape.row_sum(tape.exp(a * 2.0 + a) @ tape.constant(np.ones((3, 1))))
+        assert type(out) is np.ndarray
 
     def test_mixed_op_records_only_the_live_operand(self):
-        const = tape.constant(np.ones(3))
-        leaf = tape.leaf(np.ones(3))
-        node = const * leaf
-        assert node.live and [p for p, _ in node._edges] == [leaf]
+        const = tape.constant(np.ones((3, 3)))
+        leaf = tape.leaf(np.ones((3, 3)))
+        for node in (const * leaf, const + leaf, const @ leaf, leaf @ const,
+                     2.0 * leaf):
+            assert [p for p, _ in node._edges] == [leaf]
+        tape.backward(tape.nsum(const - leaf))  # the reflected subtraction
+        assert np.array_equal(leaf.grad, np.full((3, 3), -1.0))
 
 
 # -- the lazy backward and the one-node log-softmax against what they replace
@@ -222,11 +211,24 @@ def _zeros_backward(out):
             parent.grad = parent.grad + vjp(g)
 
 
+def _log(a):
+    return tape.Node(np.log(a.value), ((a, lambda g: g / a.value),))
+
+
+def _row_sum_keepdims(a):
+    def vjp(g):
+        out = np.empty(a.shape)
+        out[...] = g
+        return out
+    return tape.Node(a.value.sum(axis=-1, keepdims=True), ((a, vjp),))
+
+
 def _composite_log_softmax(logits):
-    """Reference log-softmax as a chain of elementary tape ops."""
+    """Reference log-softmax as a chain of elementary tape ops, with a log
+    and a keepdims row sum of its own."""
     shift = logits.value.max(axis=1, keepdims=True)
     centered = logits - tape.constant(shift)
-    return centered - tape.log(tape.row_sum(tape.exp(centered), keepdims=True))
+    return centered - _log(_row_sum_keepdims(tape.exp(centered)))
 
 
 def _same_bits(a, b):
@@ -432,7 +434,7 @@ class TestLeanTape:
         w, b = tape.leaf(np.ones((3, 4))), tape.leaf(np.zeros(4))
         pre = tape.dense(x, w, b)
         assert [p for p, _ in pre._edges] == [w, b]
-        assert tape.dense(x, tape.constant(np.ones((3, 4)))).live is False
+        assert type(tape.dense(x, tape.constant(np.ones((3, 4))))) is np.ndarray
 
     def test_forward_nodes_records_one_node_per_layer(self):
         net = init_mlp([3, 5, 4, 2], Rng(42).child("net"))

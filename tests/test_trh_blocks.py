@@ -72,7 +72,7 @@ def float_primitives(logits, r, kappa, y):
     p = side.s
     o, sq_o = _others(p), _others(p * p)
     log_rest = _margin(side, np.array([kappa]), np.array([y]))[0]
-    return tuple(float(node.value[0]) for node in (
+    return tuple(float(rows[0]) for rows in (
         _tr_phi(p, o), _sq_frob_phi(p, o, sq_o),
         _tr_hess(tape.constant(r[None]), p, o, sq_o), log_rest))
 
@@ -161,7 +161,7 @@ class TestBlocksAgainstLogitFD:
                 _side(tape.constant(np.ones((1, 1))), tape.constant(g[None])),
                 _side(tape.constant(np.ones((1, 1))), tape.constant(g_adv[None])),
                 np.array([y]), kind, sgc)
-            closed = [0.0 if b is None else float(b.value[0]) for b in blocks]
+            closed = [0.0 if b is None else float(b[0]) for b in blocks]
             s_frozen = softmax(g)
             fd = fd_block_traces(
                 lambda a, b: reference_loss(name, a, b, y, s_frozen), g, g_adv)

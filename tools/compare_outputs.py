@@ -27,9 +27,9 @@ directory:
 * per benchmark, loss or diverging config: ``train``; ``trace --measure
   full --every 7 --probes 8``; ``trace --measure top --every 3``;
   ``spectrum --every 7 --probes 4``;
-* per config: ``eval --restarts 1`` and ``--restarts 20`` on the
-  ``train`` checkpoint (a training-option config runs only these and
-  ``train``);
+* per config: ``eval`` with the config's own ``attack.restarts``, and
+  ``eval --restarts 1`` and ``--restarts 20``, on the ``train``
+  checkpoint (a training-option config runs only these and ``train``);
 * ``sweep --param lambda --values 0.05,0.1`` on `probe`;
 * ``verify --level full --seed 0``, every check result of that run with
   its detail string, and ``verify --level quick`` at seeds 0, 778 and
@@ -124,10 +124,11 @@ def commands(configs):
                 continue
             out.append((f"{run}:{tag}", cli + args + ["--config", cfg, "--out", "{out}"]))
         checkpoint = os.path.join("{side}", f"train:{tag}", "checkpoint.txt")
+        evaluate = cli + ["eval", "--config", cfg, "--checkpoint", checkpoint,
+                          "--out", "{out}"]
+        out.append((f"eval:{tag}", evaluate))
         for restarts in RESTARTS:
-            out.append((f"eval-r{restarts}:{tag}", cli + [
-                "eval", "--config", cfg, "--checkpoint", checkpoint,
-                "--restarts", restarts, "--out", "{out}"]))
+            out.append((f"eval-r{restarts}:{tag}", evaluate + ["--restarts", restarts]))
     out.append(("sweep:probe", cli + [
         "sweep", "--config", configs["probe"], "--out", "{out}",
         "--param", "lambda", "--values", "0.05,0.1"]))
