@@ -3,11 +3,12 @@
 One dotted key per line, `#` starts a comment, whitespace is free.  Every
 tunable of the attack, loss, regularizer, trainer and bound modules has a
 key, listed once in :data:`_KEYS` with its type and file default; unknown
-keys are an error (typos should not pass silently).  Overrides (CLI flags,
-sweep values) are applied as extra key lines before anything is built, so
-they are cast and checked exactly like the file.  Parse errors, rejected
-values and cross-field inconsistencies raise :class:`ConfigError` with the
-offending key and line.
+keys are an error (typos should not pass silently), and so is a float key
+given nan or ``±inf`` (only the clamp box's ends may be infinite).
+Overrides (CLI flags, sweep values) are applied as extra key lines before
+anything is built, so they are cast and checked exactly like the file.
+Parse errors, rejected values and cross-field inconsistencies raise
+:class:`ConfigError` with the offending key and line.
 
 Cross-field rules: any `pacbayes.*` key gives the bound section, which then
 needs pacbayes.sigma0_sq and pacbayes.beta, both positive; when those are
@@ -28,6 +29,7 @@ curvature or bound code; those modules re-import them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .attacks import AttackConfig
@@ -95,6 +97,10 @@ class TrainConfig:
             raise ValueError("gamma, batch_size, warmup_iters must be >= 0")
         if self.lr_decay not in _LR_DECAYS:
             raise ValueError(f"unknown lr decay {self.lr_decay!r}")
+        if not self.lr_drop > 0:
+            raise ValueError("lr_drop must be positive")
+        if not all(0 <= m <= 1 for m in self.lr_milestones):
+            raise ValueError("lr_milestones must lie in [0, 1]")
         if self.baseline not in _BASELINES:
             raise ValueError(f"unknown baseline {self.baseline!r}")
         if not 0 < self.swa_alpha < 1:
@@ -206,8 +212,17 @@ def _ints(text: str) -> list:
     return [int(v) for v in text.split(",") if v.strip()]
 
 
+def _float(text: str, finite: bool = True) -> float:
+    """A float that is not nan, nor ``±inf`` where `finite`: every float key
+    but the clamp box's ends, where an infinite end leaves that side open."""
+    value = float(text)
+    if value != value or (finite and math.isinf(value)):
+        raise ValueError(f"must be a {'finite ' if finite else ''}number, got {text!r}")
+    return value
+
+
 def _floats(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+    return tuple(_float(v) for v in text.split(",") if v.strip())
 
 
 def _at_least(cast, low):
@@ -244,42 +259,42 @@ _REQUIRED = object()  # no default: must be given once its section is
 _KEYS = {
     "dataset.kind": (str, "two_moons"),
     "dataset.n": (_at_least(int, 2), "500"),
-    "dataset.noise_std": (_at_least(float, 0.0), "0.1"),
+    "dataset.noise_std": (_at_least(_float, 0.0), "0.1"),
     "dataset.seed": (_at_least(int, 0), "1"),
     "dataset.path": (str, None),
     "dataset.normalize": (_bool, "false"),
     "net.hidden": (_widths, "100,100"),
     "net.hidden_bias": (_bool, "true"),
     "loss.kind": (str, "at"),
-    "loss.penalty": (float, "0.0"),
+    "loss.penalty": (_float, "0.0"),
     "attack.norm": (str, "linf"),
-    "attack.delta": (float, "0.02"),
+    "attack.delta": (_float, "0.02"),
     "attack.steps": (int, "1"),
-    "attack.step_size": (float, None),
+    "attack.step_size": (_float, None),
     "attack.restarts": (int, "1"),
     "attack.random_start": (_bool, "true"),
-    "attack.clamp_min": (float, None),
-    "attack.clamp_max": (float, None),
-    "trh.lambda": (float, "0.0"),
+    "attack.clamp_min": (lambda text: _float(text, finite=False), None),
+    "attack.clamp_max": (lambda text: _float(text, finite=False), None),
+    "trh.lambda": (_float, "0.0"),
     "trh.schedule": (str, "constant"),
     "trh.stop_grad_clean": (_bool, "true"),
-    "trh.full_coeff": (float, "0.0"),
+    "trh.full_coeff": (_float, "0.0"),
     "train.epochs": (int, "100"),
     "train.batch_size": (int, "0"),
-    "train.base_lr": (float, "0.1"),
-    "train.momentum": (float, "0.9"),
+    "train.base_lr": (_float, "0.1"),
+    "train.momentum": (_float, "0.9"),
     "train.warmup_iters": (int, "0"),
     "train.lr_decay": (str, "constant"),
     "train.lr_milestones": (_floats, "0.5,0.75"),
-    "train.lr_drop": (float, "0.1"),
-    "train.gamma": (float, "0.0"),
+    "train.lr_drop": (_float, "0.1"),
+    "train.gamma": (_float, "0.0"),
     "train.seed": (_at_least(int, 0), "0"),
     "train.baseline": (str, "none"),
-    "train.swa_alpha": (float, "0.995"),
-    "train.awp_delta": (float, "0.005"),
-    "pacbayes.sigma0_sq": (_positive(float), _REQUIRED),
-    "pacbayes.beta": (_positive(float), _REQUIRED),
-    "pacbayes.c_const": (float, "0.0"),
+    "train.swa_alpha": (_float, "0.995"),
+    "train.awp_delta": (_float, "0.005"),
+    "pacbayes.sigma0_sq": (_positive(_float), _REQUIRED),
+    "pacbayes.beta": (_positive(_float), _REQUIRED),
+    "pacbayes.c_const": (_float, "0.0"),
     "out.dir": (str, None),
 }
 
@@ -436,6 +451,9 @@ class ExperimentConfig:
         return self.attack
 
     def build_network(self, ds: Dataset) -> MlpNetwork:
+        if ds.num_classes < 2:
+            raise ConfigError(f"the labels give {ds.num_classes} class; a classifier "
+                              f"needs at least 2", key="dataset.path")
         dims = [ds.inputs.shape[1]] + list(self.hidden) + [ds.num_classes]
         return init_mlp(dims, Rng(self.train.seed).child("init"),
                         hidden_bias=self.hidden_bias)

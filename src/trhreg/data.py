@@ -15,6 +15,7 @@ radii stated in raw input units must be rescaled by 1/std (use
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,10 @@ class CsvFormatError(ValueError):
 
 
 def load_csv(path) -> Dataset:
-    """Parse `d` float feature columns plus a final integer label column."""
+    """Parse `d` float feature columns plus a final integer label column.
+
+    A malformed row, a nan or ``±inf`` feature among them, raises
+    :class:`CsvFormatError` naming its line."""
     rows = []
     labels = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -86,6 +90,8 @@ def load_csv(path) -> Dataset:
                 feats = [float(v) for v in fields[:-1]]
             except ValueError as exc:
                 raise CsvFormatError(f"line {lineno}: bad feature value ({exc})") from None
+            if not all(map(math.isfinite, feats)):
+                raise CsvFormatError(f"line {lineno}: non-finite feature value")
             label_txt = fields[-1].strip()
             try:
                 label = int(label_txt)

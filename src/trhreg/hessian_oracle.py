@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tape
 from . import trh as trh_module
 from .network import (MlpNetwork, flatten_weights, forward, gradient_vector,
                       layer_params, lift, unflatten_weights)
@@ -177,8 +176,8 @@ def frozen_objective_fns(net: MlpNetwork, X, X_adv, y, kind,
     the net from layer i up, with only layer i's parameters as tape
     leaves, so its backward stops at layer i and makes no weight gradient
     above it.  Values and gradients equal the whole-network route's on
-    layer i's block to the bit (the numpy forward runs the tape forward's
-    float ops).  A vector whose last axis is not s_i raises
+    layer i's block to the bit (``network.forward`` is the tape forward
+    on constant weights).  A vector whose last axis is not s_i raises
     ``ValueError``, and so does a nonzero `lam` or `gamma`.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -221,7 +220,7 @@ def frozen_objective_fns(net: MlpNetwork, X, X_adv, y, kind,
                                           stop_grad_clean, frozen)
 
     def value(candidate):
-        out = objective(lift(candidate, wrap=tape.constant))
+        out = objective(lift(candidate, leaves=()))
         return float(out) if out.ndim == 0 else out
 
     def grad(candidate):

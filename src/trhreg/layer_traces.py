@@ -61,7 +61,8 @@ import numpy as np
 
 from . import tape
 from .losses import softmax
-from .network import MlpNetwork, forward_nodes, lift, min_preact_magnitude
+from .network import (ForwardTrace, MlpNetwork, forward_nodes, lift,
+                      min_preact_magnitude)
 from .numerics import SMOOTH_TOL, NonSmoothInput
 
 INEQUALITY_SLACK = 1e-9  # rounding allowance of check_layer_inequality
@@ -123,8 +124,8 @@ def check_layer_inequality(net: MlpNetwork, x: np.ndarray) -> list[LayerInequali
             f"pre-activation within {SMOOTH_TOL} of a ReLU kink; resample the input")
     if np.all(x == 0):
         raise NonSmoothInput("zero input is degenerate for a bias-free net")
-    lifted = lift(net, tape.constant)
-    _, preacts = forward_nodes(lifted, x[None, :])
+    lifted = lift(net, leaves=())
+    preacts = forward_nodes(lifted, x[None, :]).preacts
     s = softmax(preacts[-1][0])
     h = (s * (1.0 - s))[:, None, None]
     peak = [0.0] * net.depth + [float(h.max())]  # identity Jacobian: H = diag(h)
@@ -140,9 +141,9 @@ def check_layer_inequality(net: MlpNetwork, x: np.ndarray) -> list[LayerInequali
 # -- the one trace routine and its callers ------------------------------
 
 
-def layer_trace_nodes(lifted, layer_inputs, preacts, s) -> list:
+def layer_trace_nodes(lifted, trace: ForwardTrace, s) -> list:
     """Per-example CE trace of every weight matrix: one ``(m,)`` node per
-    layer, on a tape forward of `lifted` and ``s``, its softmax.
+    layer, on `trace`, a tape forward of `lifted`, and ``s``, its softmax.
 
     ``jac[c, d, n]`` is d logits_c / d (pre-activation d of the level above
     the current weights) at example n.  All K classes go down together as
@@ -151,8 +152,8 @@ def layer_trace_nodes(lifted, layer_inputs, preacts, s) -> list:
     everything else is a function of the lifted parameters.
     """
     rows = [None] * len(lifted)
-    for i, jac in _jacobian_stacks(lifted, preacts):
-        below = layer_inputs[i]
+    for i, jac in _jacobian_stacks(lifted, trace.preacts):
+        below = trace.layer_inputs[i]
         rows[i] = tape.row_sum(below * below) * _summed_quadratic_form(s, jac)
     return rows
 
@@ -178,10 +179,10 @@ def _summed_quadratic_form(s, jac):
         (jac, lambda g: dev * (2.0 * sk * g))))
 
 
-def full_ce_trace_rows_nodes(lifted, layer_inputs, preacts, s) -> tape.Node:
+def full_ce_trace_rows_nodes(lifted, trace: ForwardTrace, s) -> tape.Node:
     """Per-example CE trace over all weight matrices, shape (m,): the
     trainable whole-network curvature regularizer."""
-    rows = layer_trace_nodes(lifted, layer_inputs, preacts, s)
+    rows = layer_trace_nodes(lifted, trace, s)
     return sum(rows[1:], rows[0])
 
 
@@ -196,10 +197,9 @@ def layer_trace_rows(net: MlpNetwork, X: np.ndarray) -> np.ndarray:
     for bulk measurement, not oracle duty.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    lifted, out = lift(net, tape.constant), []
+    lifted, out = lift(net, leaves=()), []
     for i in range(0, len(X), _ROWS_PER_PASS):
-        layer_inputs, preacts = forward_nodes(lifted, X[i:i + _ROWS_PER_PASS])
-        rows = layer_trace_nodes(lifted, layer_inputs, preacts,
-                                 tape.exp(tape.log_softmax(preacts[-1])))
+        trace = forward_nodes(lifted, X[i:i + _ROWS_PER_PASS])
+        rows = layer_trace_nodes(lifted, trace, tape.exp(tape.log_softmax(trace.logits)))
         out.append(np.stack(rows, axis=1))
     return np.concatenate(out)

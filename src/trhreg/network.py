@@ -12,6 +12,11 @@ layer.  ``flatten_weights``/``unflatten_weights`` round-trip bit-exactly in
 this ordering, which is what the finite-difference oracles and the Gaussian
 posterior machinery operate on.
 
+The forward pass has one body, :func:`forward_nodes`, on the parameters
+:func:`lift` gives: tape leaves for gradients, or the network's own arrays
+for values.  :func:`forward` runs it on the arrays, so it is plain numpy,
+and a float32 network runs in float32.
+
 A *stacked* network holds P weight vectors at once: ``unflatten_weights``
 of a ``(P, n)`` stack gives layers with weights ``(P, d_in, d_out)`` and
 biases ``(P, 1, d_out)``.  :func:`forward`, :func:`lift`,
@@ -22,9 +27,11 @@ one pass; the finite-difference oracles evaluate whole stencils this way.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,26 +113,26 @@ class MlpNetwork:
                            for l in self.layers])
 
 
-@dataclass
-class ForwardTrace:
-    """Cached activations of one forward pass.
+class ForwardTrace(NamedTuple):
+    """The record of one forward pass, :func:`forward_nodes`'s result.
 
     ``layer_inputs[i]`` is the input to layer i (``layer_inputs[0]`` is x),
     ``preacts[i]`` the pre-activation output of layer i; hidden layer
     inputs satisfy ``layer_inputs[i+1] = max(0, preacts[i])`` and the
-    logits are exactly ``features @ W_top``.
+    logits are exactly ``features @ W_top``.  Entries are tape nodes where
+    they depend on a leaf, arrays elsewhere.
     """
 
-    layer_inputs: list[np.ndarray]
-    preacts: list[np.ndarray]
+    layer_inputs: list
+    preacts: list
 
     @property
-    def features(self) -> np.ndarray:
+    def features(self):
         """Penultimate representation: input to the top layer."""
         return self.layer_inputs[-1]
 
     @property
-    def logits(self) -> np.ndarray:
+    def logits(self):
         return self.preacts[-1]
 
 
@@ -146,7 +153,8 @@ def init_mlp(dims, rng: Rng, hidden_bias: bool = True) -> MlpNetwork:
 
 
 def forward(net: MlpNetwork, x: np.ndarray) -> ForwardTrace:
-    """Run the network on x (``(d,)`` or ``(m, d)``) and cache the trace.
+    """Run the network on x (``(d,)`` or ``(m, d)``) and cache the trace:
+    :func:`forward_nodes` on the network's own arrays, so plain numpy.
 
     x itself is kept, not copied, as layer input 0.  A stacked network
     gives every array after layer input 0 a leading stack axis.  A float32
@@ -157,21 +165,10 @@ def forward(net: MlpNetwork, x: np.ndarray) -> ForwardTrace:
     X = x[None, :] if single else x
     if X.shape[1] != net.input_dim:
         raise ValueError(f"input dim {X.shape[1]} != network input dim {net.input_dim}")
-    layer_inputs = [X]
-    preacts = []
-    cur = X
-    for i, layer in enumerate(net.layers):
-        pre = cur @ layer.weights
-        if layer.bias is not None:
-            pre += layer.bias
-        preacts.append(pre)
-        if i < net.depth - 1:
-            cur = np.maximum(pre, 0.0)
-            layer_inputs.append(cur)
+    trace = forward_nodes(lift(net, leaves=()), X)
     if single:
-        layer_inputs = [a[..., 0, :] for a in layer_inputs]
-        preacts = [a[..., 0, :] for a in preacts]
-    return ForwardTrace(layer_inputs, preacts)
+        return ForwardTrace(*([a[..., 0, :] for a in part] for part in trace))
+    return trace
 
 
 def min_preact_magnitude(net: MlpNetwork, x: np.ndarray,
@@ -239,26 +236,27 @@ def layer_params(net: MlpNetwork, i: int) -> np.ndarray:
 # -- differentiation ---------------------------------------------------
 
 
-def lift(net: MlpNetwork, wrap=tape.leaf, leaves=None):
-    """Every parameter as a tape leaf, or as a constant array when `wrap`
-    is ``tape.constant``: list of (W, bias|None).  With `leaves`, a
-    collection of layer indices, only those layers are wrapped by `wrap`
-    and the others are constants."""
+def lift(net: MlpNetwork, leaves=None):
+    """Every parameter as a tape leaf: list of (W, bias|None).  With
+    `leaves`, a collection of layer indices, only those layers are leaves
+    and every other layer is its own arrays, a constant;
+    ``lift(net, leaves=())`` is the constant route."""
     def node(value, i):
-        return wrap(value) if leaves is None or i in leaves else tape.constant(value)
+        return tape.leaf(value) if leaves is None or i in leaves else value
     return [(node(l.weights, i), None if l.bias is None else node(l.bias, i))
             for i, l in enumerate(net.layers)]
 
 
-def forward_nodes(lifted, X):
-    """Tape forward pass on constant inputs X (m, d).
+def forward_nodes(lifted, X) -> ForwardTrace:
+    """Forward pass of lifted parameters on constant inputs X (m, d): the
+    one body of the forward pass.
 
-    Returns (layer_input_nodes, preact_nodes) mirroring ForwardTrace.  Each
-    layer is one :func:`tape.dense` node, ``x @ W + b``, so the tape keeps
-    one pre-activation array per layer.  The ops are :func:`forward`'s, so
-    on constant weights the values equal its trace to the bit.
+    Each layer is one :func:`tape.dense`, ``x @ W + b``, then
+    :func:`tape.relu`, so the tape keeps one pre-activation array per
+    layer; on constant weights every entry is a plain array.  A float32 X
+    on float32 weights stays float32 (the attack's single-precision copy).
     """
-    cur = tape.constant(np.atleast_2d(np.asarray(X, dtype=np.float64)))
+    cur = np.atleast_2d(_float_array(X))
     layer_inputs = [cur]
     preacts = []
     depth = len(lifted)
@@ -268,7 +266,7 @@ def forward_nodes(lifted, X):
         if i < depth - 1:
             cur = tape.relu(pre)
             layer_inputs.append(cur)
-    return layer_inputs, preacts
+    return ForwardTrace(layer_inputs, preacts)
 
 
 def backprop(net: MlpNetwork, objective, leaves=None):
@@ -414,10 +412,11 @@ def load_checkpoint(path) -> MlpNetwork:
     """Read the `TRHNET v1` text format of :func:`save_checkpoint`.
 
     Malformed content raises ``ValueError`` naming its line in the file: a
-    bad file or layer header (``has_bias`` must be 0 or 1, ``d_in`` the
-    ``d_out`` below, the final layer bias-free), a number that does not
-    parse, a row of the wrong length, any line after the last layer, and
-    the last line of a file that ends early.  Blank lines are skipped.
+    bad file or layer header (a depth of at least 1, ``has_bias`` 0 or 1,
+    ``d_in`` the ``d_out`` below, the final layer bias-free with at least
+    2 outputs), a number that does not parse or is not finite, a row of the
+    wrong length, any line after the last layer, and the last line of a
+    file that ends early.  Blank lines are skipped.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
@@ -426,7 +425,7 @@ def load_checkpoint(path) -> MlpNetwork:
     header = lines[0][1].split()
     if " ".join(header[:2]) != CHECKPOINT_MAGIC:
         raise ValueError(f"not a {CHECKPOINT_MAGIC} checkpoint: {lines[0][1]!r}")
-    if len(header) != 3 or not header[2].isdigit():
+    if len(header) != 3 or not re.fullmatch("[1-9][0-9]*", header[2]):
         raise ValueError(f"malformed header at line {lines[0][0]}: {lines[0][1]!r}")
     rest = iter(lines[1:])
 
@@ -442,6 +441,8 @@ def load_checkpoint(path) -> MlpNetwork:
             vals = [float(v) for v in text.split()]
         except ValueError:
             raise ValueError(f"unparsable number at line {n}: {text!r}") from None
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"non-finite weight at line {n}: {text!r}")
         if len(vals) != count:
             raise ValueError(f"expected {count} values at line {n}")
         return vals
@@ -455,15 +456,14 @@ def load_checkpoint(path) -> MlpNetwork:
             raise ValueError(f"malformed layer header at line {n}: {text!r} (expected "
                              f"'layer {i} d_in d_out has_bias', has_bias 0 or 1)")
         d_in, d_out, has_bias = (int(g) for g in match.groups()[1:])
-        if (layers and d_in != layers[-1].d_out) or (has_bias and i == depth - 1):
+        if ((layers and d_in != layers[-1].d_out)
+                or (i == depth - 1 and (has_bias or d_out < 2))):
             raise ValueError(f"layer header at line {n} does not chain to the layer "
-                             f"below or gives the final layer a bias: {text!r}")
+                             f"below or gives the final layer a bias or fewer than "
+                             f"2 outputs: {text!r}")
         weights = np.array([values(d_out) for _ in range(d_in)])
         layers.append(DenseLayer(weights, np.array(values(d_out)) if has_bias else None))
     extra = next(rest, None)
     if extra is not None:
         raise ValueError(f"line {extra[0]} follows the last layer: {extra[1]!r}")
-    net = MlpNetwork(layers)
-    if not np.all(np.isfinite(flatten_weights(net))):
-        raise ValueError("checkpoint contains non-finite weights")
-    return net
+    return MlpNetwork(layers)

@@ -127,8 +127,7 @@ def _unbroadcast(grad, shape):
 
 
 def relu(a):
-    """``max(a, 0)``, the numpy forward's own operation, so the two forwards
-    agree to the bit (0.0, never -0.0, at a negative or zero input).
+    """``max(a, 0)``: 0.0, never -0.0, at a negative or zero input.
 
     The VJP ``g * (a > 0)`` computes its gate when it runs: the node keeps
     no gate array.  The derivative at exactly 0 is 0."""

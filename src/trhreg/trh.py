@@ -53,10 +53,11 @@ class _Side(NamedTuple):
     z: tape.Node     # penultimate features, (m, d)
     logs: tape.Node  # log-softmax of the logits, (m, K)
     s: tape.Node     # softmax, (m, K)
-    forward: tuple = ()  # (layer inputs, pre-activations) of a tape forward
+    forward: ForwardTrace | None = None  # the tape forward it was read off
 
 
-def _side(features: tape.Node, logits: tape.Node, forward: tuple = ()) -> _Side:
+def _side(features: tape.Node, logits: tape.Node,
+          forward: ForwardTrace | None = None) -> _Side:
     logs = tape.log_softmax(logits)
     return _Side(features, logs, tape.exp(logs), forward)
 
@@ -72,8 +73,8 @@ def _sides(lifted, X, X_adv, kind: RobustLossKind):
     """``(clean, adversarial)`` sides from tape forward passes of the lifted
     parameters, leaves or constants; clean is None for at."""
     def side(inputs):
-        layer_inputs, preacts = forward_nodes(lifted, inputs)
-        return _side(layer_inputs[-1], preacts[-1], (layer_inputs, preacts))
+        trace = forward_nodes(lifted, inputs)
+        return _side(trace.features, trace.logits, trace)
     adv = side(X_adv)
     return (None if kind.variant == "at" else side(X)), adv
 
@@ -235,9 +236,9 @@ def trh_mart(trace_clean: ForwardTrace, trace_adv: ForwardTrace, y,
 
 def analytic_trh_rows(net: MlpNetwork, X, X_adv, y, kind: RobustLossKind,
                       stop_grad_clean: bool = True) -> np.ndarray:
-    """Per-example closed-form top-layer traces, plain numpy: the numpy
-    forward pair of the batch, then one call of the loss kind's closed form
-    on the whole batch."""
+    """Per-example closed-form top-layer traces, plain numpy: a forward
+    (:func:`~trhreg.network.forward`) of each side of the batch, then one
+    call of the loss kind's closed form on the whole batch."""
     trace_adv = forward(net, np.atleast_2d(X_adv))
     if kind.variant == "at":
         return trh_at(trace_adv)
@@ -276,7 +277,7 @@ def capture_frozen(net: MlpNetwork, X: np.ndarray, X_adv: np.ndarray,
     """
     if kind.variant == "at":
         return {}  # the adversarial CE holds nothing fixed: no forward pass
-    clean, adv = _sides(lift(net, wrap=tape.constant), X, X_adv, kind)
+    clean, adv = _sides(lift(net, leaves=()), X, X_adv, kind)
     return _frozen(clean, adv, np.asarray(y, dtype=np.int64), kind)
 
 
@@ -318,8 +319,8 @@ def objective_nodes(lifted, X, X_adv, y, kind: RobustLossKind,
 
     One value per copy, shape ``(P,)``, on a stacked network (mean and norm
     taken per copy).  On leaves it is the training objective; on constants
-    (``lift(net, wrap=tape.constant)``) it is the objective's value, plain
-    numpy that builds no node.
+    (``lift(net, leaves=())``) it is the objective's value, plain numpy
+    that builds no node.
 
     Freezing convention: the *loss* terms honor the stop-gradient choices
     (clean side of KL / pairing / weighted-KL held constant), while the
@@ -345,7 +346,7 @@ def objective_nodes(lifted, X, X_adv, y, kind: RobustLossKind,
                                 for w, b in lifted)
     if full_coeff:  # plain networks only: the layer traces take no stack
         out = out + full_coeff * tape.mean(
-            full_ce_trace_rows_nodes(lifted, *adv.forward, adv.s))
+            full_ce_trace_rows_nodes(lifted, adv.forward, adv.s))
     return out
 
 
@@ -354,5 +355,5 @@ def robust_loss_rows(net: MlpNetwork, X, X_adv, y,
     """Per-example robust loss values (no regularizer): the objective's loss
     rows evaluated on constants."""
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    clean, adv = _sides(lift(net, wrap=tape.constant), X, X_adv, kind)
+    clean, adv = _sides(lift(net, leaves=()), X, X_adv, kind)
     return _loss_rows(clean, adv, y, kind, True, _frozen(clean, adv, y, kind))

@@ -28,7 +28,6 @@ import numpy as np
 from . import hessian_oracle as ho
 from . import pacbayes as pb
 from . import layer_traces as lt
-from . import tape
 from . import trh as trh_module
 from .attacks import AttackConfig, pgd
 from .data import two_moons
@@ -265,7 +264,7 @@ def check_pacbayes(curvature_vectors: int = 20, seed: int = 0) -> list[CheckResu
     surrogate = pb.bound_surrogate(net, ds.inputs, x_adv, ds.labels, kind, cfg,
                                    trh_mean)
     objective = float(trh_module.objective_nodes(
-        lift(net, wrap=tape.constant), ds.inputs, x_adv, ds.labels, kind,
+        lift(net, leaves=()), ds.inputs, x_adv, ds.labels, kind,
         cfg.lam, cfg.gamma))
     err = abs(surrogate - objective) / max(1.0, abs(objective))
     out.append(CheckResult("pacbayes", "reparameterization-identity",

@@ -35,6 +35,6 @@ def whole_network_rows(lifted, X):
     """:func:`~trhreg.layer_traces.full_ce_trace_rows_nodes` on a tape
     forward of `X` and its softmax, built as ``trh.objective_nodes`` builds
     its adversarial side."""
-    layer_inputs, preacts = forward_nodes(lifted, X)
-    s = tape.exp(tape.log_softmax(preacts[-1]))
-    return full_ce_trace_rows_nodes(lifted, layer_inputs, preacts, s)
+    trace = forward_nodes(lifted, X)
+    s = tape.exp(tape.log_softmax(trace.logits))
+    return full_ce_trace_rows_nodes(lifted, trace, s)

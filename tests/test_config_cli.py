@@ -156,6 +156,22 @@ def write_config(tmp_path, text=BASE_CONFIG, name="cfg.txt"):
     return str(path)
 
 
+def _csv_config(tmp_path, rows, name):
+    """BASE_CONFIG on a CSV file of `rows` in place of two moons."""
+    (tmp_path / f"{name}.csv").write_text(rows)
+    text = "\n".join(line for line in BASE_CONFIG.splitlines()
+                     if not line.startswith(("dataset.n", "dataset.seed")))
+    return write_config(tmp_path, text.replace(
+        "dataset.kind = two_moons",
+        f"dataset.kind = csv\ndataset.path = {tmp_path}/{name}.csv"), f"{name}.txt")
+
+
+def _two_class_checkpoint(tmp_path):
+    """The checkpoint of a BASE_CONFIG training run (2-d inputs, 2 classes)."""
+    main(["train", "--config", write_config(tmp_path), "--out", str(tmp_path / "run")])
+    return str(tmp_path / "run" / "checkpoint.txt")
+
+
 class TestCliTrain:
     def test_writes_outputs_and_exits_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -267,16 +283,8 @@ class TestCliEval:
 
     def test_dimension_mismatch_is_config_error(self, tmp_path, capsys):
         # a checkpoint trained on 2-d points, evaluated on 3-d rows
-        cfg = write_config(tmp_path)
-        out = str(tmp_path / "run")
-        main(["train", "--config", cfg, "--out", out])
-        (tmp_path / "d.csv").write_text("1.0,2.0,3.0,0\n1.0,2.0,3.0,1\n")
-        text = "\n".join(line for line in BASE_CONFIG.splitlines()
-                         if not line.startswith(("dataset.n", "dataset.seed")))
-        bad_data = write_config(tmp_path, text.replace(
-            "dataset.kind = two_moons",
-            f"dataset.kind = csv\ndataset.path = {tmp_path}/d.csv"), "mism.txt")
-        ckpt = str(tmp_path / "run" / "checkpoint.txt")
+        ckpt = _two_class_checkpoint(tmp_path)
+        bad_data = _csv_config(tmp_path, "1.0,2.0,3.0,0\n1.0,2.0,3.0,1\n", "mism")
         capsys.readouterr()
         assert main(["eval", "--config", bad_data, "--checkpoint", ckpt]) == 1
         assert ("checkpoint input dim 2 does not match dataset dim 3"
@@ -284,19 +292,27 @@ class TestCliEval:
 
     def test_fewer_outputs_than_classes_is_config_error(self, tmp_path, capsys):
         # a 2-class checkpoint on data with a label 2
-        cfg = write_config(tmp_path)
-        main(["train", "--config", cfg, "--out", str(tmp_path / "run")])
-        (tmp_path / "d.csv").write_text("0.1,0.2,0\n0.3,0.1,1\n0.5,0.5,2\n")
-        text = "\n".join(line for line in BASE_CONFIG.splitlines()
-                         if not line.startswith(("dataset.n", "dataset.seed")))
-        three = write_config(tmp_path, text.replace(
-            "dataset.kind = two_moons",
-            f"dataset.kind = csv\ndataset.path = {tmp_path}/d.csv"), "three.txt")
-        ckpt = str(tmp_path / "run" / "checkpoint.txt")
+        ckpt = _two_class_checkpoint(tmp_path)
+        three = _csv_config(tmp_path, "0.1,0.2,0\n0.3,0.1,1\n0.5,0.5,2\n", "three")
         capsys.readouterr()
         assert main(["eval", "--config", three, "--checkpoint", ckpt]) == 1
         err = capsys.readouterr().err
         assert "2 outputs" in err and "3 classes" in err
+
+    def test_nonfinite_feature_is_config_error(self, tmp_path, capsys):
+        ckpt = _two_class_checkpoint(tmp_path)
+        bad = _csv_config(tmp_path, "0.1,0.2,0\nnan,0.1,1\n", "nan")
+        capsys.readouterr()
+        assert main(["eval", "--config", bad, "--checkpoint", ckpt]) == 1
+        assert "line 2: non-finite feature value" in capsys.readouterr().err
+
+    def test_one_class_data_trains_no_network(self, tmp_path, capsys):
+        one = _csv_config(tmp_path, "0.1,0.2,0\n0.3,0.1,0\n", "one")
+        assert main(["train", "--config", one, "--out", str(tmp_path / "t")]) == 1
+        assert "(key 'dataset.path')" in capsys.readouterr().err
+        # a two-class checkpoint still evaluates on it
+        ckpt = _two_class_checkpoint(tmp_path)
+        assert main(["eval", "--config", one, "--checkpoint", ckpt]) == 0
 
     def test_checkpoint_with_trailing_line_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -694,8 +710,20 @@ BAD_VALUES = [
     ("train.swa_alpha = 1.5", "train.swa_alpha"),
     ("train.awp_delta = 0", "train.awp_delta"),
     ("train.warmup_iters = -1", "train.warmup_iters"),
+    ("train.base_lr = nan", "train.base_lr"),
+    ("attack.delta = nan", "attack.delta"),
+    ("trh.lambda = inf", "trh.lambda"),
+    ("dataset.noise_std = inf", "dataset.noise_std"),
+    ("pacbayes.sigma0_sq = 1e400\npacbayes.beta = 10", "pacbayes.sigma0_sq"),
+    ("attack.clamp_min = 0\nattack.clamp_max = nan", "attack.clamp_max"),
+    ("train.lr_drop = -1\ntrain.lr_decay = multistep", "train.lr_drop"),
+    ("train.lr_drop = 0", "train.lr_drop"),
+    ("train.lr_milestones = 0.5,1.5", "train.lr_milestones"),
+    ("train.lr_milestones = 0.5,nan", "train.lr_milestones"),
 ]
-_KEY_IDS = [key or line for line, key in BAD_VALUES]
+# a row's id is its key; a key's later rows are named by their line
+_KEY_IDS = [key if key and key not in [k for _, k in BAD_VALUES[:i]] else line
+            for i, (line, key) in enumerate(BAD_VALUES)]
 
 
 def _with(line):
@@ -844,3 +872,9 @@ class TestValueChecks:
         cfg = ExperimentConfig.from_text(
             _with("attack.clamp_min = 0.5\nattack.clamp_max = 0.5"))
         assert cfg.attack.clamp == (0.5, 0.5) and cfg.pacbayes is None
+
+    def test_one_sided_clamp_box_loads(self):
+        # an infinite end is meaningful: only the other side is bounded
+        cfg = ExperimentConfig.from_text(
+            _with("attack.clamp_min = -inf\nattack.clamp_max = 1"))
+        assert cfg.attack.clamp == (-np.inf, 1.0)

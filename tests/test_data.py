@@ -101,7 +101,11 @@ class TestCsv:
         ("1.0\n", "line 1: need features plus a label"),
         ("x1,x2,label\n", "no data rows"),
         ("1.0,2.0,0\n3.0,4.0,-1\n", "line 2: negative label -1"),
-    ], ids=["one-field", "header-only", "negative-label"])
+        ("1.0,2.0,0\nnan,4.0,1\n", "line 2: non-finite feature value"),
+        ("1.0,2.0,0\n3.0,4.0,1\n5.0,-inf,1\n", "line 3: non-finite feature value"),
+        ("1.0,1e400,0\n", "line 1: non-finite feature value"),
+    ], ids=["one-field", "header-only", "negative-label", "nan-feature",
+            "inf-feature", "overflowing-feature"])
     def test_bad_file_names_its_line(self, tmp_path, text, message):
         path = tmp_path / "d.csv"
         path.write_text(text)

@@ -55,8 +55,8 @@ def _level_jacobians(net, x):
     """The recursion at one example: ``{level: (K, D) Jacobian of the
     level's activations}``, read as ``W_i @ jac`` from the stack at weight
     layer i, plus the stacks themselves keyed by weight layer."""
-    lifted = lift(net, tape.constant)
-    _, preacts = forward_nodes(lifted, x[None, :])
+    lifted = lift(net, leaves=())
+    preacts = forward_nodes(lifted, x[None, :]).preacts
     stacks = dict(_jacobian_stacks(lifted, preacts))
     levels = {i: (lifted[i][0] @ jac)[:, :, 0] for i, jac in stacks.items()}
     return levels, {i: jac[:, :, 0] for i, jac in stacks.items()}
@@ -327,11 +327,11 @@ class TestClassBatchedRoutine:
         net, X = _ten_class_instance()
 
         def rows(lifted):
-            layer_inputs, preacts = forward_nodes(lifted, X)
-            s = tape.exp(tape.log_softmax(preacts[-1]))
-            return layer_trace_nodes(lifted, layer_inputs, preacts, s)
+            trace = forward_nodes(lifted, X)
+            s = tape.exp(tape.log_softmax(trace.logits))
+            return layer_trace_nodes(lifted, trace, s)
 
-        assert all(type(r) is np.ndarray for r in rows(lift(net, tape.constant)))
+        assert all(type(r) is np.ndarray for r in rows(lift(net, leaves=())))
         assert all(type(r) is tape.Node for r in rows(lift(net)))
 
 

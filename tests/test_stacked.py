@@ -11,11 +11,12 @@ from oracle_helpers import layer_block, rowwise
 from trhreg import hessian_oracle, numerics, tape
 from trhreg import pacbayes as pb
 from trhreg import trh as trh_module
+from trhreg.attacks import _single_precision
 from trhreg.hessian_oracle import frozen_objective_fns
 from trhreg.losses import RobustLossKind
 from trhreg.network import (TrainingDivergence, flatten_weights, forward,
-                            forward_nodes, gradient_vector, init_mlp,
-                            layer_params, lift, unflatten_weights)
+                            gradient_vector, init_mlp, layer_params, lift,
+                            unflatten_weights)
 from trhreg.numerics import (OracleError, Rng, finite_diff_gradient,
                              hessian_diag_subset)
 from trhreg.trh import objective_nodes
@@ -99,27 +100,48 @@ def test_stacked_forward_equals_per_net_forward(hidden, bias):
                 assert np.array_equal(a[p], b)
 
 
+def _numpy_forward(net, X):
+    """The forward pass as a plain numpy loop: ``x @ W``, the bias added in
+    place, ``max(pre, 0.0)``; ``(layer inputs, pre-activations)``."""
+    layer_inputs, preacts, cur = [X], [], X
+    for i, layer in enumerate(net.layers):
+        pre = cur @ layer.weights
+        if layer.bias is not None:
+            pre += layer.bias
+        preacts.append(pre)
+        if i < net.depth - 1:
+            cur = np.maximum(pre, 0.0)
+            layer_inputs.append(cur)
+    return layer_inputs, preacts
+
+
 @pytest.mark.parametrize("hidden,bias", NETS, ids=NET_IDS)
 def test_tape_forward_on_constants_equals_numpy_forward(hidden, bias):
-    """The objective's value route (the tape forward on constant weights)
-    and the attack's numpy forward give the same layer inputs and
-    pre-activations to the bit, signed zeros included, on one net and on a
-    stack; the rows reach negative and exactly zero pre-activations."""
+    """`forward`, the tape forward on the network's own arrays, gives a
+    plain numpy loop's layer inputs and pre-activations to the bit, signed
+    zeros included: on one net, on a stack, and on a float32 copy, whose
+    trace stays float32; the rows reach negative and exactly zero
+    pre-activations."""
     net, x, _, _ = _instance(hidden, bias)
     x = np.vstack([x, np.zeros(3), -x])
-    for candidate in (net, unflatten_weights(net, _stack(net, 4))):
+    stacked = unflatten_weights(net, _stack(net, 4))
+    for candidate in (net, stacked):
         first = candidate.layers[0]
         first.weights[..., 0] = 0.0  # unit 0 of layer 0 is zero on every row
         if first.bias is not None:
             first.bias[..., 0] = 0.0
-        trace = forward(candidate, x)
-        layer_inputs, preacts = forward_nodes(lift(candidate, wrap=tape.constant), x)
-        hidden_pre = np.concatenate([p.ravel() for p in trace.preacts[:-1]])
+    cases = ((net, x), (stacked, x),
+             (_single_precision(net), x.astype(np.float32)))
+    for candidate, inputs in cases:
+        trace = forward(candidate, inputs)
+        ref_inputs, ref_preacts = _numpy_forward(candidate, inputs)
+        hidden_pre = np.concatenate([p.ravel() for p in ref_preacts[:-1]])
         assert np.any(hidden_pre < 0) and np.any(hidden_pre == 0)
-        pairs = zip(trace.layer_inputs + trace.preacts, layer_inputs + preacts)
-        for ref, tape_value in pairs:
-            assert np.array_equal(ref, tape_value)
-            assert np.array_equal(np.signbit(ref), np.signbit(tape_value))
+        pairs = zip(ref_inputs + ref_preacts, trace.layer_inputs + trace.preacts)
+        for ref, value in pairs:
+            assert value.dtype == inputs.dtype
+            assert np.array_equal(ref, value)
+            assert np.array_equal(np.signbit(ref), np.signbit(value))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -275,7 +297,7 @@ def test_top_layer_probe_runs_no_hidden_layer(monkeypatch):
     v = np.ones(W.shape[1])
 
     weights = []  # weight shape of every tape dense layer
-    depths = []  # depth of every network a numpy forward pass runs
+    depths = []  # depth of every network `trh.forward` runs
     dense, numpy_forward = tape.dense, trh_module.forward
 
     def counting_dense(x, w, b=None):
@@ -295,7 +317,7 @@ def test_top_layer_probe_runs_no_hidden_layer(monkeypatch):
         value_fn(w)
     hvp(v)
     # two sides per evaluation (2 gradients, 2 values, 2 for the product),
-    # each one dense layer of the top weights; no numpy forward at all
+    # each one dense layer of the top weights; no `trh.forward` at all
     assert weights == [top_shape] * 2 * (2 + 2 + 2)
     assert depths == []
     # the whole-network route runs every layer

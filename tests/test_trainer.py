@@ -178,16 +178,17 @@ class TestTrainLoop:
         assert TrHConfig(full_coeff=0.0).full_coeff == 0.0
 
     def test_a_step_runs_one_forward_per_side(self, monkeypatch):
-        # the whole-network term rides on the objective's adversarial forward
-        from trhreg import layer_traces, network, trh
+        # the whole-network term rides on the objective's adversarial
+        # forward; the attack's forwards (network.forward) are not counted
+        from trhreg import layer_traces, trh
         calls = []
-        original = network.forward_nodes
+        original = trh.forward_nodes
 
         def forward_nodes(lifted, X):
             calls.append(len(X))
             return original(lifted, X)
 
-        for module in (network, trh, layer_traces):
+        for module in (trh, layer_traces):
             monkeypatch.setattr(module, "forward_nodes", forward_nodes)
         ds = two_moons(40, seed=2)
         cfg = TrainConfig(epochs=2, base_lr=0.05, lr_decay="constant", seed=0)

@@ -249,7 +249,7 @@ class TestWholeNetworkTerm:
     def test_value_is_the_sum_of_its_terms(self, case):
         kind, sgc = OBJECTIVE_CASES[case]
         net, x, x_adv, y = sample_smooth_instance(127)
-        lifted = lift(net, wrap=tape.constant)
+        lifted = lift(net, leaves=())
 
         def value(full):
             return float(objective_nodes(lifted, x, x_adv, y, kind, LAM, GAMMA,
@@ -270,7 +270,7 @@ class TestWholeNetworkTerm:
 
         _, grad = gradient_vector(net, objective)
         fd = finite_diff_gradient(rowwise(lambda w: float(objective(
-            lift(unflatten_weights(net, w), wrap=tape.constant)))),
+            lift(unflatten_weights(net, w), leaves=())))),
             flatten_weights(net))
         assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
 
