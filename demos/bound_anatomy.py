@@ -16,9 +16,9 @@ Run: python demos/bound_anatomy.py
 import numpy as np
 
 from trhreg.attacks import AttackConfig, pgd
+from trhreg.config import RobustLossKind
 from trhreg.data import two_moons
 from trhreg.hessian_oracle import frozen_objective_fns
-from trhreg.losses import RobustLossKind
 from trhreg.network import flatten_weights, init_mlp, lift, param_count
 from trhreg.numerics import Rng, hessian_diag_subset, pin_allocator
 from trhreg.pacbayes import (GaussianPosterior, PacBayesConfig,

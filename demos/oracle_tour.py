@@ -12,11 +12,11 @@ Run: python demos/oracle_tour.py
 
 import numpy as np
 
+from trhreg.config import RobustLossKind
 from trhreg.hessian_oracle import exact_trace, frozen_objective_fns
-from trhreg.losses import RobustLossKind
+from trhreg.layer_traces import check_layer_inequality, layer_trace_rows
 from trhreg.network import layer_params
 from trhreg.numerics import pin_allocator
-from trhreg.layer_traces import check_layer_inequality, layer_trace_rows
 from trhreg.trh import analytic_trh_rows
 from trhreg.verify import sample_smooth_instance
 

@@ -20,9 +20,8 @@ Run: python demos/two_moons_flatness.py            (~30 s)
 import numpy as np
 
 from trhreg.attacks import AttackConfig
-from trhreg.config import TrHConfig
+from trhreg.config import RobustLossKind, TrHConfig
 from trhreg.data import two_moons
-from trhreg.losses import RobustLossKind
 from trhreg.network import init_mlp
 from trhreg.numerics import Rng, pin_allocator
 from trhreg.trainer import MeasureConfig, TrainConfig, train

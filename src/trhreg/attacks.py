@@ -1,5 +1,7 @@
 """Projected gradient ascent in the input ball, plus robust evaluation.
 
+The attack's settings are an :class:`~trhreg.config.AttackConfig`, a
+section type that lives in :mod:`trhreg.config` with the other five.
 Step rule: sign-of-gradient steps for the max-norm ball, normalized
 gradient steps for the Euclidean ball, random start uniform in the ball
 (restarts require it).  The step size defaults to ``2.5 * delta / steps``,
@@ -71,17 +73,16 @@ row at or below it is attacked, which costs only work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .losses import softmax
+from .config import AttackConfig
 from .network import (DenseLayer, MlpNetwork, TrainingDivergence, forward,
                       input_gradient)
 from .numerics import Rng
+from .tape import softmax
 
-_NORMS = ("linf", "l2")
-_INNER = ("ce", "kl")
 # a margin bound at or below this is treated as uncertified (module
 # docstring, "Rounding allowance")
 _ROUNDING_ALLOWANCE = 1e-6
@@ -91,42 +92,6 @@ _ROUNDING_ALLOWANCE = 1e-6
 # evaluations of blobs-k10 (3 steps) and of the probe (2 steps), and in
 # `eval --restarts 1` of configs with 1 to 3 steps
 _BOUND_MIN_STEPS = 4
-
-
-@dataclass(frozen=True)
-class AttackConfig:
-    delta: float
-    steps: int = 10
-    norm: str = "linf"
-    step_size: float | None = None
-    restarts: int = 1
-    inner_loss: str = "ce"
-    clamp: tuple[float, float] | None = None
-    random_start: bool = True
-
-    def __post_init__(self):
-        if self.norm not in _NORMS:
-            raise ValueError(f"unknown norm {self.norm!r}")
-        if self.inner_loss not in _INNER:
-            raise ValueError(f"unknown inner loss {self.inner_loss!r}")
-        # delta == 0 is allowed as the degenerate no-attack evaluation case
-        if self.delta < 0 or self.steps < 1 or self.restarts < 1:
-            raise ValueError("need delta >= 0, steps >= 1, restarts >= 1")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.clamp is not None and not self.clamp[0] <= self.clamp[1]:
-            raise ValueError(f"clamp box {self.clamp} has its lower bound above "
-                             "its upper bound")
-
-    @property
-    def effective_step(self) -> float:
-        return self.step_size if self.step_size is not None else 2.5 * self.delta / self.steps
-
-    def scaled(self, factor: float) -> "AttackConfig":
-        """Radius (and step) rescaled, e.g. into normalized input units."""
-        return replace(self, delta=self.delta * factor,
-                       step_size=None if self.step_size is None
-                       else self.step_size * factor)
 
 
 def project(x_adv: np.ndarray, x0: np.ndarray, norm: str, delta: float) -> np.ndarray:

@@ -1,45 +1,135 @@
-"""Flat `key = value` experiment configuration.
+"""Flat `key = value` experiment configuration, and the section types.
 
 One dotted key per line, `#` starts a comment, whitespace is free.  Every
 tunable of the attack, loss, regularizer, trainer and bound modules has a
 key, listed once in :data:`_KEYS` with its type and file default; unknown
-keys are an error (typos should not pass silently), and so is a float key
-given nan or ``±inf`` (only the clamp box's ends may be infinite).
-Overrides (CLI flags, sweep values) are applied as extra key lines before
-anything is built, so they are cast and checked exactly like the file.
-Parse errors, rejected values and cross-field inconsistencies raise
-:class:`ConfigError` with the offending key and line.
+keys are an error (typos should not pass silently).  Overrides (CLI flags,
+sweep values) are applied as extra key lines before anything is built, so
+they are cast and checked exactly like the file.  Parse errors, rejected
+values and cross-field inconsistencies raise :class:`ConfigError` with the
+offending key and line.
+
+The six section types (:class:`RobustLossKind`, :class:`AttackConfig`,
+:class:`TrHConfig`, :class:`TrainConfig`, :class:`PacBayesConfig` and the
+CLI's :class:`MeasureConfig`) live here, not in the modules that run them,
+so that reading a config imports no attack, training, curvature or bound
+code; those modules re-import them.  Each checks every field, built from
+a file or from Python, through one helper that rejects nan and ``±inf``
+(only the clamp box's ends may be infinite) and raises a
+:class:`FieldError` naming the field, which the reader reports against
+that field's key and line.
 
 Cross-field rules: any `pacbayes.*` key gives the bound section, which then
-needs pacbayes.sigma0_sq and pacbayes.beta, both positive; when those are
-given alongside explicit train.gamma / trh.lambda, they must satisfy
-gamma = 1/(2 beta sigma0_sq) and lambda = sigma0_sq/2 within 1e-12.
-attack.clamp_min and attack.clamp_max come together, the lower not above
-the upper.  Attack radii are stated in raw input units; with
-dataset.normalize = true the radius and step are rescaled by 1/std
-(:meth:`ExperimentConfig.effective_attack`), but not the clamp box, which
-bounds the normalized inputs the attack sees.
-
-The value types of the trh, train and pacbayes sections and of the CLI's
-measurement flags (:class:`TrHConfig`, :class:`TrainConfig`,
-:class:`PacBayesConfig`, :class:`MeasureConfig`) are defined here, not in
-the modules that run them, so that reading a config imports no training,
-curvature or bound code; those modules re-import them.
+needs pacbayes.sigma0_sq and pacbayes.beta; when those are given alongside
+explicit train.gamma / trh.lambda, they must satisfy gamma = 1/(2 beta
+sigma0_sq) and lambda = sigma0_sq/2 within 1e-12.  attack.clamp_min and
+attack.clamp_max come together.  Attack radii are stated in raw input
+units; with dataset.normalize = true the radius and step are rescaled by
+1/std (:meth:`ExperimentConfig.effective_attack`), but not the clamp box,
+which bounds the normalized inputs the attack sees.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .attacks import AttackConfig
 from .data import Dataset, load_csv, normalize_center, two_moons
-from .losses import RobustLossKind
 from .network import MlpNetwork, init_mlp
 from .numerics import Rng
 
 
 # -- section types ----------------------------------------------------
+
+
+class FieldError(ValueError):
+    """A value that its section type rejects; `field` names the argument."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field} {message}")
+        self.field = field
+
+
+_INFINITE = (math.inf, -math.inf)
+
+
+def _check(field: str, value, ok: bool, rule) -> None:
+    """Raise a :class:`FieldError` naming `field` unless `ok` (`value` lies
+    in `rule`, an interval or choices) holds and `value` is neither nan nor
+    ``±inf``; a clamp box is one value, so its ends may be infinite."""
+    if not ok or value != value or value in _INFINITE:
+        raise FieldError(field, f"must be in {rule}, got {value!r}")
+
+
+_BOOLS = (True, False)
+_VARIANTS = ("at", "trades", "alp", "mart")
+
+
+@dataclass(frozen=True)
+class RobustLossKind:
+    """Which robust objective to train: at | trades | alp | mart.
+
+    `penalty` is the pairing coefficient of the variant (the TRADES KL
+    weight, the ALP pairing weight or the MART weighted-KL weight); it is
+    ignored for plain adversarial training.  The batched loss body of every
+    variant is ``trh._loss_rows``.
+    """
+
+    variant: str
+    penalty: float = 0.0
+
+    def __post_init__(self):
+        _check("variant", self.variant, self.variant in _VARIANTS, _VARIANTS)
+        _check("penalty", self.penalty, self.penalty >= 0, "[0, inf)")
+
+
+_NORMS = ("linf", "l2")
+_INNER = ("ce", "kl")
+
+
+@dataclass(frozen=True)
+class AttackConfig:
+    """The attack of :func:`trhreg.attacks.pgd`.
+
+    ``step_size`` None steps ``2.5 * delta / steps``.  ``clamp`` is an
+    optional box ``(low, high)`` for the attacked inputs; either end may be
+    infinite, which leaves that side open.  ``delta = 0`` is the degenerate
+    no-attack evaluation.
+    """
+
+    delta: float
+    steps: int = 10
+    norm: str = "linf"
+    step_size: float | None = None
+    restarts: int = 1
+    inner_loss: str = "ce"
+    clamp: tuple[float, float] | None = None
+    random_start: bool = True
+
+    def __post_init__(self):
+        _check("delta", self.delta, self.delta >= 0, "[0, inf)")
+        _check("steps", self.steps, self.steps >= 1, "[1, inf)")
+        _check("norm", self.norm, self.norm in _NORMS, _NORMS)
+        _check("step_size", self.step_size,
+               self.step_size is None or self.step_size > 0, "(0, inf) or None")
+        _check("restarts", self.restarts, self.restarts >= 1, "[1, inf)")
+        _check("inner_loss", self.inner_loss, self.inner_loss in _INNER, _INNER)
+        _check("clamp", self.clamp,
+               self.clamp is None or self.clamp[0] <= self.clamp[1],
+               "{(low, high): low <= high} or None")
+        _check("random_start", self.random_start, self.random_start in _BOOLS,
+               _BOOLS)
+
+    @property
+    def effective_step(self) -> float:
+        return self.step_size if self.step_size is not None else 2.5 * self.delta / self.steps
+
+    def scaled(self, factor: float) -> "AttackConfig":
+        """Radius (and step) rescaled, e.g. into normalized input units."""
+        return replace(self, delta=self.delta * factor,
+                       step_size=None if self.step_size is None
+                       else self.step_size * factor)
+
 
 _SCHEDULES = ("constant", "linear", "multistep")
 
@@ -60,12 +150,11 @@ class TrHConfig:
     full_coeff: float = 0.0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.full_coeff < 0:
-            raise ValueError("full_coeff must be >= 0")
-        if self.schedule not in _SCHEDULES:
-            raise ValueError(f"unknown schedule {self.schedule!r}")
+        _check("lam", self.lam, self.lam >= 0, "[0, inf)")
+        _check("schedule", self.schedule, self.schedule in _SCHEDULES, _SCHEDULES)
+        _check("stop_grad_clean", self.stop_grad_clean,
+               self.stop_grad_clean in _BOOLS, _BOOLS)
+        _check("full_coeff", self.full_coeff, self.full_coeff >= 0, "[0, inf)")
 
 
 _BASELINES = ("none", "swa", "awp")
@@ -89,24 +178,20 @@ class TrainConfig:
     awp_delta: float = 0.005
 
     def __post_init__(self):
-        if self.epochs < 1 or self.base_lr <= 0:
-            raise ValueError("need epochs >= 1 and base_lr > 0")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.gamma < 0 or self.batch_size < 0 or self.warmup_iters < 0:
-            raise ValueError("gamma, batch_size, warmup_iters must be >= 0")
-        if self.lr_decay not in _LR_DECAYS:
-            raise ValueError(f"unknown lr decay {self.lr_decay!r}")
-        if not self.lr_drop > 0:
-            raise ValueError("lr_drop must be positive")
-        if not all(0 <= m <= 1 for m in self.lr_milestones):
-            raise ValueError("lr_milestones must lie in [0, 1]")
-        if self.baseline not in _BASELINES:
-            raise ValueError(f"unknown baseline {self.baseline!r}")
-        if not 0 < self.swa_alpha < 1:
-            raise ValueError("swa_alpha must lie in (0, 1)")
-        if self.awp_delta <= 0:
-            raise ValueError("awp_delta must be positive")
+        _check("epochs", self.epochs, self.epochs >= 1, "[1, inf)")
+        _check("base_lr", self.base_lr, self.base_lr > 0, "(0, inf)")
+        _check("batch_size", self.batch_size, self.batch_size >= 0, "[0, inf)")
+        _check("momentum", self.momentum, 0 <= self.momentum < 1, "[0, 1)")
+        _check("warmup_iters", self.warmup_iters, self.warmup_iters >= 0, "[0, inf)")
+        _check("lr_decay", self.lr_decay, self.lr_decay in _LR_DECAYS, _LR_DECAYS)
+        for m in self.lr_milestones:
+            _check("lr_milestones", m, 0 <= m <= 1, "[0, 1]")
+        _check("lr_drop", self.lr_drop, self.lr_drop > 0, "(0, inf)")
+        _check("gamma", self.gamma, self.gamma >= 0, "[0, inf)")
+        _check("seed", self.seed, self.seed >= 0, "[0, inf)")
+        _check("baseline", self.baseline, self.baseline in _BASELINES, _BASELINES)
+        _check("swa_alpha", self.swa_alpha, 0 < self.swa_alpha < 1, "(0, 1)")
+        _check("awp_delta", self.awp_delta, self.awp_delta > 0, "(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -116,8 +201,9 @@ class PacBayesConfig:
     c_const: float = 0.0
 
     def __post_init__(self):
-        if self.sigma0_sq <= 0 or self.beta <= 0:
-            raise ValueError("sigma0_sq and beta must be positive")
+        _check("sigma0_sq", self.sigma0_sq, self.sigma0_sq > 0, "(0, inf)")
+        _check("beta", self.beta, self.beta > 0, "(0, inf)")
+        _check("c_const", self.c_const, True, "(-inf, inf)")
 
     @property
     def gamma(self) -> float:
@@ -134,6 +220,9 @@ class PacBayesConfig:
         (absolute below 1)."""
         return all(abs(given - own) <= 1e-12 * max(1.0, abs(own))
                    for given, own in ((gamma, self.gamma), (lam, self.lam)))
+
+
+_MODES = ("top", "full", "spectrum")
 
 
 @dataclass(frozen=True)
@@ -158,10 +247,9 @@ class MeasureConfig:
     probes: int = 64
 
     def __post_init__(self):
-        if self.mode not in ("top", "full", "spectrum"):
-            raise ValueError(f"unknown measure mode {self.mode!r}")
-        if self.every < 1 or self.probes < 1:
-            raise ValueError("every and probes must be >= 1")
+        _check("mode", self.mode, self.mode in _MODES, _MODES)
+        _check("every", self.every, self.every >= 1, "[1, inf)")
+        _check("probes", self.probes, self.probes >= 1, "[1, inf)")
 
 
 # -- the key file -----------------------------------------------------
@@ -213,8 +301,8 @@ def _ints(text: str) -> list:
 
 
 def _float(text: str, finite: bool = True) -> float:
-    """A float that is not nan, nor ``±inf`` where `finite`: every float key
-    but the clamp box's ends, where an infinite end leaves that side open."""
+    """A float that is not nan, nor ``±inf`` where `finite`: a key read on
+    its own; only the clamp box's ends may be infinite, leaving a side open."""
     value = float(text)
     if value != value or (finite and math.isinf(value)):
         raise ValueError(f"must be a {'finite ' if finite else ''}number, got {text!r}")
@@ -222,7 +310,7 @@ def _float(text: str, finite: bool = True) -> float:
 
 
 def _floats(text: str) -> tuple:
-    return tuple(_float(v) for v in text.split(",") if v.strip())
+    return tuple(float(v) for v in text.split(",") if v.strip())
 
 
 def _at_least(cast, low):
@@ -231,16 +319,6 @@ def _at_least(cast, low):
         value = cast(text)
         if not value >= low:
             raise ValueError(f"must be >= {low}, got {value}")
-        return value
-    return checked
-
-
-def _positive(cast):
-    """`cast`, then reject a value that is not above zero."""
-    def checked(text: str):
-        value = cast(text)
-        if not value > 0:
-            raise ValueError(f"must be positive, got {value}")
         return value
     return checked
 
@@ -255,7 +333,7 @@ def _widths(text: str) -> list:
 _REQUIRED = object()  # no default: must be given once its section is
 
 # Every key once: its cast and its file default, written as a file line
-# would be (None: unset).
+# would be (None: unset).  A section key's value is checked by its type.
 _KEYS = {
     "dataset.kind": (str, "two_moons"),
     "dataset.n": (_at_least(int, 2), "500"),
@@ -266,35 +344,35 @@ _KEYS = {
     "net.hidden": (_widths, "100,100"),
     "net.hidden_bias": (_bool, "true"),
     "loss.kind": (str, "at"),
-    "loss.penalty": (_float, "0.0"),
+    "loss.penalty": (float, "0.0"),
     "attack.norm": (str, "linf"),
-    "attack.delta": (_float, "0.02"),
+    "attack.delta": (float, "0.02"),
     "attack.steps": (int, "1"),
-    "attack.step_size": (_float, None),
+    "attack.step_size": (float, None),
     "attack.restarts": (int, "1"),
     "attack.random_start": (_bool, "true"),
     "attack.clamp_min": (lambda text: _float(text, finite=False), None),
     "attack.clamp_max": (lambda text: _float(text, finite=False), None),
-    "trh.lambda": (_float, "0.0"),
+    "trh.lambda": (float, "0.0"),
     "trh.schedule": (str, "constant"),
     "trh.stop_grad_clean": (_bool, "true"),
-    "trh.full_coeff": (_float, "0.0"),
+    "trh.full_coeff": (float, "0.0"),
     "train.epochs": (int, "100"),
     "train.batch_size": (int, "0"),
-    "train.base_lr": (_float, "0.1"),
-    "train.momentum": (_float, "0.9"),
+    "train.base_lr": (float, "0.1"),
+    "train.momentum": (float, "0.9"),
     "train.warmup_iters": (int, "0"),
     "train.lr_decay": (str, "constant"),
     "train.lr_milestones": (_floats, "0.5,0.75"),
-    "train.lr_drop": (_float, "0.1"),
-    "train.gamma": (_float, "0.0"),
-    "train.seed": (_at_least(int, 0), "0"),
+    "train.lr_drop": (float, "0.1"),
+    "train.gamma": (float, "0.0"),
+    "train.seed": (int, "0"),
     "train.baseline": (str, "none"),
-    "train.swa_alpha": (_float, "0.995"),
-    "train.awp_delta": (_float, "0.005"),
-    "pacbayes.sigma0_sq": (_positive(_float), _REQUIRED),
-    "pacbayes.beta": (_positive(_float), _REQUIRED),
-    "pacbayes.c_const": (_float, "0.0"),
+    "train.swa_alpha": (float, "0.995"),
+    "train.awp_delta": (float, "0.005"),
+    "pacbayes.sigma0_sq": (float, _REQUIRED),
+    "pacbayes.beta": (float, _REQUIRED),
+    "pacbayes.c_const": (float, "0.0"),
     "out.dir": (str, None),
 }
 
@@ -302,6 +380,8 @@ _KEYS = {
 # (None: the key is read on its own, not passed to the constructor).
 _ARG = {"loss.kind": "variant", "trh.lambda": "lam",
         "attack.clamp_min": None, "attack.clamp_max": None}
+# the key that names an argument built from keys read on their own
+_FIXED_KEY = {"clamp": "attack.clamp_min"}
 
 
 class _Reader:
@@ -314,11 +394,10 @@ class _Reader:
     def has(self, key) -> bool:
         return key in self.kv
 
-    def get(self, key, given: bool = True):
-        """The key's value from its line (unless not `given`), else its
-        cast default."""
+    def get(self, key):
+        """The key's value from its line, else its cast default."""
         cast, default = _KEYS[key]
-        value, line = self.kv[key] if given and key in self.kv else (default, None)
+        value, line = self.kv.get(key, (default, None))
         if value is _REQUIRED:
             self.err(key, "no default; required once its section is given")
         try:
@@ -331,13 +410,9 @@ class _Reader:
         raise ConfigError(message, key=key, line=line)
 
     def build(self, ctor, section: str, **fixed):
-        """``ctor(**fixed, **args)`` with one argument per key of `section`.
-
-        A rejected value is reported against its key: the first given key
-        that the constructor rejects with the section's other keys at their
-        defaults.  Keys without a default keep their given value there, so
-        the constructor cannot tell which of them is wrong: their casts
-        check them instead."""
+        """``ctor(**fixed, **args)`` with one argument per key of `section`;
+        a value the constructor rejects is reported against the key of the
+        field its :class:`FieldError` names."""
         keys = {}
         for key in _KEYS:
             arg = _ARG.get(key, key.partition(".")[2])
@@ -348,17 +423,8 @@ class _Reader:
                 sorted(keys.items(), key=lambda item: item[1] not in self.kv)}
         try:
             return ctor(**fixed, **args)
-        except ValueError as exc:
-            message = str(exc)
-        base = {arg: self.get(key, given=_KEYS[key][1] is _REQUIRED)
-                for arg, key in keys.items()}
-        given = [(arg, key) for arg, key in keys.items() if key in self.kv]
-        for arg, key in given:
-            try:
-                ctor(**fixed, **{**base, arg: args[arg]})
-            except ValueError:
-                self.err(key, message)
-        self.err(given[0][1], message)
+        except FieldError as exc:
+            self.err(keys.get(exc.field) or _FIXED_KEY[exc.field], str(exc))
 
 
 @dataclass
@@ -395,9 +461,6 @@ class ExperimentConfig:
         clamp_min, clamp_max = r.get("attack.clamp_min"), r.get("attack.clamp_max")
         if (clamp_min is None) != (clamp_max is None):
             r.err("attack.clamp_min", "clamp_min and clamp_max must be given together")
-        if clamp_min is not None and not clamp_min <= clamp_max:
-            r.err("attack.clamp_min",
-                  f"clamp_min={clamp_min} must be <= clamp_max={clamp_max}")
         attack = r.build(AttackConfig, "attack",
                          inner_loss="kl" if loss.variant == "trades" else "ce",
                          clamp=None if clamp_min is None else (clamp_min, clamp_max))

@@ -49,8 +49,8 @@ class Dataset:
 def two_moons(n: int, noise_std: float = 0.1, seed: int = 0) -> Dataset:
     if n < 2:
         raise ValueError("n must be >= 2")
-    if noise_std < 0:
-        raise ValueError("noise_std must be >= 0")
+    if not 0 <= noise_std < math.inf:
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     rng = Rng(seed).child("two-moons")
     n_upper = (n + 1) // 2
     n_lower = n // 2

@@ -60,7 +60,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape
-from .losses import softmax
 from .network import (ForwardTrace, MlpNetwork, forward_nodes, lift,
                       min_preact_magnitude)
 from .numerics import SMOOTH_TOL, NonSmoothInput
@@ -126,7 +125,7 @@ def check_layer_inequality(net: MlpNetwork, x: np.ndarray) -> list[LayerInequali
         raise NonSmoothInput("zero input is degenerate for a bias-free net")
     lifted = lift(net, leaves=())
     preacts = forward_nodes(lifted, x[None, :]).preacts
-    s = softmax(preacts[-1][0])
+    s = tape.softmax(preacts[-1][0])
     h = (s * (1.0 - s))[:, None, None]
     peak = [0.0] * net.depth + [float(h.max())]  # identity Jacobian: H = diag(h)
     for i, jac in _jacobian_stacks(lifted, preacts):

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import AttackConfig, pgd
-from .config import PacBayesConfig
-from .losses import RobustLossKind
+from .attacks import pgd
+from .config import AttackConfig, PacBayesConfig, RobustLossKind
 from .network import MlpNetwork, flatten_weights, param_count, unflatten_weights
 from .numerics import OutOfRegimeError, Rng, mean_se
 from .trh import robust_loss_rows

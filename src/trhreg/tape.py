@@ -21,8 +21,9 @@ interior adjoint as soon as that node's VJPs have run, so after the sweep
 only leaves hold a ``.grad``; edges stay, and the graph can be
 backpropagated again.  Row-wise :func:`log_softmax` is one node with a
 hand-written VJP, not a chain of small ops, and so is a dense layer
-(:func:`dense`).  :func:`relu` keeps no gate array: its VJP reads the
-input's value when it runs.
+(:func:`dense`).  :func:`softmax` works on constants only and shares
+:func:`log_softmax`'s shift, exp and sum.  :func:`relu` keeps no gate
+array: its VJP reads the input's value when it runs.
 
 Constants are arrays: a :func:`constant` is a plain float64 array, and
 only values that depend on a :func:`leaf` are nodes.  An op keeps the
@@ -189,6 +190,21 @@ def row_sum(a):
     return nsum(a, axis=-1)
 
 
+def _shifted_exp(z):
+    """``centered = z - max``, ``e = exp(centered)`` and the sum of `e`,
+    over the last axis (kept): the body of both softmaxes."""
+    centered = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(centered)
+    return centered, e, e.sum(axis=-1, keepdims=True)
+
+
+def softmax(logits) -> np.ndarray:
+    """Softmax over the last axis of a constant, in float64 whatever its
+    precision."""
+    _, e, total = _shifted_exp(np.asarray(logits, dtype=np.float64))
+    return e / total
+
+
 def log_softmax(logits):
     """Log-softmax over the last axis, stable via a constant max shift.
 
@@ -197,10 +213,7 @@ def log_softmax(logits):
     float operations of that expression's op-by-op adjoint in the same
     order, so values and gradients are those of the composite to the bit.
     """
-    lv = value(logits)
-    centered = lv - lv.max(axis=-1, keepdims=True)
-    e = np.exp(centered)
-    total = e.sum(axis=-1, keepdims=True)
+    centered, e, total = _shifted_exp(value(logits))
     return record(centered - np.log(total),
                   ((logits, lambda g: g + (-g.sum(axis=-1, keepdims=True)) / total * e),))
 

@@ -35,14 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import (AttackConfig, clean_accuracy, eval_robust_accuracy, pgd,
-                      predictions)
-from .config import MeasureConfig, TrainConfig, TrHConfig
+from .attacks import clean_accuracy, eval_robust_accuracy, pgd, predictions
+from .config import (AttackConfig, MeasureConfig, RobustLossKind, TrainConfig,
+                     TrHConfig)
 from .data import Dataset
 from .hessian_oracle import (eigen_stats, frozen_objective_fns,
                              hutchinson_trace, hutchinson_trace_pair,
                              hvp_from_grad, quad_form_from_values)
-from .losses import RobustLossKind
 from .network import (MetricsLog, MlpNetwork, TrainingDivergence, backprop,
                       flat_gradient, flatten_weights, layer_params,
                       param_count, unflatten_weights)

@@ -41,8 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tape
+from .config import RobustLossKind
 from .layer_traces import full_ce_trace_rows_nodes
-from .losses import RobustLossKind
 from .network import ForwardTrace, MlpNetwork, forward, forward_nodes, lift
 
 

@@ -29,12 +29,13 @@ from . import hessian_oracle as ho
 from . import pacbayes as pb
 from . import layer_traces as lt
 from . import trh as trh_module
-from .attacks import AttackConfig, pgd
+from .attacks import pgd
+from .config import AttackConfig, RobustLossKind
 from .data import two_moons
-from .losses import RobustLossKind, softmax
 from .network import (flatten_weights, forward, init_mlp, layer_params, lift,
                       min_preact_magnitude)
 from .numerics import SMOOTH_TOL, Rng, finite_diff_gradient
+from .tape import softmax
 
 KINDS = (RobustLossKind("at"),
          RobustLossKind("trades", 6.0),

@@ -23,11 +23,12 @@ and in particular ``d h[k] / d g[j] = Phi[k, j] * (1 - 2 s[k])``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from trhreg.losses import softmax
+from trhreg.tape import softmax
 
 
 @dataclass
@@ -72,12 +73,15 @@ def cross_entropy_rows(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def kl_div(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) for probability vectors, with 0 * log 0 handled as 0."""
+    """KL(p || q) for probability vectors, with 0 * log 0 handled as 0 and
+    a q_i = 0 < p_i giving inf."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     out = 0.0
     for pi, qi in zip(p, q):
         if pi > 0.0:
+            if qi == 0.0:
+                return math.inf
             out += pi * (np.log(pi) - np.log(qi))
     return float(out)
 

@@ -14,9 +14,8 @@ import pytest
 from trhreg import verify
 from trhreg.attacks import AttackConfig, clean_accuracy, eval_robust_accuracy, pgd
 from trhreg.cli import main
-from trhreg.config import TrHConfig
+from trhreg.config import RobustLossKind, TrHConfig
 from trhreg.data import two_moons
-from trhreg.losses import RobustLossKind
 from trhreg.network import DenseLayer, MlpNetwork, init_mlp
 from trhreg.numerics import Rng
 from trhreg.trainer import MeasureConfig, TrainConfig, spectrum_records, train

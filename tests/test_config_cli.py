@@ -684,7 +684,8 @@ class TestCliTraceModes:
         args = cli.build_parser().parse_args(["trace", "--config", "c.txt",
                                               "--measure", "layers"])
         assert args.measure == "top"
-        with pytest.raises(ValueError, match="unknown measure mode 'layers'"):
+        with pytest.raises(ValueError, match=r"mode must be in \('top', 'full', "
+                                             r"'spectrum'\), got 'layers'"):
             MeasureConfig(mode="layers")
 
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from trhreg.attacks import AttackConfig, clean_accuracy
-from trhreg.config import TrHConfig
+from trhreg.config import RobustLossKind, TrHConfig
 from trhreg.data import CsvFormatError, Dataset, load_csv, normalize_center, two_moons
-from trhreg.losses import RobustLossKind
 from trhreg.network import init_mlp
 from trhreg.numerics import Rng
 from trhreg.trainer import TrainConfig, train
@@ -41,6 +40,11 @@ class TestTwoMoons:
             two_moons(1)
         with pytest.raises(ValueError):
             two_moons(10, noise_std=-0.1)
+
+    @pytest.mark.parametrize("noise_std", [np.nan, np.inf])
+    def test_non_finite_noise_rejected(self, noise_std):
+        with pytest.raises(ValueError, match="noise_std"):
+            two_moons(10, noise_std=noise_std)
 
     def test_mlp_beats_linear_model(self):
         # the interleaved arcs are not linearly separable: a trained MLP

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from oracle_helpers import rowwise, weight_indices
+from trhreg.config import RobustLossKind
 from trhreg.hessian_oracle import (eigen_stats, exact_trace,
                                    frozen_objective_fns, hessian_diag_subset,
                                    hutchinson_trace, hutchinson_trace_pair,
                                    hvp_from_grad, quad_form_from_values)
-from trhreg.losses import RobustLossKind
 from trhreg.network import flatten_weights, forward
 from trhreg.numerics import OracleError, Rng
 from trhreg.trh import trh_at

@@ -7,18 +7,19 @@ from oracle_helpers import rowwise, weight_indices, whole_network_rows
 # the saturated logits and the tolerance of the top-layer primitives' check
 from test_trh_blocks import ATOL, RTOL, saturated_logits
 from trhreg import tape
+from trhreg.config import RobustLossKind
 from trhreg.hessian_oracle import exact_trace, frozen_objective_fns
-from trhreg.losses import RobustLossKind, softmax
-from trhreg.network import (DenseLayer, MlpNetwork, flatten_weights, forward,
-                            forward_nodes, gradient_vector, init_mlp, lift,
-                            unflatten_weights)
-from trhreg.numerics import Rng, finite_diff_gradient
 from trhreg.layer_traces import (INEQUALITY_SLACK, NonSmoothInput,
                                  _jacobian_stacks,
                                  _summed_quadratic_form,
                                  check_layer_inequality,
                                  l1_operator_norm,
                                  layer_trace_rows)
+from trhreg.network import (DenseLayer, MlpNetwork, flatten_weights, forward,
+                            forward_nodes, gradient_vector, init_mlp, lift,
+                            unflatten_weights)
+from trhreg.numerics import Rng, finite_diff_gradient
+from trhreg.tape import softmax
 from trhreg.trh import trh_at
 from trhreg.verify import sample_smooth_instance
 

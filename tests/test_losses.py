@@ -4,9 +4,9 @@ import pytest
 from loss_references import (alp_pair_loss, cross_entropy, kl_div,
                              log_softmax, mart_losses, softmax_derivs)
 from oracle_helpers import rowwise
-from trhreg.losses import RobustLossKind, softmax
 from trhreg.network import forward, init_mlp
 from trhreg.numerics import Rng, finite_diff_gradient
+from trhreg.tape import softmax
 
 
 class TestSoftmaxDerivs:
@@ -108,6 +108,9 @@ class TestKlDiv:
     def test_zero_mass_handled(self):
         assert kl_div(np.array([0.0, 1.0]), np.array([0.5, 0.5])) == pytest.approx(np.log(2))
 
+    def test_mass_where_q_has_none_is_infinite(self):
+        assert kl_div(np.array([0.5, 0.5]), np.array([1.0, 0.0])) == np.inf
+
 
 class TestAlpPairLoss:
     def test_identical_zero(self):
@@ -182,11 +185,3 @@ class TestShiftInvariance:
             assert abs(alp_pair_loss(softmax(g), softmax(g2))
                        - alp_pair_loss(softmax(g + shift), softmax(g2 + shift))) <= 1e-10
 
-
-class TestRobustLossKind:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RobustLossKind("unknown")
-        with pytest.raises(ValueError):
-            RobustLossKind("trades", -1.0)
-        assert RobustLossKind("trades", 6.0).penalty == 6.0

@@ -12,11 +12,11 @@ from loss_references import cross_entropy_rows
 from oracle_helpers import layer_block
 from trhreg import tape
 from trhreg.attacks import AttackConfig, pgd
+from trhreg.config import RobustLossKind
 from trhreg.data import two_moons
 from trhreg.hessian_oracle import (eigen_stats, frozen_objective_fns,
                                    hutchinson_trace, hvp_from_grad,
                                    quad_form_from_values)
-from trhreg.losses import RobustLossKind
 from trhreg.network import (flatten_weights, forward, init_mlp, lift,
                             unflatten_weights)
 from trhreg.numerics import Rng, rademacher_vector

@@ -6,12 +6,12 @@ import pytest
 from oracle_helpers import rowwise
 import trhreg.network
 from trhreg import tape
-from trhreg.losses import softmax
 from trhreg.network import (DenseLayer, MlpNetwork, backprop, flatten_weights,
                             forward, forward_nodes, init_mlp, input_gradient,
                             lift, load_checkpoint, param_count,
                             save_checkpoint, unflatten_weights)
 from trhreg.numerics import Rng, finite_diff_gradient
+from trhreg.tape import softmax
 from trhreg.trainer import MetricsLog
 
 

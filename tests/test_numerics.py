@@ -5,10 +5,10 @@ import pytest
 
 from oracle_helpers import rowwise
 from trhreg import cli, numerics
-from trhreg.losses import softmax
 from trhreg.numerics import (OracleError, Rng, finite_diff_gradient,
                              hessian_diag_subset, pin_allocator,
                              rademacher_vector)
+from trhreg.tape import softmax
 
 
 class TestFiniteDiffGradient:

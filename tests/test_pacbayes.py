@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from trhreg.attacks import AttackConfig, pgd
+from trhreg.config import RobustLossKind
 from trhreg.data import two_moons
 from trhreg.hessian_oracle import frozen_objective_fns
-from trhreg.losses import RobustLossKind
 from trhreg.network import flatten_weights, init_mlp, lift, param_count
 from trhreg.numerics import Rng, hessian_diag_subset
 from trhreg.pacbayes import (GaussianPosterior, OutOfRegimeError,

@@ -12,8 +12,8 @@ from trhreg import hessian_oracle, numerics, tape
 from trhreg import pacbayes as pb
 from trhreg import trh as trh_module
 from trhreg.attacks import _single_precision
+from trhreg.config import RobustLossKind
 from trhreg.hessian_oracle import frozen_objective_fns
-from trhreg.losses import RobustLossKind
 from trhreg.network import (TrainingDivergence, flatten_weights, forward,
                             gradient_vector, init_mlp, layer_params, lift,
                             unflatten_weights)

@@ -1,11 +1,12 @@
 """Start-up and exit of a CLI process.
 
-A subcommand runs only the modules it needs: reading a config and
-evaluating a checkpoint run none of the training, curvature, bound or
-verification modules, training runs no bound or verification code, and
-verification runs no trainer code.  "Runs" is
-observed with an audit hook on ``exec``, the call that executes a module's
-body, so the check holds whatever puts a module in ``sys.modules``.
+A subcommand runs only the modules it needs: reading a config runs none
+of the attack, training, curvature, bound or verification modules,
+evaluating a checkpoint runs the attack but none of the others, training
+runs no bound or verification code, and verification runs no trainer
+code.  "Runs" is observed with an audit hook on ``exec``, the call that
+executes a module's body, so the check holds whatever puts a module in
+``sys.modules``.
 
 ``python -m trhreg`` freezes the garbage collector after ``main`` returns,
 so interpreter exit skips the import-time reference cycles; its output and
@@ -81,8 +82,11 @@ class TestImportSets:
         assert not set(HEAVY) & set(seen["ran"])
 
     def test_config_import_loads_no_heavy_module(self):
-        seen = _modules_after("from trhreg.config import ExperimentConfig\n")
-        assert not set(HEAVY) & (set(seen["ran"]) | set(seen["loaded"]))
+        seen = _modules_after("from trhreg.config import ExperimentConfig\n"
+                              "ExperimentConfig.from_text(%r)\n" % CONFIG)
+        touched = set(seen["ran"]) | set(seen["loaded"])
+        assert not set(HEAVY) & touched
+        assert "attacks" not in touched  # the section types live in config
 
     def test_eval_subcommand_runs_no_heavy_module(self, tmp_path):
         (tmp_path / "cfg.txt").write_text(CONFIG)

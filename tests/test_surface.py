@@ -17,9 +17,9 @@ import dataclasses
 import os
 
 from trhreg.attacks import AttackConfig
-from trhreg.config import MeasureConfig, PacBayesConfig, TrainConfig, TrHConfig
+from trhreg.config import (MeasureConfig, PacBayesConfig, RobustLossKind,
+                           TrainConfig, TrHConfig)
 from trhreg.data import Dataset
-from trhreg.losses import RobustLossKind
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "trhreg")

@@ -7,8 +7,8 @@ import pytest
 
 from oracle_helpers import rowwise, whole_network_rows
 from trhreg import tape
+from trhreg.config import RobustLossKind
 from trhreg.data import two_moons
-from trhreg.losses import RobustLossKind
 from trhreg.network import (backprop, flatten_weights, forward_nodes, init_mlp,
                             lift, unflatten_weights)
 from trhreg.numerics import Rng, finite_diff_gradient

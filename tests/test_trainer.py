@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from trhreg.attacks import AttackConfig, pgd, predictions
-from trhreg.config import TrHConfig
+from trhreg.config import RobustLossKind, TrHConfig
 from trhreg.data import two_moons
-from trhreg.losses import RobustLossKind
 from trhreg.network import flatten_weights, forward, init_mlp
 from trhreg.numerics import Rng
 from trhreg.trainer import (MeasureConfig, TrainConfig, awp_step, lambda_at,

@@ -8,11 +8,12 @@ from loss_references import (alp_pair_loss, cross_entropy, kl_div,
 from oracle_helpers import rowwise, weight_indices, whole_network_rows
 from trhreg import layer_traces, network, tape, trh
 from trhreg.attacks import AttackConfig, pgd
+from trhreg.config import RobustLossKind
 from trhreg.hessian_oracle import exact_trace, frozen_objective_fns
-from trhreg.losses import RobustLossKind, softmax
 from trhreg.network import (DenseLayer, MlpNetwork, flatten_weights, forward,
                             gradient_vector, init_mlp, lift, unflatten_weights)
 from trhreg.numerics import Rng, finite_diff_gradient
+from trhreg.tape import softmax
 from trhreg.trh import (analytic_trh_rows, capture_frozen, objective_nodes,
                         robust_loss_rows, trh_alp, trh_at, trh_mart,
                         trh_trades, trh_trades_full)

@@ -18,7 +18,8 @@ import pytest
 from loss_references import (alp_pair_loss, cross_entropy, kl_div,
                              mart_losses)
 from trhreg import tape
-from trhreg.losses import RobustLossKind, softmax
+from trhreg.config import RobustLossKind
+from trhreg.tape import softmax
 from trhreg.trh import (_block_traces, _margin, _others, _side, _sq_frob_phi,
                         _tr_hess, _tr_phi)
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from trhreg.attacks import AttackConfig, pgd
-from trhreg.losses import softmax
 from trhreg.network import forward, init_mlp, min_preact_magnitude
 from trhreg.numerics import SMOOTH_TOL, Rng
+from trhreg.tape import softmax
 from trhreg.verify import LEVELS, sample_smooth_instance
 
 
